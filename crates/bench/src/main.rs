@@ -221,15 +221,16 @@ fn main() {
     // The out-of-core lane: the supermer engine spooled through the
     // two-pass bin store on the simulated NVMe tier. Functional fields
     // must match the in-memory rows; the simulated times price the disk.
-    let report = runner::run_two_pass(&reads, nodes, &args);
-    eprintln!(
-        "  [bench] two_pass: {} instances, {} distinct, total {} (wall {:.3}s)",
-        report.total_kmers,
-        report.distinct_kmers,
-        report.total_time(),
-        report.wall.total,
-    );
-    rows.push(report_json("two_pass", nodes, &report));
+    if let Some(report) = runner::run_two_pass(&reads, nodes, &args) {
+        eprintln!(
+            "  [bench] two_pass: {} instances, {} distinct, total {} (wall {:.3}s)",
+            report.total_kmers,
+            report.distinct_kmers,
+            report.total_time(),
+            report.wall.total,
+        );
+        rows.push(report_json("two_pass", nodes, &report));
+    }
     if let Some(path) = check_path {
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,

@@ -154,6 +154,10 @@ pub enum ConfigError {
     /// `--resume` / `--io-seed` / `--io-spec` / `--min-count` used
     /// without `--two-pass`.
     Io(String),
+    /// `--two-pass` combined with a flag the out-of-core driver does not
+    /// honour (carries that flag's name), rejected rather than silently
+    /// dropped.
+    TwoPassConflict(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -170,6 +174,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Mem(msg) => f.write_str(msg),
             ConfigError::Rank(msg) => f.write_str(msg),
             ConfigError::Io(msg) => f.write_str(msg),
+            ConfigError::TwoPassConflict(flag) => write!(
+                f,
+                "--two-pass cannot be combined with {flag}: the out-of-core driver does not \
+                 support it"
+            ),
         }
     }
 }
@@ -383,7 +392,9 @@ pub struct RunConfig {
     /// extracted items into minimizer-keyed bins under this directory
     /// on a simulated NVMe tier, pass 2 streams them back one bin at a
     /// time, each sized to fit its count table. `None` (the default)
-    /// counts fully in memory.
+    /// counts fully in memory. Validation rejects it together with any
+    /// exchange, fault-plan or rank-plan option only the in-memory
+    /// driver honours ([`ConfigError::TwoPassConflict`]).
     pub two_pass_dir: Option<std::path::PathBuf>,
     /// Resume an interrupted two-pass run from its manifest: skip pass 1
     /// and re-count only the bins without a completed result file.
@@ -555,8 +566,37 @@ impl RunConfig {
                     "--min-count requires --two-pass (the pre-filter runs in pass 2)".into(),
                 ));
             }
+        } else if let Some(flag) = self.two_pass_conflict() {
+            return Err(ConfigError::TwoPassConflict(flag));
         }
         Ok(())
+    }
+
+    /// The first flag set alongside `--two-pass` that only the in-memory
+    /// driver honours. Noop fault and rank plans pass: `run_typed`
+    /// normalizes them to absent.
+    fn two_pass_conflict(&self) -> Option<&'static str> {
+        [
+            (
+                self.fault.is_some_and(|p| !p.spec().is_noop()),
+                "--fault-seed/--fault-spec",
+            ),
+            (
+                self.rank.as_ref().is_some_and(|p| !p.spec().is_noop()),
+                "--rank-seed/--rank-spec",
+            ),
+            (self.round_limit_bytes.is_some(), "--round-limit"),
+            (self.overlap_rounds, "--overlap-rounds"),
+            (self.wire_compress, "--wire-compress"),
+            (
+                self.exchange_algo != dedukt_net::cost::ExchangeAlgo::Direct,
+                "--exchange-algo",
+            ),
+            (!self.rescale.is_empty(), "--rescale"),
+            (self.checkpoint_rounds.is_some(), "--checkpoint-rounds"),
+        ]
+        .into_iter()
+        .find_map(|(set, flag)| set.then_some(flag))
     }
 }
 
@@ -738,6 +778,54 @@ mod tests {
         assert!(matches!(rc.validate(), Err(ConfigError::Io(_))));
         rc.min_count = 1;
         assert!(rc.validate().is_ok());
+    }
+
+    #[test]
+    fn two_pass_rejects_the_flags_it_would_drop() {
+        use dedukt_net::cost::ExchangeAlgo;
+        use dedukt_net::fault::{FaultPlan, FaultSpec, RankPlan, RankSpec};
+        let two_pass = || {
+            let mut rc = RunConfig::new(Mode::GpuSupermer, 1);
+            rc.two_pass_dir = Some(std::path::PathBuf::from("/tmp/x"));
+            rc
+        };
+        // Noop plans are normalized away by `run_typed`, so they pass.
+        let mut rc = two_pass();
+        rc.fault = Some(FaultPlan::new(1, FaultSpec::none()));
+        rc.rank = Some(RankPlan::new(1, RankSpec::none()));
+        assert!(rc.validate().is_ok());
+        type SetFlag = fn(&mut RunConfig);
+        let cases: [(SetFlag, &str); 8] = [
+            (
+                |rc| rc.fault = Some(FaultPlan::new(1, FaultSpec::default())),
+                "--fault-spec",
+            ),
+            (
+                |rc| rc.rank = Some(RankPlan::new(1, RankSpec::default())),
+                "--rank-spec",
+            ),
+            (|rc| rc.round_limit_bytes = Some(4096), "--round-limit"),
+            (|rc| rc.overlap_rounds = true, "--overlap-rounds"),
+            (|rc| rc.wire_compress = true, "--wire-compress"),
+            (
+                |rc| rc.exchange_algo = ExchangeAlgo::NodeAggregated,
+                "--exchange-algo",
+            ),
+            (|rc| rc.rescale = vec![(1, 4)], "--rescale"),
+            (|rc| rc.checkpoint_rounds = Some(2), "--checkpoint-rounds"),
+        ];
+        for (set, flag) in cases {
+            let mut rc = two_pass();
+            set(&mut rc);
+            let msg = match rc.validate() {
+                Err(e @ ConfigError::TwoPassConflict(_)) => e.to_string(),
+                other => panic!("{flag}: expected a two-pass conflict, got {other:?}"),
+            };
+            assert!(msg.contains("--two-pass") && msg.contains(flag), "{msg}");
+            // The same flag without --two-pass stays valid.
+            rc.two_pass_dir = None;
+            assert!(rc.validate().is_ok(), "{flag}");
+        }
     }
 
     #[test]

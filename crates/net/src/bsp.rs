@@ -129,7 +129,7 @@ impl BspWorld {
         BspWorld {
             net,
             clocks: vec![SimClock::new(); n],
-            stats: CommStats::new(n),
+            stats: CommStats::default(),
             trace: Vec::new(),
             counters: Vec::new(),
             sent_bytes_cum: vec![0; n],
@@ -246,11 +246,6 @@ impl BspWorld {
     /// Accumulated communication statistics.
     pub fn stats(&self) -> &CommStats {
         &self.stats
-    }
-
-    /// Per-rank simulated clocks.
-    pub fn clocks(&self) -> &[SimClock] {
-        &self.clocks
     }
 
     /// The latest rank clock — the simulated makespan so far.
@@ -750,34 +745,6 @@ impl BspWorld {
             wire,
         }
     }
-
-    /// Synchronizes all ranks (barrier): clocks align to the slowest rank
-    /// plus the modelled barrier latency.
-    pub fn barrier(&mut self) -> SimTime {
-        let start = self.elapsed();
-        let dt = self.net.barrier_time();
-        let t = start + dt;
-        if let Some(j) = &self.journal {
-            for rank in 0..self.clocks.len() {
-                j.push(JournalEvent::Collective {
-                    step: self.stats.collectives,
-                    rank,
-                    label: "barrier".to_string(),
-                    start: start.as_secs(),
-                    wire: dt.as_secs(),
-                    hidden: 0.0,
-                    charged: dt.as_secs(),
-                    bytes: 0,
-                    tier: "inject".to_string(),
-                    comp_bytes: 0,
-                });
-            }
-        }
-        for c in &mut self.clocks {
-            c.sync_to(t);
-        }
-        self.net.barrier_time()
-    }
 }
 
 #[cfg(test)]
@@ -796,7 +763,7 @@ mod tests {
         assert_eq!(outs, (0..12).map(|r| r * 10).collect::<Vec<_>>());
         assert_eq!(times.max, SimTime::from_millis(11.0));
         assert!((times.mean.as_millis() - 5.5).abs() < 1e-9);
-        assert_eq!(w.clocks()[3].now(), SimTime::from_millis(3.0));
+        assert_eq!(w.clocks[3].now(), SimTime::from_millis(3.0));
         assert_eq!(w.elapsed(), SimTime::from_millis(11.0));
     }
 
@@ -834,7 +801,7 @@ mod tests {
         let send: Vec<Vec<Vec<u8>>> = vec![vec![vec![1u8; 100]; p]; p];
         let out = w.alltoallv(send);
         // Every rank's clock is now >= 1 s (waited for rank 0).
-        for c in w.clocks() {
+        for c in &w.clocks {
             assert!(c.now().as_secs() >= 1.0);
         }
         // Elapsed is pure wire time (uniform matrix → identical per rank);
@@ -860,16 +827,6 @@ mod tests {
         assert_eq!(w.stats().collectives, 2);
         assert_eq!(w.stats().total_bytes, 2 * (p * p * 3 * 8) as u64);
         assert_eq!(w.stats().off_node_bytes, 0); // single node
-    }
-
-    #[test]
-    fn barrier_aligns_clocks() {
-        let mut w = world(1);
-        w.compute_step(|r| ((), SimTime::from_millis(r as f64)));
-        w.barrier();
-        let t0 = w.clocks()[0].now();
-        assert!(w.clocks().iter().all(|c| c.now() == t0));
-        assert!(t0 >= SimTime::from_millis(5.0));
     }
 
     #[test]
@@ -1128,7 +1085,7 @@ mod tests {
         let mut w = world(1);
         w.advance_all("retry-backoff", SimTime::from_millis(2.0));
         assert!(w
-            .clocks()
+            .clocks
             .iter()
             .all(|c| c.now() == SimTime::from_millis(2.0)));
         let trace = w.take_trace();

@@ -67,14 +67,6 @@ impl NetworkParams {
             algo: ExchangeAlgo::Direct,
         }
     }
-
-    /// Summit with node-aggregated exchange.
-    pub fn summit_aggregated() -> NetworkParams {
-        NetworkParams {
-            algo: ExchangeAlgo::NodeAggregated,
-            ..Self::summit()
-        }
-    }
 }
 
 /// The simulated NVMe/SSD storage tier used by the out-of-core
@@ -252,11 +244,6 @@ impl Network {
             .time_for(2.0 * bytes as f64);
         self.latency(p) + wire
     }
-
-    /// Models a barrier (latency only).
-    pub fn barrier_time(&self) -> SimTime {
-        self.latency(self.topology.nranks())
-    }
 }
 
 #[cfg(test)]
@@ -402,10 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_and_barrier_scale_with_rank_count() {
+    fn allreduce_scales_with_rank_count() {
         let small = Network::summit_gpu(2);
         let big = Network::summit_gpu(128);
-        assert!(big.barrier_time() > small.barrier_time());
         assert!(big.allreduce_time(1024) > small.allreduce_time(1024));
     }
 

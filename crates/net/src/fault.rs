@@ -4,10 +4,10 @@
 //! — `(round, attempt, src, dst)` for bucket fates, `(step, rank)` for
 //! stragglers — to a fault decision, built on the stateless
 //! [`dedukt_sim::rng::mix_coords`] hash. Because the plan carries no
-//! mutable state, the BSP executor and the threaded engine (where both
-//! endpoints of a channel evaluate the plan independently, without ACK
-//! traffic) derive **identical** fault schedules, and retries draw fresh,
-//! reproducible fates simply by bumping the attempt coordinate.
+//! mutable state, every bucket fate is a pure function of (seed, round,
+//! attempt, src, dst), checked against a sequential oracle in the test
+//! suites, and retries draw fresh, reproducible fates simply by bumping
+//! the attempt coordinate.
 //!
 //! Three fault kinds are modelled (DESIGN.md §7):
 //!
@@ -167,7 +167,7 @@ impl FaultSpec {
 
     /// Is this spec semantically empty — valid, but incapable of ever
     /// producing a fault event? Such plans are normalized away before a
-    /// run so both engines treat `--fault-spec fail=0,corrupt=0,straggle=0`
+    /// run so every mode treats `--fault-spec fail=0,corrupt=0,straggle=0`
     /// exactly like an absent plan.
     pub fn is_noop(&self) -> bool {
         self.fail_rate == 0.0 && self.corrupt_rate == 0.0 && self.straggle_rate == 0.0
@@ -175,7 +175,7 @@ impl FaultSpec {
 }
 
 /// A seeded, deterministic fault schedule. Cloning is cheap (two words);
-/// both network engines and every retry attempt consult the same plan.
+/// every collective and every retry attempt consult the same plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -327,7 +327,7 @@ impl RankSpec {
 
     /// Is this spec semantically empty — valid, but incapable of ever
     /// killing a rank? Such plans are normalized away before a run so
-    /// both engines treat `--rank-spec rate=0` exactly like an absent
+    /// every mode treats `--rank-spec rate=0` exactly like an absent
     /// plan.
     pub fn is_noop(&self) -> bool {
         self.rate == 0.0 && self.kill.is_empty()
@@ -335,9 +335,9 @@ impl RankSpec {
 }
 
 /// A seeded, deterministic rank-death schedule. Like [`FaultPlan`], a
-/// pure function of its coordinates: every engine evaluates
-/// [`RankPlan::dies_at`] independently and agrees on which ranks die at
-/// which round boundary, without any coordination traffic.
+/// pure function of its coordinates: any caller that evaluates
+/// [`RankPlan::dies_at`] agrees on which ranks die at which round
+/// boundary, without any coordination traffic.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RankPlan {
     seed: u64,
@@ -380,7 +380,7 @@ impl RankPlan {
 /// Hash of one wire item, feeding the per-bucket [`ChecksumFrame`]. The
 /// BSP engine moves typed payloads (no serialization), so the checksum is
 /// computed over item hashes rather than a byte stream; the set of
-/// implementors below covers every payload type the engines exchange.
+/// implementors below covers every payload type the pipelines exchange.
 pub trait WireHash {
     /// A 64-bit digest of this item's wire representation.
     fn wire_hash(&self) -> u64;

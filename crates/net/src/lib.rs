@@ -1,15 +1,12 @@
 //! Rank-based message-passing runtime with a Summit-like network model.
 //!
 //! Stand-in for the paper's MPI layer (Spectrum MPI on Summit's dual-rail
-//! EDR fat-tree; see DESIGN.md §2). Two engines share one cost model:
-//!
-//! * [`bsp`] — the **BSP executor**: ranks are tasks executed per
-//!   superstep, collectives are performed centrally. Scales to thousands
-//!   of simulated ranks on one host (the paper's CPU baseline uses 2,688
-//!   ranks), which free-running threads cannot.
-//! * [`threaded`] — ranks as real OS threads exchanging data through
-//!   channels, for moderate rank counts; used to cross-validate the BSP
-//!   engine and to run the examples "live".
+//! EDR fat-tree; see DESIGN.md §2). One engine runs every pipeline, CLI
+//! path, example and benchmark: [`bsp`], the **BSP executor**. Ranks are
+//! tasks executed per superstep and collectives are performed centrally,
+//! which scales to thousands of simulated ranks on one host (the paper's
+//! CPU baseline uses 2,688 ranks). Its exchange is cross-checked against
+//! sequential references in the test suites.
 //!
 //! The [`cost`] module prices collectives with an α-β model over the
 //! [`topology`] (per-node injection bandwidth of 23 GB/s, NVLink on-node,
@@ -19,19 +16,15 @@
 #![warn(missing_docs)]
 
 pub mod bsp;
-pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod route;
 pub mod stats;
-pub mod threaded;
 pub mod topology;
 
 pub use bsp::BspWorld;
-pub use comm::Communicator;
 pub use cost::NetworkParams;
 pub use fault::{BucketFate, ChecksumFrame, FaultPlan, FaultSpec, RankPlan, RankSpec, WireHash};
 pub use route::ExchangeRoute;
 pub use stats::CommStats;
-pub use threaded::ThreadedWorld;
 pub use topology::Topology;

@@ -18,11 +18,11 @@
 //!
 //! Fault composition (DESIGN.md §10): with hierarchical routing, fates
 //! are drawn *per coalesced inter-node frame* at the injection tier and
-//! *per bucket* on the intra-node tier. Both engines (BSP and threaded)
-//! evaluate the same pure [`FaultPlan`] at the same coordinates, so they
-//! agree on every fate without any coordination traffic, and a retry
-//! resends only the failed frames (all buckets of a frame fail or
-//! deliver together).
+//! *per bucket* on the intra-node tier. Fates come from the pure
+//! [`FaultPlan`] at those coordinates, so a sequential reference can
+//! replay every fate without the engine's state, and a retry resends
+//! only the failed frames (all buckets of a frame fail or deliver
+//! together).
 
 use crate::cost::ExchangeAlgo;
 use crate::fault::{BucketFate, FaultPlan};
@@ -79,7 +79,7 @@ impl ExchangeRoute {
     }
 
     /// The fate of the `(src, dst)` bucket at `(round, attempt)` under
-    /// this route — the single point where both engines must agree.
+    /// this route — the single point that decides every routed fate.
     ///
     /// `Direct` draws one fate per rank pair, exactly as before. Under
     /// `Hierarchical`, a bucket whose endpoints share a node never leaves
@@ -109,13 +109,6 @@ impl ExchangeRoute {
                 }
             }
         }
-    }
-
-    /// The leader rank of `node` — the lowest rank on the node, which
-    /// performs the gather, the injection-tier frame sends, and the
-    /// scatter for hierarchical routing.
-    pub fn leader_of(topo: &Topology, node: usize) -> usize {
-        topo.ranks_of(node).start
     }
 }
 
@@ -193,13 +186,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn leader_is_the_lowest_rank_on_the_node() {
-        let topo = Topology::new(3, 6);
-        assert_eq!(ExchangeRoute::leader_of(&topo, 0), 0);
-        assert_eq!(ExchangeRoute::leader_of(&topo, 1), 6);
-        assert_eq!(ExchangeRoute::leader_of(&topo, 2), 12);
     }
 }

@@ -1,8 +1,6 @@
 //! Communication statistics: the exact byte and message counts behind the
 //! paper's Table II.
 
-use dedukt_sim::{DataVolume, DistStats};
-
 /// Accumulated statistics over one or more collectives.
 #[derive(Clone, Debug, Default)]
 pub struct CommStats {
@@ -40,19 +38,9 @@ pub struct CommStats {
     pub failed_sends: u64,
     /// Buckets delivered with a checksum mismatch and discarded.
     pub corrupt_buckets: u64,
-    /// Per-rank bytes *sent*, accumulated (for imbalance reporting).
-    pub sent_by_rank: Vec<u64>,
 }
 
 impl CommStats {
-    /// Empty statistics for `nranks` ranks.
-    pub fn new(nranks: usize) -> CommStats {
-        CommStats {
-            sent_by_rank: vec![0; nranks],
-            ..Default::default()
-        }
-    }
-
     /// Records one Alltoallv given its send-byte matrix and a node
     /// assignment function.
     pub fn record_alltoallv(&mut self, send_bytes: &[Vec<u64>], node_of: impl Fn(usize) -> usize) {
@@ -68,37 +56,7 @@ impl CommStats {
                 if b > 0 {
                     self.messages += 1;
                 }
-                self.sent_by_rank[i] += b;
             }
-        }
-    }
-
-    /// Total volume as a [`DataVolume`].
-    pub fn total_volume(&self) -> DataVolume {
-        DataVolume::from_bytes(self.total_bytes)
-    }
-
-    /// Distribution of per-rank sent bytes.
-    pub fn send_distribution(&self) -> Option<DistStats> {
-        DistStats::from_loads(&self.sent_by_rank)
-    }
-
-    /// Merges another set of statistics (e.g. from a second phase).
-    pub fn merge(&mut self, other: &CommStats) {
-        assert_eq!(self.sent_by_rank.len(), other.sent_by_rank.len());
-        self.collectives += other.collectives;
-        self.overlapped_collectives += other.overlapped_collectives;
-        self.total_bytes += other.total_bytes;
-        self.off_node_bytes += other.off_node_bytes;
-        self.intra_node_bytes += other.intra_node_bytes;
-        self.intra_tier_bytes += other.intra_tier_bytes;
-        self.coalesced_messages += other.coalesced_messages;
-        self.messages += other.messages;
-        self.retry_bytes += other.retry_bytes;
-        self.failed_sends += other.failed_sends;
-        self.corrupt_buckets += other.corrupt_buckets;
-        for (a, b) in self.sent_by_rank.iter_mut().zip(&other.sent_by_rank) {
-            *a += b;
         }
     }
 }
@@ -109,7 +67,7 @@ mod tests {
 
     #[test]
     fn records_one_alltoallv() {
-        let mut s = CommStats::new(4);
+        let mut s = CommStats::default();
         // 2 nodes × 2 ranks: node_of = rank / 2.
         let m = vec![
             vec![0, 10, 20, 30],
@@ -129,35 +87,5 @@ mod tests {
         assert_eq!(s.intra_tier_bytes, 0);
         assert_eq!(s.coalesced_messages, 0);
         assert_eq!(s.messages, 8);
-        assert_eq!(s.sent_by_rank, vec![60, 6, 5, 7]);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CommStats::new(2);
-        a.record_alltoallv(&[vec![0, 1], vec![2, 0]], |_| 0);
-        let mut b = CommStats::new(2);
-        b.record_alltoallv(&[vec![0, 5], vec![5, 0]], |r| r);
-        a.intra_tier_bytes = 4;
-        a.coalesced_messages = 1;
-        b.intra_tier_bytes = 6;
-        b.coalesced_messages = 2;
-        a.merge(&b);
-        assert_eq!(a.collectives, 2);
-        assert_eq!(a.total_bytes, 13);
-        assert_eq!(a.off_node_bytes, 10);
-        assert_eq!(a.intra_node_bytes, 3);
-        assert_eq!(a.intra_tier_bytes, 10);
-        assert_eq!(a.coalesced_messages, 3);
-        assert_eq!(a.sent_by_rank, vec![6, 7]);
-    }
-
-    #[test]
-    fn send_distribution_reports_imbalance() {
-        let mut s = CommStats::new(2);
-        s.record_alltoallv(&[vec![0, 30], vec![10, 0]], |_| 0);
-        let d = s.send_distribution().unwrap();
-        assert_eq!(d.max, 30);
-        assert!((d.imbalance() - 1.5).abs() < 1e-12);
     }
 }

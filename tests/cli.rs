@@ -1121,6 +1121,45 @@ fn malformed_two_pass_flags_exit_two_naming_the_flag() {
         (vec!["--resume"], "--resume requires --two-pass"),
         (vec!["--io-seed", "7"], "require --two-pass"),
         (vec!["--min-count", "2"], "--min-count requires --two-pass"),
+        // Flags only the in-memory driver honours are rejected under
+        // --two-pass, naming both flags, instead of silently dropped.
+        (
+            vec![
+                "--two-pass",
+                store_s,
+                "--fault-spec",
+                "fail=1,corrupt=0,retries=1",
+            ],
+            "--two-pass cannot be combined with --fault-seed/--fault-spec",
+        ),
+        (
+            vec!["--two-pass", store_s, "--rank-spec", "rate=0,kill=1:1"],
+            "--two-pass cannot be combined with --rank-seed/--rank-spec",
+        ),
+        (
+            vec!["--two-pass", store_s, "--round-limit", "4096"],
+            "--two-pass cannot be combined with --round-limit",
+        ),
+        (
+            vec!["--two-pass", store_s, "--overlap-rounds"],
+            "--two-pass cannot be combined with --overlap-rounds",
+        ),
+        (
+            vec!["--two-pass", store_s, "--wire-compress"],
+            "--two-pass cannot be combined with --wire-compress",
+        ),
+        (
+            vec!["--two-pass", store_s, "--exchange-algo", "hierarchical"],
+            "--two-pass cannot be combined with --exchange-algo",
+        ),
+        (
+            vec!["--two-pass", store_s, "--rescale", "1:4"],
+            "--two-pass cannot be combined with --rescale",
+        ),
+        (
+            vec!["--two-pass", store_s, "--checkpoint-rounds", "2"],
+            "--two-pass cannot be combined with --checkpoint-rounds",
+        ),
     ] {
         let out = dedukt()
             .args(["count"])

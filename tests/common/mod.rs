@@ -1,8 +1,8 @@
-//! Helpers shared by the invariant suites (fault, memory, exchange,
-//! rank failure): dataset slices, instrumented configs, and the
-//! bit-identity assertions every recovery layer is held to. Each test
-//! binary compiles its own copy, so helpers a given suite doesn't use
-//! are expected.
+//! Helpers shared by the integration suites (fault, memory, exchange,
+//! rank failure, rounds, determinism): dataset slices, instrumented
+//! configs, and the bit-identity assertions every recovery layer is held
+//! to. Each test binary compiles its own copy, so helpers a given suite
+//! doesn't use are expected.
 #![allow(dead_code)]
 
 use dedukt::core::pipeline::RunReport;

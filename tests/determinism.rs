@@ -6,21 +6,11 @@
 //! real GPU. Everything a user consumes must not: counts, volumes,
 //! loads, spectra, and the generated datasets themselves.
 
+mod common;
+
+use common::sorted_tables;
 use dedukt::core::{pipeline, Mode, RunConfig};
 use dedukt::dna::{Dataset, DatasetId, ScalePreset};
-
-fn sorted_tables(r: &dedukt::core::RunReport) -> Vec<Vec<(u64, u32)>> {
-    r.tables
-        .as_ref()
-        .unwrap()
-        .iter()
-        .map(|t| {
-            let mut t = t.clone();
-            t.sort_unstable();
-            t
-        })
-        .collect()
-}
 
 #[test]
 fn dataset_generation_is_bit_stable() {

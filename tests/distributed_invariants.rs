@@ -4,7 +4,7 @@
 use dedukt::core::{pipeline, verify, Mode, RunConfig};
 use dedukt::dna::{Read, ReadSet};
 use dedukt::net::cost::Network;
-use dedukt::net::{BspWorld, Communicator, FaultPlan, ThreadedWorld};
+use dedukt::net::{BspWorld, BucketFate, FaultPlan};
 use proptest::prelude::*;
 
 fn readset_strategy() -> impl Strategy<Value = ReadSet> {
@@ -107,12 +107,11 @@ proptest! {
         prop_assert_eq!(big.total_kmers, small.total_kmers * 2);
     }
 
-    /// The two network engines agree under the same fault plan: both the
-    /// BSP world (driven through the driver-style retry loop) and the
-    /// threaded world (per-pair retry protocol) deliver exactly the same
-    /// payloads, and they observe the same number of retried buckets.
-    /// The fate schedule is a pure function of (seed, round, attempt,
-    /// src, dst), so neither engine needs the other's state to agree.
+    /// The BSP engine agrees with a sequential fate walk under the same
+    /// fault plan: driven through the driver-style retry loop, it
+    /// delivers every payload intact and retries exactly the buckets the
+    /// plan fails. The fate schedule is a pure function of (seed, round,
+    /// attempt, src, dst), so the walk needs none of the engine's state.
     #[test]
     fn engines_agree_on_deliveries_under_the_same_fault_plan(
         seed in 0u64..1_000_000,
@@ -163,40 +162,34 @@ proptest! {
         }
         world.clear_fault_context();
 
-        // Threaded engine: the same collectives under the same plan; its
-        // per-collective round counter lines up with the BSP contexts.
-        let threaded = ThreadedWorld::run_with_faults(p, Some(plan), |comm| {
-            let rank = comm.rank();
-            let mut rounds = Vec::new();
-            for round in 0..nrounds {
-                let send: Vec<Vec<u64>> = (0..p).map(|dst| payload(rank, dst, round)).collect();
-                rounds.push(comm.alltoallv_u64(send));
-            }
-            (rounds, comm.fault_retries())
-        });
-
-        let mut threaded_retries = 0u64;
-        for (dst, (rounds, retries)) in threaded.iter().enumerate() {
-            threaded_retries += retries;
-            for (round, recv) in rounds.iter().enumerate() {
-                for src in 0..p {
+        // Sequential fate walk: each bucket (all are non-empty) is retried
+        // once per attempt the plan spends before its first delivery.
+        let mut expected_retries = 0u64;
+        for (round, delivered) in (0u64..).zip(&bsp_delivered) {
+            for (dst, row) in delivered.iter().enumerate() {
+                for (src, bucket) in row.iter().enumerate() {
                     prop_assert_eq!(
-                        &recv[src],
-                        &bsp_delivered[round][dst][src],
+                        bucket,
+                        &payload(src, dst, round),
                         "payload mismatch {}->{} round {}", src, dst, round
                     );
-                    prop_assert_eq!(&recv[src], &payload(src, dst, round as u64));
+                    let mut attempt = 0u32;
+                    while plan.bucket_fate(round, attempt, src, dst) != BucketFate::Deliver {
+                        attempt += 1;
+                        prop_assert!(attempt < 200, "plan never delivers");
+                    }
+                    expected_retries += u64::from(attempt);
                 }
             }
         }
         prop_assert_eq!(
             bsp_retries,
-            threaded_retries,
-            "engines must observe the same retry schedule"
+            expected_retries,
+            "BSP must retry exactly the fates the plan draws"
         );
         prop_assert_eq!(
             world.stats().failed_sends + world.stats().corrupt_buckets,
-            threaded_retries
+            expected_retries
         );
     }
 }

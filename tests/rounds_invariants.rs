@@ -3,6 +3,9 @@
 //! Every counter, every round count, overlap on or off — the counted
 //! multiset, distinct totals, spectrum, and per-rank tables are identical.
 
+mod common;
+
+use common::sorted_tables;
 use dedukt::core::pipeline::gpu_common::split_rounds_weighted;
 use dedukt::core::{pipeline, Mode, PackedKmer, RunConfig, RunReport};
 use dedukt::dna::{Dataset, DatasetId, ReadSet, ScalePreset};
@@ -28,21 +31,6 @@ fn run_w<K: PackedKmer>(
     rc.overlap_rounds = overlap;
     tweak(&mut rc);
     pipeline::run_typed::<K>(reads, &rc).expect("valid config")
-}
-
-/// Probing layout (hence iteration order) depends on insertion order, so
-/// compare table *contents* per rank.
-fn sorted_tables<K: PackedKmer + Ord>(r: &RunReport<K>) -> Vec<Vec<(K, u32)>> {
-    r.tables
-        .as_ref()
-        .expect("tables collected")
-        .iter()
-        .map(|t| {
-            let mut t = t.clone();
-            t.sort_unstable();
-            t
-        })
-        .collect()
 }
 
 fn assert_same_counts<K: PackedKmer + Ord>(r: &RunReport<K>, baseline: &RunReport<K>, what: &str) {
