@@ -1,99 +1,28 @@
 //! Minimal command-line parsing for the experiment binaries.
 //!
-//! Every regenerator accepts the same flags:
-//!
-//! * `--scale tiny|bench|x<FACTOR>` — dataset scale (default `bench`).
-//! * `--nodes N` — override the node count where it makes sense.
-//! * `--m N` — minimizer length override.
-//! * `--seed N` — dataset seed override.
-//! * `--gpu-direct` — enable GPUDirect staging.
-//! * `--round-limit BYTES` — memory-bounded exchange rounds (§III-A).
-//! * `--overlap-rounds` — overlap count kernels with the next round's wire.
-//! * `--exchange-algo direct|hierarchical` — exchange routing (DESIGN.md §10).
-//! * `--wire-compress` — supermer wire codec (varint/delta + 2-bit bases).
-//! * `--fault-seed N` / `--fault-spec k=v,...` — deterministic network
-//!   fault injection with driver-side retry (DESIGN.md §7).
-//! * `--mem-seed N` / `--mem-spec k=v,...` — deterministic memory
-//!   pressure with regrow/spill recovery (DESIGN.md §8).
-//! * `--rank-seed N` / `--rank-spec k=v,...` — deterministic rank-level
-//!   failure with replay recovery (DESIGN.md §11).
-//! * `--checkpoint-rounds N` / `--rescale ROUND:WORLD,...` — checkpoint
-//!   cadence bounding replay, and elastic world rescale (DESIGN.md §11).
-//! * `--table-safety F` — count-table sizing safety factor.
-//! * `--device-hbm BYTES` — simulated device memory budget override.
+//! Every regenerator accepts the same flags: `--scale tiny|bench|x<FACTOR>`
+//! (dataset scale, default `bench`), `--seed N` (dataset seed override),
+//! `--nodes N` (node-count override where it makes sense), and the run
+//! flags `dedukt count` accepts too, parsed into one template
+//! [`RunConfig`] by [`RunConfig::apply_flag`] (listed in
+//! [`RUN_FLAGS_USAGE`]).
 
+use dedukt_core::config::RUN_FLAGS_USAGE;
+use dedukt_core::{Mode, RunConfig};
 use dedukt_dna::ScalePreset;
 
-/// Parsed common flags.
+/// Parsed experiment flags.
 #[derive(Clone, Debug)]
 pub struct ExperimentArgs {
     /// Dataset scale preset.
     pub scale: ScalePreset,
-    /// Node-count override.
-    pub nodes: Option<usize>,
-    /// Minimizer-length override.
-    pub m: Option<usize>,
     /// Dataset seed override.
     pub seed: Option<u64>,
-    /// Use GPUDirect in the GPU pipelines.
-    pub gpu_direct: bool,
-    /// Per-round send cap in bytes (memory-bounded rounds, §III-A).
-    pub round_limit: Option<u64>,
-    /// Overlap count kernels with the next round's exchange.
-    pub overlap_rounds: bool,
-    /// Exchange routing override (`--exchange-algo direct|hierarchical`).
-    pub exchange_algo: Option<dedukt_net::cost::ExchangeAlgo>,
-    /// Ship supermer buckets through the wire codec (`--wire-compress`).
-    pub wire_compress: bool,
-    /// Fault-injection seed (activates faults even without a spec).
-    pub fault_seed: Option<u64>,
-    /// Fault-injection spec string, `key=value` comma list (activates
-    /// faults with seed 0 even without `--fault-seed`).
-    pub fault_spec: Option<String>,
-    /// Memory-pressure seed (activates pressure even without a spec).
-    pub mem_seed: Option<u64>,
-    /// Memory-pressure spec string, `key=value` comma list (activates
-    /// pressure with seed 0 even without `--mem-seed`).
-    pub mem_spec: Option<String>,
-    /// Rank-failure seed (activates the plan even without a spec).
-    pub rank_seed: Option<u64>,
-    /// Rank-failure spec string, `key=value` comma list (activates the
-    /// plan with seed 0 even without `--rank-seed`).
-    pub rank_spec: Option<String>,
-    /// Checkpoint cadence in rounds, bounding death replay.
-    pub checkpoint_rounds: Option<u64>,
-    /// Elastic rescale schedule, `(round, world)` pairs.
-    pub rescale: Vec<(u64, usize)>,
-    /// Count-table sizing safety factor override.
-    pub table_safety: Option<f64>,
-    /// Simulated device memory budget override, in bytes.
-    pub device_hbm: Option<u64>,
-}
-
-impl Default for ExperimentArgs {
-    fn default() -> Self {
-        ExperimentArgs {
-            scale: ScalePreset::Bench,
-            nodes: None,
-            m: None,
-            seed: None,
-            gpu_direct: false,
-            round_limit: None,
-            overlap_rounds: false,
-            exchange_algo: None,
-            wire_compress: false,
-            fault_seed: None,
-            fault_spec: None,
-            mem_seed: None,
-            mem_spec: None,
-            rank_seed: None,
-            rank_spec: None,
-            checkpoint_rounds: None,
-            rescale: Vec::new(),
-            table_safety: None,
-            device_hbm: None,
-        }
-    }
+    /// Node-count override.
+    pub nodes: Option<usize>,
+    /// The run flags, applied to a paper-default configuration. Runners
+    /// clone it and set the mode and node count of each row.
+    pub run: RunConfig,
 }
 
 impl ExperimentArgs {
@@ -104,143 +33,56 @@ impl ExperimentArgs {
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!(
-                    "usage: <bin> [--scale tiny|bench|xFACTOR] [--nodes N] [--m N] [--seed N] \
-                     [--gpu-direct] [--round-limit BYTES] [--overlap-rounds] \
-                     [--exchange-algo direct|hierarchical] [--wire-compress] \
-                     [--fault-seed N] [--fault-spec k=v,...] \
-                     [--mem-seed N] [--mem-spec k=v,...] \
-                     [--rank-seed N] [--rank-spec k=v,...] \
-                     [--checkpoint-rounds N] [--rescale ROUND:WORLD,...] \
-                     [--table-safety F] [--device-hbm BYTES]"
+                    "usage: <bin> [--scale tiny|bench|xFACTOR] [--nodes N] [--seed N]\n\
+                     {RUN_FLAGS_USAGE}"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    /// Parses from an explicit iterator (testable).
+    /// Parses from an explicit iterator (testable). Only parses: range
+    /// checks are [`RunConfig::validate`]'s.
     pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<ExperimentArgs, String> {
-        let mut out = ExperimentArgs::default();
-        let mut it = args.into_iter();
+        let args: Vec<String> = args.into_iter().collect();
+        let mut out = ExperimentArgs {
+            scale: ScalePreset::Bench,
+            seed: None,
+            nodes: None,
+            run: RunConfig::new(Mode::GpuSupermer, 1),
+        };
+        let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if out.run.apply_flag(arg, &mut it)? {
+                continue;
+            }
+            let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
             match arg.as_str() {
-                "--scale" => {
-                    let v = it.next().ok_or("--scale needs a value")?;
-                    out.scale = match v.as_str() {
-                        "tiny" => ScalePreset::Tiny,
-                        "bench" => ScalePreset::Bench,
-                        s if s.starts_with('x') => {
-                            let f: f64 = s[1..]
-                                .parse()
-                                .map_err(|_| format!("bad scale factor {s:?}"))?;
-                            if f <= 0.0 {
-                                return Err("scale factor must be positive".into());
-                            }
-                            ScalePreset::Custom(f)
-                        }
-                        other => return Err(format!("unknown scale {other:?}")),
-                    };
-                }
+                "--scale" => out.scale = value()?.parse()?,
                 "--nodes" => {
-                    let v = it.next().ok_or("--nodes needs a value")?;
+                    let v = value()?;
                     let n: usize = v.parse().map_err(|_| format!("bad node count {v:?}"))?;
                     if n == 0 {
                         return Err("--nodes must be positive".into());
                     }
                     out.nodes = Some(n);
                 }
-                "--m" => {
-                    let v = it.next().ok_or("--m needs a value")?;
-                    out.m = Some(
-                        v.parse()
-                            .map_err(|_| format!("bad minimizer length {v:?}"))?,
-                    );
-                }
                 "--seed" => {
-                    let v = it.next().ok_or("--seed needs a value")?;
+                    let v = value()?;
                     out.seed = Some(v.parse().map_err(|_| format!("bad seed {v:?}"))?);
-                }
-                "--gpu-direct" => out.gpu_direct = true,
-                "--round-limit" => {
-                    let v = it.next().ok_or("--round-limit needs a value")?;
-                    let b: u64 = v.parse().map_err(|_| format!("bad round limit {v:?}"))?;
-                    if b == 0 {
-                        return Err("--round-limit must be positive".into());
-                    }
-                    out.round_limit = Some(b);
-                }
-                "--overlap-rounds" => out.overlap_rounds = true,
-                "--exchange-algo" => {
-                    let v = it.next().ok_or("--exchange-algo needs a value")?;
-                    out.exchange_algo = Some(dedukt_net::ExchangeRoute::parse(&v)?.algo());
-                }
-                "--wire-compress" => out.wire_compress = true,
-                "--fault-seed" => {
-                    let v = it.next().ok_or("--fault-seed needs a value")?;
-                    out.fault_seed = Some(v.parse().map_err(|_| format!("bad fault seed {v:?}"))?);
-                }
-                "--fault-spec" => {
-                    let v = it.next().ok_or("--fault-spec needs a value")?;
-                    // Parse eagerly so a typo fails at the flag, not mid-run.
-                    dedukt_net::FaultSpec::parse(&v)?;
-                    out.fault_spec = Some(v);
-                }
-                "--mem-seed" => {
-                    let v = it.next().ok_or("--mem-seed needs a value")?;
-                    out.mem_seed = Some(v.parse().map_err(|_| format!("bad mem seed {v:?}"))?);
-                }
-                "--mem-spec" => {
-                    let v = it.next().ok_or("--mem-spec needs a value")?;
-                    dedukt_gpu::MemSpec::parse(&v)?;
-                    out.mem_spec = Some(v);
-                }
-                "--rank-seed" => {
-                    let v = it.next().ok_or("--rank-seed needs a value")?;
-                    out.rank_seed = Some(v.parse().map_err(|_| format!("bad rank seed {v:?}"))?);
-                }
-                "--rank-spec" => {
-                    let v = it.next().ok_or("--rank-spec needs a value")?;
-                    dedukt_net::RankSpec::parse(&v)?;
-                    out.rank_spec = Some(v);
-                }
-                "--checkpoint-rounds" => {
-                    let v = it.next().ok_or("--checkpoint-rounds needs a value")?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| format!("bad checkpoint cadence {v:?}"))?;
-                    if n == 0 {
-                        return Err("--checkpoint-rounds must be at least 1".into());
-                    }
-                    out.checkpoint_rounds = Some(n);
-                }
-                "--rescale" => {
-                    let v = it.next().ok_or("--rescale needs a value")?;
-                    out.rescale = dedukt_core::config::parse_rescale(&v)?;
-                }
-                "--table-safety" => {
-                    let v = it.next().ok_or("--table-safety needs a value")?;
-                    let f: f64 = v
-                        .parse()
-                        .map_err(|_| format!("bad table safety factor {v:?}"))?;
-                    if !f.is_finite() || f <= 0.0 {
-                        return Err("--table-safety must be a positive finite factor".into());
-                    }
-                    out.table_safety = Some(f);
-                }
-                "--device-hbm" => {
-                    let v = it.next().ok_or("--device-hbm needs a value")?;
-                    let b: u64 = v
-                        .parse()
-                        .map_err(|_| format!("bad device HBM byte count {v:?}"))?;
-                    if b == 0 {
-                        return Err("--device-hbm must be positive".into());
-                    }
-                    out.device_hbm = Some(b);
                 }
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
         Ok(out)
+    }
+
+    /// The run template at `mode` on `nodes` nodes.
+    pub fn config(&self, mode: Mode, nodes: usize) -> RunConfig {
+        let mut rc = self.run.clone();
+        rc.mode = mode;
+        rc.nodes = nodes;
+        rc
     }
 }
 
@@ -248,138 +90,94 @@ impl ExperimentArgs {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<ExperimentArgs, String> {
-        ExperimentArgs::try_parse(args.iter().map(|s| s.to_string()))
+    /// Parses space-separated `args`.
+    fn parse(args: &str) -> Result<ExperimentArgs, String> {
+        ExperimentArgs::try_parse(args.split_whitespace().map(String::from))
+    }
+
+    /// Parses `args` and validates the template on two GPU nodes.
+    fn check(args: &str) -> Result<(), String> {
+        let a = parse(args)?;
+        a.config(Mode::GpuSupermer, 2)
+            .validate()
+            .map_err(|e| e.to_string())
     }
 
     #[test]
     fn defaults() {
-        let a = parse(&[]).unwrap();
+        let a = parse("").unwrap();
         assert_eq!(a.scale, ScalePreset::Bench);
         assert!(a.nodes.is_none());
-        assert!(!a.gpu_direct);
+        assert!(!a.run.gpu_direct);
+        assert_eq!(a.run.counting.m, 7);
     }
 
     #[test]
     fn full_flags() {
-        let a = parse(&[
-            "--scale",
-            "tiny",
-            "--nodes",
-            "16",
-            "--m",
-            "9",
-            "--seed",
-            "7",
-            "--gpu-direct",
-            "--round-limit",
-            "4096",
-            "--overlap-rounds",
-        ])
+        let a = parse(
+            "--scale tiny --nodes 16 --m 9 --seed 7 --gpu-direct --round-limit 4096 \
+             --overlap-rounds --fault-seed 3",
+        )
         .unwrap();
         assert_eq!(a.scale, ScalePreset::Tiny);
         assert_eq!(a.nodes, Some(16));
-        assert_eq!(a.m, Some(9));
         assert_eq!(a.seed, Some(7));
-        assert!(a.gpu_direct);
-        assert_eq!(a.round_limit, Some(4096));
-        assert!(a.overlap_rounds);
+        assert_eq!(a.run.counting.m, 9);
+        assert!(a.run.gpu_direct);
+        assert_eq!(a.run.round_limit_bytes, Some(4096));
+        assert!(a.run.overlap_rounds);
+        assert_eq!(a.run.fault.map(|p| p.seed()), Some(3));
+        let rc = a.config(Mode::CpuBaseline, 4);
+        assert_eq!(
+            (rc.mode, rc.nodes, rc.counting.m),
+            (Mode::CpuBaseline, 4, 9)
+        );
     }
 
     #[test]
     fn custom_scale() {
-        let a = parse(&["--scale", "x0.25"]).unwrap();
+        let a = parse("--scale x0.25").unwrap();
         assert_eq!(a.scale, ScalePreset::Custom(0.25));
-        assert!(parse(&["--scale", "x-1"]).is_err());
-        assert!(parse(&["--scale", "huge"]).is_err());
+        for bad in ["x-1", "x0", "huge"] {
+            assert!(parse(&format!("--scale {bad}")).is_err(), "{bad}");
+        }
     }
 
     #[test]
-    fn fault_flags() {
-        let a = parse(&["--fault-seed", "7", "--fault-spec", "fail=0.1,retries=3"]).unwrap();
-        assert_eq!(a.fault_seed, Some(7));
-        assert_eq!(a.fault_spec.as_deref(), Some("fail=0.1,retries=3"));
-        // Malformed specs fail at the flag, not mid-run.
-        assert!(parse(&["--fault-spec", "bogus=1"]).is_err());
-        assert!(parse(&["--fault-spec", "fail"]).is_err());
-        assert!(parse(&["--fault-seed", "many"]).is_err());
+    fn malformed_flags_fail_at_the_parser() {
+        for args in [
+            "--fault-spec bogus=1",
+            "--fault-spec fail",
+            "--fault-seed many",
+            "--mem-spec bogus=1",
+            "--rank-spec kill=abc",
+            "--rescale 5",
+            "--exchange-algo fancy",
+            "--exchange-algo",
+            "--nodes",
+            "--nodes zero",
+            "--nodes 0",
+            "--round-limit lots",
+            "--frobnicate",
+        ] {
+            assert!(parse(args).is_err(), "{args}");
+        }
     }
 
     #[test]
-    fn mem_flags() {
-        let a = parse(&[
-            "--mem-seed",
-            "5",
-            "--mem-spec",
-            "under=0.5,shrink=0.25",
-            "--table-safety",
-            "0.5",
-            "--device-hbm",
-            "1048576",
-        ])
-        .unwrap();
-        assert_eq!(a.mem_seed, Some(5));
-        assert_eq!(a.mem_spec.as_deref(), Some("under=0.5,shrink=0.25"));
-        assert_eq!(a.table_safety, Some(0.5));
-        assert_eq!(a.device_hbm, Some(1048576));
-        // Malformed specs and out-of-range knobs fail at the flag.
-        assert!(parse(&["--mem-spec", "bogus=1"]).is_err());
-        assert!(parse(&["--table-safety", "0"]).is_err());
-        assert!(parse(&["--device-hbm", "0"]).is_err());
-    }
-
-    #[test]
-    fn rank_flags() {
-        let a = parse(&[
-            "--rank-seed",
-            "3",
-            "--rank-spec",
-            "rate=0.01,max-dead=3,kill=1:2",
-            "--checkpoint-rounds",
-            "2",
-            "--rescale",
-            "1:8,3:12",
-        ])
-        .unwrap();
-        assert_eq!(a.rank_seed, Some(3));
-        assert_eq!(
-            a.rank_spec.as_deref(),
-            Some("rate=0.01,max-dead=3,kill=1:2")
-        );
-        assert_eq!(a.checkpoint_rounds, Some(2));
-        assert_eq!(a.rescale, vec![(1, 8), (3, 12)]);
-        // Malformed specs and schedules fail at the flag, not mid-run.
-        assert!(parse(&["--rank-spec", "bogus=1"]).is_err());
-        assert!(parse(&["--rank-spec", "kill=abc"]).is_err());
-        assert!(parse(&["--checkpoint-rounds", "0"]).is_err());
-        assert!(parse(&["--rescale", "5"]).is_err());
-    }
-
-    #[test]
-    fn exchange_flags() {
-        let a = parse(&["--exchange-algo", "hierarchical", "--wire-compress"]).unwrap();
-        assert_eq!(
-            a.exchange_algo,
-            Some(dedukt_net::cost::ExchangeAlgo::NodeAggregated)
-        );
-        assert!(a.wire_compress);
-        let d = parse(&["--exchange-algo", "direct"]).unwrap();
-        assert_eq!(
-            d.exchange_algo,
-            Some(dedukt_net::cost::ExchangeAlgo::Direct)
-        );
-        assert!(parse(&["--exchange-algo", "fancy"]).is_err());
-        assert!(parse(&["--exchange-algo"]).is_err());
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(parse(&["--nodes"]).is_err());
-        assert!(parse(&["--nodes", "zero"]).is_err());
-        assert!(parse(&["--nodes", "0"]).is_err());
-        assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--round-limit"]).is_err());
-        assert!(parse(&["--round-limit", "0"]).is_err());
-        assert!(parse(&["--round-limit", "lots"]).is_err());
+    fn out_of_range_values_fail_validation() {
+        for (args, needle) in [
+            ("--fault-spec fail=1.5", "must be in [0, 1]"),
+            ("--mem-spec shrink=0", "must be in (0, 1]"),
+            ("--rescale 1:999", "rescale world"),
+            ("--table-safety 200", "table safety"),
+            ("--round-limit 0", "round limit"),
+            ("--checkpoint-rounds 0", "checkpoint"),
+            ("--device-hbm 0", "--device-hbm"),
+        ] {
+            let err = check(args).unwrap_err();
+            assert!(err.contains(needle), "{args}: {err}");
+        }
+        check("--rescale 1:8,3:12 --rank-spec rate=0.01,kill=1:2").unwrap();
     }
 }

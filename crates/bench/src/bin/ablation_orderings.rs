@@ -27,7 +27,7 @@ fn main() {
     let reads = generate(id, &args);
     let rc = RunConfig::new(Mode::GpuSupermer, nodes);
     let k = rc.counting.k;
-    let m = args.m.unwrap_or(7);
+    let m = args.run.counting.m;
     print_header(
         "Ablation — minimizer ordering vs supermer count and partition skew",
         &format!("{}; k={k}, m={m}, {nranks} ranks", id.short_name()),

@@ -13,17 +13,13 @@
 
 use dedukt_bench::{generate, print_header, ExperimentArgs, Table};
 use dedukt_core::supermer::{build_supermers_reference, build_supermers_windowed};
-use dedukt_core::CountingConfig;
 use dedukt_dna::DatasetId;
 
 fn main() {
     let args = ExperimentArgs::parse();
     let id = DatasetId::EColi30x;
     let reads = generate(id, &args);
-    let mut cfg = CountingConfig::default();
-    if let Some(m) = args.m {
-        cfg.m = m;
-    }
+    let cfg = args.run.counting;
     let scheme = cfg.minimizer_scheme();
     print_header(
         "Ablation — supermer window length",

@@ -36,6 +36,7 @@
 
 use dedukt_bench::args::ExperimentArgs;
 use dedukt_bench::runner;
+use dedukt_core::config::RUN_FLAGS_USAGE;
 use dedukt_core::{Mode, RunReport};
 use dedukt_dna::DatasetId;
 use dedukt_sim::journal::{parse_flat_json, FlatJson};
@@ -190,7 +191,7 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: dedukt-bench [--check BENCH_baseline.json] [--scale tiny|bench|xFACTOR] \
-                 [--nodes N] [common experiment flags...]"
+                 [--nodes N] [--seed N]\n{RUN_FLAGS_USAGE}"
             );
             std::process::exit(2);
         }
@@ -201,6 +202,13 @@ fn main() {
         args.scale = dedukt_dna::ScalePreset::Tiny;
     }
     let nodes = args.nodes.unwrap_or(2);
+    // Reject out-of-range run flags before any work. The GPU modes have
+    // the fewest ranks, so a template valid for them is valid for every
+    // row; the two_pass row checks its own conflicts below.
+    if let Err(e) = args.config(Mode::GpuSupermer, nodes).validate() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let reads = runner::generate(DatasetId::EColi30x, &args);
     let mut rows = Vec::new();
     for (label, mode) in [

@@ -1,6 +1,7 @@
 //! Configuration for the counting pipelines.
 
 use dedukt_dna::Encoding;
+use dedukt_sim::plan::{self, Spec};
 use dedukt_sim::Rate;
 
 use crate::minimizer::{MinimizerScheme, OrderingKind};
@@ -141,9 +142,9 @@ pub enum ConfigError {
     /// The fault plan's rates or retry policy are out of range
     /// ([`dedukt_net::fault::FaultSpec::validate`]'s message).
     Fault(String),
-    /// The memory-pressure plan or table safety factor is out of range
-    /// ([`dedukt_gpu::MemSpec::validate`]'s message, or a bad
-    /// `table_safety`).
+    /// The memory-pressure plan, table safety factor or device memory
+    /// budget is out of range ([`dedukt_gpu::MemSpec::validate`]'s
+    /// message, a bad `table_safety`, or a zero `--device-hbm`).
     Mem(String),
     /// The rank-failure plan, checkpoint cadence or rescale schedule is
     /// out of range ([`dedukt_net::fault::RankSpec::validate`]'s
@@ -414,10 +415,21 @@ pub struct RunConfig {
     pub min_count: u32,
 }
 
+/// Usage lines for every flag [`RunConfig::apply_flag`] accepts, shared
+/// by the front ends' usage texts.
+pub const RUN_FLAGS_USAGE: &str = "\
+\x20        [--m M] [--gpu-direct] [--round-limit BYTES] [--overlap-rounds]
+\x20        [--exchange-algo direct|hierarchical] [--wire-compress]
+\x20        [--fault-seed N] [--fault-spec fail=F,corrupt=C,straggle=S,slow=X,retries=R,backoff=B]
+\x20        [--mem-seed N] [--mem-spec under=U,shrink=S,afail=A,spill=N]
+\x20        [--rank-seed N] [--rank-spec rate=R,max-dead=D,kill=ROUND:RANK]
+\x20        [--checkpoint-rounds N] [--rescale ROUND:WORLD,...]
+\x20        [--table-safety F] [--device-hbm BYTES]";
+
 /// Parses a `--rescale` schedule: a comma list of `round:world` pairs,
 /// e.g. `1:10,3:12`. Ordering and range checks live in
 /// [`RunConfig::validate`].
-pub fn parse_rescale(s: &str) -> Result<Vec<(u64, usize)>, String> {
+fn parse_rescale(s: &str) -> Result<Vec<(u64, usize)>, String> {
     let mut out = Vec::new();
     for part in s.split(',').filter(|p| !p.trim().is_empty()) {
         let part = part.trim();
@@ -477,6 +489,48 @@ impl RunConfig {
         self.nodes * self.mode.ranks_per_node()
     }
 
+    /// Applies one of the run flags every front end shares (listed in
+    /// [`RUN_FLAGS_USAGE`]), taking its value, if it has one, from
+    /// `args`. Returns `Ok(false)` for any other flag, which the caller
+    /// handles itself. Only parses: range checks live in
+    /// [`RunConfig::validate`]. Errors name the flag.
+    pub fn apply_flag<'a>(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        let mut value = || {
+            args.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("{flag}: bad value `{v}`"))
+        }
+        let named = |e: String| format!("{flag}: {e}");
+        match flag {
+            "--m" => self.counting.m = number(flag, value()?)?,
+            "--gpu-direct" => self.gpu_direct = true,
+            "--round-limit" => self.round_limit_bytes = Some(number(flag, value()?)?),
+            "--overlap-rounds" => self.overlap_rounds = true,
+            "--exchange-algo" => {
+                self.exchange_algo = dedukt_net::ExchangeRoute::parse(value()?)
+                    .map_err(named)?
+                    .algo()
+            }
+            "--wire-compress" => self.wire_compress = true,
+            "--fault-seed" | "--fault-spec" => plan::apply_flag(&mut self.fault, flag, value()?)?,
+            "--mem-seed" | "--mem-spec" => plan::apply_flag(&mut self.mem, flag, value()?)?,
+            "--rank-seed" | "--rank-spec" => plan::apply_flag(&mut self.rank, flag, value()?)?,
+            "--checkpoint-rounds" => self.checkpoint_rounds = Some(number(flag, value()?)?),
+            "--rescale" => self.rescale = parse_rescale(value()?).map_err(named)?,
+            "--table-safety" => self.table_safety = number(flag, value()?)?,
+            "--device-hbm" => self.gpu_device.memory_bytes = number(flag, value()?)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// Validates the full run description (algorithmic parameters plus
     /// machine shape) at the narrow key width; [`crate::pipeline::run`]
     /// calls this before doing any work.
@@ -516,6 +570,9 @@ impl RunConfig {
         }
         if let Some(plan) = &self.mem {
             plan.spec().validate().map_err(ConfigError::Mem)?;
+        }
+        if self.gpu_device.memory_bytes == 0 {
+            return Err(ConfigError::Mem("--device-hbm must be positive".into()));
         }
         if let Some(plan) = &self.rank {
             plan.spec().validate().map_err(ConfigError::Rank)?;
@@ -585,6 +642,7 @@ impl RunConfig {
                 self.rank.as_ref().is_some_and(|p| !p.spec().is_noop()),
                 "--rank-seed/--rank-spec",
             ),
+            (self.gpu_direct, "--gpu-direct"),
             (self.round_limit_bytes.is_some(), "--round-limit"),
             (self.overlap_rounds, "--overlap-rounds"),
             (self.wire_compress, "--wire-compress"),
@@ -795,7 +853,7 @@ mod tests {
         rc.rank = Some(RankPlan::new(1, RankSpec::none()));
         assert!(rc.validate().is_ok());
         type SetFlag = fn(&mut RunConfig);
-        let cases: [(SetFlag, &str); 8] = [
+        let cases: [(SetFlag, &str); 9] = [
             (
                 |rc| rc.fault = Some(FaultPlan::new(1, FaultSpec::default())),
                 "--fault-spec",
@@ -804,6 +862,7 @@ mod tests {
                 |rc| rc.rank = Some(RankPlan::new(1, RankSpec::default())),
                 "--rank-spec",
             ),
+            (|rc| rc.gpu_direct = true, "--gpu-direct"),
             (|rc| rc.round_limit_bytes = Some(4096), "--round-limit"),
             (|rc| rc.overlap_rounds = true, "--overlap-rounds"),
             (|rc| rc.wire_compress = true, "--wire-compress"),
@@ -825,6 +884,89 @@ mod tests {
             // The same flag without --two-pass stays valid.
             rc.two_pass_dir = None;
             assert!(rc.validate().is_ok(), "{flag}");
+        }
+    }
+
+    /// Applies space-separated `flags` through the shared run-flag table.
+    fn apply(flags: &str) -> Result<RunConfig, String> {
+        let args: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        let mut rc = RunConfig::new(Mode::GpuSupermer, 2);
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            if !rc.apply_flag(flag, &mut it)? {
+                return Err(format!("not a run flag: {flag}"));
+            }
+        }
+        Ok(rc)
+    }
+
+    #[test]
+    fn run_flags_parse_through_one_table() {
+        use dedukt_gpu::{MemPlan, MemSpec};
+        use dedukt_net::cost::ExchangeAlgo;
+        use dedukt_net::fault::{FaultSpec, RankSpec};
+        let rc = apply(
+            "--m 9 --gpu-direct --round-limit 4096 --overlap-rounds --exchange-algo hierarchical \
+             --wire-compress --fault-spec fail=0.1 --fault-seed 7 --rank-spec kill=1:2 \
+             --checkpoint-rounds 2 --rescale 1:8,3:12 --table-safety 0.5 --device-hbm 1048576",
+        )
+        .unwrap();
+        assert_eq!(rc.counting.m, 9);
+        assert!(rc.gpu_direct && rc.overlap_rounds && rc.wire_compress);
+        assert_eq!(rc.round_limit_bytes, Some(4096));
+        assert_eq!(rc.exchange_algo, ExchangeAlgo::NodeAggregated);
+        // A spec then a seed, or a spec alone (seed 0), or a seed alone
+        // (default spec): each activates its plan.
+        let fault = rc.fault.unwrap();
+        assert_eq!((fault.seed(), fault.spec().fail_rate), (7, 0.1));
+        assert_eq!(fault.spec().corrupt_rate, FaultSpec::default().corrupt_rate);
+        let rank = rc.rank.as_ref().unwrap();
+        assert_eq!((rank.seed(), &rank.spec().kill), (0, &vec![(1, 2)]));
+        assert_eq!(rank.spec().rate, RankSpec::default().rate);
+        assert_eq!(rc.mem, None);
+        assert_eq!(rc.checkpoint_rounds, Some(2));
+        assert_eq!(rc.rescale, vec![(1, 8), (3, 12)]);
+        assert_eq!(rc.table_safety, 0.5);
+        assert_eq!(rc.gpu_device.memory_bytes, 1048576);
+        assert!(rc.validate().is_ok());
+        let rc = apply("--mem-seed 5").unwrap();
+        assert_eq!(rc.mem, Some(MemPlan::new(5, MemSpec::default())));
+
+        // Parse errors name the flag; other flags are left to the caller.
+        for (flags, needle) in [
+            (
+                "--fault-spec bogus=1",
+                "--fault-spec: unknown fault spec key",
+            ),
+            (
+                "--mem-spec spill",
+                "--mem-spec: mem spec entry `spill` is not key=value",
+            ),
+            ("--rank-seed many", "--rank-seed: bad seed"),
+            ("--round-limit lots", "--round-limit: bad value `lots`"),
+            ("--exchange-algo fancy", "--exchange-algo: "),
+            (
+                "--rescale 5",
+                "--rescale: rescale entry `5` is not round:world",
+            ),
+            ("--m", "--m needs a value"),
+            ("--nodes 2", "not a run flag: --nodes"),
+        ] {
+            let err = apply(flags).unwrap_err();
+            assert!(err.contains(needle), "{flags}: {err}");
+        }
+        // Range checks are left to `validate`.
+        for (flags, needle) in [
+            ("--round-limit 0", "round limit"),
+            ("--checkpoint-rounds 0", "checkpoint"),
+            ("--table-safety 200", "table safety"),
+            ("--device-hbm 0", "--device-hbm must be positive"),
+            ("--fault-spec fail=1.5", "[0, 1]"),
+            ("--mem-spec shrink=0", "(0, 1]"),
+            ("--rescale 1:999", "rescale world"),
+        ] {
+            let err = apply(flags).unwrap().validate().unwrap_err().to_string();
+            assert!(err.contains(needle), "{flags}: {err}");
         }
     }
 

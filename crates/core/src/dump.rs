@@ -13,14 +13,15 @@ use dedukt_dna::Encoding;
 use std::io::{self, BufRead, Write};
 
 /// Merges per-rank `(kmer, count)` tables (disjoint key spaces) into one
-/// sorted list, at either key width.
+/// sorted list, at either key width. The stable sort merges the runs of
+/// already key-sorted rank tables instead of sorting from scratch.
 pub fn merge_tables<K: Ord + Copy>(per_rank: &[Vec<(K, u32)>]) -> Vec<(K, u32)> {
     let total: usize = per_rank.iter().map(Vec::len).sum();
     let mut all = Vec::with_capacity(total);
     for t in per_rank {
         all.extend_from_slice(t);
     }
-    all.sort_unstable_by_key(|&(k, _)| k);
+    all.sort_by_key(|&(k, _)| k);
     all
 }
 

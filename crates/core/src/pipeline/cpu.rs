@@ -21,6 +21,7 @@ use crate::table::HostCountTable;
 use crate::width::PackedKmer;
 use dedukt_dna::kmer::kmer_words_w;
 use dedukt_dna::ReadSet;
+use dedukt_gpu::mem_plan::estimate_factor;
 use dedukt_net::cost::Network;
 use dedukt_net::BspWorld;
 use dedukt_sim::SimTime;
@@ -97,7 +98,7 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
         // never changes CPU results and never OOMs (no device budget) —
         // memory pressure on this engine only re-sizes the initial
         // allocation. `pressure` keeps its all-zero default.
-        let factor = ctx.rc.table_safety * ctx.rc.mem.map_or(1.0, |p| p.estimate_factor(rank));
+        let factor = ctx.rc.table_safety * ctx.rc.mem.map_or(1.0, |p| estimate_factor(&p, rank));
         let expected = if factor == 1.0 {
             expected_instances as usize
         } else {

@@ -34,6 +34,7 @@ use crate::width::PackedKmer;
 use dedukt_dna::ReadSet;
 use dedukt_hash::Murmur3x64;
 use dedukt_net::cost::Network;
+use dedukt_net::fault::dies_at;
 use dedukt_net::BspWorld;
 use dedukt_sim::{Journal, JournalEvent, MetricsRegistry, SimTime};
 use rayon::prelude::*;
@@ -446,7 +447,7 @@ pub(crate) fn run_staged<S: CounterStages>(
             let mut replay_to = vec![0u64; nranks];
             let mut replay_kernels = SimTime::ZERO;
             for r in 0..nranks {
-                if !alive[r] || !plan.dies_at(round_idx as u64, r) {
+                if !alive[r] || !dies_at(plan, round_idx as u64, r) {
                     continue;
                 }
                 alive[r] = false;
@@ -869,9 +870,10 @@ pub(crate) fn run_staged<S: CounterStages>(
 }
 
 /// One-line run description for the journal's meta event: the knobs that
-/// shape timing, plus any fault or memory-pressure plans. Shared with
-/// the out-of-core two-pass driver, which appends no labels of its own —
-/// everything two-pass-specific is a [`RunConfig`] knob listed here.
+/// shape timing, plus every injection plan as its
+/// [`dedukt_sim::Plan::label`]. Shared with the out-of-core two-pass
+/// driver, which appends no labels of its own — everything
+/// two-pass-specific is a [`RunConfig`] knob listed here.
 pub(crate) fn run_detail(rc: &RunConfig) -> String {
     let mut parts = vec![format!("k={}", rc.counting.k)];
     if rc.gpu_direct {
@@ -895,32 +897,9 @@ pub(crate) fn run_detail(rc: &RunConfig) -> String {
     if rc.balanced_minimizers {
         parts.push("balanced-minimizers".to_string());
     }
-    if let Some(plan) = &rc.fault {
-        let s = plan.spec();
-        parts.push(format!(
-            "fault[seed={} fail={} corrupt={} straggle={}x{} retries={} backoff={}]",
-            plan.seed(),
-            s.fail_rate,
-            s.corrupt_rate,
-            s.straggle_rate,
-            s.straggle_factor,
-            s.max_retries,
-            s.backoff_secs
-        ));
-    }
-    if let Some(plan) = &rc.mem {
-        parts.push(format!("mem[{}]", plan.journal_label()));
-    }
-    if let Some(plan) = &rc.rank {
-        let s = plan.spec();
-        parts.push(format!(
-            "rank[seed={} rate={} max-dead={} kills={}]",
-            plan.seed(),
-            s.rate,
-            s.max_dead,
-            s.kill.len()
-        ));
-    }
+    parts.extend(rc.fault.map(|p| p.label()));
+    parts.extend(rc.mem.map(|p| p.label()));
+    parts.extend(rc.rank.as_ref().map(|p| p.label()));
     if let Some(n) = rc.checkpoint_rounds {
         parts.push(format!("checkpoint-rounds={n}"));
     }
@@ -941,9 +920,7 @@ pub(crate) fn run_detail(rc: &RunConfig) -> String {
             parts.push(format!("min-count={}", rc.min_count));
         }
     }
-    if let Some(plan) = &rc.io {
-        parts.push(format!("io[{}]", plan.journal_label()));
-    }
+    parts.extend(rc.io.map(|p| p.label()));
     parts.join(" ")
 }
 

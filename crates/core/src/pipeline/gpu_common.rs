@@ -6,6 +6,7 @@ use crate::table::{table_capacity, DeviceCountTable, InsertOutcome};
 use crate::width::PackedKmer;
 use dedukt_dna::packed::ConcatReads;
 use dedukt_dna::ReadSet;
+use dedukt_gpu::mem_plan::{alloc_fails, estimate_factor};
 use dedukt_gpu::transfer::staging_time;
 use dedukt_gpu::{Device, KernelReport, LaunchConfig, MemPlan, OomError};
 use dedukt_sim::{DataVolume, Histogram, SimTime};
@@ -239,7 +240,7 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         expected_instances: u64,
     ) -> Result<Self, CounterOom> {
         let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
-        let factor = rc.table_safety * rc.mem.map_or(1.0, |p| p.estimate_factor(rank));
+        let factor = rc.table_safety * rc.mem.map_or(1.0, |p| estimate_factor(&p, rank));
         let capacity = table_capacity(cfg, scaled_estimate(expected_instances, factor));
         let hash_seed = cfg.hash_seed ^ 0xC0C0;
         let table =
@@ -313,7 +314,10 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
     fn try_regrow(&mut self, cycles_per_kmer: f64, dt: &mut SimTime) -> bool {
         let attempt = self.grow_attempts;
         self.grow_attempts += 1;
-        if self.mem.is_some_and(|p| p.alloc_fails(self.rank, attempt)) {
+        if self
+            .mem
+            .is_some_and(|p| alloc_fails(&p, self.rank, attempt))
+        {
             self.oom_events += 1;
             return false;
         }

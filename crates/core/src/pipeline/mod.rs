@@ -18,6 +18,7 @@ use crate::table::TableKey;
 use crate::width::PackedKmer;
 use dedukt_dna::spectrum::Spectrum;
 use dedukt_dna::ReadSet;
+use dedukt_sim::plan::drop_noop;
 use dedukt_sim::{Rate, SimTime};
 
 /// Everything a pipeline run reports, generic over the packed key width
@@ -209,18 +210,12 @@ pub fn run_typed<K: PackedKmer>(reads: &ReadSet, rc: &RunConfig) -> Result<RunRe
     // with `table_safety < 1` a plan-free run and a noop-plan run differ
     // in spill budget, so the plan must be kept.
     let mut rc = rc.clone();
-    if rc.fault.is_some_and(|p| p.spec().is_noop()) {
-        rc.fault = None;
+    drop_noop(&mut rc.fault);
+    if rc.table_safety == 1.0 {
+        drop_noop(&mut rc.mem);
     }
-    if rc.mem.is_some_and(|p| p.spec().is_noop()) && rc.table_safety == 1.0 {
-        rc.mem = None;
-    }
-    if rc.rank.as_ref().is_some_and(|p| p.spec().is_noop()) {
-        rc.rank = None;
-    }
-    if rc.io.as_ref().is_some_and(|p| p.spec().is_noop()) {
-        rc.io = None;
-    }
+    drop_noop(&mut rc.rank);
+    drop_noop(&mut rc.io);
     let rc = &rc;
     if rc.two_pass_dir.is_some() {
         return two_pass::run_two_pass_typed::<K>(reads, rc);
@@ -268,7 +263,17 @@ pub(crate) fn assemble_counts<K: TableKey>(
         }
         s
     });
-    let tables = collect_tables.then(|| rank_results.into_iter().map(|r| r.entries).collect());
+    // Tables leave in key order: slot order depends on which concurrent
+    // insert won each probe, so it is not part of the result.
+    let tables = collect_tables.then(|| {
+        rank_results
+            .into_iter()
+            .map(|mut r| {
+                r.entries.sort_unstable_by_key(|&(k, _)| k);
+                r.entries
+            })
+            .collect()
+    });
     (
         LoadSummary { kmers_per_rank },
         total,

@@ -37,11 +37,13 @@ use crate::table::{capacity_for, HostCountTable};
 use crate::width::PackedKmer;
 use dedukt_dna::kmer::kmer_words_w;
 use dedukt_dna::ReadSet;
+use dedukt_gpu::mem_plan::estimate_factor;
 use dedukt_hash::Murmur3x64;
 use dedukt_net::cost::{Network, SsdParams};
 use dedukt_net::BspWorld;
 use dedukt_sim::rng::mix_coords;
 use dedukt_sim::{Journal, JournalEvent, MetricsRegistry, SimTime};
+use dedukt_store::plan::read_errors;
 use dedukt_store::{read_bin_counts, write_bin_counts, BinCounts, BinMeta, BinStore, Manifest};
 use std::sync::Arc;
 use std::time::Instant;
@@ -426,7 +428,10 @@ pub(crate) fn run_two_pass_typed<K: PackedKmer>(
             let budget = spec.map_or(1, |s| s.max_retries);
             let mut damage: Option<String> = None;
             for _ in 0..budget {
-                let transient = rc.io.as_ref().is_some_and(|p| p.read_errors(bin, attempts));
+                let transient = rc
+                    .io
+                    .as_ref()
+                    .is_some_and(|p| read_errors(p, bin, attempts));
                 attempts += 1;
                 if transient {
                     retries_total += 1;
@@ -522,7 +527,7 @@ pub(crate) fn run_two_pass_typed<K: PackedKmer>(
         // Count the bin into a table sized from the manifest by the same
         // safety × MemPlan estimate the in-memory pipelines apply — the
         // fit `plan_bins` guaranteed against the device budget.
-        let factor = rc.table_safety * rc.mem.map_or(1.0, |p| p.estimate_factor(owner));
+        let factor = rc.table_safety * rc.mem.map_or(1.0, |p| estimate_factor(&p, owner));
         let expected = ((meta.instances as f64) * factor).ceil().max(1.0) as usize;
         let mut table = HostCountTable::<K>::with_expected(
             expected,

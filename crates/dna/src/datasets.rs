@@ -132,6 +132,26 @@ impl ScalePreset {
     }
 }
 
+impl std::str::FromStr for ScalePreset {
+    type Err = String;
+
+    /// Parses `tiny`, `bench` or `x<FACTOR>` with a positive, finite
+    /// factor.
+    fn from_str(s: &str) -> Result<ScalePreset, String> {
+        match (s, s.strip_prefix('x').map(str::parse::<f64>)) {
+            ("tiny", _) => Ok(ScalePreset::Tiny),
+            ("bench", _) => Ok(ScalePreset::Bench),
+            (_, Some(Ok(f))) if f > 0.0 && f.is_finite() => Ok(ScalePreset::Custom(f)),
+            (_, Some(_)) => Err(format!(
+                "bad scale factor {s:?} (expected a positive number after `x`)"
+            )),
+            (_, None) => Err(format!(
+                "unknown scale {s:?} (expected tiny, bench or xFACTOR)"
+            )),
+        }
+    }
+}
+
 /// A fully specified synthetic dataset: identity plus generation
 /// parameters. Construct via [`Dataset::catalog`] or [`Dataset::new`].
 #[derive(Clone, Debug)]
@@ -278,6 +298,16 @@ mod tests {
         let one = Dataset::new(DatasetId::EColi30x, ScalePreset::Custom(1.0));
         let half = Dataset::new(DatasetId::EColi30x, ScalePreset::Custom(0.5));
         assert_eq!(one.genome.length / 2, half.genome.length);
+    }
+
+    #[test]
+    fn scale_presets_parse() {
+        assert_eq!("tiny".parse(), Ok(ScalePreset::Tiny));
+        assert_eq!("bench".parse(), Ok(ScalePreset::Bench));
+        assert_eq!("x0.25".parse(), Ok(ScalePreset::Custom(0.25)));
+        for bad in ["x0", "x-1", "xNaN", "xinf", "x", "huge"] {
+            assert!(bad.parse::<ScalePreset>().is_err(), "{bad}");
+        }
     }
 
     #[test]

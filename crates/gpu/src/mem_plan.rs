@@ -3,12 +3,12 @@
 //! A [`MemPlan`] is the device-memory twin of the network layer's
 //! `FaultPlan`: a *pure function* from a seed and a pressure coordinate
 //! — `(rank)` for distinct-count underestimates, `(rank, attempt)` for
-//! allocation failures — to a pressure decision, built on the stateless
-//! [`dedukt_sim::rng::unit_from_coords`] draw. Because the plan carries
-//! no mutable state, every engine (threaded CPU baseline, both GPU
-//! pipelines) derives **identical** pressure schedules without any
-//! coordination, and a regrow retry draws a fresh, reproducible verdict
-//! simply by bumping the attempt coordinate.
+//! allocation failures — to a pressure decision, drawn through the
+//! stateless [`Plan::draw`]. Because the plan carries no mutable state,
+//! every engine (CPU baseline, both GPU pipelines) derives **identical**
+//! pressure schedules without any coordination, and a regrow retry draws
+//! a fresh, reproducible verdict simply by bumping the attempt
+//! coordinate.
 //!
 //! Two pressure kinds are modelled (DESIGN.md §8):
 //!
@@ -21,7 +21,7 @@
 //!   (and, once the spill budget is exhausted, the clean
 //!   `RunError::DeviceOom` unwind).
 
-use dedukt_sim::rng::unit_from_coords;
+use dedukt_sim::plan::{integer, number, Plan, Spec};
 
 /// Domain-separation salts so the two pressure streams never alias
 /// (and never alias the network fault salts).
@@ -70,45 +70,37 @@ impl MemSpec {
         }
     }
 
-    /// Parses a `key=value` comma list. Unknown keys and unparseable
-    /// values are errors; range checks live in [`MemSpec::validate`] so
-    /// the CLI surfaces them through `ConfigError` like every other
-    /// configuration problem.
+    /// Parses a `key=value` comma list ([`dedukt_sim::plan::parse`]).
     pub fn parse(s: &str) -> Result<MemSpec, String> {
-        let mut spec = MemSpec::default();
-        for part in s.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("mem spec entry `{}` is not key=value", part.trim()))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_f64 = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("mem spec {key}=`{value}` is not a number"))
-            };
-            match key {
-                "under" => spec.underestimate_rate = parse_f64()?,
-                "shrink" => spec.shrink_factor = parse_f64()?,
-                "afail" => spec.alloc_fail_rate = parse_f64()?,
-                "spill" => {
-                    spec.spill_limit = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("mem spec spill=`{value}` is not an integer"))?
-                }
-                _ => {
-                    return Err(format!(
-                        "unknown mem spec key `{key}` (expected under/shrink/afail/spill)"
-                    ))
-                }
-            }
+        dedukt_sim::plan::parse(s)
+    }
+}
+
+impl Spec for MemSpec {
+    const KIND: &'static str = "mem";
+    const KEYS: &'static [&'static str] = &["under", "shrink", "afail", "spill"];
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        match key {
+            "under" => self.underestimate_rate = number(value)?,
+            "shrink" => self.shrink_factor = number(value)?,
+            "afail" => self.alloc_fail_rate = number(value)?,
+            _ => self.spill_limit = integer(value)?,
         }
-        Ok(spec)
+        Ok(())
     }
 
-    /// Range checks, in `FaultSpec::validate` style: rates in [0, 1],
-    /// shrink factor in (0, 1].
-    pub fn validate(&self) -> Result<(), String> {
+    fn entries(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("under", self.underestimate_rate.to_string()),
+            ("shrink", self.shrink_factor.to_string()),
+            ("afail", self.alloc_fail_rate.to_string()),
+            ("spill", self.spill_limit.to_string()),
+        ]
+    }
+
+    /// Rates in [0, 1], shrink factor in (0, 1].
+    fn validate(&self) -> Result<(), String> {
         for (name, rate) in [
             ("under", self.underestimate_rate),
             ("afail", self.alloc_fail_rate),
@@ -127,14 +119,12 @@ impl MemSpec {
         Ok(())
     }
 
-    /// Is this spec semantically empty — valid, but incapable of ever
-    /// injecting pressure? No underestimates and no injected allocation
-    /// failures means the grow/spill machinery never fires off the plan
-    /// (the spill limit only bounds plan-independent pressure, which the
-    /// caller checks separately). Such plans are normalized away before a
-    /// run so both engines treat `--mem-spec under=0,afail=0` exactly
-    /// like an absent plan.
-    pub fn is_noop(&self) -> bool {
+    /// No underestimates and no injected allocation failures means the
+    /// grow/spill machinery never fires off the plan (the spill limit
+    /// only bounds plan-independent pressure, which the caller checks
+    /// separately), so `--mem-spec under=0,afail=0` runs exactly like an
+    /// absent plan.
+    fn is_noop(&self) -> bool {
         (self.underestimate_rate == 0.0 || self.shrink_factor == 1.0) && self.alloc_fail_rate == 0.0
     }
 }
@@ -142,73 +132,34 @@ impl MemSpec {
 /// A seeded, deterministic memory-pressure schedule. Cloning is cheap
 /// (a few words); every engine and every grow attempt consult the same
 /// plan.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MemPlan {
-    seed: u64,
-    spec: MemSpec,
+pub type MemPlan = Plan<MemSpec>;
+
+/// Does `rank`'s distinct-count estimate come in low? Stateless: every
+/// evaluation at the same coordinate returns the same verdict, on any
+/// engine.
+pub fn underestimates(plan: &MemPlan, rank: usize) -> bool {
+    let rate = plan.spec().underestimate_rate;
+    rate > 0.0 && plan.draw(SALT_ESTIMATE, &[rank as u64]) < rate
 }
 
-impl MemPlan {
-    /// A plan drawing every pressure decision from `seed` under `spec`.
-    pub fn new(seed: u64, spec: MemSpec) -> MemPlan {
-        MemPlan { seed, spec }
+/// Factor applied to `rank`'s expected load when sizing its count table:
+/// [`MemSpec::shrink_factor`] when the rank underestimates, 1.0
+/// otherwise.
+pub fn estimate_factor(plan: &MemPlan, rank: usize) -> f64 {
+    if underestimates(plan, rank) {
+        plan.spec().shrink_factor
+    } else {
+        1.0
     }
+}
 
-    /// The plan's rates and spill policy.
-    pub fn spec(&self) -> &MemSpec {
-        &self.spec
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// One-line summary of the plan for run journals and reports, e.g.
-    /// `seed=7 under=0.5 shrink=0.25 afail=0.25 spill=1048576`.
-    pub fn journal_label(&self) -> String {
-        format!(
-            "seed={} under={} shrink={} afail={} spill={}",
-            self.seed,
-            self.spec.underestimate_rate,
-            self.spec.shrink_factor,
-            self.spec.alloc_fail_rate,
-            self.spec.spill_limit
-        )
-    }
-
-    /// Uniform `[0, 1)` draw at a pressure coordinate.
-    fn draw(&self, salt: u64, coords: &[u64]) -> f64 {
-        unit_from_coords(self.seed ^ salt, coords)
-    }
-
-    /// Does `rank`'s distinct-count estimate come in low? Stateless:
-    /// every evaluation at the same coordinate returns the same verdict,
-    /// on any engine.
-    pub fn underestimates(&self, rank: usize) -> bool {
-        self.spec.underestimate_rate > 0.0
-            && self.draw(SALT_ESTIMATE, &[rank as u64]) < self.spec.underestimate_rate
-    }
-
-    /// Factor applied to `rank`'s expected load when sizing its count
-    /// table: [`MemSpec::shrink_factor`] when the rank underestimates,
-    /// 1.0 otherwise.
-    pub fn estimate_factor(&self, rank: usize) -> f64 {
-        if self.underestimates(rank) {
-            self.spec.shrink_factor
-        } else {
-            1.0
-        }
-    }
-
-    /// Is grow attempt `attempt` (0 = first regrow) on `rank` denied by
-    /// injected pressure? Real HBM exhaustion is checked separately
-    /// against the device budget; this draw models transient allocator
-    /// failure under fragmentation.
-    pub fn alloc_fails(&self, rank: usize, attempt: u64) -> bool {
-        self.spec.alloc_fail_rate > 0.0
-            && self.draw(SALT_ALLOC, &[rank as u64, attempt]) < self.spec.alloc_fail_rate
-    }
+/// Is grow attempt `attempt` (0 = first regrow) on `rank` denied by
+/// injected pressure? Real HBM exhaustion is checked separately against
+/// the device budget; this draw models transient allocator failure under
+/// fragmentation.
+pub fn alloc_fails(plan: &MemPlan, rank: usize, attempt: u64) -> bool {
+    let rate = plan.spec().alloc_fail_rate;
+    rate > 0.0 && plan.draw(SALT_ALLOC, &[rank as u64, attempt]) < rate
 }
 
 #[cfg(test)]
@@ -223,28 +174,6 @@ mod tests {
         assert_eq!(spec.alloc_fail_rate, 0.1);
         assert_eq!(spec.spill_limit, 4096);
         spec.validate().unwrap();
-    }
-
-    #[test]
-    fn parse_partial_spec_keeps_defaults() {
-        let spec = MemSpec::parse("under=0.9").unwrap();
-        assert_eq!(spec.underestimate_rate, 0.9);
-        assert_eq!(spec.shrink_factor, MemSpec::default().shrink_factor);
-        assert_eq!(spec.spill_limit, MemSpec::default().spill_limit);
-    }
-
-    #[test]
-    fn parse_rejects_unknown_keys_and_garbage() {
-        assert!(MemSpec::parse("bogus=1")
-            .unwrap_err()
-            .contains("unknown mem spec key"));
-        assert!(MemSpec::parse("under=abc")
-            .unwrap_err()
-            .contains("not a number"));
-        assert!(MemSpec::parse("spill=1.5")
-            .unwrap_err()
-            .contains("not an integer"));
-        assert!(MemSpec::parse("under").unwrap_err().contains("key=value"));
     }
 
     #[test]
@@ -277,18 +206,18 @@ mod tests {
     fn draws_are_deterministic_and_attempt_fresh() {
         let plan = MemPlan::new(42, MemSpec::parse("under=0.5,afail=0.5").unwrap());
         for rank in 0..16 {
-            assert_eq!(plan.underestimates(rank), plan.underestimates(rank));
-            assert_eq!(plan.estimate_factor(rank), plan.estimate_factor(rank));
+            assert_eq!(underestimates(&plan, rank), underestimates(&plan, rank));
+            assert_eq!(estimate_factor(&plan, rank), estimate_factor(&plan, rank));
             for attempt in 0..8u64 {
                 assert_eq!(
-                    plan.alloc_fails(rank, attempt),
-                    plan.alloc_fails(rank, attempt)
+                    alloc_fails(&plan, rank, attempt),
+                    alloc_fails(&plan, rank, attempt)
                 );
             }
         }
         // Across 16 ranks × 8 attempts at afail=0.5, some rank must see
         // a different verdict on attempt 1 than on attempt 0.
-        let differs = (0..16usize).any(|r| plan.alloc_fails(r, 0) != plan.alloc_fails(r, 1));
+        let differs = (0..16usize).any(|r| alloc_fails(&plan, r, 0) != alloc_fails(&plan, r, 1));
         assert!(differs, "attempts should draw fresh verdicts");
     }
 
@@ -296,10 +225,10 @@ mod tests {
     fn zero_rate_plan_never_pressures() {
         let plan = MemPlan::new(7, MemSpec::none());
         for rank in 0..64 {
-            assert!(!plan.underestimates(rank));
-            assert_eq!(plan.estimate_factor(rank), 1.0);
+            assert!(!underestimates(&plan, rank));
+            assert_eq!(estimate_factor(&plan, rank), 1.0);
             for attempt in 0..8u64 {
-                assert!(!plan.alloc_fails(rank, attempt));
+                assert!(!alloc_fails(&plan, rank, attempt));
             }
         }
     }
@@ -308,14 +237,14 @@ mod tests {
     fn pressure_distribution_tracks_rates() {
         let plan = MemPlan::new(1234, MemSpec::parse("under=0.25,afail=0.25").unwrap());
         let n = 40_000usize;
-        let under = (0..n).filter(|&r| plan.underestimates(r)).count();
+        let under = (0..n).filter(|&r| underestimates(&plan, r)).count();
         let frac = under as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "underestimated {frac}");
-        let fails = (0..n).filter(|&a| plan.alloc_fails(3, a as u64)).count();
+        let fails = (0..n).filter(|&a| alloc_fails(&plan, 3, a as u64)).count();
         let frac = fails as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "alloc-failed {frac}");
         assert!((0..n).all(|r| {
-            let f = plan.estimate_factor(r);
+            let f = estimate_factor(&plan, r);
             f == 1.0 || f == 0.25
         }));
     }
@@ -338,7 +267,7 @@ mod tests {
         // Same coordinates, different salts: the two decision streams
         // must not mirror each other.
         let plan = MemPlan::new(99, MemSpec::parse("under=0.5,afail=0.5").unwrap());
-        let mirrored = (0..256usize).all(|r| plan.underestimates(r) == plan.alloc_fails(r, 0));
+        let mirrored = (0..256usize).all(|r| underestimates(&plan, r) == alloc_fails(&plan, r, 0));
         assert!(!mirrored, "salt separation failed");
     }
 }

@@ -290,7 +290,7 @@ impl BspWorld {
             // only, the computed payload is untouched.
             let dt = match &straggle {
                 Some((plan, step)) => {
-                    let factor = plan.straggle_factor(*step, rank);
+                    let factor = crate::fault::straggle_factor(plan, *step, rank);
                     if factor != 1.0 {
                         SimTime::from_secs(dt.as_secs() * factor)
                     } else {

@@ -98,17 +98,14 @@ impl ExchangeRoute {
         src: usize,
         dst: usize,
     ) -> BucketFate {
-        match self {
-            ExchangeRoute::Direct => plan.bucket_fate(round, attempt, src, dst),
-            ExchangeRoute::Hierarchical => {
-                if topo.same_node(src, dst) {
-                    plan.bucket_fate(round, attempt, src, dst)
-                } else {
-                    let p = topo.nranks();
-                    plan.bucket_fate(round, attempt, p + topo.node_of(src), p + topo.node_of(dst))
-                }
+        let p = topo.nranks();
+        let (from, to) = match self {
+            ExchangeRoute::Hierarchical if !topo.same_node(src, dst) => {
+                (p + topo.node_of(src), p + topo.node_of(dst))
             }
-        }
+            _ => (src, dst),
+        };
+        crate::fault::bucket_fate(plan, round, attempt, from, to)
     }
 }
 

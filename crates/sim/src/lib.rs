@@ -13,6 +13,7 @@
 pub mod analyze;
 pub mod journal;
 pub mod metrics;
+pub mod plan;
 pub mod rate;
 pub mod rng;
 pub mod stats;
@@ -24,6 +25,7 @@ pub mod volume;
 pub use analyze::{analyze, render_diff, RunAnalysis};
 pub use journal::{read_journal, write_journal, Journal, JournalEvent};
 pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use plan::{Plan, Spec};
 pub use rate::Rate;
 pub use rng::SplitMix64;
 pub use stats::DistStats;

@@ -2,14 +2,14 @@
 //!
 //! An [`IoPlan`] is the storage twin of the network layer's `FaultPlan`
 //! and the device layer's `MemPlan`: a *pure function* from a seed and a
-//! fault coordinate to a verdict, built on the stateless
-//! [`dedukt_sim::rng::unit_from_coords`] draw. Write fates — torn
-//! writes and bit rot — are drawn per `(bin, block, generation)` and are
-//! *persistent*: the corruption is physically written to the block file
-//! and stays there until the bin is re-derived at the next generation
-//! (which draws fresh fates). Read errors are drawn per
-//! `(bin, attempt)` and are *transient*: the next attempt draws a fresh
-//! verdict, so bounded retries model a flaky-but-functional device.
+//! fault coordinate to a verdict, drawn through the stateless
+//! [`Plan::draw`]. Write fates — torn writes and bit rot — are drawn per
+//! `(bin, block, generation)` and are *persistent*: the corruption is
+//! physically written to the block file and stays there until the bin is
+//! re-derived at the next generation (which draws fresh fates). Read
+//! errors are drawn per `(bin, attempt)` and are *transient*: the next
+//! attempt draws a fresh verdict, so bounded retries model a
+//! flaky-but-functional device.
 //!
 //! Three fault kinds are modelled (DESIGN.md §12):
 //!
@@ -21,7 +21,7 @@
 //! * **Read error** — the device returns a transient failure for the
 //!   whole bin read; the data underneath is intact.
 
-use dedukt_sim::rng::unit_from_coords;
+use dedukt_sim::plan::{integer, number, Plan, Spec};
 
 /// Domain-separation salts so the three fault streams never alias (and
 /// never alias the network/memory fault salts).
@@ -82,54 +82,44 @@ impl IoSpec {
         }
     }
 
-    /// Parses a `key=value` comma list. Unknown keys and unparseable
-    /// values are errors; range checks live in [`IoSpec::validate`] so
-    /// the CLI surfaces them through `ConfigError` like every other
-    /// configuration problem.
+    /// Parses a `key=value` comma list ([`dedukt_sim::plan::parse`]).
     pub fn parse(s: &str) -> Result<IoSpec, String> {
-        let mut spec = IoSpec::default();
-        for part in s.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("io spec entry `{}` is not key=value", part.trim()))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_f64 = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("io spec {key}=`{value}` is not a number"))
-            };
-            let parse_u32 = || {
-                value
-                    .parse::<u32>()
-                    .map_err(|_| format!("io spec {key}=`{value}` is not an integer"))
-            };
-            match key {
-                "torn" => spec.torn_rate = parse_f64()?,
-                "rot" => spec.rot_rate = parse_f64()?,
-                "readerr" => spec.read_error_rate = parse_f64()?,
-                "retries" => spec.max_retries = parse_u32()?,
-                "rederive" => spec.max_rederives = parse_u32()?,
-                "kill" => {
-                    spec.kill_after = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("io spec kill=`{value}` is not an integer"))?,
-                    )
-                }
-                _ => {
-                    return Err(format!(
-                    "unknown io spec key `{key}` (expected torn/rot/readerr/retries/rederive/kill)"
-                ))
-                }
-            }
+        dedukt_sim::plan::parse(s)
+    }
+}
+
+impl Spec for IoSpec {
+    const KIND: &'static str = "io";
+    const KEYS: &'static [&'static str] =
+        &["torn", "rot", "readerr", "retries", "rederive", "kill"];
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        match key {
+            "torn" => self.torn_rate = number(value)?,
+            "rot" => self.rot_rate = number(value)?,
+            "readerr" => self.read_error_rate = number(value)?,
+            "retries" => self.max_retries = integer(value)?,
+            "rederive" => self.max_rederives = integer(value)?,
+            _ => self.kill_after = Some(integer(value)?),
         }
-        Ok(spec)
+        Ok(())
     }
 
-    /// Range checks, in `FaultSpec::validate` style: rates in [0, 1],
-    /// at least one read attempt, a kill after at least one bin.
-    pub fn validate(&self) -> Result<(), String> {
+    fn entries(&self) -> Vec<(&'static str, String)> {
+        let mut out = vec![
+            ("torn", self.torn_rate.to_string()),
+            ("rot", self.rot_rate.to_string()),
+            ("readerr", self.read_error_rate.to_string()),
+            ("retries", self.max_retries.to_string()),
+            ("rederive", self.max_rederives.to_string()),
+        ];
+        out.extend(self.kill_after.map(|n| ("kill", n.to_string())));
+        out
+    }
+
+    /// Rates in [0, 1], at least one read attempt, a kill after at
+    /// least one bin.
+    fn validate(&self) -> Result<(), String> {
         for (name, rate) in [
             ("torn", self.torn_rate),
             ("rot", self.rot_rate),
@@ -148,11 +138,9 @@ impl IoSpec {
         Ok(())
     }
 
-    /// Is this spec semantically empty — valid, but incapable of ever
-    /// injecting a fault or a kill? Such plans are normalized away
-    /// before a run so `--io-spec torn=0,rot=0,readerr=0` runs exactly
-    /// like an absent plan on every engine.
-    pub fn is_noop(&self) -> bool {
+    /// No fault rate and no kill: `--io-spec torn=0,rot=0,readerr=0`
+    /// runs exactly like an absent plan on every engine.
+    fn is_noop(&self) -> bool {
         self.torn_rate == 0.0
             && self.rot_rate == 0.0
             && self.read_error_rate == 0.0
@@ -163,73 +151,29 @@ impl IoSpec {
 /// A seeded, deterministic storage-fault schedule. Cloning is cheap (a
 /// few words); every engine and every recovery attempt consult the same
 /// plan.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IoPlan {
-    seed: u64,
-    spec: IoSpec,
+pub type IoPlan = Plan<IoSpec>;
+
+/// Is the write of block `seq` of `bin` at `generation` torn?
+/// Persistent: the tear is physically written; re-deriving the bin bumps
+/// the generation and draws a fresh fate.
+pub fn torn_write(plan: &IoPlan, bin: u64, seq: u64, generation: u64) -> bool {
+    let rate = plan.spec().torn_rate;
+    rate > 0.0 && plan.draw(SALT_TORN, &[bin, seq, generation]) < rate
 }
 
-impl IoPlan {
-    /// A plan drawing every fault verdict from `seed` under `spec`.
-    pub fn new(seed: u64, spec: IoSpec) -> IoPlan {
-        IoPlan { seed, spec }
-    }
+/// Does one payload byte of block `seq` of `bin` at `generation` rot
+/// after its checksum was computed? Persistent, like [`torn_write`].
+pub fn bit_rot(plan: &IoPlan, bin: u64, seq: u64, generation: u64) -> bool {
+    let rate = plan.spec().rot_rate;
+    rate > 0.0 && plan.draw(SALT_ROT, &[bin, seq, generation]) < rate
+}
 
-    /// The plan's rates and recovery budgets.
-    pub fn spec(&self) -> &IoSpec {
-        &self.spec
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// One-line summary of the plan for run journals and reports, e.g.
-    /// `seed=7 torn=0.02 rot=0.02 readerr=0.05 retries=3 rederive=2 kill=none`.
-    pub fn journal_label(&self) -> String {
-        format!(
-            "seed={} torn={} rot={} readerr={} retries={} rederive={} kill={}",
-            self.seed,
-            self.spec.torn_rate,
-            self.spec.rot_rate,
-            self.spec.read_error_rate,
-            self.spec.max_retries,
-            self.spec.max_rederives,
-            self.spec
-                .kill_after
-                .map_or_else(|| "none".to_string(), |n| n.to_string()),
-        )
-    }
-
-    /// Uniform `[0, 1)` draw at a fault coordinate.
-    fn draw(&self, salt: u64, coords: &[u64]) -> f64 {
-        unit_from_coords(self.seed ^ salt, coords)
-    }
-
-    /// Is the write of block `seq` of `bin` at `generation` torn?
-    /// Persistent: the tear is physically written; re-deriving the bin
-    /// bumps the generation and draws a fresh fate.
-    pub fn torn_write(&self, bin: u64, seq: u64, generation: u64) -> bool {
-        self.spec.torn_rate > 0.0
-            && self.draw(SALT_TORN, &[bin, seq, generation]) < self.spec.torn_rate
-    }
-
-    /// Does one payload byte of block `seq` of `bin` at `generation`
-    /// rot after its checksum was computed? Persistent, like
-    /// [`IoPlan::torn_write`].
-    pub fn bit_rot(&self, bin: u64, seq: u64, generation: u64) -> bool {
-        self.spec.rot_rate > 0.0
-            && self.draw(SALT_ROT, &[bin, seq, generation]) < self.spec.rot_rate
-    }
-
-    /// Does read `attempt` of `bin` fail transiently? The attempt
-    /// coordinate increases monotonically across retries *and*
-    /// re-derives of the same bin, so every attempt draws fresh.
-    pub fn read_errors(&self, bin: u64, attempt: u64) -> bool {
-        self.spec.read_error_rate > 0.0
-            && self.draw(SALT_READ, &[bin, attempt]) < self.spec.read_error_rate
-    }
+/// Does read `attempt` of `bin` fail transiently? The attempt coordinate
+/// increases monotonically across retries *and* re-derives of the same
+/// bin, so every attempt draws fresh.
+pub fn read_errors(plan: &IoPlan, bin: u64, attempt: u64) -> bool {
+    let rate = plan.spec().read_error_rate;
+    rate > 0.0 && plan.draw(SALT_READ, &[bin, attempt]) < rate
 }
 
 #[cfg(test)]
@@ -247,32 +191,6 @@ mod tests {
         assert_eq!(spec.max_rederives, 4);
         assert_eq!(spec.kill_after, Some(7));
         spec.validate().unwrap();
-    }
-
-    #[test]
-    fn parse_partial_spec_keeps_defaults() {
-        let spec = IoSpec::parse("rot=0.9").unwrap();
-        assert_eq!(spec.rot_rate, 0.9);
-        assert_eq!(spec.torn_rate, IoSpec::default().torn_rate);
-        assert_eq!(spec.max_retries, IoSpec::default().max_retries);
-        assert_eq!(spec.kill_after, None);
-    }
-
-    #[test]
-    fn parse_rejects_unknown_keys_and_garbage() {
-        assert!(IoSpec::parse("bogus=1")
-            .unwrap_err()
-            .contains("unknown io spec key"));
-        assert!(IoSpec::parse("torn=abc")
-            .unwrap_err()
-            .contains("not a number"));
-        assert!(IoSpec::parse("retries=1.5")
-            .unwrap_err()
-            .contains("not an integer"));
-        assert!(IoSpec::parse("kill=x")
-            .unwrap_err()
-            .contains("not an integer"));
-        assert!(IoSpec::parse("torn").unwrap_err().contains("key=value"));
     }
 
     #[test]
@@ -306,21 +224,24 @@ mod tests {
         let plan = IoPlan::new(42, IoSpec::parse("torn=0.5,rot=0.5,readerr=0.5").unwrap());
         for bin in 0..16u64 {
             for seq in 0..4u64 {
-                assert_eq!(plan.torn_write(bin, seq, 0), plan.torn_write(bin, seq, 0));
-                assert_eq!(plan.bit_rot(bin, seq, 0), plan.bit_rot(bin, seq, 0));
+                assert_eq!(
+                    torn_write(&plan, bin, seq, 0),
+                    torn_write(&plan, bin, seq, 0)
+                );
+                assert_eq!(bit_rot(&plan, bin, seq, 0), bit_rot(&plan, bin, seq, 0));
             }
             for attempt in 0..8u64 {
                 assert_eq!(
-                    plan.read_errors(bin, attempt),
-                    plan.read_errors(bin, attempt)
+                    read_errors(&plan, bin, attempt),
+                    read_errors(&plan, bin, attempt)
                 );
             }
         }
         // A fresh generation (re-derive) must draw fresh write fates,
         // and a fresh attempt fresh read verdicts.
-        let differs = (0..16u64).any(|b| plan.torn_write(b, 0, 0) != plan.torn_write(b, 0, 1));
+        let differs = (0..16u64).any(|b| torn_write(&plan, b, 0, 0) != torn_write(&plan, b, 0, 1));
         assert!(differs, "generations should draw fresh write fates");
-        let differs = (0..16u64).any(|b| plan.read_errors(b, 0) != plan.read_errors(b, 1));
+        let differs = (0..16u64).any(|b| read_errors(&plan, b, 0) != read_errors(&plan, b, 1));
         assert!(differs, "attempts should draw fresh read verdicts");
     }
 
@@ -328,10 +249,10 @@ mod tests {
     fn zero_rate_plan_never_faults() {
         let plan = IoPlan::new(7, IoSpec::none());
         for bin in 0..64u64 {
-            assert!(!plan.torn_write(bin, 0, 0));
-            assert!(!plan.bit_rot(bin, 0, 0));
+            assert!(!torn_write(&plan, bin, 0, 0));
+            assert!(!bit_rot(&plan, bin, 0, 0));
             for attempt in 0..8u64 {
-                assert!(!plan.read_errors(bin, attempt));
+                assert!(!read_errors(&plan, bin, attempt));
             }
         }
     }
@@ -343,13 +264,13 @@ mod tests {
             IoSpec::parse("torn=0.25,rot=0.25,readerr=0.25").unwrap(),
         );
         let n = 40_000u64;
-        let torn = (0..n).filter(|&b| plan.torn_write(b, 0, 0)).count();
+        let torn = (0..n).filter(|&b| torn_write(&plan, b, 0, 0)).count();
         let frac = torn as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "torn {frac}");
-        let rotted = (0..n).filter(|&b| plan.bit_rot(b, 0, 0)).count();
+        let rotted = (0..n).filter(|&b| bit_rot(&plan, b, 0, 0)).count();
         let frac = rotted as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "rotted {frac}");
-        let errs = (0..n).filter(|&a| plan.read_errors(3, a)).count();
+        let errs = (0..n).filter(|&a| read_errors(&plan, 3, a)).count();
         let frac = errs as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "read-errored {frac}");
     }
@@ -371,9 +292,9 @@ mod tests {
         // Same coordinates, different salts: the three decision streams
         // must not mirror each other.
         let plan = IoPlan::new(99, IoSpec::parse("torn=0.5,rot=0.5,readerr=0.5").unwrap());
-        let torn_rot = (0..256u64).all(|b| plan.torn_write(b, 0, 0) == plan.bit_rot(b, 0, 0));
+        let torn_rot = (0..256u64).all(|b| torn_write(&plan, b, 0, 0) == bit_rot(&plan, b, 0, 0));
         assert!(!torn_rot, "torn/rot salt separation failed");
-        let torn_read = (0..256u64).all(|b| plan.torn_write(b, 0, 0) == plan.read_errors(b, 0));
+        let torn_read = (0..256u64).all(|b| torn_write(&plan, b, 0, 0) == read_errors(&plan, b, 0));
         assert!(!torn_read, "torn/read salt separation failed");
     }
 }

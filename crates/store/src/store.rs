@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use crate::block::{frame_block, parse_block, BLOCK_HEADER_BYTES};
 use crate::manifest::Manifest;
-use crate::plan::IoPlan;
+use crate::plan::{bit_rot, torn_write, IoPlan};
 
 /// What a bin write did, for cost accounting and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -135,7 +135,7 @@ impl BinStore {
             report.logical_bytes += payload.len() as u64;
             let mut framed = frame_block(bin, seq as u32, payload);
             let coords = (bin as u64, seq as u64, generation as u64);
-            if plan.is_some_and(|p| p.bit_rot(coords.0, coords.1, coords.2)) {
+            if plan.is_some_and(|p| bit_rot(p, coords.0, coords.1, coords.2)) {
                 // Flip a byte the checksum already covered: mid-payload,
                 // or a checksum byte when the payload is empty.
                 let at = if payload.is_empty() {
@@ -146,7 +146,7 @@ impl BinStore {
                 framed[at] ^= 0x01;
                 report.damaged = true;
             }
-            if plan.is_some_and(|p| p.torn_write(coords.0, coords.1, coords.2)) {
+            if plan.is_some_and(|p| torn_write(p, coords.0, coords.1, coords.2)) {
                 file.extend_from_slice(&framed[..framed.len() / 2]);
                 report.damaged = true;
                 break;
@@ -250,7 +250,7 @@ mod tests {
         // the test does not depend on rate luck.
         let torn_plan = (0..)
             .map(|seed| IoPlan::new(seed, IoSpec::parse("torn=0.3,rot=0").unwrap()))
-            .find(|p| p.torn_write(1, 0, 0))
+            .find(|p| torn_write(p, 1, 0, 0))
             .unwrap();
         let w = store.write_bin(1, 0, &blocks, Some(&torn_plan)).unwrap();
         assert!(w.damaged);
@@ -262,7 +262,7 @@ mod tests {
 
         let rot_plan = (0..)
             .map(|seed| IoPlan::new(seed, IoSpec::parse("torn=0,rot=0.3").unwrap()))
-            .find(|p| p.bit_rot(1, 1, 0) && !p.bit_rot(1, 0, 0))
+            .find(|p| bit_rot(p, 1, 1, 0) && !bit_rot(p, 1, 0, 0))
             .unwrap();
         let w = store.write_bin(1, 0, &blocks, Some(&rot_plan)).unwrap();
         assert!(w.damaged);
@@ -286,7 +286,7 @@ mod tests {
         // generation 1 clean — the re-derive path in miniature.
         let plan = (0..)
             .map(|seed| IoPlan::new(seed, IoSpec::parse("torn=0.3,rot=0").unwrap()))
-            .find(|p| p.torn_write(2, 0, 0) && (0..4).all(|s| !p.torn_write(2, s, 1)))
+            .find(|p| torn_write(p, 2, 0, 0) && (0..4).all(|s| !torn_write(p, 2, s, 1)))
             .unwrap();
         store.write_bin(2, 0, &blocks, Some(&plan)).unwrap();
         assert!(store.read_bin(2, 0, 4).is_err());

@@ -4,59 +4,20 @@
 //!
 //! * `simulate <dataset> [--scale S] [--out FILE]` — generate a synthetic
 //!   Table-I dataset as FASTQ.
-//! * `count <reads.fastq> [--mode cpu|gpu|supermer] [--nodes N] [--k K]
-//!   [--m M] [--canonical] [--round-limit BYTES] [--overlap-rounds]
-//!   [--out dump.tsv] [--spectrum spec.tsv] [--trace trace.json]
-//!   [--metrics m.json [--metrics-format json|prom]]`
-//!   — run a distributed counter on a FASTQ file and export results,
-//!   optionally with a Chrome trace and a run-wide metrics snapshot.
-//!   Any k up to 63 works in every mode: k ≤ 31 ships 8-byte packed
-//!   keys on the wire, k in 32..=63 ships 16-byte keys.
-//!   `--round-limit` bounds per-rank exchange memory (§III-A);
-//!   `--overlap-rounds` additionally overlaps each round's count kernel
-//!   with the next round's wire time.
-//!   `--exchange-algo direct|hierarchical` picks the exchange routing
-//!   (DESIGN.md §10): `direct` is the paper's flat `MPI_Alltoallv`;
-//!   `hierarchical` gathers each node's traffic to a leader rank and
-//!   ships one coalesced frame per node pair over the injection tier.
-//!   `--wire-compress` ships supermer buckets through the KMC 2-style
-//!   wire codec (varint/delta lengths + 2-bit base packing); both knobs
-//!   leave the counted spectra bit-identical.
-//!   `--fault-seed N` / `--fault-spec k=v,...` inject deterministic
-//!   network faults (DESIGN.md §7): failed sends, corrupt buckets and
-//!   stragglers, recovered by the driver's bounded retry loop. The
-//!   counted spectra stay bit-identical to the fault-free run.
-//!   `--mem-seed N` / `--mem-spec k=v,...` inject deterministic memory
-//!   pressure (DESIGN.md §8): distinct-count underestimates and denied
-//!   grow allocations, recovered by on-device regrow or a bounded host
-//!   spill — again bit-identical counts. `--table-safety F` scales the
-//!   count-table sizing estimate; `--device-hbm BYTES` shrinks the
-//!   simulated V100's memory budget. A rank that exhausts both the
-//!   device and its spill budget fails the run cleanly with a
-//!   device-out-of-memory error (exit 2), never a panic.
-//!   `--rank-seed N` / `--rank-spec rate=R,max-dead=D,kill=ROUND:RANK`
-//!   kill whole ranks at exchange-round boundaries (DESIGN.md §11): the
-//!   survivors inherit the dead rank's minimizer ranges and replay its
-//!   slice of the exchanged rounds, so the counted spectrum stays
-//!   bit-identical; exceeding `max-dead` fails the run cleanly (exit 2).
-//!   `--checkpoint-rounds N` snapshots each rank's table every N rounds
-//!   to bound the replay, and `--rescale ROUND:WORLD,...` grows or
-//!   shrinks the active rank set mid-run through the same re-partition
-//!   path.
-//!   `--two-pass DIR` counts out-of-core (DESIGN.md §12): pass 1 spills
-//!   minimizer-keyed, checksum-framed bins to a simulated NVMe store in
-//!   DIR with a per-run manifest; pass 2 streams the bins back one at a
-//!   time into tables sized to fit `--device-hbm`. `--io-seed N` /
-//!   `--io-spec torn=T,rot=R,readerr=E,retries=N,rederive=M,kill=K`
-//!   inject deterministic storage faults; recovery retries, then
-//!   quarantines the damaged bin and re-derives it from the input, and
-//!   `--resume` finishes a killed run by re-counting only unfinished
-//!   bins. Spectra stay bit-identical to the in-memory pipelines.
-//!   `--min-count N` drops k-mers seen fewer than N times in pass 2
-//!   (Gerbil-style pre-filter).
-//!   `--journal run.jsonl` records the structured run journal (one JSON
-//!   event per superstep span, collective, retry, recovery event, phase
-//!   total and wall-clock stage) for offline analysis.
+//! * `count <reads.fastq> [flags]` — run a distributed counter on a
+//!   FASTQ file and export the results. Any k up to 63 works in every
+//!   mode: k ≤ 31 ships 8-byte packed keys on the wire, k in 32..=63
+//!   ships 16-byte keys. The run flags shared with `dedukt-bench` —
+//!   minimizer length, exchange rounds and routing, and the fault,
+//!   memory-pressure and rank-failure plans — go through
+//!   `RunConfig::apply_flag` (see the usage text). `count` adds the mode
+//!   and machine shape, read filtering (`--min-qual`), the exports
+//!   (`--out`, `--spectrum`, `--trace`, `--metrics`, `--journal`), and
+//!   out-of-core counting (DESIGN.md §12): `--two-pass DIR` with
+//!   `--resume`, `--min-count` and the storage-fault plan
+//!   `--io-seed`/`--io-spec`. Counted spectra stay bit-identical under
+//!   every exchange, injection and out-of-core option; a run that
+//!   exhausts a recovery budget fails cleanly with exit 2.
 //! * `analyze <run.jsonl>` — reconstruct a journaled run offline: phase
 //!   breakdown reconciled against the journal's own span accounting, the
 //!   critical path through the superstep DAG, per-round straggler and
@@ -74,6 +35,7 @@
 //! dedukt analyze run.jsonl
 //! ```
 
+use dedukt::core::config::RUN_FLAGS_USAGE;
 use dedukt::core::{dump, pipeline, Mode, PackedKmer, RunConfig};
 use dedukt::dna::fastq::parse_fastq;
 use dedukt::dna::{Dataset, DatasetId, ScalePreset};
@@ -109,20 +71,14 @@ fn print_usage() {
     eprintln!(
         "usage:\n  dedukt simulate <ecoli|paeruginosa|vvulnificus|abaumannii|celegans|hsapiens>\n\
          \x20        [--scale tiny|bench|xF] [--seed N] [--out FILE]\n\
-         \x20 dedukt count <reads.fastq> [--mode cpu|gpu|supermer] [--nodes N] [--k K] [--m M]\n\
-         \x20        [--canonical] [--gpu-direct] [--min-qual Q] [--round-limit BYTES]\n\
-         \x20        [--overlap-rounds] [--exchange-algo direct|hierarchical]\n\
-         \x20        [--wire-compress] [--out dump.tsv]\n\
+         \x20 dedukt count <reads.fastq> [--mode cpu|gpu|supermer] [--nodes N] [--k K]\n\
+         \x20        [--canonical] [--min-qual Q] [--out dump.tsv]\n\
          \x20        [--spectrum spec.tsv] [--trace trace.json]\n\
          \x20        [--metrics metrics.json] [--metrics-format json|prom]\n\
          \x20        [--journal run.jsonl]\n\
-         \x20        [--fault-seed N] [--fault-spec fail=F,corrupt=C,straggle=S,slow=X,retries=R,backoff=B]\n\
-         \x20        [--mem-seed N] [--mem-spec under=U,shrink=S,afail=A,spill=N]\n\
-         \x20        [--rank-seed N] [--rank-spec rate=R,max-dead=D,kill=ROUND:RANK]\n\
-         \x20        [--checkpoint-rounds N] [--rescale ROUND:WORLD,...]\n\
-         \x20        [--table-safety F] [--device-hbm BYTES]\n\
          \x20        [--two-pass DIR] [--resume] [--min-count N]\n\
          \x20        [--io-seed N] [--io-spec torn=T,rot=R,readerr=E,retries=N,rederive=M,kill=K]\n\
+         {RUN_FLAGS_USAGE}\n\
          \x20 dedukt analyze <run.jsonl> | dedukt analyze --diff <a.jsonl> <b.jsonl>\n\
          \x20 dedukt compare <a.tsv> <b.tsv> [--k K]\n\
          \x20 dedukt info"
@@ -258,8 +214,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = take_value(&mut it, "--scale")?;
-                ds = Dataset::new(ds.id, parse_scale(v)?);
+                ds = Dataset::new(ds.id, take_value(&mut it, "--scale")?.parse()?);
             }
             "--seed" => {
                 ds.seed = take_value(&mut it, "--seed")?
@@ -291,17 +246,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn parse_scale(v: &str) -> Result<ScalePreset, String> {
-    Ok(match v {
-        "tiny" => ScalePreset::Tiny,
-        "bench" => ScalePreset::Bench,
-        s if s.starts_with('x') => {
-            ScalePreset::Custom(s[1..].parse().map_err(|_| format!("bad scale {s:?}"))?)
-        }
-        other => return Err(format!("unknown scale {other:?}")),
-    })
 }
 
 /// Export format for `--metrics`.
@@ -358,15 +302,10 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
     let mut journal_path: Option<String> = None;
     let mut metrics_format = MetricsFormat::Json;
     let mut min_qual: Option<u8> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_spec: Option<String> = None;
-    let mut mem_seed: Option<u64> = None;
-    let mut mem_spec: Option<String> = None;
-    let mut rank_seed: Option<u64> = None;
-    let mut rank_spec: Option<String> = None;
-    let mut io_seed: Option<u64> = None;
-    let mut io_spec: Option<String> = None;
     while let Some(arg) = it.next() {
+        if rc.apply_flag(arg, &mut it)? {
+            continue;
+        }
         match arg.as_str() {
             "--mode" => {
                 rc.mode = match take_value(&mut it, "--mode")? {
@@ -385,23 +324,7 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
                 }
             }
             "--k" => rc.counting.k = take_value(&mut it, "--k")?.parse().map_err(|_| "bad k")?,
-            "--m" => rc.counting.m = take_value(&mut it, "--m")?.parse().map_err(|_| "bad m")?,
             "--canonical" => rc.counting.canonical = true,
-            "--gpu-direct" => rc.gpu_direct = true,
-            "--round-limit" => {
-                rc.round_limit_bytes = Some(
-                    take_value(&mut it, "--round-limit")?
-                        .parse()
-                        .map_err(|_| "bad round limit")?,
-                )
-            }
-            "--overlap-rounds" => rc.overlap_rounds = true,
-            "--exchange-algo" => {
-                rc.exchange_algo =
-                    dedukt::net::ExchangeRoute::parse(take_value(&mut it, "--exchange-algo")?)?
-                        .algo()
-            }
-            "--wire-compress" => rc.wire_compress = true,
             "--min-qual" => {
                 min_qual = Some(
                     take_value(&mut it, "--min-qual")?
@@ -409,66 +332,18 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
                         .map_err(|_| "bad quality threshold")?,
                 )
             }
-            "--fault-seed" => {
-                fault_seed = Some(
-                    take_value(&mut it, "--fault-seed")?
-                        .parse()
-                        .map_err(|_| "bad fault seed")?,
-                )
-            }
-            "--fault-spec" => fault_spec = Some(take_value(&mut it, "--fault-spec")?.to_string()),
-            "--mem-seed" => {
-                mem_seed = Some(
-                    take_value(&mut it, "--mem-seed")?
-                        .parse()
-                        .map_err(|_| "bad mem seed")?,
-                )
-            }
-            "--mem-spec" => mem_spec = Some(take_value(&mut it, "--mem-spec")?.to_string()),
-            "--rank-seed" => {
-                rank_seed = Some(
-                    take_value(&mut it, "--rank-seed")?
-                        .parse()
-                        .map_err(|_| "bad rank seed")?,
-                )
-            }
-            "--rank-spec" => rank_spec = Some(take_value(&mut it, "--rank-spec")?.to_string()),
             "--two-pass" => {
                 rc.two_pass_dir = Some(std::path::PathBuf::from(take_value(&mut it, "--two-pass")?))
             }
             "--resume" => rc.two_pass_resume = true,
-            "--io-seed" => {
-                io_seed = Some(
-                    take_value(&mut it, "--io-seed")?
-                        .parse()
-                        .map_err(|_| "--io-seed: bad io seed")?,
-                )
+            "--io-seed" | "--io-spec" => {
+                let value = take_value(&mut it, arg)?;
+                dedukt::sim::plan::apply_flag(&mut rc.io, arg, value)?
             }
-            "--io-spec" => io_spec = Some(take_value(&mut it, "--io-spec")?.to_string()),
             "--min-count" => {
                 rc.min_count = take_value(&mut it, "--min-count")?
                     .parse()
                     .map_err(|_| "--min-count: bad count threshold")?
-            }
-            "--checkpoint-rounds" => {
-                rc.checkpoint_rounds = Some(
-                    take_value(&mut it, "--checkpoint-rounds")?
-                        .parse()
-                        .map_err(|_| "bad checkpoint cadence")?,
-                )
-            }
-            "--rescale" => {
-                rc.rescale = dedukt::core::config::parse_rescale(take_value(&mut it, "--rescale")?)?
-            }
-            "--table-safety" => {
-                rc.table_safety = take_value(&mut it, "--table-safety")?
-                    .parse()
-                    .map_err(|_| "bad table safety factor")?
-            }
-            "--device-hbm" => {
-                rc.gpu_device.memory_bytes = take_value(&mut it, "--device-hbm")?
-                    .parse()
-                    .map_err(|_| "bad device HBM byte count")?
             }
             "--out" => out_path = Some(take_value(&mut it, "--out")?.to_string()),
             "--spectrum" => spectrum_path = Some(take_value(&mut it, "--spectrum")?.to_string()),
@@ -484,40 +359,6 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    // Either fault flag alone activates injection: a bare seed uses the
-    // default spec, a bare spec uses seed 0. Spec range errors surface
-    // later through `validate_for_width` as a ConfigError.
-    if fault_seed.is_some() || fault_spec.is_some() {
-        let spec = match &fault_spec {
-            Some(s) => dedukt::net::FaultSpec::parse(s)?,
-            None => dedukt::net::FaultSpec::default(),
-        };
-        rc.fault = Some(dedukt::net::FaultPlan::new(fault_seed.unwrap_or(0), spec));
-    }
-    // Same activation idiom for memory pressure: either flag opts in.
-    if mem_seed.is_some() || mem_spec.is_some() {
-        let spec = match &mem_spec {
-            Some(s) => dedukt::gpu::MemSpec::parse(s)?,
-            None => dedukt::gpu::MemSpec::default(),
-        };
-        rc.mem = Some(dedukt::gpu::MemPlan::new(mem_seed.unwrap_or(0), spec));
-    }
-    // And for whole-rank failure.
-    if rank_seed.is_some() || rank_spec.is_some() {
-        let spec = match &rank_spec {
-            Some(s) => dedukt::net::RankSpec::parse(s)?,
-            None => dedukt::net::RankSpec::default(),
-        };
-        rc.rank = Some(dedukt::net::RankPlan::new(rank_seed.unwrap_or(0), spec));
-    }
-    // And for storage faults on the two-pass bin store.
-    if io_seed.is_some() || io_spec.is_some() {
-        let spec = match &io_spec {
-            Some(s) => dedukt::store::IoSpec::parse(s).map_err(|e| format!("--io-spec: {e}"))?,
-            None => dedukt::store::IoSpec::default(),
-        };
-        rc.io = Some(dedukt::store::IoPlan::new(io_seed.unwrap_or(0), spec));
     }
     let outputs = CountOutputs {
         out_path,

@@ -229,6 +229,15 @@ fn bad_usage_exits_nonzero() {
         .unwrap()
         .status
         .success());
+    // A non-positive scale factor is a usage error, not an empty dataset.
+    for scale in ["x0", "x-1"] {
+        let out = dedukt()
+            .args(["simulate", "ecoli", "--scale", scale])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}");
+        assert!(out.stdout.is_empty(), "--scale {scale} wrote a dataset");
+    }
     // Help succeeds.
     assert!(dedukt().args(["--help"]).output().unwrap().status.success());
 }
@@ -1135,6 +1144,10 @@ fn malformed_two_pass_flags_exit_two_naming_the_flag() {
         (
             vec!["--two-pass", store_s, "--rank-spec", "rate=0,kill=1:1"],
             "--two-pass cannot be combined with --rank-seed/--rank-spec",
+        ),
+        (
+            vec!["--two-pass", store_s, "--gpu-direct"],
+            "--two-pass cannot be combined with --gpu-direct",
         ),
         (
             vec!["--two-pass", store_s, "--round-limit", "4096"],

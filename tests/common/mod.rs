@@ -36,22 +36,6 @@ pub fn instrumented_config(mode: Mode, nodes: usize, k: usize) -> RunConfig {
     rc
 }
 
-/// Per-rank tables as sorted multisets: every recovery layer (retry
-/// redelivery, spill merge, regrow migration, replay) may reorder a
-/// rank's insertions, so layout is never part of the contract.
-pub fn sorted_tables<K: PackedKmer>(r: &RunReport<K>) -> Vec<Vec<(K, u32)>> {
-    r.tables
-        .as_ref()
-        .expect("tables requested")
-        .iter()
-        .map(|t| {
-            let mut t = t.clone();
-            t.sort_unstable();
-            t
-        })
-        .collect()
-}
-
 /// The headline guarantee shared by every suite: whatever the recovery
 /// machinery did on the way, the counted results are bit-identical to
 /// the reference run. Per-rank placement is deliberately *not* asserted

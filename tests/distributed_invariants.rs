@@ -4,6 +4,7 @@
 use dedukt::core::{pipeline, verify, Mode, RunConfig};
 use dedukt::dna::{Read, ReadSet};
 use dedukt::net::cost::Network;
+use dedukt::net::fault::bucket_fate;
 use dedukt::net::{BspWorld, BucketFate, FaultPlan};
 use proptest::prelude::*;
 
@@ -174,7 +175,7 @@ proptest! {
                         "payload mismatch {}->{} round {}", src, dst, round
                     );
                     let mut attempt = 0u32;
-                    while plan.bucket_fate(round, attempt, src, dst) != BucketFate::Deliver {
+                    while bucket_fate(&plan, round, attempt, src, dst) != BucketFate::Deliver {
                         attempt += 1;
                         prop_assert!(attempt < 200, "plan never delivers");
                     }
