@@ -204,19 +204,27 @@ fn main() {
     let nodes = args.nodes.unwrap_or(2);
     // Reject out-of-range run flags before any work. The GPU modes have
     // the fewest ranks, so a template valid for them is valid for every
-    // row; the two_pass row checks its own conflicts below.
+    // row.
     if let Err(e) = args.config(Mode::GpuSupermer, nodes).validate() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
     let reads = runner::generate(DatasetId::EColi30x, &args);
     let mut rows = Vec::new();
+    // The two_pass row is the out-of-core lane: the supermer engine
+    // spooled through the two-pass bin store on the simulated NVMe tier.
+    // Its functional fields and exchange bytes match the gpu-supermer
+    // row; its simulated times add the disk.
     for (label, mode) in [
-        ("cpu", Mode::CpuBaseline),
-        ("gpu-kmer", Mode::GpuKmer),
-        ("gpu-supermer", Mode::GpuSupermer),
+        ("cpu", Some(Mode::CpuBaseline)),
+        ("gpu-kmer", Some(Mode::GpuKmer)),
+        ("gpu-supermer", Some(Mode::GpuSupermer)),
+        ("two_pass", None),
     ] {
-        let report = runner::run_mode(&reads, mode, nodes, &args);
+        let report = match mode {
+            Some(mode) => runner::run_mode(&reads, mode, nodes, &args),
+            None => runner::run_two_pass(&reads, nodes, &args),
+        };
         eprintln!(
             "  [bench] {label}: {} instances, {} distinct, total {} (wall {:.3}s)",
             report.total_kmers,
@@ -225,19 +233,6 @@ fn main() {
             report.wall.total,
         );
         rows.push(report_json(label, nodes, &report));
-    }
-    // The out-of-core lane: the supermer engine spooled through the
-    // two-pass bin store on the simulated NVMe tier. Functional fields
-    // must match the in-memory rows; the simulated times price the disk.
-    if let Some(report) = runner::run_two_pass(&reads, nodes, &args) {
-        eprintln!(
-            "  [bench] two_pass: {} instances, {} distinct, total {} (wall {:.3}s)",
-            report.total_kmers,
-            report.distinct_kmers,
-            report.total_time(),
-            report.wall.total,
-        );
-        rows.push(report_json("two_pass", nodes, &report));
     }
     if let Some(path) = check_path {
         let text = match std::fs::read_to_string(&path) {

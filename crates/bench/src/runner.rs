@@ -40,21 +40,15 @@ pub fn run_mode(reads: &ReadSet, mode: Mode, nodes: usize, args: &ExperimentArgs
 /// (DESIGN.md §12) in a scratch directory. The store is a simulation
 /// artifact, not a result, so it is removed after the run; all reported
 /// fields are deterministic (the simulated NVMe tier has fixed
-/// bandwidth/latency and no fault plan is armed). Returns `None`, after
-/// one stderr line naming the flags, when a run flag cannot be
-/// combined with `--two-pass`.
-pub fn run_two_pass(reads: &ReadSet, nodes: usize, args: &ExperimentArgs) -> Option<RunReport> {
+/// bandwidth/latency and no io plan is armed).
+pub fn run_two_pass(reads: &ReadSet, nodes: usize, args: &ExperimentArgs) -> RunReport {
     let mut rc = args.config(Mode::GpuSupermer, nodes);
     let dir = std::env::temp_dir().join(format!("dedukt-bench-two-pass-{}", std::process::id()));
     rc.two_pass_dir = Some(dir.clone());
-    if let Err(e) = rc.validate() {
-        eprintln!("  [bench] skipping the two_pass row: {e}");
-        return None;
-    }
     let _ = std::fs::remove_dir_all(&dir);
     let report = run(reads, &rc);
     let _ = std::fs::remove_dir_all(&dir);
-    Some(report)
+    report
 }
 
 /// Like [`run_mode`] with an explicit minimizer length (for sweeps).
@@ -99,12 +93,5 @@ mod tests {
         let r7 = run_mode_with_m(&reads, Mode::GpuSupermer, 1, 7, &args);
         // Longer minimizers → shorter supermers → more of them (Table II).
         assert!(r9.exchange.units > r7.exchange.units);
-    }
-
-    #[test]
-    fn two_pass_row_is_skipped_when_a_flag_conflicts() {
-        let args = tiny(&["--round-limit", "4096"]);
-        let reads = generate(DatasetId::EColi30x, &args);
-        assert!(run_two_pass(&reads, 1, &args).is_none());
     }
 }

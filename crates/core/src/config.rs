@@ -155,10 +155,6 @@ pub enum ConfigError {
     /// `--resume` / `--io-seed` / `--io-spec` / `--min-count` used
     /// without `--two-pass`.
     Io(String),
-    /// `--two-pass` combined with a flag the out-of-core driver does not
-    /// honour (carries that flag's name), rejected rather than silently
-    /// dropped.
-    TwoPassConflict(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -175,11 +171,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Mem(msg) => f.write_str(msg),
             ConfigError::Rank(msg) => f.write_str(msg),
             ConfigError::Io(msg) => f.write_str(msg),
-            ConfigError::TwoPassConflict(flag) => write!(
-                f,
-                "--two-pass cannot be combined with {flag}: the out-of-core driver does not \
-                 support it"
-            ),
         }
     }
 }
@@ -389,13 +380,12 @@ pub struct RunConfig {
     /// Departures are graceful — a leaving rank's counts are salvaged,
     /// not replayed. Empty (the default) keeps the world fixed.
     pub rescale: Vec<(u64, usize)>,
-    /// Out-of-core two-pass mode (DESIGN.md §12): pass 1 partitions
-    /// extracted items into minimizer-keyed bins under this directory
-    /// on a simulated NVMe tier, pass 2 streams them back one bin at a
-    /// time, each sized to fit its count table. `None` (the default)
-    /// counts fully in memory. Validation rejects it together with any
-    /// exchange, fault-plan or rank-plan option only the in-memory
-    /// driver honours ([`ConfigError::TwoPassConflict`]).
+    /// Out-of-core two-pass mode (DESIGN.md §12): pass 1 is the ordinary
+    /// exchange, but every rank spools what it receives into bins under
+    /// this directory on a simulated NVMe tier instead of counting it;
+    /// pass 2 counts the bins back one at a time, each sized to fit its
+    /// count table. Composes with every exchange, fault, rank and
+    /// routing option. `None` (the default) counts fully in memory.
     pub two_pass_dir: Option<std::path::PathBuf>,
     /// Resume an interrupted two-pass run from its manifest: skip pass 1
     /// and re-count only the bins without a completed result file.
@@ -623,38 +613,8 @@ impl RunConfig {
                     "--min-count requires --two-pass (the pre-filter runs in pass 2)".into(),
                 ));
             }
-        } else if let Some(flag) = self.two_pass_conflict() {
-            return Err(ConfigError::TwoPassConflict(flag));
         }
         Ok(())
-    }
-
-    /// The first flag set alongside `--two-pass` that only the in-memory
-    /// driver honours. Noop fault and rank plans pass: `run_typed`
-    /// normalizes them to absent.
-    fn two_pass_conflict(&self) -> Option<&'static str> {
-        [
-            (
-                self.fault.is_some_and(|p| !p.spec().is_noop()),
-                "--fault-seed/--fault-spec",
-            ),
-            (
-                self.rank.as_ref().is_some_and(|p| !p.spec().is_noop()),
-                "--rank-seed/--rank-spec",
-            ),
-            (self.gpu_direct, "--gpu-direct"),
-            (self.round_limit_bytes.is_some(), "--round-limit"),
-            (self.overlap_rounds, "--overlap-rounds"),
-            (self.wire_compress, "--wire-compress"),
-            (
-                self.exchange_algo != dedukt_net::cost::ExchangeAlgo::Direct,
-                "--exchange-algo",
-            ),
-            (!self.rescale.is_empty(), "--rescale"),
-            (self.checkpoint_rounds.is_some(), "--checkpoint-rounds"),
-        ]
-        .into_iter()
-        .find_map(|(set, flag)| set.then_some(flag))
     }
 }
 
@@ -836,55 +796,6 @@ mod tests {
         assert!(matches!(rc.validate(), Err(ConfigError::Io(_))));
         rc.min_count = 1;
         assert!(rc.validate().is_ok());
-    }
-
-    #[test]
-    fn two_pass_rejects_the_flags_it_would_drop() {
-        use dedukt_net::cost::ExchangeAlgo;
-        use dedukt_net::fault::{FaultPlan, FaultSpec, RankPlan, RankSpec};
-        let two_pass = || {
-            let mut rc = RunConfig::new(Mode::GpuSupermer, 1);
-            rc.two_pass_dir = Some(std::path::PathBuf::from("/tmp/x"));
-            rc
-        };
-        // Noop plans are normalized away by `run_typed`, so they pass.
-        let mut rc = two_pass();
-        rc.fault = Some(FaultPlan::new(1, FaultSpec::none()));
-        rc.rank = Some(RankPlan::new(1, RankSpec::none()));
-        assert!(rc.validate().is_ok());
-        type SetFlag = fn(&mut RunConfig);
-        let cases: [(SetFlag, &str); 9] = [
-            (
-                |rc| rc.fault = Some(FaultPlan::new(1, FaultSpec::default())),
-                "--fault-spec",
-            ),
-            (
-                |rc| rc.rank = Some(RankPlan::new(1, RankSpec::default())),
-                "--rank-spec",
-            ),
-            (|rc| rc.gpu_direct = true, "--gpu-direct"),
-            (|rc| rc.round_limit_bytes = Some(4096), "--round-limit"),
-            (|rc| rc.overlap_rounds = true, "--overlap-rounds"),
-            (|rc| rc.wire_compress = true, "--wire-compress"),
-            (
-                |rc| rc.exchange_algo = ExchangeAlgo::NodeAggregated,
-                "--exchange-algo",
-            ),
-            (|rc| rc.rescale = vec![(1, 4)], "--rescale"),
-            (|rc| rc.checkpoint_rounds = Some(2), "--checkpoint-rounds"),
-        ];
-        for (set, flag) in cases {
-            let mut rc = two_pass();
-            set(&mut rc);
-            let msg = match rc.validate() {
-                Err(e @ ConfigError::TwoPassConflict(_)) => e.to_string(),
-                other => panic!("{flag}: expected a two-pass conflict, got {other:?}"),
-            };
-            assert!(msg.contains("--two-pass") && msg.contains(flag), "{msg}");
-            // The same flag without --two-pass stays valid.
-            rc.two_pass_dir = None;
-            assert!(rc.validate().is_ok(), "{flag}");
-        }
     }
 
     /// Applies space-separated `flags` through the shared run-flag table.

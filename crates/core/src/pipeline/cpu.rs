@@ -50,10 +50,9 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
     // ── Phase 1: parse & process k-mers (Algorithm 1, PARSEKMER) ──────
     fn bucket(&self, ctx: &DriverCtx, rank: usize) -> BucketOut<K> {
         let cfg = &ctx.cfg;
-        let part = &ctx.parts[rank];
         let mut out: Vec<Vec<K>> = vec![Vec::new(); ctx.nranks];
         let mut bases = 0u64;
-        for read in &part.reads {
+        for read in ctx.parts[rank] {
             bases += read.codes.len() as u64;
             for w in kmer_words_w::<K>(&read.codes, cfg.k, cfg.encoding) {
                 let key = if cfg.canonical {
@@ -73,6 +72,10 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
 
     fn item_instances(&self, _ctx: &DriverCtx, _item: &K) -> u64 {
         1
+    }
+
+    fn bin_of(&self, ctx: &DriverCtx, key: &K, nbins: usize) -> usize {
+        key_owner(&ctx.hasher, *key, nbins)
     }
 
     // ── Phase 2: exchange (Algorithm 1, EXCHANGEKMER) ─────────────────

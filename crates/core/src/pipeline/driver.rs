@@ -1,4 +1,5 @@
-//! The staged superstep driver shared by all three counters.
+//! The staged superstep driver shared by all three counters, in memory
+//! and out of core.
 //!
 //! Every pipeline in the paper has the same skeleton: a bucketing compute
 //! phase, an `MPI_Alltoallv` (optionally split into memory-bounded rounds,
@@ -7,7 +8,9 @@
 //! loop with optional compute/exchange overlap, phase accounting, and
 //! report assembly — while a [`CounterStages`] implementation supplies the
 //! counter-specific hooks (what to bucket, how items move on the wire,
-//! how received items are counted).
+//! how received items are counted). Under `--two-pass` the same rounds
+//! feed a spool instead of the counters, and the spooled bins are
+//! counted afterwards one at a time ([`two_pass`]).
 //!
 //! ## Rounds and overlap
 //!
@@ -28,10 +31,12 @@
 use crate::config::{CountingConfig, RunConfig};
 use crate::partition::surviving_owner;
 use crate::pipeline::gpu_common::split_rounds_weighted;
+use crate::pipeline::two_pass::{self, Record};
 use crate::pipeline::{assemble_counts, RankCountResult, RunError, RunReport};
-use crate::stats::{ExchangeSummary, PhaseBreakdown, WallClock};
+use crate::stats::{ExchangeSummary, PhaseBreakdown, StorageSummary, WallClock};
+use crate::table::TableKey;
 use crate::width::PackedKmer;
-use dedukt_dna::ReadSet;
+use dedukt_dna::{Read, ReadSet};
 use dedukt_hash::Murmur3x64;
 use dedukt_net::cost::Network;
 use dedukt_net::fault::dies_at;
@@ -41,13 +46,8 @@ use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A counter table lifted out of the live world — for checkpoints the
-/// first field is the rounds covered, for salvage it is the result slot
-/// the entries are credited to; either way it awaits the merge-by-key
-/// fold at assembly ([`fold_salvaged`]).
-type SalvagedTable<K> = (usize, Vec<(K, u32)>, u64);
-
 /// Run-wide context handed to every [`CounterStages`] hook.
+#[derive(Clone)]
 pub(crate) struct DriverCtx<'a> {
     /// The full run configuration.
     pub rc: &'a RunConfig,
@@ -55,8 +55,8 @@ pub(crate) struct DriverCtx<'a> {
     pub cfg: CountingConfig,
     /// Total ranks.
     pub nranks: usize,
-    /// Per-rank read partitions.
-    pub parts: Vec<ReadSet>,
+    /// Per-rank read partitions, borrowed from the input set.
+    pub parts: Vec<&'a [Read]>,
     /// The run's routing hasher (seeded with `cfg.hash_seed`).
     pub hasher: Murmur3x64,
     /// Telemetry registry, when `rc.collect_metrics` is set.
@@ -145,8 +145,9 @@ pub(crate) trait CounterStages: Sync {
     type Key: PackedKmer;
     /// What moves on the wire (a packed k-mer, a supermer word+length).
     /// `Clone` because rank-failure recovery retains sent rounds and
-    /// replays a dead rank's slice of them into the survivors.
-    type Item: Send + Clone;
+    /// replays a dead rank's slice of them into the survivors; a
+    /// [`Record`] because `--two-pass` spools it to disk.
+    type Item: Send + Clone + Record;
     /// Per-rank counting state threaded through the rounds.
     type Counter: Send;
 
@@ -173,6 +174,14 @@ pub(crate) trait CounterStages: Sync {
     /// k-mer, `len - k + 1` for a supermer). Sizes the count tables for
     /// the *total* load so round splitting cannot change results.
     fn item_instances(&self, ctx: &DriverCtx, item: &Self::Item) -> u64;
+
+    /// The `--two-pass` bin of `item` among `nbins`, a power-of-two
+    /// multiple of the rank count (DESIGN.md §12). Bins nest inside
+    /// owner ranges: `bin / (nbins / nranks)` is the rank
+    /// [`CounterStages::bucket`] routes the item to, so every instance of
+    /// a k-mer lands in one bin and per-rank tables match the in-memory
+    /// run's.
+    fn bin_of(&self, ctx: &DriverCtx, item: &Self::Item, nbins: usize) -> usize;
 
     /// Move one round through the wire. `hidden`, when present, carries
     /// per-rank compute times to overlap behind the collective (the
@@ -236,13 +245,108 @@ pub(crate) trait CounterStages: Sync {
     ) -> RankCountResult<Self::Key>;
 }
 
-/// Runs one counter through the shared staged superstep skeleton.
+/// Where a rank's delivered items go: its counter when counting in
+/// memory ([`Counting`]), or its per-bin spool in pass 1 of `--two-pass`
+/// ([`two_pass::Spooling`]). The exchange rounds — retries, rank death,
+/// rescale, checkpoints — only ever open, feed, measure and snapshot
+/// sinks, so they run unchanged on either.
+pub(crate) trait Sink<I>: Sync {
+    /// One rank's live state.
+    type State: Send;
+    /// A snapshot of it: what a checkpoint holds, and what a dead or
+    /// departing rank leaves to be merged at assembly.
+    type Held: Send;
+    /// A fresh sink for `rank`, which expects `expected` k-mer inserts.
+    fn open(&self, rank: usize, expected: u64) -> Result<Self::State, CounterOom>;
+    /// Feeds one round's items; returns the simulated kernel time.
+    fn absorb(&self, state: &mut Self::State, items: Vec<I>) -> Result<SimTime, CounterOom>;
+    /// Memory-pressure telemetry so far; all zero for a sink with no
+    /// device budget.
+    fn pressure(&self, _state: &Self::State) -> PressureStats {
+        PressureStats::default()
+    }
+    /// Non-consuming snapshot of everything absorbed so far.
+    fn snapshot(&self, state: &Self::State) -> Self::Held;
+}
+
+/// The in-memory sink: every round is counted as it arrives.
+pub(crate) struct Counting<'a, S>(&'a S, &'a DriverCtx<'a>);
+
+impl<S: CounterStages> Sink<S::Item> for Counting<'_, S> {
+    type State = S::Counter;
+    type Held = RankCountResult<S::Key>;
+
+    fn open(&self, rank: usize, expected: u64) -> Result<S::Counter, CounterOom> {
+        self.0.make_counter(self.1, rank, expected)
+    }
+
+    fn absorb(&self, counter: &mut S::Counter, items: Vec<S::Item>) -> Result<SimTime, CounterOom> {
+        self.0.count_round(self.1, counter, items)
+    }
+
+    fn pressure(&self, counter: &S::Counter) -> PressureStats {
+        self.0.pressure(counter)
+    }
+
+    fn snapshot(&self, counter: &S::Counter) -> RankCountResult<S::Key> {
+        let (entries, instances) = self.0.snapshot_counts(counter);
+        RankCountResult { entries, instances }
+    }
+}
+
+/// The parse phase's output: what the exchange rounds carry.
+pub(crate) struct Bucketed<I> {
+    /// `buckets[src][dst]` — every rank's outgoing items.
+    pub buckets: Vec<Vec<Vec<I>>>,
+    /// Per-rank device→host staging of the outgoing buffers.
+    pub stage_out: Vec<SimTime>,
+    /// Mean simulated bucketing compute.
+    pub compute: SimTime,
+    /// Items bucketed across all ranks.
+    pub units: u64,
+    /// k-mer inserts expected per destination rank, over all rounds.
+    pub expected: Vec<u64>,
+}
+
+/// What the exchange rounds leave behind.
+pub(crate) struct Exchanged<St, H> {
+    /// Every rank's sink after the last round.
+    pub sinks: Vec<St>,
+    /// `(slot, snapshot)` pairs salvaged from dead and departing ranks.
+    pub salvaged: Vec<(usize, H)>,
+    /// Per-rank absorb time left exposed to the count phase.
+    pub count_exposed: Vec<SimTime>,
+    /// Exchange accounting; the byte fields are filled at assembly.
+    pub summary: ExchangeSummary,
+    /// Exchange phase: staging out, charged wire, recovery, staging in.
+    pub exchange: SimTime,
+}
+
+/// Every rank's counts and the phase time charged — what report
+/// assembly needs from either counting path.
+pub(crate) struct Counted<K: TableKey> {
+    pub results: Vec<RankCountResult<K>>,
+    pub summary: ExchangeSummary,
+    pub exchange: SimTime,
+    pub count: SimTime,
+    /// Bin-store accounting, under `--two-pass` only.
+    pub storage: Option<StorageSummary>,
+    /// Host seconds of the path's round loop.
+    pub wall_rounds: f64,
+}
+
+/// Runs one counter through the shared staged superstep skeleton:
+/// pre-pass and bucketing, then the exchange rounds feeding either the
+/// live counters or, under `--two-pass`, the spool whose bins pass 2
+/// counts one at a time ([`two_pass::count_out_of_core`]).
 ///
 /// Errs when a fault plan's retry budget is exhausted mid-exchange
-/// ([`RunError::ExchangeFailed`]) or when a rank exhausts both the
-/// device budget and its host spill budget while counting
-/// ([`RunError::DeviceOom`]); unconstrained fault-free runs always
-/// succeed.
+/// ([`RunError::ExchangeFailed`]), when a rank exhausts both the device
+/// budget and its host spill budget while counting
+/// ([`RunError::DeviceOom`]), when rank failures exceed their budget
+/// ([`RunError::RanksLost`]), or when the bin store fails beyond its
+/// recovery budget ([`RunError::StorageFailed`]); unconstrained
+/// fault-free runs always succeed.
 pub(crate) fn run_staged<S: CounterStages>(
     stages: &mut S,
     reads: &ReadSet,
@@ -281,17 +385,162 @@ pub(crate) fn run_staged<S: CounterStages>(
     };
 
     // ── Pre-pass + bucketing (parse phase) ─────────────────────────────
+    // `--resume` skips bucketing and the exchange: the manifest is pass
+    // 1's output. The pre-pass still runs, because routing — and so
+    // re-deriving a damaged bin — depends on it.
     let prepass_time = stages.prepass(&ctx, &mut world);
     let stages = &*stages; // shared from here on; compute steps capture it
+    let bucketed = (!rc.two_pass_resume).then(|| bucket_phase(stages, &ctx, &mut world));
+    let parse = prepass_time + bucketed.as_ref().map_or(SimTime::ZERO, |b| b.compute);
+    let wall_parse = wall_run.elapsed().as_secs_f64();
+
+    // ── Exchange rounds, then counting in memory or out of core ────────
+    let wall_rounds_start = Instant::now();
+    let counted = match &rc.two_pass_dir {
+        None => count_in_memory(
+            stages,
+            &ctx,
+            &mut world,
+            journal.as_deref(),
+            bucketed.expect("--resume requires --two-pass"),
+        )?,
+        Some(dir) => two_pass::count_out_of_core(
+            stages,
+            &ctx,
+            &mut world,
+            journal.as_deref(),
+            reads,
+            dir,
+            bucketed,
+        )?,
+    };
+
+    // ── Report assembly ────────────────────────────────────────────────
+    let phases = PhaseBreakdown {
+        parse,
+        exchange: counted.exchange,
+        count: counted.count,
+    };
+    let makespan = world.elapsed();
+    let wall = WallClock {
+        parse: wall_parse,
+        rounds: counted.wall_rounds,
+        finish: wall_rounds_start.elapsed().as_secs_f64() - counted.wall_rounds,
+        total: wall_run.elapsed().as_secs_f64(),
+    };
+    let summary = counted.summary;
+    if let Some(m) = &metrics {
+        // Fault-recovery series exist only when recovery happened, so a
+        // zero-fault plan leaves the metrics schema untouched.
+        if summary.retries > 0 {
+            m.counter_add("retries_total", None, summary.retries);
+            m.counter_add("corrupt_buckets_total", None, summary.corrupt_buckets);
+        }
+        if summary.rank_deaths > 0 {
+            m.counter_add("rank_deaths_total", None, summary.rank_deaths);
+            m.counter_add("exchange_replay_bytes_total", None, summary.replayed_bytes);
+        }
+        if summary.retries > 0 || summary.rank_deaths > 0 {
+            m.gauge_add(
+                "recovery_seconds_total",
+                None,
+                summary.recovery_time.as_secs(),
+            );
+        }
+        // Always-on phase and makespan gauges — what `dedukt analyze`
+        // reconciles the journal against — plus the wall-clock lane
+        // (real host seconds; the one nondeterministic series family).
+        m.gauge_set("phase_seconds:parse", None, phases.parse.as_secs());
+        m.gauge_set("phase_seconds:exchange", None, phases.exchange.as_secs());
+        m.gauge_set("phase_seconds:count", None, phases.count.as_secs());
+        m.gauge_set("makespan_seconds", None, makespan.as_secs());
+        m.gauge_set("wall_seconds:parse", None, wall.parse);
+        m.gauge_set("wall_seconds:rounds", None, wall.rounds);
+        m.gauge_set("wall_seconds:finish", None, wall.finish);
+        m.gauge_set("wall_seconds:total", None, wall.total);
+    }
+    if let Some(j) = &journal {
+        // Phase totals from the same accumulators as the report, so the
+        // analyzer's reconciliation is exact (not epsilon-close).
+        j.push(JournalEvent::Phase {
+            phase: "parse".to_string(),
+            secs: phases.parse.as_secs(),
+        });
+        j.push(JournalEvent::Phase {
+            phase: "exchange".to_string(),
+            secs: phases.exchange.as_secs(),
+        });
+        j.push(JournalEvent::Phase {
+            phase: "count".to_string(),
+            secs: phases.count.as_secs(),
+        });
+        for (stage, secs) in [
+            ("parse", wall.parse),
+            ("rounds", wall.rounds),
+            ("finish", wall.finish),
+            ("total", wall.total),
+        ] {
+            j.push(JournalEvent::Wall {
+                stage: stage.to_string(),
+                secs,
+            });
+        }
+        j.push(JournalEvent::Run {
+            makespan: makespan.as_secs(),
+        });
+    }
+    let trace = rc.collect_trace.then(|| world.take_trace());
+    let trace_counters = rc.collect_trace.then(|| world.take_trace_counters());
+    let stats = world.stats();
+    let (load, total, distinct, spectrum, tables) =
+        assemble_counts(counted.results, rc.collect_spectrum, rc.collect_tables);
+    Ok(RunReport {
+        mode: rc.mode,
+        nodes: rc.nodes,
+        nranks,
+        phases,
+        makespan,
+        exchange: ExchangeSummary {
+            bytes: stats.total_bytes,
+            off_node_bytes: stats.off_node_bytes,
+            intra_node_bytes: stats.intra_node_bytes,
+            intra_tier_bytes: stats.intra_tier_bytes,
+            coalesced_messages: stats.coalesced_messages,
+            retry_bytes: stats.retry_bytes,
+            ..summary
+        },
+        storage: counted.storage,
+        load,
+        total_kmers: total,
+        distinct_kmers: distinct,
+        spectrum,
+        tables,
+        trace,
+        trace_counters,
+        metrics: metrics.map(|m| m.snapshot()),
+        wall,
+        journal: journal.map(|j| j.snapshot()),
+    })
+}
+
+/// The parse phase proper: every rank buckets its partition by
+/// destination, and the expected per-destination load is tallied over
+/// all of it.
+fn bucket_phase<S: CounterStages>(
+    stages: &S,
+    ctx: &DriverCtx,
+    world: &mut BspWorld,
+) -> Bucketed<S::Item> {
+    let nranks = ctx.nranks;
     let (bucket_out, bucket_step) = world.compute_step_named(S::BUCKET_PHASE, |rank| {
-        let b = stages.bucket(&ctx, rank);
+        let b = stages.bucket(ctx, rank);
         ((b.buckets, b.stage_out), b.compute)
     });
     let mut buckets = Vec::with_capacity(nranks);
-    let mut stage_out_times = Vec::with_capacity(nranks);
+    let mut stage_out = Vec::with_capacity(nranks);
     for (b, t) in bucket_out {
         buckets.push(b);
-        stage_out_times.push(t);
+        stage_out.push(t);
     }
     let units: u64 = buckets
         .iter()
@@ -304,27 +553,121 @@ pub(crate) fn run_staged<S: CounterStages>(
     for row in &buckets {
         for (dst, payload) in row.iter().enumerate() {
             for item in payload {
-                expected[dst] += stages.item_instances(&ctx, item);
+                expected[dst] += stages.item_instances(ctx, item);
             }
         }
     }
-
-    let wall_parse = wall_run.elapsed().as_secs_f64();
-    let wall_rounds_start = Instant::now();
-
-    // ── Exchange + count rounds ────────────────────────────────────────
-    let (_, stage_out_step) =
-        world.compute_step_named("stage-out", |rank| ((), stage_out_times[rank]));
-    let rounds = split_rounds_weighted(buckets, rc.round_limit_bytes, S::ITEM_WIRE_BYTES);
-    let nrounds = rounds.len();
-    let made: Vec<Result<S::Counter, CounterOom>> = (0..nranks)
-        .into_par_iter()
-        .map(|rank| stages.make_counter(&ctx, rank, expected[rank]))
-        .collect();
-    if made.iter().any(|r| r.is_err()) {
-        return Err(device_oom_error(stages, made));
+    Bucketed {
+        buckets,
+        stage_out,
+        compute: bucket_step.mean,
+        units,
+        expected,
     }
-    let mut counters: Vec<S::Counter> = made.into_iter().map(|r| r.ok().unwrap()).collect();
+}
+
+/// The in-memory counting path: the exchange rounds count into live
+/// counters; then the count phase drains, and each table is finished and
+/// merged with whatever recovery salvaged.
+fn count_in_memory<S: CounterStages>(
+    stages: &S,
+    ctx: &DriverCtx,
+    world: &mut BspWorld,
+    journal: Option<&Journal>,
+    bucketed: Bucketed<S::Item>,
+) -> Result<Counted<S::Key>, RunError> {
+    let rounds_start = Instant::now();
+    let ex = exchange_rounds(
+        stages,
+        &Counting(stages, ctx),
+        ctx,
+        world,
+        journal,
+        bucketed,
+    )?;
+    let wall_rounds = rounds_start.elapsed().as_secs_f64();
+
+    // ── Count phase drain ──────────────────────────────────────────────
+    let (_, count_step) = world.compute_step_named("count", |rank| ((), ex.count_exposed[rank]));
+    journal_pressure(
+        journal,
+        ex.sinks.iter().map(|c| stages.pressure(c)).enumerate(),
+    );
+    let indexed: Vec<(usize, S::Counter)> = ex.sinks.into_iter().enumerate().collect();
+    let mut results: Vec<RankCountResult<S::Key>> = indexed
+        .into_par_iter()
+        .map(|(rank, c)| stages.finish(ctx, rank, c))
+        .collect();
+    if !ex.salvaged.is_empty() {
+        fold_salvaged(&mut results, ex.salvaged);
+    }
+    Ok(Counted {
+        results,
+        summary: ex.summary,
+        exchange: ex.exchange,
+        count: count_step.mean,
+        storage: None,
+        wall_rounds,
+    })
+}
+
+/// Recovery accounting: one journal event per `(rank, counter)` and kind
+/// of memory pressure that actually fired (unpressured runs journal
+/// nothing here, mirroring the pressure metrics' existence discipline).
+pub(crate) fn journal_pressure(
+    journal: Option<&Journal>,
+    pressure: impl IntoIterator<Item = (usize, PressureStats)>,
+) {
+    let Some(j) = journal else { return };
+    for (rank, p) in pressure {
+        if p.regrows > 0 {
+            j.push(JournalEvent::Regrow {
+                rank,
+                count: p.regrows,
+            });
+        }
+        if p.spilled > 0 {
+            j.push(JournalEvent::Spill {
+                rank,
+                kmers: p.spilled,
+            });
+        }
+        if p.oom_events > 0 {
+            j.push(JournalEvent::Oom {
+                rank,
+                detail: format!(
+                    "{} grow allocation(s) denied; recovered by spilling to host",
+                    p.oom_events
+                ),
+            });
+        }
+    }
+}
+
+/// The exchange rounds: stage out, slice the buckets into rounds, move
+/// each through the wire into every rank's sink — retrying faulty
+/// deliveries, recovering dead ranks from checkpoints and replayed
+/// history, and re-homing ranges across elastic rescales — and stage in.
+pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
+    stages: &S,
+    sink: &K,
+    ctx: &DriverCtx,
+    world: &mut BspWorld,
+    journal: Option<&Journal>,
+    bucketed: Bucketed<S::Item>,
+) -> Result<Exchanged<K::State, K::Held>, RunError> {
+    let rc = ctx.rc;
+    let nranks = ctx.nranks;
+    let expected = bucketed.expected;
+    let (_, stage_out_step) =
+        world.compute_step_named("stage-out", |rank| ((), bucketed.stage_out[rank]));
+    let rounds = split_rounds_weighted(bucketed.buckets, rc.round_limit_bytes, S::ITEM_WIRE_BYTES);
+    let nrounds = rounds.len();
+    let made: Vec<Result<K::State, CounterOom>> = (0..nranks)
+        .into_par_iter()
+        .map(|rank| sink.open(rank, expected[rank]))
+        .collect();
+    let mut sinks = opened_or_oom(sink, made)?;
     let mut received_items = vec![0u64; nranks];
     let mut count_totals = vec![SimTime::ZERO; nranks];
     let mut last_round_times = vec![SimTime::ZERO; nranks];
@@ -351,20 +694,19 @@ pub(crate) fn run_staged<S: CounterStages>(
     let mut alive = vec![true; nranks];
     let mut range_owner: Vec<usize> = (0..nranks).collect();
     // First round whose range-`d` traffic the current owner's *live*
-    // counter holds; everything earlier sits in `salvaged` or was
-    // replayed into it. The invariant the whole recovery path keeps:
-    // counter(range_owner[d]) holds range-`d` rounds [range_from[d]..now)
+    // sink holds; everything earlier sits in `salvaged` or was replayed
+    // into it. The invariant the whole recovery path keeps:
+    // sink(range_owner[d]) holds range-`d` rounds [range_from[d]..now)
     // and nothing else of range `d`.
     let mut range_from = vec![0usize; nranks];
     // `history[round][d]`: range-`d` payload of `round` in source-rank
     // order — exactly what the owner received, and the replay source
     // when an owner dies. Retained only while a plan is active.
     let mut history: Vec<Vec<Vec<S::Item>>> = Vec::new();
-    // Per-rank checkpoint: (rounds covered, entries, instances).
-    let mut snaps: Vec<Option<SalvagedTable<S::Key>>> = (0..nranks).map(|_| None).collect();
-    // Salvaged (slot, entries, instances) tables awaiting the
-    // merge-by-key fold at assembly ([`fold_salvaged`]).
-    let mut salvaged: Vec<SalvagedTable<S::Key>> = Vec::new();
+    // Per-rank checkpoint: (rounds covered, snapshot).
+    let mut snaps: Vec<Option<(usize, K::Held)>> = (0..nranks).map(|_| None).collect();
+    // Salvaged (slot, snapshot) pairs awaiting the merge at assembly.
+    let mut salvaged: Vec<(usize, K::Held)> = Vec::new();
     let mut rescale_sched = rc.rescale.iter().copied().peekable();
     let mut dead_total: usize = 0;
     let mut replayed_bytes_total = 0u64;
@@ -376,7 +718,7 @@ pub(crate) fn run_staged<S: CounterStages>(
         {
             let (_, target) = rescale_sched.next().expect("peeked");
             let from = alive.iter().filter(|&&a| a).count();
-            if let Some(j) = &journal {
+            if let Some(j) = journal {
                 j.push(JournalEvent::Rescale {
                     round: round_idx as u64,
                     from,
@@ -384,19 +726,17 @@ pub(crate) fn run_staged<S: CounterStages>(
                 });
             }
             // Shrink: ranks at index >= target depart gracefully. Their
-            // whole table is salvaged (merged by key at assembly) and
-            // their ranges pass to survivors for future rounds only —
-            // a departure needs no replay, unlike a death.
+            // whole sink is salvaged (merged at assembly) and their
+            // ranges pass to survivors for future rounds only — a
+            // departure needs no replay, unlike a death.
             for r in target..nranks {
                 if !alive[r] {
                     continue;
                 }
-                let (entries, instances) = stages.snapshot_counts(&counters[r]);
-                salvaged.push((r, entries, instances));
+                salvaged.push((r, sink.snapshot(&sinks[r])));
                 snaps[r] = None;
                 alive[r] = false;
-                let fresh = fresh_counter_or_oom(stages, &ctx, &counters, r, expected[r])?;
-                counters[r] = fresh;
+                sinks[r] = reopen(sink, &sinks, r, expected[r])?;
             }
             if !alive.iter().any(|&a| a) {
                 return Err(RunError::RanksLost {
@@ -413,8 +753,8 @@ pub(crate) fn run_staged<S: CounterStages>(
             // Grow: departed ranks below the new world size rejoin and
             // take back their own base range, future rounds only. The
             // range's interim holder is fully salvaged and restarted so
-            // its live counter never splits a key's count with the
-            // rejoiner's — the invariant the fold depends on.
+            // its live sink never splits a key's count with the
+            // rejoiner's — the invariant the merge depends on.
             for r in 0..target.min(nranks) {
                 if alive[r] {
                     continue;
@@ -422,12 +762,9 @@ pub(crate) fn run_staged<S: CounterStages>(
                 alive[r] = true;
                 let holder = range_owner[r];
                 if holder != r {
-                    let (entries, instances) = stages.snapshot_counts(&counters[holder]);
-                    salvaged.push((holder, entries, instances));
+                    salvaged.push((holder, sink.snapshot(&sinks[holder])));
                     snaps[holder] = None;
-                    let fresh =
-                        fresh_counter_or_oom(stages, &ctx, &counters, holder, expected[holder])?;
-                    counters[holder] = fresh;
+                    sinks[holder] = reopen(sink, &sinks, holder, expected[holder])?;
                     for d in 0..nranks {
                         if range_owner[d] == holder {
                             range_from[d] = round_idx;
@@ -441,9 +778,9 @@ pub(crate) fn run_staged<S: CounterStages>(
         if let Some(plan) = &rank_plan {
             // Deaths drawn at this boundary (coordinate-hashed, so both
             // engines agree without coordination). The dead rank's live
-            // table is unrecoverable; its checkpoint (if any) is
-            // salvaged and the gap since is replayed from `history`
-            // into each range's next owner.
+            // sink is unrecoverable; its checkpoint (if any) is salvaged
+            // and the gap since is replayed from `history` into each
+            // range's next owner.
             let mut replay_to = vec![0u64; nranks];
             let mut replay_kernels = SimTime::ZERO;
             for r in 0..nranks {
@@ -452,7 +789,7 @@ pub(crate) fn run_staged<S: CounterStages>(
                 }
                 alive[r] = false;
                 dead_total += 1;
-                if let Some(j) = &journal {
+                if let Some(j) = journal {
                     j.push(JournalEvent::RankDead {
                         rank: r,
                         round: round_idx as u64,
@@ -465,9 +802,9 @@ pub(crate) fn run_staged<S: CounterStages>(
                     });
                 }
                 let ckpt = snaps[r].take();
-                let floor = ckpt.as_ref().map_or(0, |&(c, _, _)| c);
-                if let Some((_, entries, instances)) = ckpt {
-                    salvaged.push((r, entries, instances));
+                let floor = ckpt.as_ref().map_or(0, |&(c, _)| c);
+                if let Some((_, held)) = ckpt {
+                    salvaged.push((r, held));
                 }
                 for d in 0..nranks {
                     if range_owner[d] != r {
@@ -481,21 +818,9 @@ pub(crate) fn run_staged<S: CounterStages>(
                     }
                     if !items.is_empty() {
                         replay_to[new_owner] += items.len() as u64 * S::ITEM_WIRE_BYTES;
-                        match stages.count_round(&ctx, &mut counters[new_owner], items) {
+                        match sink.absorb(&mut sinks[new_owner], items) {
                             Ok(t) => replay_kernels += t,
-                            Err(e) => {
-                                let mut high_water: Vec<u64> = counters
-                                    .iter()
-                                    .map(|c| stages.pressure(c).high_water_bytes)
-                                    .collect();
-                                high_water[new_owner] =
-                                    high_water[new_owner].max(e.high_water_bytes);
-                                return Err(RunError::DeviceOom {
-                                    rank: new_owner,
-                                    detail: e.detail,
-                                    high_water_bytes: high_water,
-                                });
-                            }
+                            Err(e) => return Err(oom_error(sink, &sinks, new_owner, e)),
                         }
                     }
                     range_owner[d] = new_owner;
@@ -505,8 +830,7 @@ pub(crate) fn run_staged<S: CounterStages>(
                     // the replay. Re-validated at the next tick.
                     snaps[new_owner] = None;
                 }
-                let fresh = fresh_counter_or_oom(stages, &ctx, &counters, r, expected[r])?;
-                counters[r] = fresh;
+                sinks[r] = reopen(sink, &sinks, r, expected[r])?;
             }
             // Charge the replay traffic: survivors re-parse the dead
             // rank's deterministic input slice, so the bytes enter the
@@ -583,7 +907,7 @@ pub(crate) fn run_staged<S: CounterStages>(
             None
         };
         world.fault_context(round_idx as u64, 0);
-        let mut rr = stages.exchange_round(&mut world, round, hidden.as_deref());
+        let mut rr = stages.exchange_round(world, round, hidden.as_deref());
         wire_total += rr.wire_mean;
         charged_total += rr.charged_mean;
         let mut delivered = rr.items;
@@ -604,7 +928,7 @@ pub(crate) fn run_staged<S: CounterStages>(
             }
             let backoff =
                 SimTime::from_secs(spec.backoff_secs * (1u64 << (attempt - 1).min(20)) as f64);
-            if let Some(j) = &journal {
+            if let Some(j) = journal {
                 j.push(JournalEvent::Retry {
                     round: round_idx as u64,
                     attempt,
@@ -615,7 +939,7 @@ pub(crate) fn run_staged<S: CounterStages>(
             }
             world.advance_all("retry-backoff", backoff);
             world.fault_context(round_idx as u64, attempt);
-            rr = stages.exchange_round(&mut world, rr.undelivered, None);
+            rr = stages.exchange_round(world, rr.undelivered, None);
             recovery_total += backoff + rr.charged_mean;
             for (dst, items) in rr.items.iter_mut().enumerate() {
                 delivered[dst].append(items);
@@ -626,53 +950,31 @@ pub(crate) fn run_staged<S: CounterStages>(
         for (rank, items) in delivered.iter().enumerate() {
             received_items[rank] += items.len() as u64;
         }
-        // Count this round (functionally now; its simulated time is
-        // charged either as the next round's hidden compute or in the
-        // final count step).
-        let paired: Vec<(S::Counter, Vec<S::Item>)> = counters.into_iter().zip(delivered).collect();
-        let counted: Vec<(S::Counter, Result<SimTime, CounterOom>)> = paired
+        // Feed this round to the sinks (functionally now; its simulated
+        // time is charged either as the next round's hidden compute or
+        // in the final count step).
+        let paired: Vec<(K::State, Vec<S::Item>)> = sinks.into_iter().zip(delivered).collect();
+        let fed: Vec<(K::State, Result<SimTime, CounterOom>)> = paired
             .into_par_iter()
             .map(|(mut c, items)| {
-                let dt = stages.count_round(&ctx, &mut c, items);
+                let dt = sink.absorb(&mut c, items);
                 (c, dt)
             })
             .collect();
+        let results: Vec<Result<SimTime, CounterOom>>;
+        (sinks, results) = fed.into_iter().unzip();
+        // The first failing rank names the error; every sink survives so
+        // every rank's high-water mark makes it in.
         let mut times = Vec::with_capacity(nranks);
-        counters = Vec::with_capacity(nranks);
-        let mut oom: Option<(usize, CounterOom)> = None;
-        for (rank, (c, r)) in counted.into_iter().enumerate() {
-            match r {
-                Ok(t) => times.push(t),
-                Err(e) => {
-                    // Keep the first failing rank's story; the counters
-                    // themselves survive so every rank's high-water mark
-                    // makes it into the error.
-                    if oom.is_none() {
-                        oom = Some((rank, e));
-                    }
-                    times.push(SimTime::ZERO);
-                }
-            }
-            counters.push(c);
-        }
-        if let Some((rank, e)) = oom {
-            let mut high_water: Vec<u64> = counters
-                .iter()
-                .map(|c| stages.pressure(c).high_water_bytes)
-                .collect();
-            high_water[rank] = high_water[rank].max(e.high_water_bytes);
-            return Err(RunError::DeviceOom {
-                rank,
-                detail: e.detail,
-                high_water_bytes: high_water,
-            });
+        for (rank, r) in results.into_iter().enumerate() {
+            times.push(r.map_err(|e| oom_error(sink, &sinks, rank, e))?);
         }
         // Cumulative spill samples feed a dedicated trace counter lane —
         // emitted only when pressure actually spilled something, so an
         // unconstrained run's trace schema is untouched.
         if rc.collect_trace {
-            for (rank, c) in counters.iter().enumerate() {
-                let p = stages.pressure(c);
+            for (rank, c) in sinks.iter().enumerate() {
+                let p = sink.pressure(c);
                 if p.spilled > 0 {
                     world.push_counter_sample("spill k-mers", rank, p.spilled as f64);
                 }
@@ -689,191 +991,53 @@ pub(crate) fn run_staged<S: CounterStages>(
         }
         last_round_times.clone_from(&times);
         prev_round_times = Some(times);
-        // Checkpoint tick: every `--checkpoint-rounds N` counted rounds,
-        // snapshot each live counter so a later death replays only the
-        // gap since the snapshot instead of the whole run.
+        // Checkpoint tick: every `--checkpoint-rounds N` rounds, snapshot
+        // each live sink so a later death replays only the gap since the
+        // snapshot instead of the whole run.
         if recovery_active {
             if let Some(n) = rc.checkpoint_rounds {
                 if (round_idx as u64 + 1).is_multiple_of(n) {
-                    for (r, c) in counters.iter().enumerate() {
+                    for (r, c) in sinks.iter().enumerate() {
                         if alive[r] {
-                            let (entries, instances) = stages.snapshot_counts(c);
-                            snaps[r] = Some((round_idx + 1, entries, instances));
+                            snaps[r] = Some((round_idx + 1, sink.snapshot(c)));
                         }
                     }
                 }
             }
         }
     }
-    let wall_rounds = wall_rounds_start.elapsed().as_secs_f64();
-    let wall_finish_start = Instant::now();
     let (_, stage_in_step) = world.compute_step_named("stage-in", |rank| {
-        ((), stages.stage_in(&ctx, received_items[rank]))
+        ((), stages.stage_in(ctx, received_items[rank]))
     });
-
-    // ── Count phase drain ──────────────────────────────────────────────
     // Under overlap every round but the last was hidden behind a wire;
     // only the final round's kernel remains exposed. (With one round the
     // two are identical — there was nothing to hide behind.)
-    let drain = if rc.overlap_rounds {
-        last_round_times
-    } else {
-        count_totals
-    };
-    let (_, count_step) = world.compute_step_named("count", |rank| ((), drain[rank]));
-    // Recovery accounting: one journal event per rank-and-kind of memory
-    // pressure that actually fired (unpressured runs journal nothing
-    // here, mirroring the pressure metrics' existence discipline).
-    if let Some(j) = &journal {
-        for (rank, c) in counters.iter().enumerate() {
-            let p = stages.pressure(c);
-            if p.regrows > 0 {
-                j.push(JournalEvent::Regrow {
-                    rank,
-                    count: p.regrows,
-                });
-            }
-            if p.spilled > 0 {
-                j.push(JournalEvent::Spill {
-                    rank,
-                    kmers: p.spilled,
-                });
-            }
-            if p.oom_events > 0 {
-                j.push(JournalEvent::Oom {
-                    rank,
-                    detail: format!(
-                        "{} grow allocation(s) denied; recovered by spilling to host",
-                        p.oom_events
-                    ),
-                });
-            }
-        }
-    }
-    let indexed: Vec<(usize, S::Counter)> = counters.into_iter().enumerate().collect();
-    let mut rank_results: Vec<RankCountResult<S::Key>> = indexed
-        .into_par_iter()
-        .map(|(rank, c)| stages.finish(&ctx, rank, c))
-        .collect();
-    if !salvaged.is_empty() {
-        fold_salvaged(&mut rank_results, salvaged);
-    }
-
-    // ── Report assembly ────────────────────────────────────────────────
-    let phases = PhaseBreakdown {
-        parse: prepass_time + bucket_step.mean,
-        exchange: stage_out_step.mean + charged_total + recovery_total + stage_in_step.mean,
-        count: count_step.mean,
-    };
-    let makespan = world.elapsed();
-    let wall_finish = wall_finish_start.elapsed().as_secs_f64();
-    let wall = WallClock {
-        parse: wall_parse,
-        rounds: wall_rounds,
-        finish: wall_finish,
-        total: wall_run.elapsed().as_secs_f64(),
-    };
-    if let Some(m) = &metrics {
-        // Fault-recovery series exist only when recovery happened, so a
-        // zero-fault plan leaves the metrics schema untouched.
-        if retries_total > 0 {
-            m.counter_add("retries_total", None, retries_total);
-            m.counter_add("corrupt_buckets_total", None, corrupt_total);
-        }
-        if dead_total > 0 {
-            m.counter_add("rank_deaths_total", None, dead_total as u64);
-            m.counter_add("exchange_replay_bytes_total", None, replayed_bytes_total);
-        }
-        if retries_total > 0 || dead_total > 0 {
-            m.gauge_add("recovery_seconds_total", None, recovery_total.as_secs());
-        }
-        // Always-on phase and makespan gauges — what `dedukt analyze`
-        // reconciles the journal against — plus the wall-clock lane
-        // (real host seconds; the one nondeterministic series family).
-        m.gauge_set("phase_seconds:parse", None, phases.parse.as_secs());
-        m.gauge_set("phase_seconds:exchange", None, phases.exchange.as_secs());
-        m.gauge_set("phase_seconds:count", None, phases.count.as_secs());
-        m.gauge_set("makespan_seconds", None, makespan.as_secs());
-        m.gauge_set("wall_seconds:parse", None, wall.parse);
-        m.gauge_set("wall_seconds:rounds", None, wall.rounds);
-        m.gauge_set("wall_seconds:finish", None, wall.finish);
-        m.gauge_set("wall_seconds:total", None, wall.total);
-    }
-    if let Some(j) = &journal {
-        // Phase totals from the same accumulators as the report, so the
-        // analyzer's reconciliation is exact (not epsilon-close).
-        j.push(JournalEvent::Phase {
-            phase: "parse".to_string(),
-            secs: phases.parse.as_secs(),
-        });
-        j.push(JournalEvent::Phase {
-            phase: "exchange".to_string(),
-            secs: phases.exchange.as_secs(),
-        });
-        j.push(JournalEvent::Phase {
-            phase: "count".to_string(),
-            secs: phases.count.as_secs(),
-        });
-        for (stage, secs) in [
-            ("parse", wall.parse),
-            ("rounds", wall.rounds),
-            ("finish", wall.finish),
-            ("total", wall.total),
-        ] {
-            j.push(JournalEvent::Wall {
-                stage: stage.to_string(),
-                secs,
-            });
-        }
-        j.push(JournalEvent::Run {
-            makespan: makespan.as_secs(),
-        });
-    }
-    let trace = rc.collect_trace.then(|| world.take_trace());
-    let trace_counters = rc.collect_trace.then(|| world.take_trace_counters());
-    let stats = world.stats();
-    let (load, total, distinct, spectrum, tables) =
-        assemble_counts(rank_results, rc.collect_spectrum, rc.collect_tables);
-    Ok(RunReport {
-        mode: rc.mode,
-        nodes: rc.nodes,
-        nranks,
-        phases,
-        makespan,
-        exchange: ExchangeSummary {
-            units,
-            bytes: stats.total_bytes,
-            off_node_bytes: stats.off_node_bytes,
-            intra_node_bytes: stats.intra_node_bytes,
-            intra_tier_bytes: stats.intra_tier_bytes,
-            coalesced_messages: stats.coalesced_messages,
+    Ok(Exchanged {
+        sinks,
+        salvaged,
+        count_exposed: if rc.overlap_rounds {
+            last_round_times
+        } else {
+            count_totals
+        },
+        summary: ExchangeSummary {
+            units: bucketed.units,
             alltoallv_time: wire_total,
             rounds: nrounds as u64,
             retries: retries_total,
             corrupt_buckets: corrupt_total,
-            retry_bytes: stats.retry_bytes,
             recovery_time: recovery_total,
             rank_deaths: dead_total as u64,
             replayed_bytes: replayed_bytes_total,
+            ..Default::default()
         },
-        load,
-        total_kmers: total,
-        distinct_kmers: distinct,
-        spectrum,
-        tables,
-        trace,
-        trace_counters,
-        metrics: metrics.map(|m| m.snapshot()),
-        wall,
-        journal: journal.map(|j| j.snapshot()),
+        exchange: stage_out_step.mean + charged_total + recovery_total + stage_in_step.mean,
     })
 }
 
 /// One-line run description for the journal's meta event: the knobs that
 /// shape timing, plus every injection plan as its
-/// [`dedukt_sim::Plan::label`]. Shared with the out-of-core two-pass
-/// driver, which appends no labels of its own — everything
-/// two-pass-specific is a [`RunConfig`] knob listed here.
+/// [`dedukt_sim::Plan::label`].
 pub(crate) fn run_detail(rc: &RunConfig) -> String {
     let mut parts = vec![format!("k={}", rc.counting.k)];
     if rc.gpu_direct {
@@ -924,28 +1088,32 @@ pub(crate) fn run_detail(rc: &RunConfig) -> String {
     parts.join(" ")
 }
 
-/// Replaces a dead or departing rank's counter with a fresh one,
-/// converting an allocation failure into the run-level OOM error (with
-/// every rank's high-water mark, like the startup path).
-fn fresh_counter_or_oom<S: CounterStages>(
-    stages: &S,
-    ctx: &DriverCtx,
-    counters: &[S::Counter],
+/// [`RunError::DeviceOom`] for `rank`, carrying every rank's allocation
+/// high-water mark; the failing rank reports the mark it reached before
+/// the refused allocation.
+fn oom_error<I, K: Sink<I>>(sink: &K, sinks: &[K::State], rank: usize, e: CounterOom) -> RunError {
+    let mut high_water: Vec<u64> = sinks
+        .iter()
+        .map(|c| sink.pressure(c).high_water_bytes)
+        .collect();
+    high_water[rank] = high_water[rank].max(e.high_water_bytes);
+    RunError::DeviceOom {
+        rank,
+        detail: e.detail,
+        high_water_bytes: high_water,
+    }
+}
+
+/// Replaces a dead or departing rank's sink with a fresh one, converting
+/// an allocation failure into the run-level OOM error.
+fn reopen<I, K: Sink<I>>(
+    sink: &K,
+    sinks: &[K::State],
     rank: usize,
     expected: u64,
-) -> Result<S::Counter, RunError> {
-    stages.make_counter(ctx, rank, expected).map_err(|e| {
-        let mut high_water: Vec<u64> = counters
-            .iter()
-            .map(|c| stages.pressure(c).high_water_bytes)
-            .collect();
-        high_water[rank] = high_water[rank].max(e.high_water_bytes);
-        RunError::DeviceOom {
-            rank,
-            detail: e.detail,
-            high_water_bytes: high_water,
-        }
-    })
+) -> Result<K::State, RunError> {
+    sink.open(rank, expected)
+        .map_err(|e| oom_error(sink, sinks, rank, e))
 }
 
 /// Folds salvaged tables (checkpoints of dead ranks, full tables of
@@ -954,13 +1122,13 @@ fn fresh_counter_or_oom<S: CounterStages>(
 /// splitting would land the key in the wrong spectrum bins even though
 /// the total is right. Salvaged instances are credited to the slot that
 /// earned them, keeping the per-rank load sum conserved.
-fn fold_salvaged<K: crate::table::TableKey>(
+fn fold_salvaged<K: TableKey>(
     rank_results: &mut [RankCountResult<K>],
-    salvaged: Vec<SalvagedTable<K>>,
+    salvaged: Vec<(usize, RankCountResult<K>)>,
 ) {
-    for (slot, entries, instances) in salvaged {
-        rank_results[slot].entries.extend(entries);
-        rank_results[slot].instances += instances;
+    for (slot, held) in salvaged {
+        rank_results[slot].entries.extend(held.entries);
+        rank_results[slot].instances += held.instances;
     }
     // Global merge-by-key: the first table a key appears in keeps it;
     // later occurrences add their count there and vanish. Keys never
@@ -985,33 +1153,35 @@ fn fold_salvaged<K: crate::table::TableKey>(
     }
 }
 
-/// Builds [`RunError::DeviceOom`] from a counter-creation pass where at
-/// least one rank failed: the first failing rank names the error, and
-/// every rank contributes its allocation high-water mark (failed ranks
-/// report the mark they reached before the refused allocation).
-fn device_oom_error<S: CounterStages>(
-    stages: &S,
-    made: Vec<Result<S::Counter, CounterOom>>,
-) -> RunError {
-    let mut first: Option<(usize, String)> = None;
-    let mut high_water = Vec::with_capacity(made.len());
-    for (rank, r) in made.into_iter().enumerate() {
-        match r {
-            Ok(c) => high_water.push(stages.pressure(&c).high_water_bytes),
-            Err(e) => {
-                high_water.push(e.high_water_bytes);
-                if first.is_none() {
-                    first = Some((rank, e.detail));
-                }
-            }
-        }
-    }
-    let (rank, detail) = first.expect("device_oom_error called with no failures");
-    RunError::DeviceOom {
+/// Every rank's freshly opened sink, or [`RunError::DeviceOom`] naming
+/// the first rank whose opening failed, with every rank's allocation
+/// high-water mark (a failed rank reports the mark it reached before the
+/// refused allocation).
+fn opened_or_oom<I, K: Sink<I>>(
+    sink: &K,
+    made: Vec<Result<K::State, CounterOom>>,
+) -> Result<Vec<K::State>, RunError> {
+    let Some(rank) = made.iter().position(Result::is_err) else {
+        return Ok(made.into_iter().flatten().collect());
+    };
+    let high_water_bytes = made
+        .iter()
+        .map(|r| match r {
+            Ok(c) => sink.pressure(c).high_water_bytes,
+            Err(e) => e.high_water_bytes,
+        })
+        .collect();
+    let detail = made
+        .into_iter()
+        .nth(rank)
+        .and_then(Result::err)
+        .expect("failed rank")
+        .detail;
+    Err(RunError::DeviceOom {
         rank,
         detail,
-        high_water_bytes: high_water,
-    }
+        high_water_bytes,
+    })
 }
 
 /// Shared exchange hook for the pipelines whose wire items are bare

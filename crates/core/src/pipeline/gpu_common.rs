@@ -5,10 +5,10 @@ use crate::pipeline::driver::{CounterOom, PressureStats};
 use crate::table::{table_capacity, DeviceCountTable, InsertOutcome};
 use crate::width::PackedKmer;
 use dedukt_dna::packed::ConcatReads;
-use dedukt_dna::ReadSet;
+use dedukt_dna::Read;
 use dedukt_gpu::mem_plan::{alloc_fails, estimate_factor};
 use dedukt_gpu::transfer::staging_time;
-use dedukt_gpu::{Device, KernelReport, LaunchConfig, MemPlan, OomError};
+use dedukt_gpu::{Device, KernelReport, LaunchConfig, MemPlan};
 use dedukt_sim::{DataVolume, Histogram, SimTime};
 
 /// Thread-block size used by all pipeline kernels.
@@ -53,8 +53,8 @@ pub fn block_range(total: usize, nblocks: u32, b: u32) -> (usize, usize) {
 }
 
 /// Concatenates a rank's reads into the packed device layout (§III-B1).
-pub fn concat_rank_reads(part: &ReadSet, cfg: &CountingConfig) -> ConcatReads {
-    ConcatReads::from_reads(part.reads.iter().map(|r| &r.codes[..]), cfg.encoding)
+pub fn concat_rank_reads(part: &[Read], cfg: &CountingConfig) -> ConcatReads {
+    ConcatReads::from_reads(part.iter().map(|r| &r.codes[..]), cfg.encoding)
 }
 
 /// Host→device volume of the concatenated read batch: packed bases plus
@@ -73,57 +73,9 @@ pub fn staging(device: &Device, rc: &RunConfig, volume: DataVolume) -> SimTime {
     }
 }
 
-/// Outcome of the shared counting kernel, at either key width.
-pub struct CountOutcome<K: PackedKmer = u64> {
-    /// Kernel launch report (simulated time, tallies).
-    pub report: KernelReport,
-    /// `(kmer, count)` entries of the rank's table.
-    pub entries: Vec<(K, u32)>,
-    /// Total probe steps across all inserts.
-    pub probe_steps: u64,
-    /// Per-insert probe-step distribution (1 = direct hit), accumulated
-    /// block-locally and merged once per block.
-    pub probe_hist: Histogram,
-    /// Fraction of table slots occupied after counting
-    /// (distinct / capacity).
-    pub load_factor: f64,
-}
-
 /// The GPU counting kernel (§III-B3): one thread per received k-mer,
-/// inserting into the device open-addressing table with CAS + atomicAdd.
-///
-/// `cycles_per_kmer` carries the calibrated effective cost (plus the
-/// supermer pipelines' extraction surcharge). Errs when the device
-/// cannot hold the table at all; the table is sized exactly for the
-/// batch, so a successful allocation never overflows.
-pub fn count_kmers_on_device<K: PackedKmer>(
-    device: &Device,
-    cfg: &CountingConfig,
-    kmers: &[K],
-    cycles_per_kmer: f64,
-) -> Result<CountOutcome<K>, OomError> {
-    let capacity = table_capacity(cfg, kmers.len());
-    let table = DeviceCountTable::<K>::new(device, capacity, cfg.hash_seed ^ 0xC0C0)?;
-    let (report, probe_steps, probe_hist, overflow) =
-        count_round_on_device(device, &table, kmers, cycles_per_kmer);
-    assert!(
-        overflow.is_empty(),
-        "a table sized for the exact batch cannot overflow"
-    );
-    let entries = table.to_host();
-    let load_factor = entries.len() as f64 / table.capacity() as f64;
-    Ok(CountOutcome {
-        report,
-        entries,
-        probe_steps,
-        probe_hist,
-        load_factor,
-    })
-}
-
-/// One launch of the counting kernel inserting `kmers` into an existing
-/// device `table` — the round-granular form [`count_kmers_on_device`] and
-/// the staged driver's per-round counting are built on. Returns the
+/// inserting into an existing device open-addressing `table` with CAS +
+/// atomicAdd — one launch per round of the staged driver. Returns the
 /// launch report, total probe steps, the per-insert probe histogram, and
 /// the k-mers the table could not take because every slot was occupied
 /// (always empty for a table sized for its full load; non-empty only
@@ -502,20 +454,10 @@ fn merge_spill<K: PackedKmer>(entries: &mut Vec<(K, u32)>, mut spill: Vec<K>) {
 
 /// Splits per-rank outgoing buckets into exchange rounds so that no rank
 /// sends more than `limit_bytes` per round (§III-A's memory-bounded
-/// operation). Returns one bucket matrix per round; concatenating the
-/// rounds restores the input exactly (order preserved per destination).
-pub fn split_rounds<T>(
-    buckets: Vec<Vec<Vec<T>>>,
-    limit_bytes: Option<u64>,
-) -> Vec<Vec<Vec<Vec<T>>>> {
-    let elem = (std::mem::size_of::<T>() as u64).max(1);
-    split_rounds_weighted(buckets, limit_bytes, elem)
-}
-
-/// [`split_rounds`] with an explicit per-item wire size in bytes, for
-/// items whose in-memory size differs from their serialized form (a
-/// supermer moves as 8 payload bytes + 1 length byte, not
-/// `size_of::<(u64, u8)>()`). The round count is clamped to the largest
+/// operation), pricing each item at its serialized `item_bytes` (a
+/// supermer moves as 8 payload bytes + 1 length byte). Returns one bucket
+/// matrix per round; concatenating the rounds restores the input exactly
+/// (order preserved per destination). The round count is clamped to the largest
 /// per-destination payload so caps smaller than one item still make
 /// progress (each round then carries at least one item per payload).
 pub fn split_rounds_weighted<T>(
@@ -579,7 +521,7 @@ mod tests {
             .collect();
         let original = buckets.clone();
         // Cap at 64 bytes per rank per round (8 u64s).
-        let rounds = split_rounds(buckets, Some(64));
+        let rounds = split_rounds_weighted(buckets, Some(64), 8);
         assert!(rounds.len() > 1);
         // Per-round cap holds for every source rank.
         for round in &rounds {
@@ -603,11 +545,11 @@ mod tests {
     #[test]
     fn split_rounds_single_round_when_unlimited() {
         let buckets: Vec<Vec<Vec<u64>>> = vec![vec![vec![1, 2, 3]; 2]; 2];
-        let rounds = split_rounds(buckets.clone(), None);
+        let rounds = split_rounds_weighted(buckets.clone(), None, 8);
         assert_eq!(rounds.len(), 1);
         assert_eq!(rounds[0], buckets);
         // Large cap also yields one round.
-        let rounds = split_rounds(buckets.clone(), Some(1 << 20));
+        let rounds = split_rounds_weighted(buckets.clone(), Some(1 << 20), 8);
         assert_eq!(rounds.len(), 1);
     }
 
@@ -669,10 +611,27 @@ mod tests {
         }
     }
 
+    /// One kernel launch into a table sized for the exact batch:
+    /// `(report, probe steps, probe histogram, entries, load factor)`.
+    fn count_once<K: PackedKmer>(
+        kmers: &[K],
+    ) -> (KernelReport, u64, Histogram, Vec<(K, u32)>, f64) {
+        let device = Device::v100();
+        let capacity = table_capacity(&CountingConfig::default(), kmers.len());
+        let table = DeviceCountTable::<K>::new(&device, capacity, 7).unwrap();
+        let (report, probes, hist, overflow) =
+            count_round_on_device(&device, &table, kmers, 1000.0);
+        assert!(
+            overflow.is_empty(),
+            "a table sized for the batch cannot overflow"
+        );
+        let entries = table.to_host();
+        let load = entries.len() as f64 / table.capacity() as f64;
+        (report, probes, hist, entries, load)
+    }
+
     #[test]
     fn device_count_kernel_counts_exactly() {
-        let device = Device::v100();
-        let cfg = CountingConfig::default();
         // 100 distinct keys with multiplicities 1..=100.
         let mut kmers = Vec::new();
         for key in 0..100u64 {
@@ -680,35 +639,30 @@ mod tests {
                 kmers.push(key);
             }
         }
-        let out = count_kmers_on_device(&device, &cfg, &kmers, 1000.0).unwrap();
-        assert_eq!(out.entries.len(), 100);
-        let total: u64 = out.entries.iter().map(|&(_, c)| c as u64).sum();
+        let (report, probe_steps, probe_hist, entries, load_factor) = count_once(&kmers);
+        assert_eq!(entries.len(), 100);
+        let total: u64 = entries.iter().map(|&(_, c)| c as u64).sum();
         assert_eq!(total, kmers.len() as u64);
-        for &(k, c) in &out.entries {
+        for &(k, c) in &entries {
             assert_eq!(c as u64, k + 1, "key {k}");
         }
-        assert!(out.probe_steps >= kmers.len() as u64);
-        assert!(out.report.time > SimTime::ZERO);
+        assert!(probe_steps >= kmers.len() as u64);
+        assert!(report.time > SimTime::ZERO);
         // The probe histogram covers every insert and sums to the probe
         // total; the load factor reflects 100 distinct keys in the table.
-        assert_eq!(out.probe_hist.count(), kmers.len() as u64);
-        assert_eq!(out.probe_hist.sum(), out.probe_steps);
-        assert!(out.probe_hist.min() >= 1);
-        assert!(out.load_factor > 0.0 && out.load_factor <= 1.0);
+        assert_eq!(probe_hist.count(), kmers.len() as u64);
+        assert_eq!(probe_hist.sum(), probe_steps);
+        assert!(probe_hist.min() >= 1);
+        assert!(load_factor > 0.0 && load_factor <= 1.0);
     }
 
     #[test]
     fn empty_input_yields_empty_table() {
-        let device = Device::v100();
-        let cfg = CountingConfig::default();
-        let out = count_kmers_on_device::<u64>(&device, &cfg, &[], 1000.0).unwrap();
-        assert!(out.entries.is_empty());
+        assert!(count_once::<u64>(&[]).3.is_empty());
     }
 
     #[test]
     fn wide_device_kernel_counts_exactly() {
-        let device = Device::v100();
-        let cfg = CountingConfig::default();
         // Keys above the u64 range so the wide table path is exercised.
         let mut kmers: Vec<u128> = Vec::new();
         for key in 0..50u128 {
@@ -716,11 +670,11 @@ mod tests {
                 kmers.push((key << 64) | key);
             }
         }
-        let out = count_kmers_on_device(&device, &cfg, &kmers, 1000.0).unwrap();
-        assert_eq!(out.entries.len(), 50);
-        let total: u64 = out.entries.iter().map(|&(_, c)| c as u64).sum();
+        let (report, _, probe_hist, entries, _) = count_once(&kmers);
+        assert_eq!(entries.len(), 50);
+        let total: u64 = entries.iter().map(|&(_, c)| c as u64).sum();
         assert_eq!(total, kmers.len() as u64);
-        assert!(out.report.time > SimTime::ZERO);
-        assert_eq!(out.probe_hist.count(), kmers.len() as u64);
+        assert!(report.time > SimTime::ZERO);
+        assert_eq!(probe_hist.count(), kmers.len() as u64);
     }
 }

@@ -100,8 +100,7 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
         let nranks = ctx.nranks;
         let tuning = rc.gpu_tuning;
         let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
-        let part = &ctx.parts[rank];
-        let concat = concat_rank_reads(part, cfg);
+        let concat = concat_rank_reads(ctx.parts[rank], cfg);
         let h2d = staging(&device, rc, reads_h2d_volume(&concat));
 
         let nbases = concat.num_bases().max(1);
@@ -153,6 +152,10 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
 
     fn item_instances(&self, _ctx: &DriverCtx, _item: &K) -> u64 {
         1
+    }
+
+    fn bin_of(&self, ctx: &DriverCtx, key: &K, nbins: usize) -> usize {
+        key_owner(&ctx.hasher, *key, nbins)
     }
 
     // ── Phase 2: exchange (stage out, Alltoallv rounds, stage in) ─────

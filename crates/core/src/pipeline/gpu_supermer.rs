@@ -37,6 +37,24 @@ use dedukt_sim::{DataVolume, Histogram, SimTime};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
+/// A supermer between bucketing and counting: the packed word and its
+/// length, stored unaligned so it occupies exactly its flat wire bytes
+/// (9 narrow, 17 wide) rather than a padded tuple's 16 or 32.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+pub(crate) struct PackedSupermer<K: Copy> {
+    /// Packed bases, `2 × len` bits.
+    pub word: K,
+    /// Length in bases.
+    pub len: u8,
+}
+
+impl<K: Copy> From<(K, u8)> for PackedSupermer<K> {
+    fn from((word, len): (K, u8)) -> Self {
+        PackedSupermer { word, len }
+    }
+}
+
 struct SupermerStages<K: PackedKmer> {
     assignment: Option<BalancedAssignment>,
     /// Ship buckets through the [`crate::wire`] codec (`--wire-compress`)
@@ -68,9 +86,9 @@ impl<K: PackedKmer> SupermerStages<K> {
     fn exchange_round_compressed(
         &self,
         world: &mut BspWorld,
-        round: Vec<Vec<Vec<(K, u8)>>>,
+        round: Vec<Vec<Vec<PackedSupermer<K>>>>,
         hidden: Option<&[SimTime]>,
-    ) -> RoundRecv<(K, u8)> {
+    ) -> RoundRecv<PackedSupermer<K>> {
         let mut logical: Vec<Vec<u64>> = Vec::with_capacity(round.len());
         let mut byte_round: Vec<Vec<Vec<u8>>> = Vec::with_capacity(round.len());
         for row in round {
@@ -78,7 +96,8 @@ impl<K: PackedKmer> SupermerStages<K> {
             let mut brow = Vec::with_capacity(row.len());
             for payload in row {
                 lrow.push(payload.len() as u64 * crate::wire::flat_wire_bytes::<K>());
-                brow.push(crate::wire::encode_bucket(&payload));
+                let flat: Vec<(K, u8)> = payload.iter().map(|s| (s.word, s.len)).collect();
+                brow.push(crate::wire::encode_bucket(&flat));
             }
             logical.push(lrow);
             byte_round.push(brow);
@@ -90,7 +109,11 @@ impl<K: PackedKmer> SupermerStages<K> {
             .map(|srcs| {
                 let mut flat = Vec::new();
                 for buf in srcs {
-                    flat.extend(crate::wire::decode_bucket::<K>(&buf));
+                    flat.extend(
+                        crate::wire::decode_bucket::<K>(&buf)
+                            .into_iter()
+                            .map(PackedSupermer::from),
+                    );
                 }
                 flat
             })
@@ -103,7 +126,10 @@ impl<K: PackedKmer> SupermerStages<K> {
             .into_iter()
             .map(|row| {
                 row.into_iter()
-                    .map(|buf| crate::wire::decode_bucket::<K>(&buf))
+                    .map(|buf| {
+                        let flat = crate::wire::decode_bucket::<K>(&buf);
+                        flat.into_iter().map(PackedSupermer::from).collect()
+                    })
                     .collect()
             })
             .collect();
@@ -120,7 +146,7 @@ impl<K: PackedKmer> SupermerStages<K> {
 
 impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     type Key = K;
-    type Item = (K, u8);
+    type Item = PackedSupermer<K>;
     type Counter = DeviceRoundCounter<K>;
 
     const ITEM_WIRE_BYTES: u64 = K::SUPERMER_WIRE_BYTES;
@@ -147,7 +173,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         let (rank_weights, sample_times) = world.compute_step_named("sample-minimizers", |rank| {
             let mut weights: HashMap<u64, u64> = HashMap::new();
             let mut sampled_kmers = 0u64;
-            for read in ctx.parts[rank].reads.iter().step_by(stride.max(1)) {
+            for read in ctx.parts[rank].iter().step_by(stride.max(1)) {
                 for sm in build_supermers_reference_w::<K>(&read.codes, cfg.k, &scheme) {
                     let nk = sm.num_kmers(cfg.k) as u64;
                     *weights.entry(sm.minimizer).or_insert(0) += nk;
@@ -177,33 +203,34 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     }
 
     // ── Phase 1: build supermers on the device (§IV-B) ────────────────
-    fn bucket(&self, ctx: &DriverCtx, rank: usize) -> BucketOut<(K, u8)> {
+    fn bucket(&self, ctx: &DriverCtx, rank: usize) -> BucketOut<PackedSupermer<K>> {
         let rc = ctx.rc;
         let cfg = &ctx.cfg;
         let nranks = ctx.nranks;
         let tuning = rc.gpu_tuning;
         let scheme = cfg.minimizer_scheme();
         let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
-        let part = &ctx.parts[rank];
+        let part = ctx.parts[rank];
 
         // Window index: prefix sums of per-read window counts. The real
         // kernel computes this on the host while batching reads.
-        let mut win_offsets = Vec::with_capacity(part.reads.len() + 1);
+        let mut win_offsets = Vec::with_capacity(part.len() + 1);
         win_offsets.push(0usize);
-        for r in &part.reads {
+        for r in part {
             win_offsets.push(win_offsets.last().unwrap() + num_windows(r.len(), cfg.k, cfg.window));
         }
         let total_windows = *win_offsets.last().unwrap();
+        let total_bases: usize = part.iter().map(|r| r.len()).sum();
         let h2d = staging(
             &device,
             rc,
-            DataVolume::from_bytes((part.total_bases() / 4 + part.reads.len() * 8) as u64),
+            DataVolume::from_bytes((total_bases / 4 + part.len() * 8) as u64),
         );
 
         let launch = chunked_launch(total_windows.max(1));
         let (report, block_buckets) = device.launch_map("build_supermers", launch, |b| {
             let (lo, hi) = block_range(total_windows, b.cfg.grid_blocks, b.block);
-            let mut local: Vec<(Vec<K>, Vec<u8>)> = vec![(Vec::new(), Vec::new()); nranks];
+            let mut local: Vec<Vec<PackedSupermer<K>>> = vec![Vec::new(); nranks];
             let mut smers: Vec<SupermerW<K>> = Vec::new();
             let mut kmers_scanned = 0u64;
             let mut smers_built = 0u64;
@@ -211,13 +238,15 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
                 // Which read owns window `wi`?
                 let ri = win_offsets.partition_point(|&o| o <= wi) - 1;
                 let wstart = (wi - win_offsets[ri]) * cfg.window;
-                let codes = &part.reads[ri].codes;
+                let codes = &part[ri].codes;
                 smers.clear();
                 supermers_of_window_w(codes, wstart, cfg.k, cfg.window, &scheme, &mut smers);
                 for sm in &smers {
                     let dst = self.owner(ctx, sm.minimizer);
-                    local[dst].0.push(sm.word);
-                    local[dst].1.push(sm.len);
+                    local[dst].push(PackedSupermer {
+                        word: sm.word,
+                        len: sm.len,
+                    });
                     kmers_scanned += sm.num_kmers(cfg.k) as u64;
                 }
                 smers_built += smers.len() as u64;
@@ -235,15 +264,13 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             local
         });
 
-        let mut words: Vec<Vec<K>> = vec![Vec::new(); nranks];
-        let mut lens: Vec<Vec<u8>> = vec![Vec::new(); nranks];
+        let mut buckets: Vec<Vec<PackedSupermer<K>>> = vec![Vec::new(); nranks];
         for blocks in block_buckets {
-            for (dst, (w, l)) in blocks.into_iter().enumerate() {
-                words[dst].extend(w);
-                lens[dst].extend(l);
+            for (dst, v) in blocks.into_iter().enumerate() {
+                buckets[dst].extend(v);
             }
         }
-        let out_bytes: u64 = words
+        let out_bytes: u64 = buckets
             .iter()
             .map(|v| v.len() as u64 * K::SUPERMER_WIRE_BYTES)
             .sum();
@@ -255,9 +282,9 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             // supermer actually sent (Table II's saving).
             let mut length_hist = Histogram::new();
             let mut kmer_count = 0u64;
-            for l in lens.iter().flatten() {
-                length_hist.observe(*l as u64);
-                kmer_count += (*l as u64).saturating_sub(cfg.k as u64 - 1);
+            for s in buckets.iter().flatten() {
+                length_hist.observe(s.len as u64);
+                kmer_count += (s.len as u64).saturating_sub(cfg.k as u64 - 1);
             }
             let supermer_count = length_hist.count();
             m.merge_histogram("supermer_length_bases", Some(rank), &length_hist);
@@ -277,11 +304,6 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             );
             m.gauge_max("device_peak_bytes", Some(rank), device.peak_bytes() as f64);
         }
-        let buckets = words
-            .into_iter()
-            .zip(lens)
-            .map(|(w, l)| w.into_iter().zip(l).collect())
-            .collect();
         BucketOut {
             buckets,
             compute: h2d + report.time,
@@ -289,10 +311,26 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         }
     }
 
-    fn item_instances(&self, ctx: &DriverCtx, item: &(K, u8)) -> u64 {
+    fn item_instances(&self, ctx: &DriverCtx, item: &PackedSupermer<K>) -> u64 {
         // Exactly the extraction formula below: a supermer of `len` bases
         // yields `len - k + 1` k-mers (zero if shorter than k).
-        (item.1 as u64).saturating_sub(ctx.cfg.k as u64 - 1)
+        (item.len as u64).saturating_sub(ctx.cfg.k as u64 - 1)
+    }
+
+    // The wire carries no minimizer, so it is recomputed from the
+    // supermer's first k-mer (every k-mer of a supermer shares it). The
+    // sub-bin hash splits an owner's range; under hash routing the
+    // formula is exactly `minimizer_owner` over `nbins`.
+    fn bin_of(&self, ctx: &DriverCtx, item: &PackedSupermer<K>, nbins: usize) -> usize {
+        let (word, len) = (item.word, item.len);
+        let k = ctx.cfg.k;
+        let mz = ctx
+            .cfg
+            .minimizer_scheme()
+            .minimizer_of_w(word.subword(len as usize, 0, k), k)
+            .word;
+        let per_rank = nbins / ctx.nranks;
+        self.owner(ctx, mz) * per_rank + minimizer_owner(&ctx.hasher, mz, nbins) % per_rank
     }
 
     // ── Phase 2: exchange supermers + lengths (Algorithm 2) ───────────
@@ -303,9 +341,9 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     fn exchange_round(
         &self,
         world: &mut BspWorld,
-        round: Vec<Vec<Vec<(K, u8)>>>,
+        round: Vec<Vec<Vec<PackedSupermer<K>>>>,
         hidden: Option<&[SimTime]>,
-    ) -> RoundRecv<(K, u8)> {
+    ) -> RoundRecv<PackedSupermer<K>> {
         if self.compress {
             return self.exchange_round_compressed(world, round, hidden);
         }
@@ -315,7 +353,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             let mut wrow = Vec::with_capacity(row.len());
             let mut lrow = Vec::with_capacity(row.len());
             for payload in row {
-                let (w, l): (Vec<K>, Vec<u8>) = payload.into_iter().unzip();
+                let (w, l): (Vec<K>, Vec<u8>) = payload.iter().map(|s| (s.word, s.len)).unzip();
                 wrow.push(w);
                 lrow.push(l);
             }
@@ -337,10 +375,10 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             .into_iter()
             .zip(lens_out.recv)
             .map(|(ws, ls)| {
-                let mut flat = Vec::new();
+                let mut flat = Vec::with_capacity(ws.iter().map(Vec::len).sum());
                 for (w_src, l_src) in ws.into_iter().zip(ls) {
                     assert_eq!(w_src.len(), l_src.len(), "word/length streams must align");
-                    flat.extend(w_src.into_iter().zip(l_src));
+                    flat.extend(w_src.into_iter().zip(l_src).map(PackedSupermer::from));
                 }
                 flat
             })
@@ -361,7 +399,11 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
                             l_dst.len(),
                             "undelivered word/length streams must align"
                         );
-                        w_dst.into_iter().zip(l_dst).collect()
+                        w_dst
+                            .into_iter()
+                            .zip(l_dst)
+                            .map(PackedSupermer::from)
+                            .collect()
                     })
                     .collect()
             })
@@ -401,13 +443,13 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         &self,
         ctx: &DriverCtx,
         counter: &mut DeviceRoundCounter<K>,
-        items: Vec<(K, u8)>,
+        items: Vec<PackedSupermer<K>>,
     ) -> Result<SimTime, CounterOom> {
         let cfg = &ctx.cfg;
         // Device-side extraction, represented functionally by this flatten;
         // its cost is the extract surcharge added to the count kernel.
         let mut kmers = Vec::new();
-        for &(word, len) in &items {
+        for &PackedSupermer { word, len } in &items {
             let n = (len as usize).saturating_sub(cfg.k - 1);
             for i in 0..n {
                 kmers.push(word.subword(len as usize, i, cfg.k));

@@ -13,7 +13,7 @@ pub mod gpu_supermer;
 pub mod two_pass;
 
 use crate::config::{ConfigError, Mode, RunConfig};
-use crate::stats::{ExchangeSummary, LoadSummary, PhaseBreakdown};
+use crate::stats::{ExchangeSummary, LoadSummary, PhaseBreakdown, StorageSummary};
 use crate::table::TableKey;
 use crate::width::PackedKmer;
 use dedukt_dna::spectrum::Spectrum;
@@ -41,6 +41,8 @@ pub struct RunReport<K: TableKey = u64> {
     pub makespan: dedukt_sim::SimTime,
     /// Exchange volume accounting (Table II / Fig. 8).
     pub exchange: ExchangeSummary,
+    /// Bin-store accounting, set only under `--two-pass`.
+    pub storage: Option<StorageSummary>,
     /// Per-rank counting loads (Table III).
     pub load: LoadSummary,
     /// Total k-mer instances counted (must equal the oracle's).
@@ -217,9 +219,6 @@ pub fn run_typed<K: PackedKmer>(reads: &ReadSet, rc: &RunConfig) -> Result<RunRe
     drop_noop(&mut rc.rank);
     drop_noop(&mut rc.io);
     let rc = &rc;
-    if rc.two_pass_dir.is_some() {
-        return two_pass::run_two_pass_typed::<K>(reads, rc);
-    }
     match rc.mode {
         Mode::CpuBaseline => cpu::run_cpu_typed::<K>(reads, rc),
         Mode::GpuKmer => gpu_kmer::run_gpu_kmer_typed::<K>(reads, rc),

@@ -1,51 +1,44 @@
 //! Out-of-core two-pass counting over the checksummed bin store
-//! (DESIGN.md §12).
+//! (DESIGN.md §12): the staged driver's spool stage.
 //!
-//! Pass 1 partitions every rank's items (packed k-mers on the k-mer
-//! pipelines, supermers on the supermer pipeline) into minimizer-keyed
-//! bins on a simulated NVMe tier ([`dedukt_store::BinStore`]), one
-//! checksum-framed block per contributing rank, and records a per-run
-//! manifest. Pass 2 streams the bins back **one at a time**: each bin's
-//! count table is sized from the manifest by the same safety ×
-//! [`dedukt_gpu::MemPlan`] estimate the in-memory pipelines use, and the
-//! bin count chosen by [`plan_bins`] guarantees every planned bin fits
-//! the `--device-hbm` table budget.
+//! Pass 1 is the ordinary exchange — retries, rank death, rescale,
+//! checkpoints, overlap, the wire codec, hierarchical routing — except
+//! that each rank *spools* what it receives into its bins
+//! ([`CounterStages::bin_of`]) instead of counting it, and the bins land
+//! on a simulated NVMe tier ([`dedukt_store::BinStore`]) with a manifest.
+//! Bins nest inside owner ranges, so per-rank tables match the in-memory
+//! run's. Pass 2 counts the bins one at a time in manifest order with the
+//! stage's own counter, on a table [`plan_bins`] sized to the
+//! `--device-hbm` budget.
 //!
-//! Robustness is the headline. A deterministic [`dedukt_store::IoPlan`]
-//! (`--io-seed/--io-spec`) injects torn writes, bit rot, and transient
-//! read errors via the shared coordinate-hash draws, so every engine
-//! agrees on the fate of every block without coordination. Recovery
-//! escalates in order: bounded re-reads for transient errors, then
-//! quarantine of the damaged bin and re-derivation of its content by
-//! replaying only that bin's slice of the (deterministic) input at a
-//! fresh generation, bounded by the plan's re-derive budget. Exhausting
-//! the budget is a clean [`RunError::StorageFailed`] — never a panic —
-//! and spectra stay bit-identical to the in-memory pipelines under any
-//! plan that lets the run finish.
-//!
-//! Pass 2 is resumable: every finished bin's counts land on disk
-//! immediately (atomic write), so `--resume` re-counts only unfinished
-//! bins after a mid-run kill (injected via `kill=N`, or real).
+//! A deterministic [`dedukt_store::IoPlan`] injects torn writes, bit rot
+//! and transient read errors; recovery re-reads, then quarantines the
+//! bin and re-derives it from the deterministic input at a fresh
+//! generation, within the plan's budgets. Exhausting them is a clean
+//! [`RunError::StorageFailed`]; any plan that lets the run finish leaves
+//! spectra bit-identical to the in-memory run. Every finished bin's
+//! counts land on disk at once, so `--resume` re-counts only the rest.
 
-use crate::config::{ConfigError, Mode, RunConfig};
-use crate::partition::{key_owner, minimizer_owner};
-use crate::pipeline::driver::run_detail;
-use crate::pipeline::{assemble_counts, RankCountResult, RunError, RunReport};
-use crate::stats::{ExchangeSummary, PhaseBreakdown, WallClock};
-use crate::supermer::build_supermers_windowed_w;
-use crate::table::{capacity_for, HostCountTable};
+use crate::config::{ConfigError, RunConfig};
+use crate::pipeline::driver::{
+    exchange_rounds, journal_pressure, Bucketed, Counted, CounterOom, CounterStages, DriverCtx,
+    Sink,
+};
+use crate::pipeline::gpu_supermer::PackedSupermer;
+use crate::pipeline::{RankCountResult, RunError};
+use crate::stats::{ExchangeSummary, StorageSummary};
+use crate::table::capacity_for;
 use crate::width::PackedKmer;
-use dedukt_dna::kmer::kmer_words_w;
 use dedukt_dna::ReadSet;
-use dedukt_gpu::mem_plan::estimate_factor;
-use dedukt_hash::Murmur3x64;
-use dedukt_net::cost::{Network, SsdParams};
+use dedukt_net::cost::SsdParams;
 use dedukt_net::BspWorld;
 use dedukt_sim::rng::mix_coords;
-use dedukt_sim::{Journal, JournalEvent, MetricsRegistry, SimTime};
+use dedukt_sim::{Journal, JournalEvent, SimTime};
 use dedukt_store::plan::read_errors;
-use dedukt_store::{read_bin_counts, write_bin_counts, BinCounts, BinMeta, BinStore, Manifest};
-use std::sync::Arc;
+use dedukt_store::{
+    read_bin_counts, write_bin_counts, BinCounts, BinMeta, BinStore, IoPlan, Manifest,
+};
+use std::path::Path;
 use std::time::Instant;
 
 /// Headroom multiplier on the mean per-bin load when sizing bins:
@@ -83,115 +76,92 @@ pub fn plan_bins(
     }
 }
 
-/// Bytes of one on-disk record: the packed word, plus a length byte on
-/// the supermer pipeline (mirroring the wire format, §V-D).
-fn record_bytes<K: PackedKmer>(mode: Mode) -> usize {
-    match mode {
-        Mode::GpuSupermer => K::WORD_BYTES + 1,
-        _ => K::WORD_BYTES,
+/// The on-disk form of one exchanged item: the packed word, plus a
+/// length byte for a supermer (mirroring the flat wire format, §V-D).
+pub(crate) trait Record: Sized {
+    /// Bytes of one record.
+    const BYTES: usize;
+    /// Appends the record to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+    /// Reads one record back from exactly [`Record::BYTES`] bytes.
+    fn decode(bytes: &[u8]) -> Self;
+}
+
+impl<K: PackedKmer> Record for K {
+    const BYTES: usize = K::WORD_BYTES;
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_u128().to_le_bytes()[..K::WORD_BYTES]);
+    }
+    fn decode(bytes: &[u8]) -> Self {
+        let mut word = [0u8; 16];
+        word[..K::WORD_BYTES].copy_from_slice(&bytes[..K::WORD_BYTES]);
+        K::from_u128(u128::from_le_bytes(word))
     }
 }
 
-/// One rank's pass-1 extraction: per-bin record payloads and k-mer
-/// instance counts. Re-derivation calls the same function, so a
-/// re-derived bin is byte-identical to what pass 1 wrote.
-struct RankExtract {
-    /// `payloads[bin]` — this rank's records routed to each bin.
-    payloads: Vec<Vec<u8>>,
-    /// `instances[bin]` — k-mer instances those records will insert.
+impl<K: PackedKmer> Record for PackedSupermer<K> {
+    const BYTES: usize = K::BYTES + 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        let word = self.word; // copied out: a packed field cannot be borrowed
+        word.encode(out);
+        out.push(self.len);
+    }
+    fn decode(bytes: &[u8]) -> Self {
+        let (word, len) = (K::decode(bytes), bytes[K::BYTES]);
+        PackedSupermer { word, len }
+    }
+}
+
+/// One rank's pass-1 spool: every record it received, serialized into
+/// its bin on arrival so the items themselves can be dropped.
+#[derive(Clone)]
+pub(crate) struct Spool {
+    /// `bins[b]` — serialized records of bin `b`.
+    bins: Vec<Vec<u8>>,
+    /// `instances[b]` — k-mer instances those records expand to.
     instances: Vec<u64>,
-    /// Bases parsed (prices the extraction at the CPU parse rate).
-    bases: u64,
 }
 
-/// Extracts one rank's partition into per-bin record payloads. Bin
-/// assignment reuses the owner-rank machinery over `nbins`: the k-mer
-/// pipelines hash the (canonicalized) key, the supermer pipeline hashes
-/// the minimizer — either way every instance of a distinct k-mer lands
-/// in the same bin, so per-bin tables are disjoint and the merged
-/// spectrum is exact.
-fn extract_rank<K: PackedKmer>(rc: &RunConfig, part: &ReadSet, nbins: usize) -> RankExtract {
-    let cfg = &rc.counting;
-    let hasher = Murmur3x64::new(cfg.hash_seed);
-    let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); nbins];
-    let mut instances = vec![0u64; nbins];
-    let mut bases = 0u64;
-    match rc.mode {
-        Mode::CpuBaseline | Mode::GpuKmer => {
-            for read in &part.reads {
-                bases += read.codes.len() as u64;
-                for w in kmer_words_w::<K>(&read.codes, cfg.k, cfg.encoding) {
-                    let key = if cfg.canonical {
-                        w.canonical_word(cfg.k)
-                    } else {
-                        w
-                    };
-                    let bin = key_owner(&hasher, key, nbins);
-                    payloads[bin].extend_from_slice(&key.to_u128().to_le_bytes()[..K::WORD_BYTES]);
-                    instances[bin] += 1;
-                }
-            }
-        }
-        Mode::GpuSupermer => {
-            let scheme = cfg.minimizer_scheme();
-            for read in &part.reads {
-                bases += read.codes.len() as u64;
-                for s in build_supermers_windowed_w::<K>(&read.codes, cfg.k, cfg.window, &scheme) {
-                    let bin = minimizer_owner(&hasher, s.minimizer, nbins);
-                    payloads[bin]
-                        .extend_from_slice(&s.word.to_u128().to_le_bytes()[..K::WORD_BYTES]);
-                    payloads[bin].push(s.len);
-                    instances[bin] += s.num_kmers(cfg.k) as u64;
-                }
-            }
-        }
-    }
-    RankExtract {
-        payloads,
-        instances,
-        bases,
-    }
+/// The pass-1 sink: delivered items spool into `nbins` bins instead of
+/// being counted. Spooling costs no simulated kernel time; the disk is
+/// priced when the bins are written.
+pub(crate) struct Spooling<'a, S> {
+    stages: &'a S,
+    ctx: &'a DriverCtx<'a>,
+    nbins: usize,
 }
 
-/// Counts one bin's record payloads into `table`, returning the
-/// instances inserted. The inverse of [`extract_rank`]'s serialization.
-fn count_payloads<K: PackedKmer>(
-    rc: &RunConfig,
-    payloads: &[Vec<u8>],
-    table: &mut HostCountTable<K>,
-) -> u64 {
-    let cfg = &rc.counting;
-    let rec = record_bytes::<K>(rc.mode);
-    let mut inserted = 0u64;
-    for payload in payloads {
-        debug_assert!(payload.len().is_multiple_of(rec));
-        for chunk in payload.chunks_exact(rec) {
-            let mut word_bytes = [0u8; 16];
-            word_bytes[..K::WORD_BYTES].copy_from_slice(&chunk[..K::WORD_BYTES]);
-            let word = K::from_u128(u128::from_le_bytes(word_bytes));
-            match rc.mode {
-                Mode::GpuSupermer => {
-                    let len = chunk[K::WORD_BYTES] as usize;
-                    for i in 0..len - cfg.k + 1 {
-                        table.insert(word.subword(len, i, cfg.k));
-                        inserted += 1;
-                    }
-                }
-                _ => {
-                    table.insert(word);
-                    inserted += 1;
-                }
-            }
-        }
+impl<S: CounterStages> Sink<S::Item> for Spooling<'_, S> {
+    type State = Spool;
+    type Held = Spool;
+
+    fn open(&self, _: usize, _: u64) -> Result<Spool, CounterOom> {
+        Ok(Spool {
+            bins: vec![Vec::new(); self.nbins],
+            instances: vec![0; self.nbins],
+        })
     }
-    inserted
+
+    fn absorb(&self, spool: &mut Spool, items: Vec<S::Item>) -> Result<SimTime, CounterOom> {
+        for item in &items {
+            let bin = self.stages.bin_of(self.ctx, item, self.nbins);
+            item.encode(&mut spool.bins[bin]);
+            spool.instances[bin] += self.stages.item_instances(self.ctx, item);
+        }
+        Ok(SimTime::ZERO)
+    }
+
+    fn snapshot(&self, spool: &Spool) -> Spool {
+        spool.clone()
+    }
 }
 
 /// Run fingerprint stored in the manifest: everything that shapes what
-/// the bins contain — counting parameters, bin layout, the pre-filter,
-/// and a digest of the input reads. The io plan is deliberately
-/// *excluded* so a killed run resumes under a different (or absent)
-/// fault plan; the fates of already-finished bins are history.
+/// the bins contain — counting parameters, routing, bin layout, the
+/// pre-filter, and a digest of the input reads. The fault, rank and io
+/// plans are deliberately *excluded*: they never change what lands in a
+/// bin, and a killed run must resume under a different (or absent) io
+/// plan; the fates of already-finished bins are history.
 fn run_fingerprint(rc: &RunConfig, nranks: usize, nbins: usize, reads: &ReadSet) -> String {
     let mut h = 0x0F1E_2D3C_4B5A_6978u64;
     for label_byte in rc.mode.label().bytes() {
@@ -209,6 +179,8 @@ fn run_fingerprint(rc: &RunConfig, nranks: usize, nbins: usize, reads: &ReadSet)
             nranks as u64,
             nbins as u64,
             rc.min_count as u64,
+            rc.balanced_minimizers as u64,
+            rc.balance_sample_fraction.to_bits(),
         ],
     );
     h = mix_coords(h, &[reads.reads.len() as u64]);
@@ -229,151 +201,76 @@ fn store_failed(bin: u64, detail: String) -> RunError {
     RunError::StorageFailed { bin, detail }
 }
 
-/// Runs the out-of-core two-pass counter for whatever mode `rc` names.
-///
-/// Dispatched by [`crate::pipeline::run_typed`] whenever
-/// `rc.two_pass_dir` is set; callers never invoke it directly.
-pub(crate) fn run_two_pass_typed<K: PackedKmer>(
+/// The out-of-core counting path, dispatched by the staged driver when
+/// `rc.two_pass_dir` is set. Pass 1 runs the exchange rounds into
+/// [`Spooling`] sinks and lands the bins; `bucketed` is `None` under
+/// `--resume`, which skips straight to pass 2 from the manifest. Disk
+/// seconds are charged to the exchange phase, pass-2 kernels to the
+/// count phase.
+pub(crate) fn count_out_of_core<S: CounterStages>(
+    stages: &S,
+    ctx: &DriverCtx,
+    world: &mut BspWorld,
+    journal: Option<&Journal>,
     reads: &ReadSet,
-    rc: &RunConfig,
-) -> Result<RunReport<K>, RunError> {
-    let wall_run = Instant::now();
-    let nranks = rc.nranks();
-    let dir = rc.two_pass_dir.as_ref().expect("two-pass dispatch");
-    let store = BinStore::create(dir).map_err(|e| store_failed(0, e))?;
-    let ssd = SsdParams::nvme();
-    let mut net = match rc.mode {
-        Mode::CpuBaseline => Network::summit_cpu(rc.nodes),
-        _ => Network::summit_gpu(rc.nodes),
+    dir: &Path,
+    bucketed: Option<Bucketed<S::Item>>,
+) -> Result<Counted<S::Key>, RunError> {
+    let rounds_start = Instant::now();
+    let rc = ctx.rc;
+    let nranks = ctx.nranks;
+    let disk = Disk {
+        store: BinStore::create(dir).map_err(|e| store_failed(0, e))?,
+        ssd: SsdParams::nvme(),
+        io: rc.io.as_ref(),
+        journal,
     };
-    net.params.algo = rc.exchange_algo;
-    let mut world = BspWorld::new(net);
-    assert_eq!(world.nranks(), nranks);
-    let metrics = rc.collect_metrics.then(|| Arc::new(MetricsRegistry::new()));
-    if let Some(m) = &metrics {
-        world.enable_metrics(Arc::clone(m));
-    }
-    let journal = rc.collect_journal.then(|| Arc::new(Journal::new()));
-    if let Some(j) = &journal {
-        world.enable_journal(Arc::clone(j));
-        j.push(JournalEvent::Meta {
-            mode: rc.mode.label().to_string(),
-            nodes: rc.nodes,
-            nranks,
-            detail: run_detail(rc),
-        });
-    }
-    let parts = reads.partition_by_bases(nranks);
-    let total_bases: u64 = parts
-        .iter()
-        .map(|p| p.reads.iter().map(|r| r.codes.len() as u64).sum::<u64>())
-        .sum();
-    let rec = record_bytes::<K>(rc.mode) as u64;
-    let slot_bytes = std::mem::size_of::<K>() as u64 + 4;
 
-    // ── Pass 1: extract, bin, and spill to the NVMe tier ───────────────
-    // (Skipped wholesale under a valid `--resume`: the manifest *is*
-    // pass 1's output, and the bin files are already on disk.)
-    let manifest: Manifest;
-    let mut write_bytes_total = 0u64;
-    let mut parse_step_mean = SimTime::ZERO;
-    let mut write_step_mean = SimTime::ZERO;
-    if rc.two_pass_resume {
-        let found = store
-            .read_manifest()
-            .map_err(|e| ConfigError::Io(format!("--resume: {e}")))?;
-        let m = found.ok_or_else(|| {
-            ConfigError::Io(format!(
-                "--resume: no manifest in {} (nothing to resume; run without --resume first)",
-                dir.display()
-            ))
-        })?;
-        let expect = run_fingerprint(rc, nranks, m.bins.len(), reads);
-        if m.fingerprint != expect {
-            return Err(ConfigError::Io(format!(
-                "--resume: manifest fingerprint {} does not match this run ({expect}); \
-                 the store in {} was written by a different configuration or input",
-                m.fingerprint,
-                dir.display()
-            ))
-            .into());
+    // ── Pass 1: the exchange, spooled into bins on the NVMe tier ───────
+    let mut summary = ExchangeSummary::default();
+    let mut exchange = SimTime::ZERO;
+    let manifest = match bucketed {
+        Some(bucketed) => {
+            // The exact instance total is known once bucketing is done,
+            // before anything is written.
+            let slot_bytes = std::mem::size_of::<S::Key>() as u64 + 4;
+            let nbins = plan_bins(
+                bucketed.expected.iter().sum(),
+                nranks,
+                rc.table_safety,
+                rc.counting.table_load_factor,
+                rc.gpu_device.memory_bytes,
+                slot_bytes,
+            );
+            let sink = Spooling { stages, ctx, nbins };
+            let ex = exchange_rounds(stages, &sink, ctx, world, journal, bucketed)?;
+            // Salvaged spools rejoin their bins: a checkpoint or a
+            // departure holds exactly the records its live successor
+            // lacks, so every instance lands in one bin once.
+            let mut spools = ex.sinks;
+            spools.extend(ex.salvaged.into_iter().map(|(_, spool)| spool));
+            let fingerprint = run_fingerprint(rc, nranks, nbins, reads);
+            let (manifest, write_secs) = disk.write_bins(nranks, spools, fingerprint)?;
+            let (_, write_step) =
+                world.compute_step_named("bin-write", |rank| ((), write_secs[rank]));
+            summary = ex.summary;
+            exchange = ex.exchange + write_step.mean;
+            manifest
         }
-        manifest = m;
-        write_bytes_total = manifest.bins.iter().map(|b| b.bytes).sum();
-    } else {
-        // Derive the bin count from the *exact* instance total, which
-        // pass 1 knows before writing anything (a prepass in spirit —
-        // charged with the extraction it shares its scan with).
-        let probe: u64 = parts
-            .iter()
-            .map(|p| extract_rank::<K>(rc, p, 1).instances[0])
-            .sum();
-        let nbins = plan_bins(
-            probe,
-            nranks,
-            rc.table_safety,
-            rc.counting.table_load_factor,
-            rc.gpu_device.memory_bytes,
-            slot_bytes,
-        );
-        let (extracts, parse_step) = world.compute_step_named("parse", |rank| {
-            let e = extract_rank::<K>(rc, &parts[rank], nbins);
-            let dt = rc.cpu_model.parse_rate.time_for(e.bases as f64);
-            (e, dt)
-        });
-        parse_step_mean = parse_step.mean;
-        // Assemble each bin's blocks in rank order (one block per
-        // contributing rank, empty contributions skipped) and write them
-        // through the fault plan. SSD time is charged to the bin's owner
-        // rank; the journal's `io` events are annotations on top.
-        let mut write_secs = vec![SimTime::ZERO; nranks];
-        let mut bins = Vec::with_capacity(nbins);
-        for bin in 0..nbins {
-            let mut blocks: Vec<Vec<u8>> = Vec::new();
-            let mut instances = 0u64;
-            for e in &extracts {
-                if !e.payloads[bin].is_empty() {
-                    blocks.push(e.payloads[bin].clone());
-                }
-                instances += e.instances[bin];
-            }
-            let w = store
-                .write_bin(bin as u32, 0, &blocks, rc.io.as_ref())
-                .map_err(|e| store_failed(bin as u64, e))?;
-            let dt = ssd.write_time(w.physical_bytes);
-            write_secs[bin % nranks] += dt;
-            write_bytes_total += w.logical_bytes;
-            if let Some(j) = &journal {
-                j.push(JournalEvent::Io {
-                    op: "write".to_string(),
-                    bin: bin as u64,
-                    bytes: w.logical_bytes,
-                    secs: dt.as_secs(),
-                });
-            }
-            bins.push(BinMeta {
-                bin: bin as u32,
-                blocks: w.blocks,
-                bytes: w.logical_bytes,
-                instances,
-            });
-        }
-        manifest = Manifest {
-            fingerprint: run_fingerprint(rc, nranks, nbins, reads),
-            bins,
-        };
-        store
-            .write_manifest(&manifest)
-            .map_err(|e| store_failed(0, e))?;
-        let (_, write_step) = world.compute_step_named("bin-write", |rank| ((), write_secs[rank]));
-        write_step_mean = write_step.mean;
-    }
+        None => disk.resume_manifest(rc, reads)?,
+    };
     let nbins = manifest.bins.len();
-    let wall_parse = wall_run.elapsed().as_secs_f64();
-    let wall_rounds_start = Instant::now();
+    let per_rank = nbins / nranks;
+    let total: u64 = manifest.bins.iter().map(|b| b.instances).sum();
+    let planned_load = ((total as f64 / nbins as f64) * BIN_SKEW_MARGIN).ceil() as u64;
+    let mut storage = StorageSummary {
+        bins: nbins as u64,
+        write_bytes: manifest.bins.iter().map(|b| b.bytes).sum(),
+        ..Default::default()
+    };
 
-    // ── Pass 2: stream bins back one at a time ─────────────────────────
-    let mut rank_results: Vec<RankCountResult<K>> = (0..nranks)
+    // ── Pass 2: count the bins one at a time, in manifest order ────────
+    let mut results: Vec<RankCountResult<S::Key>> = (0..nranks)
         .map(|_| RankCountResult {
             entries: Vec::new(),
             instances: 0,
@@ -381,216 +278,113 @@ pub(crate) fn run_two_pass_typed<K: PackedKmer>(
         .collect();
     let mut read_secs = vec![SimTime::ZERO; nranks];
     let mut count_secs = vec![SimTime::ZERO; nranks];
-    let mut read_bytes_total = 0u64;
-    let mut retries_total = 0u64;
-    let mut quarantined_total = 0u64;
-    let mut rederives_total = 0u64;
-    let mut rederived_bytes_total = 0u64;
+    let mut high_water = vec![0u64; nranks];
     let mut filtered_total = 0u64;
     let mut filtered_instances_total = 0u64;
-    let mut recovery_total = SimTime::ZERO;
     let mut completed_this_run = 0u64;
     let kill_after = rc.io.as_ref().and_then(|p| p.spec().kill_after);
     for meta in &manifest.bins {
         let bin = meta.bin as u64;
-        let owner = meta.bin as usize % nranks;
+        let owner = meta.bin as usize / per_rank;
         // A finished bin's counts are already on disk — under `--resume`
         // they are loaded, not recounted. (A fresh run ignores and
         // overwrites any counts a killed predecessor left behind.)
-        if rc.two_pass_resume {
-            if let Some(c) = read_bin_counts(&store.counts_path(meta.bin)) {
-                for &(key, count) in &c.entries {
-                    rank_results[owner].entries.push((K::from_u128(key), count));
+        let finished = rc
+            .two_pass_resume
+            .then(|| read_bin_counts(&disk.store.counts_path(meta.bin)))
+            .flatten();
+        let counts = match finished {
+            Some(counts) => counts,
+            None => {
+                if kill_after.is_some_and(|n| completed_this_run >= n) {
+                    return Err(store_failed(
+                        bin,
+                        format!(
+                            "injected kill after {completed_this_run} completed bins; \
+                             re-run with --resume to count the remaining bins"
+                        ),
+                    ));
                 }
-                rank_results[owner].instances += c.instances;
-                filtered_total += c.filtered;
-                filtered_instances_total += c.filtered_instances;
-                continue;
-            }
-        }
-        if kill_after.is_some_and(|n| completed_this_run >= n) {
-            return Err(store_failed(
-                bin,
-                format!(
-                    "injected kill after {completed_this_run} completed bins; \
-                     re-run with --resume to count the remaining bins"
-                ),
-            ));
-        }
-        // Bounded recovery ladder: transient read errors retry (fresh
-        // draw per attempt), real damage quarantines the generation and
-        // re-derives the bin from its deterministic input slice.
-        let mut generation = 0u32;
-        let mut attempts = 0u64;
-        let mut rederives_used = 0u32;
-        let spec = rc.io.as_ref().map(|p| *p.spec());
-        let payloads = 'bin: loop {
-            let budget = spec.map_or(1, |s| s.max_retries);
-            let mut damage: Option<String> = None;
-            for _ in 0..budget {
-                let transient = rc
-                    .io
-                    .as_ref()
-                    .is_some_and(|p| read_errors(p, bin, attempts));
-                attempts += 1;
-                if transient {
-                    retries_total += 1;
-                    let dt = SimTime::from_secs(ssd.seek_secs);
-                    read_secs[owner] += dt;
-                    recovery_total += dt;
-                    if let Some(j) = &journal {
-                        j.push(JournalEvent::Io {
-                            op: "retry".to_string(),
-                            bin,
-                            bytes: 0,
-                            secs: dt.as_secs(),
-                        });
+                let secs = &mut read_secs[owner];
+                let payloads =
+                    disk.read_recovering(stages, ctx, meta, nbins, secs, &mut storage)?;
+                let items: Vec<S::Item> = payloads
+                    .iter()
+                    .flat_map(|p| p.chunks_exact(S::Item::BYTES).map(S::Item::decode))
+                    .collect();
+                drop(payloads);
+                // The stage's own counter, sized for the bin's exact load
+                // capped at the load `plan_bins` fitted to the device
+                // budget: a bin skewed past the cap still counts exactly,
+                // its table regrowing or spilling (DESIGN.md §8).
+                let oom = |e: CounterOom, mut high_water: Vec<u64>| {
+                    high_water[owner] = high_water[owner].max(e.high_water_bytes);
+                    RunError::DeviceOom {
+                        rank: owner,
+                        detail: e.detail,
+                        high_water_bytes: high_water,
                     }
-                    continue;
-                }
-                match store.read_bin(meta.bin, generation, meta.blocks) {
-                    Ok(p) => {
-                        let dt = ssd.read_time(meta.bytes);
-                        read_secs[owner] += dt;
-                        read_bytes_total += meta.bytes;
-                        if let Some(j) = &journal {
-                            j.push(JournalEvent::Io {
-                                op: "read".to_string(),
-                                bin,
-                                bytes: meta.bytes,
-                                secs: dt.as_secs(),
-                            });
-                        }
-                        break 'bin p;
-                    }
-                    Err(e) => {
-                        // Persistent damage: retrying the same bytes
-                        // cannot help — escalate to re-derivation.
-                        damage = Some(e.to_string());
-                        break;
+                };
+                let mut counter = stages
+                    .make_counter(ctx, owner, meta.instances.min(planned_load))
+                    .map_err(|e| oom(e, high_water.clone()))?;
+                count_secs[owner] += stages
+                    .count_round(ctx, &mut counter, items)
+                    .map_err(|e| oom(e, high_water.clone()))?;
+                let pressure = stages.pressure(&counter);
+                high_water[owner] = high_water[owner].max(pressure.high_water_bytes);
+                journal_pressure(journal, [(owner, pressure)]);
+                let counted = stages.finish(ctx, owner, counter);
+                debug_assert_eq!(counted.instances, meta.instances);
+                // Gerbil-style pre-filter: counts below `--min-count`
+                // never leave the bin; the dump and spectrum see only
+                // survivors.
+                let mut counts = BinCounts::default();
+                for (key, count) in counted.entries {
+                    if count >= rc.min_count {
+                        counts.entries.push((key.to_u128(), count));
+                        counts.instances += count as u64;
+                    } else {
+                        counts.filtered += 1;
+                        counts.filtered_instances += count as u64;
                     }
                 }
-            }
-            if rederives_used >= spec.map_or(0, |s| s.max_rederives) {
-                return Err(store_failed(
-                    bin,
-                    format!(
-                        "bin unreadable after {attempts} read attempt(s) and \
-                         {rederives_used} re-derive(s): {}",
-                        damage.unwrap_or_else(|| "transient read errors exhausted \
-                             the retry budget"
-                            .to_string())
-                    ),
-                ));
-            }
-            quarantined_total += 1;
-            if let Some(j) = &journal {
-                j.push(JournalEvent::Io {
-                    op: "quarantine".to_string(),
-                    bin,
-                    bytes: meta.bytes,
-                    secs: 0.0,
-                });
-            }
-            // Re-derive: replay every partition's deterministic input,
-            // keep only this bin's records, and write a fresh generation
-            // (fresh write-fate draws). Byte-identical to pass 1's
-            // content by construction — same extraction function.
-            rederives_used += 1;
-            rederives_total += 1;
-            generation += 1;
-            let mut blocks: Vec<Vec<u8>> = Vec::new();
-            for part in &parts {
-                let e = extract_rank::<K>(rc, part, nbins);
-                let payload = e.payloads[meta.bin as usize].clone();
-                if !payload.is_empty() {
-                    blocks.push(payload);
-                }
-            }
-            let w = store
-                .write_bin(meta.bin, generation, &blocks, rc.io.as_ref())
-                .map_err(|e| store_failed(bin, e))?;
-            let dt = rc.cpu_model.parse_rate.time_for(total_bases as f64)
-                + ssd.write_time(w.physical_bytes);
-            read_secs[owner] += dt;
-            recovery_total += dt;
-            rederived_bytes_total += w.logical_bytes;
-            if let Some(j) = &journal {
-                j.push(JournalEvent::Io {
-                    op: "rederive".to_string(),
-                    bin,
-                    bytes: w.logical_bytes,
-                    secs: dt.as_secs(),
-                });
+                write_bin_counts(&disk.store.counts_path(meta.bin), &counts)
+                    .map_err(|e| store_failed(bin, e))?;
+                completed_this_run += 1;
+                counts
             }
         };
-        // Count the bin into a table sized from the manifest by the same
-        // safety × MemPlan estimate the in-memory pipelines apply — the
-        // fit `plan_bins` guaranteed against the device budget.
-        let factor = rc.table_safety * rc.mem.map_or(1.0, |p| estimate_factor(&p, owner));
-        let expected = ((meta.instances as f64) * factor).ceil().max(1.0) as usize;
-        let mut table = HostCountTable::<K>::with_expected(
-            expected,
-            rc.counting.table_load_factor,
-            rc.counting.hash_seed ^ 0xC0C0,
+        let result = &mut results[owner];
+        result.entries.extend(
+            counts
+                .entries
+                .iter()
+                .map(|&(key, count)| (S::Key::from_u128(key), count)),
         );
-        let inserted = count_payloads::<K>(rc, &payloads, &mut table);
-        debug_assert_eq!(inserted, meta.instances);
-        count_secs[owner] += rc.cpu_model.count_rate.time_for(inserted as f64);
-        // Gerbil-style pre-filter: counts below `--min-count` never
-        // leave the bin; the dump and spectrum see only survivors.
-        let mut counts = BinCounts::default();
-        for (key, count) in table.iter() {
-            if count >= rc.min_count {
-                counts.entries.push((key.to_u128(), count));
-                counts.instances += count as u64;
-            } else {
-                counts.filtered += 1;
-                counts.filtered_instances += count as u64;
-            }
-        }
-        write_bin_counts(&store.counts_path(meta.bin), &counts)
-            .map_err(|e| store_failed(bin, e))?;
-        for &(key, count) in &counts.entries {
-            rank_results[owner].entries.push((K::from_u128(key), count));
-        }
-        rank_results[owner].instances += counts.instances;
+        result.instances += counts.instances;
         filtered_total += counts.filtered;
         filtered_instances_total += counts.filtered_instances;
-        completed_this_run += 1;
     }
     let (_, read_step) = world.compute_step_named("bin-read", |rank| ((), read_secs[rank]));
     let (_, count_step) = world.compute_step_named("count", |rank| ((), count_secs[rank]));
-    let wall_rounds = wall_rounds_start.elapsed().as_secs_f64();
-    let wall_finish_start = Instant::now();
-
-    // ── Report assembly ────────────────────────────────────────────────
-    let phases = PhaseBreakdown {
-        parse: parse_step_mean,
-        exchange: write_step_mean + read_step.mean,
-        count: count_step.mean,
-    };
-    let makespan = world.elapsed();
-    let wall = WallClock {
-        parse: wall_parse,
-        rounds: wall_rounds,
-        finish: wall_finish_start.elapsed().as_secs_f64(),
-        total: wall_run.elapsed().as_secs_f64(),
-    };
-    let units = manifest.bins.iter().map(|b| b.bytes).sum::<u64>() / rec;
-    if let Some(m) = &metrics {
-        m.counter_add("storage_write_bytes_total", None, write_bytes_total);
-        m.counter_add("storage_read_bytes_total", None, read_bytes_total);
-        if retries_total > 0 {
-            m.counter_add("io_retries_total", None, retries_total);
+    if let Some(m) = &ctx.metrics {
+        m.counter_add("storage_write_bytes_total", None, storage.write_bytes);
+        m.counter_add("storage_read_bytes_total", None, storage.read_bytes);
+        if storage.io_retries > 0 {
+            m.counter_add("io_retries_total", None, storage.io_retries);
         }
-        if quarantined_total > 0 {
-            m.counter_add("quarantined_bins_total", None, quarantined_total);
-            m.counter_add("rederived_bins_total", None, rederives_total);
-            m.counter_add("rederive_bytes_total", None, rederived_bytes_total);
+        if storage.quarantined_bins > 0 {
+            m.counter_add("quarantined_bins_total", None, storage.quarantined_bins);
+            m.counter_add("rederived_bins_total", None, storage.quarantined_bins);
+            m.counter_add("rederive_bytes_total", None, storage.rederived_bytes);
         }
-        if retries_total > 0 || quarantined_total > 0 {
-            m.gauge_add("recovery_seconds_total", None, recovery_total.as_secs());
+        if storage.io_retries > 0 || storage.quarantined_bins > 0 {
+            m.gauge_add(
+                "recovery_seconds_total",
+                None,
+                storage.recovery_time.as_secs(),
+            );
         }
         if rc.min_count > 1 {
             m.counter_add("filtered_kmers_total", None, filtered_total);
@@ -600,82 +394,229 @@ pub(crate) fn run_two_pass_typed<K: PackedKmer>(
                 filtered_instances_total,
             );
         }
-        m.gauge_set("phase_seconds:parse", None, phases.parse.as_secs());
-        m.gauge_set("phase_seconds:exchange", None, phases.exchange.as_secs());
-        m.gauge_set("phase_seconds:count", None, phases.count.as_secs());
-        m.gauge_set("makespan_seconds", None, makespan.as_secs());
-        m.gauge_set("wall_seconds:parse", None, wall.parse);
-        m.gauge_set("wall_seconds:rounds", None, wall.rounds);
-        m.gauge_set("wall_seconds:finish", None, wall.finish);
-        m.gauge_set("wall_seconds:total", None, wall.total);
     }
-    if let Some(j) = &journal {
-        j.push(JournalEvent::Phase {
-            phase: "parse".to_string(),
-            secs: phases.parse.as_secs(),
-        });
-        j.push(JournalEvent::Phase {
-            phase: "exchange".to_string(),
-            secs: phases.exchange.as_secs(),
-        });
-        j.push(JournalEvent::Phase {
-            phase: "count".to_string(),
-            secs: phases.count.as_secs(),
-        });
-        for (stage, secs) in [
-            ("parse", wall.parse),
-            ("rounds", wall.rounds),
-            ("finish", wall.finish),
-            ("total", wall.total),
-        ] {
-            j.push(JournalEvent::Wall {
-                stage: stage.to_string(),
-                secs,
+    Ok(Counted {
+        results,
+        summary,
+        exchange: exchange + read_step.mean,
+        count: count_step.mean,
+        storage: Some(storage),
+        wall_rounds: rounds_start.elapsed().as_secs_f64(),
+    })
+}
+
+/// The bin store as one run uses it: the files, the simulated drive
+/// that prices them, the io fault plan, and the journal that annotates
+/// every operation (on top of the compute steps that charge the time).
+struct Disk<'a> {
+    store: BinStore,
+    ssd: SsdParams,
+    io: Option<&'a IoPlan>,
+    journal: Option<&'a Journal>,
+}
+
+impl Disk<'_> {
+    fn io_event(&self, op: &str, bin: u64, bytes: u64, secs: SimTime) {
+        if let Some(j) = self.journal {
+            j.push(JournalEvent::Io {
+                op: op.to_string(),
+                bin,
+                bytes,
+                secs: secs.as_secs(),
             });
         }
-        j.push(JournalEvent::Run {
-            makespan: makespan.as_secs(),
-        });
     }
-    let trace = rc.collect_trace.then(|| world.take_trace());
-    let trace_counters = rc.collect_trace.then(|| world.take_trace_counters());
-    let (load, total, distinct, spectrum, tables) =
-        assemble_counts(rank_results, rc.collect_spectrum, rc.collect_tables);
-    Ok(RunReport {
-        mode: rc.mode,
-        nodes: rc.nodes,
-        nranks,
-        phases,
-        makespan,
-        exchange: ExchangeSummary {
-            units,
-            bytes: write_bytes_total + read_bytes_total,
-            rounds: nbins as u64,
-            retries: retries_total,
-            corrupt_buckets: quarantined_total,
-            recovery_time: recovery_total,
-            replayed_bytes: rederived_bytes_total,
-            ..Default::default()
-        },
-        load,
-        total_kmers: total,
-        distinct_kmers: distinct,
-        spectrum,
-        tables,
-        trace,
-        trace_counters,
-        metrics: metrics.map(|m| m.snapshot()),
-        wall,
-        journal: journal.map(|j| j.snapshot()),
-    })
+
+    /// Lands the spools and writes the manifest. Each bin gets one block
+    /// per spool holding records of it — live spools in rank order, then
+    /// salvaged ones — and its write is charged to the bin's owner. Spool
+    /// bytes move out bin by bin, so memory drains as the store fills.
+    fn write_bins(
+        &self,
+        nranks: usize,
+        mut spools: Vec<Spool>,
+        fingerprint: String,
+    ) -> Result<(Manifest, Vec<SimTime>), RunError> {
+        let nbins = spools.first().map_or(nranks, |s| s.bins.len());
+        let mut write_secs = vec![SimTime::ZERO; nranks];
+        let mut bins = Vec::with_capacity(nbins);
+        for bin in 0..nbins {
+            let mut blocks: Vec<Vec<u8>> = Vec::new();
+            let mut instances = 0u64;
+            for spool in &mut spools {
+                let payload = std::mem::take(&mut spool.bins[bin]);
+                if !payload.is_empty() {
+                    blocks.push(payload);
+                }
+                instances += spool.instances[bin];
+            }
+            let w = self
+                .store
+                .write_bin(bin as u32, 0, &blocks, self.io)
+                .map_err(|e| store_failed(bin as u64, e))?;
+            let dt = self.ssd.write_time(w.physical_bytes);
+            write_secs[bin / (nbins / nranks)] += dt;
+            self.io_event("write", bin as u64, w.logical_bytes, dt);
+            bins.push(BinMeta {
+                bin: bin as u32,
+                blocks: w.blocks,
+                bytes: w.logical_bytes,
+                instances,
+            });
+        }
+        let manifest = Manifest { fingerprint, bins };
+        self.store
+            .write_manifest(&manifest)
+            .map_err(|e| store_failed(0, e))?;
+        Ok((manifest, write_secs))
+    }
+
+    /// The manifest a `--resume` continues from, checked against this
+    /// run's fingerprint.
+    fn resume_manifest(&self, rc: &RunConfig, reads: &ReadSet) -> Result<Manifest, RunError> {
+        let dir = self.store.dir().display();
+        let manifest = self
+            .store
+            .read_manifest()
+            .map_err(|e| ConfigError::Io(format!("--resume: {e}")))?
+            .ok_or_else(|| {
+                ConfigError::Io(format!(
+                    "--resume: no manifest in {dir} (nothing to resume; run without --resume first)"
+                ))
+            })?;
+        let expect = run_fingerprint(rc, rc.nranks(), manifest.bins.len(), reads);
+        if manifest.fingerprint != expect {
+            return Err(ConfigError::Io(format!(
+                "--resume: manifest fingerprint {} does not match this run ({expect}); \
+                 the store in {dir} was written by a different configuration or input",
+                manifest.fingerprint,
+            ))
+            .into());
+        }
+        Ok(manifest)
+    }
+
+    /// Reads one bin back through the bounded recovery ladder: transient
+    /// read errors retry (a fresh draw per attempt); real damage
+    /// quarantines the generation and re-derives the bin at the next one.
+    /// Disk seconds accrue to `secs` (the bin owner's), recovery to
+    /// `storage`.
+    fn read_recovering<S: CounterStages>(
+        &self,
+        stages: &S,
+        ctx: &DriverCtx,
+        meta: &BinMeta,
+        nbins: usize,
+        secs: &mut SimTime,
+        storage: &mut StorageSummary,
+    ) -> Result<Vec<Vec<u8>>, RunError> {
+        let spec = self.io.map(|p| *p.spec());
+        let bin = meta.bin as u64;
+        let mut generation = 0u32;
+        let mut blocks = meta.blocks;
+        let mut attempts = 0u64;
+        let mut rederives = 0u32;
+        loop {
+            let mut damage: Option<String> = None;
+            for _ in 0..spec.map_or(1, |s| s.max_retries) {
+                let transient = self.io.is_some_and(|p| read_errors(p, bin, attempts));
+                attempts += 1;
+                if transient {
+                    let dt = SimTime::from_secs(self.ssd.seek_secs);
+                    storage.io_retries += 1;
+                    storage.recovery_time += dt;
+                    *secs += dt;
+                    self.io_event("retry", bin, 0, dt);
+                    continue;
+                }
+                match self.store.read_bin(meta.bin, generation, blocks) {
+                    Ok(payloads) => {
+                        let dt = self.ssd.read_time(meta.bytes);
+                        storage.read_bytes += meta.bytes;
+                        *secs += dt;
+                        self.io_event("read", bin, meta.bytes, dt);
+                        return Ok(payloads);
+                    }
+                    Err(e) => {
+                        // Persistent damage: retrying the same bytes
+                        // cannot help — escalate to re-derivation.
+                        damage = Some(e.to_string());
+                        break;
+                    }
+                }
+            }
+            if rederives >= spec.map_or(0, |s| s.max_rederives) {
+                return Err(store_failed(
+                    bin,
+                    format!(
+                        "bin unreadable after {attempts} read attempt(s) and \
+                         {rederives} re-derive(s): {}",
+                        damage.unwrap_or_else(|| "transient read errors exhausted \
+                             the retry budget"
+                            .to_string())
+                    ),
+                ));
+            }
+            storage.quarantined_bins += 1;
+            self.io_event("quarantine", bin, meta.bytes, SimTime::ZERO);
+            rederives += 1;
+            generation += 1;
+            let (fresh, compute) = rederive(stages, ctx, nbins, meta.bin as usize);
+            let w = self
+                .store
+                .write_bin(meta.bin, generation, &fresh, self.io)
+                .map_err(|e| store_failed(bin, e))?;
+            blocks = w.blocks;
+            let dt = compute + self.ssd.write_time(w.physical_bytes);
+            storage.rederived_bytes += w.logical_bytes;
+            storage.recovery_time += dt;
+            *secs += dt;
+            self.io_event("rederive", bin, w.logical_bytes, dt);
+        }
+    }
+}
+
+/// Re-derives bin `bin` from the deterministic input: every rank
+/// re-buckets its partition — telemetry off, so nothing is recorded
+/// twice — and the bin's records are kept from the bucket of the bin's
+/// owner. Returns them as one block (none for an empty bin) with the
+/// simulated bucketing compute.
+fn rederive<S: CounterStages>(
+    stages: &S,
+    ctx: &DriverCtx,
+    nbins: usize,
+    bin: usize,
+) -> (Vec<Vec<u8>>, SimTime) {
+    let quiet = DriverCtx {
+        metrics: None,
+        ..ctx.clone()
+    };
+    let owner = bin / (nbins / ctx.nranks);
+    let mut payload = Vec::new();
+    let mut compute = SimTime::ZERO;
+    for rank in 0..ctx.nranks {
+        let out = stages.bucket(&quiet, rank);
+        compute += out.compute;
+        for item in &out.buckets[owner] {
+            if stages.bin_of(&quiet, item, nbins) == bin {
+                item.encode(&mut payload);
+            }
+        }
+    }
+    let blocks = if payload.is_empty() {
+        Vec::new()
+    } else {
+        vec![payload]
+    };
+    (blocks, compute)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mode;
     use crate::pipeline::run_typed;
     use dedukt_dna::{Dataset, DatasetId, ScalePreset};
-    use dedukt_store::{IoPlan, IoSpec};
     use std::path::PathBuf;
 
     fn tiny_reads() -> ReadSet {
@@ -696,73 +637,22 @@ mod tests {
     }
 
     #[test]
-    fn clean_two_pass_matches_in_memory_on_every_mode() {
-        let reads = tiny_reads();
-        for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
-            let rc = base_rc(mode);
-            let mem = run_typed::<u64>(&reads, &rc).unwrap();
-            let mut rc2 = rc.clone();
-            rc2.two_pass_dir = Some(tmp_dir(&format!("clean-{}", mode.label())));
-            let oo = run_typed::<u64>(&reads, &rc2).unwrap();
-            assert_eq!(oo.total_kmers, mem.total_kmers, "{mode:?}");
-            assert_eq!(oo.distinct_kmers, mem.distinct_kmers, "{mode:?}");
-            assert_eq!(oo.spectrum, mem.spectrum, "{mode:?}");
-            std::fs::remove_dir_all(rc2.two_pass_dir.unwrap()).ok();
-        }
-    }
-
-    #[test]
-    fn hostile_plan_recovers_and_matches_in_memory() {
-        let reads = tiny_reads();
-        let rc = base_rc(Mode::GpuSupermer);
-        let mem = run_typed::<u64>(&reads, &rc).unwrap();
-        let mut rc2 = rc.clone();
-        rc2.two_pass_dir = Some(tmp_dir("hostile"));
-        rc2.collect_journal = true;
-        rc2.io = Some(IoPlan::new(7, IoSpec::default()));
-        let oo = run_typed::<u64>(&reads, &rc2).unwrap();
-        assert_eq!(oo.spectrum, mem.spectrum);
-        assert_eq!(oo.total_kmers, mem.total_kmers);
-        std::fs::remove_dir_all(rc2.two_pass_dir.unwrap()).ok();
-    }
-
-    #[test]
-    fn kill_then_resume_reproduces_the_clean_spectrum() {
-        let reads = tiny_reads();
-        let rc = base_rc(Mode::CpuBaseline);
-        let mem = run_typed::<u64>(&reads, &rc).unwrap();
-        let mut rc2 = rc.clone();
-        let dir = tmp_dir("kill-resume");
-        rc2.two_pass_dir = Some(dir.clone());
-        let mut spec = IoSpec::none();
-        spec.kill_after = Some(2);
-        rc2.io = Some(IoPlan::new(1, spec));
-        let err = run_typed::<u64>(&reads, &rc2).unwrap_err();
-        assert!(
-            matches!(err, RunError::StorageFailed { .. }),
-            "kill must be a clean storage failure, got {err:?}"
-        );
-        assert!(err.to_string().contains("--resume"));
-        let mut rc3 = rc.clone();
-        rc3.two_pass_dir = Some(dir.clone());
-        rc3.two_pass_resume = true;
-        let resumed = run_typed::<u64>(&reads, &rc3).unwrap();
-        assert_eq!(resumed.spectrum, mem.spectrum);
-        assert_eq!(resumed.total_kmers, mem.total_kmers);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn resume_rejects_a_mismatched_manifest() {
         let reads = tiny_reads();
         let dir = tmp_dir("mismatch");
         let mut rc = base_rc(Mode::CpuBaseline);
         rc.two_pass_dir = Some(dir.clone());
         run_typed::<u64>(&reads, &rc).unwrap();
-        rc.counting.hash_seed ^= 0xBEEF; // different run shape, same store
+        let mut other = rc.clone();
+        other.counting.hash_seed ^= 0xBEEF; // different run shape, same store
+        other.two_pass_resume = true;
+        let err = run_typed::<u64>(&reads, &other).unwrap_err();
+        assert!(err.to_string().contains("--resume"), "{err}");
+        // Minimizer routing shapes bin content, so it is fingerprinted.
+        rc.balanced_minimizers = true;
         rc.two_pass_resume = true;
         let err = run_typed::<u64>(&reads, &rc).unwrap_err();
-        assert!(err.to_string().contains("--resume"), "{err}");
+        assert!(err.to_string().contains("fingerprint"), "{err}");
         // And resuming an empty store names the flag too.
         let empty = tmp_dir("mismatch-empty");
         rc.two_pass_dir = Some(empty.clone());
@@ -770,65 +660,5 @@ mod tests {
         assert!(err.to_string().contains("--resume"), "{err}");
         std::fs::remove_dir_all(dir).ok();
         std::fs::remove_dir_all(empty).ok();
-    }
-
-    #[test]
-    fn min_count_filters_singletons_and_reports_them() {
-        let reads = tiny_reads();
-        let mut rc = base_rc(Mode::CpuBaseline);
-        rc.collect_metrics = true;
-        rc.two_pass_dir = Some(tmp_dir("min-count"));
-        rc.min_count = 2;
-        let filtered = run_typed::<u64>(&reads, &rc).unwrap();
-        let mut rc1 = rc.clone();
-        rc1.two_pass_dir = Some(tmp_dir("min-count-1"));
-        rc1.min_count = 1;
-        let full = run_typed::<u64>(&reads, &rc1).unwrap();
-        assert!(filtered.distinct_kmers < full.distinct_kmers);
-        let snap = filtered.metrics.unwrap();
-        let dropped = full.distinct_kmers - filtered.distinct_kmers;
-        assert_eq!(snap.counter_total("filtered_kmers_total"), dropped);
-        // Every surviving spectrum entry sits at count >= 2.
-        assert_eq!(filtered.spectrum.unwrap().singletons(), 0);
-        std::fs::remove_dir_all(rc.two_pass_dir.unwrap()).ok();
-        std::fs::remove_dir_all(rc1.two_pass_dir.unwrap()).ok();
-    }
-
-    #[test]
-    fn exhausted_rederive_budget_is_a_clean_storage_failure() {
-        let reads = tiny_reads();
-        let mut rc = base_rc(Mode::CpuBaseline);
-        rc.two_pass_dir = Some(tmp_dir("exhausted"));
-        // Every read attempt fails; retries and re-derives cannot save it.
-        let mut spec = IoSpec::none();
-        spec.read_error_rate = 1.0;
-        spec.max_retries = 2;
-        spec.max_rederives = 1;
-        rc.io = Some(IoPlan::new(3, spec));
-        let err = run_typed::<u64>(&reads, &rc).unwrap_err();
-        match err {
-            RunError::StorageFailed { detail, .. } => {
-                assert!(detail.contains("re-derive"), "{detail}");
-            }
-            other => panic!("expected StorageFailed, got {other:?}"),
-        }
-        std::fs::remove_dir_all(rc.two_pass_dir.unwrap()).ok();
-    }
-
-    #[test]
-    fn planned_bins_fit_the_device_budget() {
-        let slot = 12u64;
-        for total in [0u64, 100, 10_000, 5_000_000] {
-            for budget in [1u64 << 16, 1 << 20, 1 << 30] {
-                let nbins = plan_bins(total, 6, 1.0, 0.7, budget, slot);
-                assert!(nbins >= 6);
-                let per_bin = (total as f64 / nbins as f64) * BIN_SKEW_MARGIN;
-                let cap = capacity_for(per_bin.ceil().max(1.0) as usize, 0.7) as u64;
-                assert!(
-                    cap * slot <= budget || per_bin <= 1.0,
-                    "total={total} budget={budget} nbins={nbins}"
-                );
-            }
-        }
     }
 }

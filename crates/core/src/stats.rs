@@ -44,10 +44,11 @@ impl PhaseBreakdown {
 pub struct WallClock {
     /// Pre-pass plus bucketing compute (host side of the parse phase).
     pub parse: f64,
-    /// The exchange + count round loop (wire and kernels interleave, so
-    /// the loop is one stage).
+    /// The exchange + count round loop through staging in (wire and
+    /// kernels interleave, so the loop is one stage); out of core, both
+    /// passes.
     pub rounds: f64,
-    /// Staging in, the count drain, and table finalization.
+    /// The count drain and table finalization.
     pub finish: f64,
     /// The whole staged run, entry to report assembly.
     pub total: f64,
@@ -101,6 +102,28 @@ pub struct ExchangeSummary {
     /// Rank-failure recovery: payload bytes replayed to the survivors
     /// that inherited dead ranks' key ranges (zero without deaths).
     pub replayed_bytes: u64,
+}
+
+/// Bin-store accounting of an out-of-core `--two-pass` run (DESIGN.md
+/// §12). The exchange itself is reported by [`ExchangeSummary`] exactly
+/// as in memory; this covers only the disk between the two passes.
+#[derive(Clone, Debug, Default)]
+pub struct StorageSummary {
+    /// Bins in the manifest.
+    pub bins: u64,
+    /// Payload bytes pass 1 wrote (the manifest's total).
+    pub write_bytes: u64,
+    /// Payload bytes pass 2 read back.
+    pub read_bytes: u64,
+    /// Transient read errors retried.
+    pub io_retries: u64,
+    /// Damaged bins quarantined, each then re-derived once.
+    pub quarantined_bins: u64,
+    /// Payload bytes re-derived into fresh generations.
+    pub rederived_bytes: u64,
+    /// Simulated disk seconds spent recovering: retry seeks plus
+    /// re-derivation.
+    pub recovery_time: SimTime,
 }
 
 impl ExchangeSummary {

@@ -153,27 +153,28 @@ impl ReadSet {
     /// Splits the set into `n` near-equal *by base count* partitions,
     /// preserving read order — modelling the paper's parallel I/O, which
     /// "partitions the input roughly uniformly over P processors" (§IV-D).
-    /// Reads are never split across partitions.
-    pub fn partition_by_bases(&self, n: usize) -> Vec<ReadSet> {
+    /// Reads are never split across partitions. The partitions are
+    /// contiguous runs of the set, borrowed rather than copied.
+    pub fn partition_by_bases(&self, n: usize) -> Vec<&[Read]> {
         assert!(n > 0);
         let total = self.total_bases();
         let target = total as f64 / n as f64;
-        let mut parts: Vec<ReadSet> = Vec::with_capacity(n);
-        let mut cur = ReadSet::new();
-        let mut acc = 0usize; // bases in parts already closed + cur
-        for r in &self.reads {
-            // Close the current partition once it has reached its share,
+        let mut parts: Vec<&[Read]> = Vec::with_capacity(n);
+        let mut start = 0usize; // first read of the open partition
+        let mut acc = 0usize; // bases in parts already closed + the open one
+        for (i, r) in self.reads.iter().enumerate() {
+            // Close the open partition once it has reached its share,
             // but never exceed n partitions.
             let boundary = (parts.len() + 1) as f64 * target;
-            if parts.len() + 1 < n && !cur.reads.is_empty() && (acc + r.len()) as f64 > boundary {
-                parts.push(std::mem::take(&mut cur));
+            if parts.len() + 1 < n && i > start && (acc + r.len()) as f64 > boundary {
+                parts.push(&self.reads[start..i]);
+                start = i;
             }
             acc += r.len();
-            cur.reads.push(r.clone());
         }
-        parts.push(cur);
+        parts.push(&self.reads[start..]);
         while parts.len() < n {
-            parts.push(ReadSet::new());
+            parts.push(&[]);
         }
         parts
     }
@@ -229,7 +230,7 @@ mod tests {
         for n in [1usize, 2, 3, 5, 8] {
             let parts = s.partition_by_bases(n);
             assert_eq!(parts.len(), n);
-            let rejoined: Vec<&Read> = parts.iter().flat_map(|p| p.reads.iter()).collect();
+            let rejoined: Vec<&Read> = parts.iter().flat_map(|p| p.iter()).collect();
             assert_eq!(rejoined.len(), s.len());
             for (a, b) in rejoined.iter().zip(s.reads.iter()) {
                 assert_eq!(**a, *b);
@@ -244,7 +245,7 @@ mod tests {
             .collect();
         let parts = s.partition_by_bases(4);
         for p in &parts {
-            let b = p.total_bases();
+            let b: usize = p.iter().map(Read::len).sum();
             assert!((2000..=3000).contains(&b), "partition has {b} bases");
         }
     }

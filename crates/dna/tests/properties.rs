@@ -126,7 +126,7 @@ proptest! {
             .collect();
         let parts = rs.partition_by_bases(n);
         prop_assert_eq!(parts.len(), n);
-        let rejoined: Vec<&Read> = parts.iter().flat_map(|p| p.reads.iter()).collect();
+        let rejoined: Vec<&Read> = parts.iter().flat_map(|p| p.iter()).collect();
         prop_assert_eq!(rejoined.len(), rs.len());
         for (a, b) in rejoined.iter().zip(&rs.reads) {
             prop_assert_eq!(*a, b);

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `dedukt` command-line tool: simulate → count →
 //! dump → compare, through real files and process invocations.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn dedukt() -> Command {
@@ -12,6 +12,16 @@ fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("dedukt-cli-test-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
+}
+
+/// Writes the tiny E. coli slice to `fastq`.
+fn simulate_tiny(fastq: &Path) {
+    assert!(dedukt()
+        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
+        .arg(fastq)
+        .status()
+        .unwrap()
+        .success());
 }
 
 #[test]
@@ -138,12 +148,7 @@ fn wide_k_counts_through_the_u128_pipeline() {
     let dir = tmpdir("wide");
     let fastq = dir.join("reads.fastq");
     let dump = dir.join("wide.tsv");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let out = dedukt()
         .args(["count"])
         .arg(&fastq)
@@ -246,12 +251,7 @@ fn bad_usage_exits_nonzero() {
 fn exchange_flags_route_and_compress_without_changing_the_dump() {
     let dir = tmpdir("exchange");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let direct = dir.join("direct.tsv");
     assert!(dedukt()
         .args(["count"])
@@ -313,12 +313,7 @@ fn exchange_flags_route_and_compress_without_changing_the_dump() {
 fn fault_flags_recover_and_match_the_fault_free_dump() {
     let dir = tmpdir("fault");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let clean = dir.join("clean.tsv");
     let faulty = dir.join("faulty.tsv");
     let metrics = dir.join("metrics.json");
@@ -371,12 +366,7 @@ fn fault_flags_recover_and_match_the_fault_free_dump() {
 fn malformed_fault_specs_exit_two_with_a_config_error() {
     let dir = tmpdir("fault-bad");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     // (spec, message fragment): rates out of range and retries=0 pass
     // parsing but fail validation, like every other ConfigError; unknown
     // keys and junk values fail at the parser.
@@ -424,12 +414,7 @@ fn malformed_fault_specs_exit_two_with_a_config_error() {
 fn mem_flags_recover_and_match_the_unconstrained_dump() {
     let dir = tmpdir("mem");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let clean = dir.join("clean.tsv");
     let pressured = dir.join("pressured.tsv");
     let metrics = dir.join("metrics.json");
@@ -488,12 +473,7 @@ fn mem_flags_recover_and_match_the_unconstrained_dump() {
 fn malformed_mem_specs_exit_two_and_oom_is_a_clean_failure() {
     let dir = tmpdir("mem-bad");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     // (spec, message fragment): out-of-range knobs fail validation with
     // the run like every other ConfigError; unknown keys and junk
     // values fail at the parser.
@@ -595,12 +575,7 @@ fn trace_flag_writes_chrome_trace() {
 fn unwritable_output_paths_exit_two_before_counting() {
     let dir = tmpdir("unwritable");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     // Every output flag is probed up front: a doomed path fails fast
     // with exit 2 naming the flag and the path — not after minutes of
     // counting, and never with a panic.
@@ -630,12 +605,7 @@ fn unwritable_output_paths_exit_two_before_counting() {
 fn journal_flag_feeds_analyze_end_to_end() {
     let dir = tmpdir("journal");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let clean = dir.join("clean.jsonl");
     let hostile = dir.join("hostile.jsonl");
     assert!(dedukt()
@@ -737,12 +707,7 @@ fn journal_flag_feeds_analyze_end_to_end() {
 fn canonical_flag_shrinks_distinct_count() {
     let dir = tmpdir("canonical");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let plain = dir.join("plain.tsv");
     let canon = dir.join("canon.tsv");
     assert!(dedukt()
@@ -769,12 +734,7 @@ fn canonical_flag_shrinks_distinct_count() {
 fn rank_flags_recover_and_match_the_undisturbed_dump() {
     let dir = tmpdir("rank");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let clean = dir.join("clean.tsv");
     assert!(dedukt()
         .args(["count"])
@@ -868,12 +828,7 @@ fn rank_flags_recover_and_match_the_undisturbed_dump() {
 fn malformed_rank_flags_exit_two_and_budget_exhaustion_is_clean() {
     let dir = tmpdir("rank-bad");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     // (args, message fragment): parser failures and validation failures
     // both surface as ConfigError-style exit 2s naming the value.
     for (args, needle) in [
@@ -928,12 +883,7 @@ fn malformed_rank_flags_exit_two_and_budget_exhaustion_is_clean() {
 fn two_pass_flags_match_the_in_memory_dump_and_survive_faults() {
     let dir = tmpdir("two-pass");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let clean = dir.join("clean.tsv");
     assert!(dedukt()
         .args(["count"])
@@ -1092,15 +1042,59 @@ fn two_pass_flags_match_the_in_memory_dump_and_survive_faults() {
 }
 
 #[test]
+fn two_pass_composes_with_exchange_and_fault_flags() {
+    let dir = tmpdir("two-pass-compose");
+    let fastq = dir.join("reads.fastq");
+    simulate_tiny(&fastq);
+    let count = |flags: &str, store: Option<&str>, out: &str| {
+        let mut cmd = dedukt();
+        cmd.arg("count")
+            .arg(&fastq)
+            .args(["--mode", "supermer", "--nodes", "2"]);
+        cmd.args(flags.split(' ')).arg("--out").arg(dir.join(out));
+        if let Some(store) = store {
+            cmd.arg("--two-pass").arg(dir.join(store));
+        }
+        cmd.output().unwrap()
+    };
+    // Every exchange option rides pass 1 and lands on the in-memory dump.
+    let exchange = "--round-limit 4096 --overlap-rounds --wire-compress \
+                    --exchange-algo hierarchical --gpu-direct";
+    for (store, out) in [(None, "clean.tsv"), (Some("store-x"), "spooled.tsv")] {
+        let run = count(exchange, store, out);
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    assert_eq!(
+        std::fs::read(dir.join("clean.tsv")).unwrap(),
+        std::fs::read(dir.join("spooled.tsv")).unwrap(),
+        "--two-pass must not change a single count under any exchange option"
+    );
+    // A fault plan that exhausts its retry budget fails the same way
+    // with and without --two-pass: it is honoured, not dropped.
+    for store in [None, Some("store-faulty")] {
+        let run = count(
+            "--fault-seed 1 --fault-spec fail=1,corrupt=0,retries=1",
+            store,
+            "f.tsv",
+        );
+        assert_eq!(run.status.code(), Some(2), "{store:?}: {:?}", run.status);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains("exchange round 0 failed"),
+            "{store:?}: missing the exhausted-budget message in\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn malformed_two_pass_flags_exit_two_naming_the_flag() {
     let dir = tmpdir("two-pass-bad");
     let fastq = dir.join("reads.fastq");
-    assert!(dedukt()
-        .args(["simulate", "ecoli", "--scale", "tiny", "--out"])
-        .arg(&fastq)
-        .status()
-        .unwrap()
-        .success());
+    simulate_tiny(&fastq);
     let store = dir.join("store");
     // (extra args, message fragment): parser failures name --io-spec;
     // validation failures surface as ConfigError-style exit 2s, and
@@ -1130,49 +1124,6 @@ fn malformed_two_pass_flags_exit_two_naming_the_flag() {
         (vec!["--resume"], "--resume requires --two-pass"),
         (vec!["--io-seed", "7"], "require --two-pass"),
         (vec!["--min-count", "2"], "--min-count requires --two-pass"),
-        // Flags only the in-memory driver honours are rejected under
-        // --two-pass, naming both flags, instead of silently dropped.
-        (
-            vec![
-                "--two-pass",
-                store_s,
-                "--fault-spec",
-                "fail=1,corrupt=0,retries=1",
-            ],
-            "--two-pass cannot be combined with --fault-seed/--fault-spec",
-        ),
-        (
-            vec!["--two-pass", store_s, "--rank-spec", "rate=0,kill=1:1"],
-            "--two-pass cannot be combined with --rank-seed/--rank-spec",
-        ),
-        (
-            vec!["--two-pass", store_s, "--gpu-direct"],
-            "--two-pass cannot be combined with --gpu-direct",
-        ),
-        (
-            vec!["--two-pass", store_s, "--round-limit", "4096"],
-            "--two-pass cannot be combined with --round-limit",
-        ),
-        (
-            vec!["--two-pass", store_s, "--overlap-rounds"],
-            "--two-pass cannot be combined with --overlap-rounds",
-        ),
-        (
-            vec!["--two-pass", store_s, "--wire-compress"],
-            "--two-pass cannot be combined with --wire-compress",
-        ),
-        (
-            vec!["--two-pass", store_s, "--exchange-algo", "hierarchical"],
-            "--two-pass cannot be combined with --exchange-algo",
-        ),
-        (
-            vec!["--two-pass", store_s, "--rescale", "1:4"],
-            "--two-pass cannot be combined with --rescale",
-        ),
-        (
-            vec!["--two-pass", store_s, "--checkpoint-rounds", "2"],
-            "--two-pass cannot be combined with --checkpoint-rounds",
-        ),
     ] {
         let out = dedukt()
             .args(["count"])

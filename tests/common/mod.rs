@@ -5,13 +5,31 @@
 //! doesn't use are expected.
 #![allow(dead_code)]
 
-use dedukt::core::pipeline::RunReport;
+use dedukt::core::pipeline::{run_typed, RunError, RunReport};
 use dedukt::core::{Mode, PackedKmer, RunConfig};
 use dedukt::dna::{Dataset, DatasetId, ReadSet, ScalePreset};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The canonical tiny slice every invariant suite runs on.
 pub fn tiny_reads() -> ReadSet {
     Dataset::new(DatasetId::EColi30x, ScalePreset::Tiny).generate()
+}
+
+/// Runs `rc` at width `K`, out of core through a fresh scratch bin store
+/// when `two_pass` is set: the suites' two-pass axis.
+pub fn run_maybe_spooled<K: PackedKmer>(
+    reads: &ReadSet,
+    rc: &RunConfig,
+    two_pass: bool,
+) -> Result<RunReport<K>, RunError> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dedukt-spool-{}-{id}", std::process::id()));
+    let mut rc = rc.clone();
+    rc.two_pass_dir = two_pass.then(|| dir.clone());
+    let report = run_typed::<K>(reads, &rc);
+    let _ = std::fs::remove_dir_all(&dir);
+    report
 }
 
 /// A config with key width `k` dialed in — wide keys (`k > 31`) widen

@@ -25,7 +25,7 @@ fn rank_code_count(reads: &ReadSet, nodes: usize, k: usize) -> Vec<HashMap<u64, 
     // PARSEKMER: bucket this rank's k-mers by owner.
     let (send, _) = world.compute_step(|rank| {
         let mut send: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for read in &parts[rank].reads {
+        for read in parts[rank] {
             for w in kmer_words(&read.codes, k, cfg.encoding) {
                 send[owner_rank_mult_shift(hasher.hash_u64(w), p)].push(w);
             }

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{assert_counts_identical, spectrum_config, tiny_reads};
+use common::{assert_counts_identical, run_maybe_spooled, spectrum_config, tiny_reads};
 use dedukt::core::pipeline::{run_typed, RunError, RunReport};
 use dedukt::core::{Mode, PackedKmer};
 use dedukt::dna::ReadSet;
@@ -21,8 +21,10 @@ use proptest::prelude::*;
 
 /// Runs `mode` under (algo, compress) and checks it against the direct
 /// uncompressed reference: identical spectra, exact tier accounting.
-/// Returns false when the fault plan legitimately exhausted its retry
-/// budget (a clean failure, which must be identical across routes).
+/// With `two_pass` the routed run spools out of core, held to the same
+/// in-memory reference. Returns false when the fault plan legitimately
+/// exhausted its retry budget (a clean failure, which must be identical
+/// across routes).
 #[allow(clippy::too_many_arguments)]
 fn check_exchange_invariants<K: PackedKmer>(
     reads: &ReadSet,
@@ -33,6 +35,7 @@ fn check_exchange_invariants<K: PackedKmer>(
     compress: bool,
     fault: Option<FaultPlan>,
     overlap: bool,
+    two_pass: bool,
 ) -> bool {
     let mut reference = spectrum_config(mode, nodes, k);
     if overlap {
@@ -47,7 +50,7 @@ fn check_exchange_invariants<K: PackedKmer>(
     routed.wire_compress = compress;
     let (a, b) = (
         run_typed::<K>(reads, &reference),
-        run_typed::<K>(reads, &routed),
+        run_maybe_spooled::<K>(reads, &routed, two_pass),
     );
     let (a, b) = match (a, b) {
         (Ok(a), Ok(b)) => (a, b),
@@ -120,6 +123,7 @@ proptest! {
         faulty in any::<bool>(),
         overlap in any::<bool>(),
         wide in any::<bool>(),
+        two_pass in any::<bool>(),
     ) {
         let mode = [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer][mode_idx];
         let algo = if hierarchical {
@@ -140,11 +144,11 @@ proptest! {
         let reads = tiny_reads();
         if wide {
             check_exchange_invariants::<u128>(
-                &reads, mode, nodes, 41, algo, compress, fault, overlap,
+                &reads, mode, nodes, 41, algo, compress, fault, overlap, two_pass,
             );
         } else {
             check_exchange_invariants::<u64>(
-                &reads, mode, nodes, 17, algo, compress, fault, overlap,
+                &reads, mode, nodes, 17, algo, compress, fault, overlap, two_pass,
             );
         }
     }
@@ -159,7 +163,8 @@ fn pinned_hostile_matrix_is_bit_identical_everywhere() {
     let spec = FaultSpec::parse("fail=0.2,corrupt=0.1,retries=8,backoff=1e-4").unwrap();
     for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
         for algo in [ExchangeAlgo::Direct, ExchangeAlgo::NodeAggregated] {
-            for compress in [false, true] {
+            for (compress, two_pass) in [(false, false), (true, false), (false, true), (true, true)]
+            {
                 let survived = check_exchange_invariants::<u64>(
                     &reads,
                     mode,
@@ -169,6 +174,7 @@ fn pinned_hostile_matrix_is_bit_identical_everywhere() {
                     compress,
                     Some(FaultPlan::new(42, spec)),
                     false,
+                    two_pass,
                 );
                 assert!(
                     survived,

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{assert_counts_identical, instrumented_config, tiny_reads};
+use common::{assert_counts_identical, instrumented_config, run_maybe_spooled, tiny_reads};
 use dedukt::core::pipeline::{run_typed, RunError, RunReport};
 use dedukt::core::{Mode, PackedKmer, RunConfig};
 use dedukt::dna::ReadSet;
@@ -14,19 +14,22 @@ use dedukt::net::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
 
 /// Runs `mode` with and without `plan` at width `K` and checks every
-/// fault invariant. Returns the faulty report for further assertions,
-/// or `None` when the plan legitimately exhausted the retry budget.
+/// fault invariant; with `two_pass` the faulty run spools out of core
+/// and is held to the same in-memory reference. Returns the faulty
+/// report for further assertions, or `None` when the plan legitimately
+/// exhausted the retry budget.
 fn check_fault_invariants<K: PackedKmer>(
     reads: &ReadSet,
     mode: Mode,
     nodes: usize,
     k: usize,
     plan: FaultPlan,
+    two_pass: bool,
 ) -> Option<RunReport<K>> {
     let mut rc = instrumented_config(mode, nodes, k);
     let clean = run_typed::<K>(reads, &rc).expect("fault-free run cannot fail");
     rc.fault = Some(plan);
-    let faulty = match run_typed::<K>(reads, &rc) {
+    let faulty = match run_maybe_spooled::<K>(reads, &rc, two_pass) {
         Ok(r) => r,
         // Exhausting the retry budget is a legitimate clean failure —
         // but it must be *that* failure, reported, not a panic.
@@ -102,6 +105,7 @@ proptest! {
         corrupt in 0.0f64..0.3,
         straggle in 0.0f64..0.3,
         wide in any::<bool>(),
+        two_pass in any::<bool>(),
     ) {
         let mode = [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer][mode_idx];
         let mut spec = FaultSpec::none();
@@ -114,9 +118,9 @@ proptest! {
         let reads = tiny_reads();
         let plan = FaultPlan::new(seed, spec);
         if wide {
-            check_fault_invariants::<u128>(&reads, mode, nodes, 41, plan);
+            check_fault_invariants::<u128>(&reads, mode, nodes, 41, plan, two_pass);
         } else {
-            check_fault_invariants::<u64>(&reads, mode, nodes, 17, plan);
+            check_fault_invariants::<u64>(&reads, mode, nodes, 17, plan, two_pass);
         }
     }
 
@@ -156,8 +160,12 @@ fn pinned_seed_exercises_recovery_on_every_engine() {
     let reads = tiny_reads();
     let spec = FaultSpec::parse("fail=0.25,corrupt=0.15,straggle=0,retries=8,backoff=1e-4")
         .expect("valid spec");
-    for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
-        let faulty = check_fault_invariants::<u64>(&reads, mode, 1, 17, FaultPlan::new(42, spec))
+    for (mode, two_pass) in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer]
+        .into_iter()
+        .flat_map(|mode| [(mode, false), (mode, true)])
+    {
+        let plan = FaultPlan::new(42, spec);
+        let faulty = check_fault_invariants::<u64>(&reads, mode, 1, 17, plan, two_pass)
             .expect("seed 42 must survive 8 retries at these rates");
         assert!(
             faulty.exchange.retries > 0,
@@ -175,7 +183,7 @@ fn pinned_seed_exercises_recovery_on_every_engine() {
         assert!(faulty.phases.exchange > clean.phases.exchange);
         rc.fault = Some(FaultPlan::new(42, spec));
         rc.collect_trace = true;
-        let traced = run_typed::<u64>(&reads, &rc).unwrap();
+        let traced = run_maybe_spooled::<u64>(&reads, &rc, two_pass).unwrap();
         // Recovery shows up in the trace: backoff spans and the retry
         // counter lane both exist.
         let events = traced.trace.as_ref().unwrap();
@@ -193,10 +201,13 @@ fn exhausted_retry_budget_fails_cleanly() {
     let mut spec = FaultSpec::none();
     spec.fail_rate = 1.0;
     spec.max_retries = 2;
-    for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
+    for (mode, two_pass) in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer]
+        .into_iter()
+        .flat_map(|mode| [(mode, false), (mode, true)])
+    {
         let mut rc = RunConfig::new(mode, 1);
         rc.fault = Some(FaultPlan::new(7, spec));
-        match run_typed::<u64>(&reads, &rc) {
+        match run_maybe_spooled::<u64>(&reads, &rc, two_pass) {
             Err(RunError::ExchangeFailed { round, attempts }) => {
                 assert_eq!(round, 0, "mode {mode:?}");
                 assert_eq!(attempts, 3, "mode {mode:?}: 1 first attempt + 2 retries");

@@ -83,9 +83,8 @@ fn every_flag_pair_counts_exactly_or_is_rejected_naming_both() {
         }
     }
     let _ = std::fs::remove_dir_all(&store);
-    // Only `--two-pass` conflicts: with the eleven flags that sample a
-    // feature the out-of-core driver does not support.
-    assert_eq!(rejected, 11, "rejected pairs");
+    // No pair conflicts: `--two-pass` composes with every run flag.
+    assert_eq!(rejected, 0, "rejected pairs");
 }
 
 /// The journal renders each plan in its own grammar, and that label

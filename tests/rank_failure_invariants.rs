@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{assert_counts_identical, instrumented_config, tiny_reads};
+use common::{assert_counts_identical, instrumented_config, run_maybe_spooled, tiny_reads};
 use dedukt::core::pipeline::{run_typed, RunError, RunReport};
 use dedukt::core::{Mode, PackedKmer, RunConfig};
 use dedukt::dna::ReadSet;
@@ -33,7 +33,9 @@ fn ranks_per_node(mode: Mode) -> usize {
 /// rank-failure invariant. Returns the disturbed report for further
 /// assertions, or `None` when the plan legitimately failed cleanly
 /// (budget exhausted, or rerouted load OOMing a survivor) — which must
-/// surface as `RanksLost` / `DeviceOom`, never a panic.
+/// surface as `RanksLost` / `DeviceOom`, never a panic. With
+/// `two_pass` the disturbed run spools out of core and is held to the
+/// same in-memory reference.
 #[allow(clippy::too_many_arguments)]
 fn check_rank_failure_invariants<K: PackedKmer>(
     reads: &ReadSet,
@@ -45,6 +47,7 @@ fn check_rank_failure_invariants<K: PackedKmer>(
     rescale: Vec<(u64, usize)>,
     algo: ExchangeAlgo,
     compress: bool,
+    two_pass: bool,
 ) -> Option<RunReport<K>> {
     let mut rc = instrumented_config(mode, nodes, k);
     rc.collect_journal = true;
@@ -58,7 +61,7 @@ fn check_rank_failure_invariants<K: PackedKmer>(
     rc.rank = plan;
     rc.checkpoint_rounds = checkpoint;
     rc.rescale = rescale.clone();
-    let disturbed = match run_typed::<K>(reads, &rc) {
+    let disturbed = match run_maybe_spooled::<K>(reads, &rc, two_pass) {
         Ok(r) => r,
         // Exhausting the recovery budget is a legitimate clean failure —
         // and only a death-capable plan may produce it.
@@ -157,6 +160,7 @@ proptest! {
         hierarchical in any::<bool>(),
         compress in any::<bool>(),
         wide in any::<bool>(),
+        two_pass in any::<bool>(),
     ) {
         let mode = [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer][mode_idx];
         let nranks = nodes * ranks_per_node(mode);
@@ -180,10 +184,12 @@ proptest! {
         if wide {
             check_rank_failure_invariants::<u128>(
                 &reads, mode, nodes, 41, Some(plan), checkpoint, rescale, algo, compress,
+                two_pass,
             );
         } else {
             check_rank_failure_invariants::<u64>(
                 &reads, mode, nodes, 17, Some(plan), checkpoint, rescale, algo, compress,
+                two_pass,
             );
         }
     }
@@ -226,7 +232,8 @@ fn pinned_kill_recovers_on_every_engine_and_route() {
     let reads = tiny_reads();
     for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
         for algo in [ExchangeAlgo::Direct, ExchangeAlgo::NodeAggregated] {
-            for compress in [false, true] {
+            for (compress, two_pass) in [(false, false), (true, false), (false, true), (true, true)]
+            {
                 let plan = RankPlan::new(0, RankSpec::parse("rate=0,kill=1:1").unwrap());
                 let r = check_rank_failure_invariants::<u64>(
                     &reads,
@@ -238,6 +245,7 @@ fn pinned_kill_recovers_on_every_engine_and_route() {
                     Vec::new(),
                     algo,
                     compress,
+                    two_pass,
                 )
                 .expect("one death inside a budget of two must survive");
                 assert_eq!(r.exchange.rank_deaths, 1, "{mode:?}/{algo:?}/{compress}");
@@ -261,44 +269,48 @@ fn pinned_kill_recovers_on_every_engine_and_route() {
 #[test]
 fn checkpoints_bound_replay_volume() {
     let reads = tiny_reads();
-    let plan = || RankPlan::new(0, RankSpec::parse("rate=0,kill=3:1").unwrap());
-    let unchecked = check_rank_failure_invariants::<u64>(
-        &reads,
-        Mode::GpuKmer,
-        2,
-        17,
-        Some(plan()),
-        None,
-        Vec::new(),
-        ExchangeAlgo::Direct,
-        false,
-    )
-    .expect("one death must survive");
-    let checked = check_rank_failure_invariants::<u64>(
-        &reads,
-        Mode::GpuKmer,
-        2,
-        17,
-        Some(plan()),
-        Some(2),
-        Vec::new(),
-        ExchangeAlgo::Direct,
-        false,
-    )
-    .expect("one death must survive");
-    assert_eq!(unchecked.exchange.rank_deaths, 1);
-    assert_eq!(checked.exchange.rank_deaths, 1);
-    assert!(
-        unchecked.exchange.replayed_bytes > 0,
-        "a round-3 death with no checkpoint replays rounds 0..3"
-    );
-    assert!(
-        checked.exchange.replayed_bytes < unchecked.exchange.replayed_bytes,
-        "a cadence-2 checkpoint must shrink the replay: {} vs {}",
-        checked.exchange.replayed_bytes,
-        unchecked.exchange.replayed_bytes
-    );
-    assert_eq!(checked.spectrum, unchecked.spectrum);
+    for two_pass in [false, true] {
+        let plan = || RankPlan::new(0, RankSpec::parse("rate=0,kill=3:1").unwrap());
+        let unchecked = check_rank_failure_invariants::<u64>(
+            &reads,
+            Mode::GpuKmer,
+            2,
+            17,
+            Some(plan()),
+            None,
+            Vec::new(),
+            ExchangeAlgo::Direct,
+            false,
+            two_pass,
+        )
+        .expect("one death must survive");
+        let checked = check_rank_failure_invariants::<u64>(
+            &reads,
+            Mode::GpuKmer,
+            2,
+            17,
+            Some(plan()),
+            Some(2),
+            Vec::new(),
+            ExchangeAlgo::Direct,
+            false,
+            two_pass,
+        )
+        .expect("one death must survive");
+        assert_eq!(unchecked.exchange.rank_deaths, 1);
+        assert_eq!(checked.exchange.rank_deaths, 1);
+        assert!(
+            unchecked.exchange.replayed_bytes > 0,
+            "a round-3 death with no checkpoint replays rounds 0..3"
+        );
+        assert!(
+            checked.exchange.replayed_bytes < unchecked.exchange.replayed_bytes,
+            "a cadence-2 checkpoint must shrink the replay: {} vs {}",
+            checked.exchange.replayed_bytes,
+            unchecked.exchange.replayed_bytes
+        );
+        assert_eq!(checked.spectrum, unchecked.spectrum);
+    }
 }
 
 /// Elastic rescale round-trips: shrink 12 -> 8 at round 1, grow back to
@@ -307,33 +319,36 @@ fn checkpoints_bound_replay_volume() {
 #[test]
 fn rescale_shrink_and_grow_preserve_counts() {
     let reads = tiny_reads();
-    let r = check_rank_failure_invariants::<u64>(
-        &reads,
-        Mode::GpuSupermer,
-        2,
-        17,
-        None,
-        None,
-        vec![(1, 8), (3, 12)],
-        ExchangeAlgo::Direct,
-        false,
-    )
-    .expect("a rescale without deaths cannot exhaust any budget");
-    let rescales: Vec<(u64, usize, usize)> = r
-        .journal
-        .as_ref()
-        .unwrap()
-        .iter()
-        .filter_map(|e| match e {
-            JournalEvent::Rescale { round, from, to } => Some((*round, *from, *to)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        rescales,
-        vec![(1, 12, 8), (3, 8, 12)],
-        "both scheduled boundaries must fire, in order"
-    );
+    for two_pass in [false, true] {
+        let r = check_rank_failure_invariants::<u64>(
+            &reads,
+            Mode::GpuSupermer,
+            2,
+            17,
+            None,
+            None,
+            vec![(1, 8), (3, 12)],
+            ExchangeAlgo::Direct,
+            false,
+            two_pass,
+        )
+        .expect("a rescale without deaths cannot exhaust any budget");
+        let rescales: Vec<(u64, usize, usize)> = r
+            .journal
+            .as_ref()
+            .unwrap()
+            .iter()
+            .filter_map(|e| match e {
+                JournalEvent::Rescale { round, from, to } => Some((*round, *from, *to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            rescales,
+            vec![(1, 12, 8), (3, 8, 12)],
+            "both scheduled boundaries must fire, in order"
+        );
+    }
 }
 
 /// Deaths compose with rescale and checkpoints: kill a rank inside a
@@ -341,20 +356,23 @@ fn rescale_shrink_and_grow_preserve_counts() {
 #[test]
 fn death_inside_a_shrunken_world_recovers() {
     let reads = tiny_reads();
-    let plan = RankPlan::new(0, RankSpec::parse("rate=0,kill=2:0").unwrap());
-    let r = check_rank_failure_invariants::<u64>(
-        &reads,
-        Mode::GpuKmer,
-        2,
-        17,
-        Some(plan),
-        Some(2),
-        vec![(1, 9)],
-        ExchangeAlgo::Direct,
-        false,
-    )
-    .expect("one death in a 9-rank world is inside the budget");
-    assert_eq!(r.exchange.rank_deaths, 1);
+    for two_pass in [false, true] {
+        let plan = RankPlan::new(0, RankSpec::parse("rate=0,kill=2:0").unwrap());
+        let r = check_rank_failure_invariants::<u64>(
+            &reads,
+            Mode::GpuKmer,
+            2,
+            17,
+            Some(plan),
+            Some(2),
+            vec![(1, 9)],
+            ExchangeAlgo::Direct,
+            false,
+            two_pass,
+        )
+        .expect("one death in a 9-rank world is inside the budget");
+        assert_eq!(r.exchange.rank_deaths, 1);
+    }
 }
 
 /// An unsurvivable plan (two pinned kills against a budget of one) is a
@@ -364,11 +382,14 @@ fn death_inside_a_shrunken_world_recovers() {
 fn exhausted_recovery_budget_fails_cleanly() {
     let reads = tiny_reads();
     let spec = RankSpec::parse("rate=0,max-dead=1,kill=1:0,kill=1:1").unwrap();
-    for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
+    for (mode, two_pass) in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer]
+        .into_iter()
+        .flat_map(|mode| [(mode, false), (mode, true)])
+    {
         let mut rc = RunConfig::new(mode, 1);
         rc.round_limit_bytes = Some(4096);
         rc.rank = Some(RankPlan::new(7, spec.clone()));
-        match run_typed::<u64>(&reads, &rc) {
+        match run_maybe_spooled::<u64>(&reads, &rc, two_pass) {
             Err(RunError::RanksLost { dead, round }) => {
                 assert_eq!(dead, 2, "mode {mode:?}");
                 assert_eq!(round, 1, "mode {mode:?}");

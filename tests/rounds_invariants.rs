@@ -3,22 +3,27 @@
 //! Every counter, every round count, overlap on or off — the counted
 //! multiset, distinct totals, spectrum, and per-rank tables are identical.
 
+mod common;
+
+use common::run_maybe_spooled;
 use dedukt::core::pipeline::gpu_common::split_rounds_weighted;
-use dedukt::core::{pipeline, Mode, PackedKmer, RunConfig, RunReport};
+use dedukt::core::{Mode, PackedKmer, RunConfig, RunReport};
 use dedukt::dna::{Dataset, DatasetId, ReadSet, ScalePreset};
 use proptest::prelude::*;
 
 fn run(reads: &ReadSet, mode: Mode, cap: Option<u64>, overlap: bool) -> RunReport {
-    run_w::<u64>(reads, mode, cap, overlap, |_| {})
+    run_w::<u64>(reads, mode, cap, overlap, false, |_| {})
 }
 
-/// Width-generic runner: same collection flags at any key width, with a
-/// hook to adjust the counting parameters (e.g. into the wide regime).
+/// Width-generic runner: same collection flags at any key width, in
+/// memory or spooled out of core (`two_pass`), with a hook to adjust the
+/// counting parameters (e.g. into the wide regime).
 fn run_w<K: PackedKmer>(
     reads: &ReadSet,
     mode: Mode,
     cap: Option<u64>,
     overlap: bool,
+    two_pass: bool,
     tweak: impl Fn(&mut RunConfig),
 ) -> RunReport<K> {
     let mut rc = RunConfig::new(mode, 2);
@@ -27,7 +32,7 @@ fn run_w<K: PackedKmer>(
     rc.round_limit_bytes = cap;
     rc.overlap_rounds = overlap;
     tweak(&mut rc);
-    pipeline::run_typed::<K>(reads, &rc).expect("valid config")
+    run_maybe_spooled::<K>(reads, &rc, two_pass).expect("valid config")
 }
 
 fn assert_same_counts<K: PackedKmer + Ord>(r: &RunReport<K>, baseline: &RunReport<K>, what: &str) {
@@ -58,10 +63,10 @@ fn rounds_and_overlap_change_time_not_results() {
         let per_rank = baseline.exchange.bytes / baseline.nranks as u64;
 
         let mut prev_rounds = 1;
-        for divisor in [4u64, 16] {
+        for (divisor, two_pass) in [(4u64, false), (4, true), (16, false), (16, true)] {
             let cap = (per_rank / divisor).max(1);
-            let blocking = run(&reads, mode, Some(cap), false);
-            let overlapped = run(&reads, mode, Some(cap), true);
+            let blocking = run_w::<u64>(&reads, mode, Some(cap), false, two_pass, |_| {});
+            let overlapped = run_w::<u64>(&reads, mode, Some(cap), true, two_pass, |_| {});
 
             assert_same_counts(&blocking, &baseline, &format!("{mode:?} /{divisor}"));
             assert_same_counts(
@@ -145,7 +150,7 @@ fn wide_rounds_and_overlap_change_time_not_results() {
     };
     oracle.sort_unstable();
     for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
-        let baseline = run_w::<u128>(&reads, mode, None, false, wide);
+        let baseline = run_w::<u128>(&reads, mode, None, false, false, wide);
         assert_eq!(
             baseline.exchange.rounds, 1,
             "{mode:?}: unlimited is 1 round"
@@ -155,22 +160,24 @@ fn wide_rounds_and_overlap_change_time_not_results() {
         assert_eq!(merged, oracle, "{mode:?}: baseline vs wide oracle");
 
         let cap = (baseline.exchange.bytes / baseline.nranks as u64 / 4).max(1);
-        let blocking = run_w::<u128>(&reads, mode, Some(cap), false, wide);
-        let overlapped = run_w::<u128>(&reads, mode, Some(cap), true, wide);
-        assert!(
-            blocking.exchange.rounds >= 2,
-            "{mode:?}: cap {cap} B should force multiple rounds"
-        );
-        assert_same_counts(&blocking, &baseline, &format!("wide {mode:?}"));
-        assert_same_counts(&overlapped, &baseline, &format!("wide {mode:?} overlapped"));
-        assert_eq!(
-            blocking.exchange.rounds, overlapped.exchange.rounds,
-            "{mode:?}: overlap must not change the round schedule"
-        );
-        assert!(
-            overlapped.total_time().as_secs() <= blocking.total_time().as_secs() * (1.0 + 1e-9),
-            "{mode:?}: overlap slower"
-        );
+        for two_pass in [false, true] {
+            let blocking = run_w::<u128>(&reads, mode, Some(cap), false, two_pass, wide);
+            let overlapped = run_w::<u128>(&reads, mode, Some(cap), true, two_pass, wide);
+            assert!(
+                blocking.exchange.rounds >= 2,
+                "{mode:?}: cap {cap} B should force multiple rounds"
+            );
+            assert_same_counts(&blocking, &baseline, &format!("wide {mode:?}"));
+            assert_same_counts(&overlapped, &baseline, &format!("wide {mode:?} overlapped"));
+            assert_eq!(
+                blocking.exchange.rounds, overlapped.exchange.rounds,
+                "{mode:?}: overlap must not change the round schedule"
+            );
+            assert!(
+                overlapped.total_time().as_secs() <= blocking.total_time().as_secs() * (1.0 + 1e-9),
+                "{mode:?}: overlap slower"
+            );
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{assert_counts_identical, instrumented_config, tiny_reads};
+use common::{assert_counts_identical, instrumented_config, run_maybe_spooled, tiny_reads};
 use dedukt::core::pipeline::two_pass::{plan_bins, BIN_SKEW_MARGIN};
 use dedukt::core::pipeline::{run_typed, RunError, RunReport};
 use dedukt::core::table::capacity_for;
@@ -54,19 +54,20 @@ fn check_two_pass<K: PackedKmer>(
             let has = |name: &str| snap.entries.iter().any(|e| e.name == name);
             assert!(has("storage_write_bytes_total"));
             assert!(has("storage_read_bytes_total"));
-            assert_eq!(snap.counter_total("io_retries_total"), r.exchange.retries);
+            let storage = r.storage.as_ref().expect("two-pass reports storage");
+            assert_eq!(snap.counter_total("io_retries_total"), storage.io_retries);
             assert_eq!(
                 snap.counter_total("quarantined_bins_total"),
-                r.exchange.corrupt_buckets
+                storage.quarantined_bins
             );
-            if r.exchange.retries == 0 && r.exchange.corrupt_buckets == 0 {
+            if storage.io_retries == 0 && storage.quarantined_bins == 0 {
                 assert!(
                     !has("recovery_seconds_total"),
                     "recovery-free run must not export recovery_seconds_total"
                 );
-                assert_eq!(r.exchange.recovery_time, dedukt::sim::SimTime::ZERO);
+                assert_eq!(storage.recovery_time, dedukt::sim::SimTime::ZERO);
             } else {
-                assert!(r.exchange.recovery_time > dedukt::sim::SimTime::ZERO);
+                assert!(storage.recovery_time > dedukt::sim::SimTime::ZERO);
             }
             Some(r)
         }
@@ -275,6 +276,36 @@ fn check_partition<K: PackedKmer>(
     Ok(())
 }
 
+/// Bins nest inside owner ranges: under a device budget small enough to
+/// split every rank's range into several bins, the two-pass run still
+/// returns, rank by rank, the tables the in-memory run counts at the
+/// default budget — on every engine, at either key width, and under
+/// balanced-minimizer routing.
+#[test]
+fn split_bins_return_the_in_memory_per_rank_tables() {
+    let reads = tiny_reads();
+    for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
+        check_per_rank_tables::<u64>(&reads, mode, 17, false);
+        check_per_rank_tables::<u128>(&reads, mode, 41, false);
+    }
+    check_per_rank_tables::<u64>(&reads, Mode::GpuSupermer, 17, true);
+}
+
+fn check_per_rank_tables<K: PackedKmer>(reads: &ReadSet, mode: Mode, k: usize, balanced: bool) {
+    let mut rc = instrumented_config(mode, 1, k);
+    rc.balanced_minimizers = balanced;
+    let clean = run_typed::<K>(reads, &rc).expect("in-memory run cannot fail");
+    rc.gpu_device.memory_bytes = 1 << 16;
+    let two = run_maybe_spooled::<K>(reads, &rc, true).expect("clean plan cannot fail");
+    let bins = two.storage.as_ref().expect("two-pass reports storage").bins;
+    assert!(
+        bins > two.nranks as u64,
+        "{mode:?} k={k}: a 64 KiB budget must split ranges ({bins} bins)"
+    );
+    assert_counts_identical(&two, &clean);
+    assert_eq!(two.tables, clean.tables, "{mode:?} k={k}: per-rank tables");
+}
+
 /// The acceptance pin: a hostile plan that provably walks the entire
 /// recovery ladder on the supermer engine — transient read retries,
 /// quarantine + re-derivation of damaged generations — and still lands
@@ -294,15 +325,16 @@ fn pinned_hostile_plan_exercises_retry_rederive_and_resume() {
         "pinned-hostile",
     )
     .expect("seed 7 must survive 8 retries / 8 re-derives at these rates");
+    let storage = survived.storage.as_ref().expect("two-pass reports storage");
     assert!(
-        survived.exchange.retries > 0,
+        storage.io_retries > 0,
         "seed 7 must actually retry a transient read error"
     );
     assert!(
-        survived.exchange.corrupt_buckets > 0,
+        storage.quarantined_bins > 0,
         "seed 7 must actually quarantine and re-derive a damaged bin"
     );
-    assert!(survived.exchange.replayed_bytes > 0);
+    assert!(storage.rederived_bytes > 0);
 
     // Same plan, kill armed: pass 2 dies after two bins pointing at
     // --resume, and check_two_pass's resume leg must reproduce the
