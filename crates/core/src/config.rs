@@ -325,21 +325,24 @@ pub struct RunConfig {
     /// Keep every rank's `(kmer, count)` table in the report (costs
     /// memory; used for verification against the oracle).
     pub collect_tables: bool,
-    /// Record a per-rank phase timeline in the report (viewable with
-    /// `chrome://tracing` via [`dedukt_sim::trace::write_chrome_trace`]).
+    /// Record the run's event stream into
+    /// [`crate::pipeline::RunReport::events`], for its Chrome-trace
+    /// projection ([`dedukt_sim::write_chrome_trace`], viewable with
+    /// `chrome://tracing`). Any one of the three `collect_*` flags records
+    /// the same stream.
     pub collect_trace: bool,
-    /// Collect run-wide telemetry (per-rank exchange counters, probe-step
-    /// and supermer-length histograms, occupancy and memory high-water
-    /// gauges) into [`crate::pipeline::RunReport::metrics`]. Disabled runs
-    /// do no metrics work at all; simulated times are identical either way
-    /// (they come from the analytic cost models).
+    /// Record the run's event stream, for its metrics projection
+    /// ([`crate::pipeline::RunReport::metrics`]: per-rank exchange
+    /// counters, probe-step and supermer-length histograms, occupancy and
+    /// memory high-water gauges).
     pub collect_metrics: bool,
-    /// Record a structured run journal — one typed event per superstep
+    /// Record the run's event stream, for its JSONL projection
+    /// ([`dedukt_sim::write_journal`]) — one typed event per superstep
     /// span, collective, retry, regrow/spill/OOM recovery, phase total,
-    /// and wall-clock stage — into
-    /// [`crate::pipeline::RunReport::journal`] for offline analysis with
-    /// `dedukt analyze`. Follows the metrics discipline: disabled runs do
-    /// no journal work at all and are bit-identical either way.
+    /// and wall-clock stage — for offline analysis with `dedukt analyze`.
+    /// With all three flags off a run records nothing; simulated times
+    /// are identical either way (they come from the analytic cost
+    /// models).
     pub collect_journal: bool,
     /// Deterministic fault schedule for the exchange layer (stragglers,
     /// transient send failures, bucket corruption — DESIGN.md §7). The

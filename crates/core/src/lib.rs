@@ -19,13 +19,12 @@
 //! and device-atomic variants), [`partition`] (owner-rank assignment incl.
 //! the balanced extension), [`model`] (the §IV-D analytic communication
 //! model), [`stats`] (phase breakdowns, volumes, Table III imbalance),
-//! [`bloom`] (singleton-suppression extension), and [`verify`] (a
-//! single-threaded reference counter every pipeline is checked against).
+//! and [`verify`] (a single-threaded reference counter every pipeline is
+//! checked against).
 
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod bloom;
 pub mod config;
 pub mod dump;
 pub mod minimizer;

@@ -24,7 +24,7 @@ use dedukt_dna::ReadSet;
 use dedukt_gpu::mem_plan::estimate_factor;
 use dedukt_net::cost::Network;
 use dedukt_net::BspWorld;
-use dedukt_sim::SimTime;
+use dedukt_sim::{MetricOp, SimTime};
 use std::marker::PhantomData;
 
 /// Host counting state threaded through the exchange rounds.
@@ -135,19 +135,21 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
     }
 
     fn finish(&self, ctx: &DriverCtx, rank: usize, counter: CpuCounter<K>) -> RankCountResult<K> {
-        if let Some(m) = &ctx.metrics {
-            m.counter_add("kmers_counted_total", Some(rank), counter.received);
-            m.counter_add(
-                "count_probe_steps_total",
-                Some(rank),
-                counter.table.probe_steps(),
-            );
-            m.gauge_set(
-                "count_table_load_factor",
-                Some(rank),
-                counter.table.distinct() as f64 / counter.table.capacity() as f64,
-            );
-        }
+        ctx.rank_metrics(rank, || {
+            let table = &counter.table;
+            let load = table.distinct() as f64 / table.capacity() as f64;
+            [
+                (
+                    "kmers_counted_total",
+                    MetricOp::CounterAdd(counter.received),
+                ),
+                (
+                    "count_probe_steps_total",
+                    MetricOp::CounterAdd(table.probe_steps()),
+                ),
+                ("count_table_load_factor", MetricOp::GaugeSet(load)),
+            ]
+        });
         RankCountResult {
             entries: counter.table.iter().collect(),
             instances: counter.received,

@@ -41,7 +41,7 @@ use dedukt_hash::Murmur3x64;
 use dedukt_net::cost::Network;
 use dedukt_net::fault::dies_at;
 use dedukt_net::BspWorld;
-use dedukt_sim::{Journal, JournalEvent, MetricsRegistry, SimTime};
+use dedukt_sim::{Journal, JournalEvent, MetricOp, SimTime};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,8 +59,47 @@ pub(crate) struct DriverCtx<'a> {
     pub parts: Vec<&'a [Read]>,
     /// The run's routing hasher (seeded with `cfg.hash_seed`).
     pub hasher: Murmur3x64,
-    /// Telemetry registry, when `rc.collect_metrics` is set.
-    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// The run's one recorder (shared with the world), when any of the
+    /// trace, metrics or journal outputs was asked for.
+    pub journal: Option<Arc<Journal>>,
+}
+
+impl DriverCtx<'_> {
+    /// Records the events `events` builds, when recording is on.
+    pub fn record<E: IntoIterator<Item = JournalEvent>>(&self, events: impl FnOnce() -> E) {
+        if let Some(j) = &self.journal {
+            j.extend(events());
+        }
+    }
+
+    /// Records `rank`'s metric observations that `observed` builds, when
+    /// recording is on.
+    pub fn rank_metrics<O>(&self, rank: usize, observed: impl FnOnce() -> O)
+    where
+        O: IntoIterator<Item = (&'static str, MetricOp)>,
+    {
+        self.record(|| {
+            observed()
+                .into_iter()
+                .map(|(name, op)| JournalEvent::metric(name, Some(rank), op))
+        });
+    }
+
+    /// Runs one rank's hook against a journal of its own and returns what
+    /// the hook recorded with its result. Hooks run rank-parallel;
+    /// recording their events afterwards, in rank order, keeps the stream
+    /// independent of the thread schedule.
+    fn rank_local<T>(&self, hook: impl FnOnce(&DriverCtx) -> T) -> (T, Vec<JournalEvent>) {
+        if self.journal.is_none() {
+            return (hook(self), Vec::new());
+        }
+        let journal = Arc::new(Journal::new());
+        let local = DriverCtx {
+            journal: Some(Arc::clone(&journal)),
+            ..self.clone()
+        };
+        (hook(&local), journal.take())
+    }
 }
 
 /// What one rank's bucketing phase produced.
@@ -358,14 +397,13 @@ pub(crate) fn run_staged<S: CounterStages>(
     net.params.algo = rc.exchange_algo;
     let mut world = BspWorld::new(net);
     assert_eq!(world.nranks(), nranks);
-    let metrics = rc.collect_metrics.then(|| Arc::new(MetricsRegistry::new()));
-    if let Some(m) = &metrics {
-        world.enable_metrics(Arc::clone(m));
-    }
     if let Some(plan) = rc.fault {
         world.enable_faults(plan);
     }
-    let journal = rc.collect_journal.then(|| Arc::new(Journal::new()));
+    // The trace, the metrics and the journal are projections of one
+    // event stream: asking for any of them records it.
+    let journal = (rc.collect_trace || rc.collect_metrics || rc.collect_journal)
+        .then(|| Arc::new(Journal::new()));
     if let Some(j) = &journal {
         world.enable_journal(Arc::clone(j));
         j.push(JournalEvent::Meta {
@@ -381,7 +419,7 @@ pub(crate) fn run_staged<S: CounterStages>(
         nranks,
         parts: reads.partition_by_bases(nranks),
         hasher: Murmur3x64::new(rc.counting.hash_seed),
-        metrics: metrics.clone(),
+        journal,
     };
 
     // ── Pre-pass + bucketing (parse phase) ─────────────────────────────
@@ -401,18 +439,9 @@ pub(crate) fn run_staged<S: CounterStages>(
             stages,
             &ctx,
             &mut world,
-            journal.as_deref(),
             bucketed.expect("--resume requires --two-pass"),
         )?,
-        Some(dir) => two_pass::count_out_of_core(
-            stages,
-            &ctx,
-            &mut world,
-            journal.as_deref(),
-            reads,
-            dir,
-            bucketed,
-        )?,
+        Some(dir) => two_pass::count_out_of_core(stages, &ctx, &mut world, reads, dir, bucketed)?,
     };
 
     // ── Report assembly ────────────────────────────────────────────────
@@ -429,68 +458,54 @@ pub(crate) fn run_staged<S: CounterStages>(
         total: wall_run.elapsed().as_secs_f64(),
     };
     let summary = counted.summary;
-    if let Some(m) = &metrics {
+    ctx.record(|| {
+        let mut events = Vec::new();
         // Fault-recovery series exist only when recovery happened, so a
         // zero-fault plan leaves the metrics schema untouched.
-        if summary.retries > 0 {
-            m.counter_add("retries_total", None, summary.retries);
-            m.counter_add("corrupt_buckets_total", None, summary.corrupt_buckets);
-        }
         if summary.rank_deaths > 0 {
-            m.counter_add("rank_deaths_total", None, summary.rank_deaths);
-            m.counter_add("exchange_replay_bytes_total", None, summary.replayed_bytes);
+            events.push(JournalEvent::metric(
+                "exchange_replay_bytes_total",
+                None,
+                MetricOp::CounterAdd(summary.replayed_bytes),
+            ));
         }
         if summary.retries > 0 || summary.rank_deaths > 0 {
-            m.gauge_add(
+            events.push(JournalEvent::metric(
                 "recovery_seconds_total",
                 None,
-                summary.recovery_time.as_secs(),
-            );
+                MetricOp::GaugeAdd(summary.recovery_time.as_secs()),
+            ));
         }
-        // Always-on phase and makespan gauges — what `dedukt analyze`
-        // reconciles the journal against — plus the wall-clock lane
-        // (real host seconds; the one nondeterministic series family).
-        m.gauge_set("phase_seconds:parse", None, phases.parse.as_secs());
-        m.gauge_set("phase_seconds:exchange", None, phases.exchange.as_secs());
-        m.gauge_set("phase_seconds:count", None, phases.count.as_secs());
-        m.gauge_set("makespan_seconds", None, makespan.as_secs());
-        m.gauge_set("wall_seconds:parse", None, wall.parse);
-        m.gauge_set("wall_seconds:rounds", None, wall.rounds);
-        m.gauge_set("wall_seconds:finish", None, wall.finish);
-        m.gauge_set("wall_seconds:total", None, wall.total);
-    }
-    if let Some(j) = &journal {
         // Phase totals from the same accumulators as the report, so the
-        // analyzer's reconciliation is exact (not epsilon-close).
-        j.push(JournalEvent::Phase {
-            phase: "parse".to_string(),
-            secs: phases.parse.as_secs(),
-        });
-        j.push(JournalEvent::Phase {
-            phase: "exchange".to_string(),
-            secs: phases.exchange.as_secs(),
-        });
-        j.push(JournalEvent::Phase {
-            phase: "count".to_string(),
-            secs: phases.count.as_secs(),
-        });
+        // analyzer's reconciliation is exact (not epsilon-close); then
+        // the wall-clock lane (real host seconds, the one
+        // nondeterministic family) and the makespan trailer.
+        for (phase, t) in [
+            ("parse", phases.parse),
+            ("exchange", phases.exchange),
+            ("count", phases.count),
+        ] {
+            events.push(JournalEvent::Phase {
+                phase: phase.to_string(),
+                secs: t.as_secs(),
+            });
+        }
         for (stage, secs) in [
             ("parse", wall.parse),
             ("rounds", wall.rounds),
             ("finish", wall.finish),
             ("total", wall.total),
         ] {
-            j.push(JournalEvent::Wall {
+            events.push(JournalEvent::Wall {
                 stage: stage.to_string(),
                 secs,
             });
         }
-        j.push(JournalEvent::Run {
+        events.push(JournalEvent::Run {
             makespan: makespan.as_secs(),
         });
-    }
-    let trace = rc.collect_trace.then(|| world.take_trace());
-    let trace_counters = rc.collect_trace.then(|| world.take_trace_counters());
+        events
+    });
     let stats = world.stats();
     let (load, total, distinct, spectrum, tables) =
         assemble_counts(counted.results, rc.collect_spectrum, rc.collect_tables);
@@ -515,11 +530,8 @@ pub(crate) fn run_staged<S: CounterStages>(
         distinct_kmers: distinct,
         spectrum,
         tables,
-        trace,
-        trace_counters,
-        metrics: metrics.map(|m| m.snapshot()),
         wall,
-        journal: journal.map(|j| j.snapshot()),
+        events: ctx.journal.map(|j| j.take()),
     })
 }
 
@@ -533,14 +545,15 @@ fn bucket_phase<S: CounterStages>(
 ) -> Bucketed<S::Item> {
     let nranks = ctx.nranks;
     let (bucket_out, bucket_step) = world.compute_step_named(S::BUCKET_PHASE, |rank| {
-        let b = stages.bucket(ctx, rank);
-        ((b.buckets, b.stage_out), b.compute)
+        let (b, events) = ctx.rank_local(|ctx| stages.bucket(ctx, rank));
+        ((b.buckets, b.stage_out, events), b.compute)
     });
     let mut buckets = Vec::with_capacity(nranks);
     let mut stage_out = Vec::with_capacity(nranks);
-    for (b, t) in bucket_out {
+    for (b, t, events) in bucket_out {
         buckets.push(b);
         stage_out.push(t);
+        ctx.record(|| events);
     }
     let units: u64 = buckets
         .iter()
@@ -573,31 +586,25 @@ fn count_in_memory<S: CounterStages>(
     stages: &S,
     ctx: &DriverCtx,
     world: &mut BspWorld,
-    journal: Option<&Journal>,
     bucketed: Bucketed<S::Item>,
 ) -> Result<Counted<S::Key>, RunError> {
     let rounds_start = Instant::now();
-    let ex = exchange_rounds(
-        stages,
-        &Counting(stages, ctx),
-        ctx,
-        world,
-        journal,
-        bucketed,
-    )?;
+    let ex = exchange_rounds(stages, &Counting(stages, ctx), ctx, world, bucketed)?;
     let wall_rounds = rounds_start.elapsed().as_secs_f64();
 
     // ── Count phase drain ──────────────────────────────────────────────
     let (_, count_step) = world.compute_step_named("count", |rank| ((), ex.count_exposed[rank]));
-    journal_pressure(
-        journal,
-        ex.sinks.iter().map(|c| stages.pressure(c)).enumerate(),
-    );
+    journal_pressure(ctx, ex.sinks.iter().map(|c| stages.pressure(c)).enumerate());
     let indexed: Vec<(usize, S::Counter)> = ex.sinks.into_iter().enumerate().collect();
-    let mut results: Vec<RankCountResult<S::Key>> = indexed
+    let finished: Vec<(RankCountResult<S::Key>, Vec<JournalEvent>)> = indexed
         .into_par_iter()
-        .map(|(rank, c)| stages.finish(ctx, rank, c))
+        .map(|(rank, c)| ctx.rank_local(|ctx| stages.finish(ctx, rank, c)))
         .collect();
+    let mut results = Vec::with_capacity(finished.len());
+    for (result, events) in finished {
+        results.push(result);
+        ctx.record(|| events);
+    }
     if !ex.salvaged.is_empty() {
         fold_salvaged(&mut results, ex.salvaged);
     }
@@ -613,12 +620,12 @@ fn count_in_memory<S: CounterStages>(
 
 /// Recovery accounting: one journal event per `(rank, counter)` and kind
 /// of memory pressure that actually fired (unpressured runs journal
-/// nothing here, mirroring the pressure metrics' existence discipline).
+/// nothing here, so their metrics carry no pressure series either).
 pub(crate) fn journal_pressure(
-    journal: Option<&Journal>,
+    ctx: &DriverCtx,
     pressure: impl IntoIterator<Item = (usize, PressureStats)>,
 ) {
-    let Some(j) = journal else { return };
+    let Some(j) = &ctx.journal else { return };
     for (rank, p) in pressure {
         if p.regrows > 0 {
             j.push(JournalEvent::Regrow {
@@ -653,7 +660,6 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
     sink: &K,
     ctx: &DriverCtx,
     world: &mut BspWorld,
-    journal: Option<&Journal>,
     bucketed: Bucketed<S::Item>,
 ) -> Result<Exchanged<K::State, K::Held>, RunError> {
     let rc = ctx.rc;
@@ -718,13 +724,13 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
         {
             let (_, target) = rescale_sched.next().expect("peeked");
             let from = alive.iter().filter(|&&a| a).count();
-            if let Some(j) = journal {
-                j.push(JournalEvent::Rescale {
+            ctx.record(|| {
+                [JournalEvent::Rescale {
                     round: round_idx as u64,
                     from,
                     to: target,
-                });
-            }
+                }]
+            });
             // Shrink: ranks at index >= target depart gracefully. Their
             // whole sink is salvaged (merged at assembly) and their
             // ranges pass to survivors for future rounds only — a
@@ -789,12 +795,12 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
                 }
                 alive[r] = false;
                 dead_total += 1;
-                if let Some(j) = journal {
-                    j.push(JournalEvent::RankDead {
+                ctx.record(|| {
+                    [JournalEvent::RankDead {
                         rank: r,
                         round: round_idx as u64,
-                    });
-                }
+                    }]
+                });
                 if dead_total > plan.spec().max_dead || !alive.iter().any(|&a| a) {
                     return Err(RunError::RanksLost {
                         dead: dead_total,
@@ -928,15 +934,15 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
             }
             let backoff =
                 SimTime::from_secs(spec.backoff_secs * (1u64 << (attempt - 1).min(20)) as f64);
-            if let Some(j) = journal {
-                j.push(JournalEvent::Retry {
+            ctx.record(|| {
+                [JournalEvent::Retry {
                     round: round_idx as u64,
                     attempt,
                     failed: rr.failed_sends,
                     corrupt: rr.corrupt_buckets,
                     backoff: backoff.as_secs(),
-                });
-            }
+                }]
+            });
             world.advance_all("retry-backoff", backoff);
             world.fault_context(round_idx as u64, attempt);
             rr = stages.exchange_round(world, rr.undelivered, None);
@@ -972,20 +978,31 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
         // Cumulative spill samples feed a dedicated trace counter lane —
         // emitted only when pressure actually spilled something, so an
         // unconstrained run's trace schema is untouched.
-        if rc.collect_trace {
+        ctx.record(|| {
+            let mut samples = Vec::new();
             for (rank, c) in sinks.iter().enumerate() {
                 let p = sink.pressure(c);
+                let ts = world.now(rank).as_secs();
+                let mut sample = |name: &str, value: u64| {
+                    samples.push(JournalEvent::Sample {
+                        name: name.to_string(),
+                        rank,
+                        ts,
+                        value: value as f64,
+                    })
+                };
                 if p.spilled > 0 {
-                    world.push_counter_sample("spill k-mers", rank, p.spilled as f64);
+                    sample("spill k-mers", p.spilled);
                 }
                 // The HBM lane exists only for ranks where pressure
                 // actually fired — high-water marks are nonzero on every
                 // run, so gating on them would change clean-run traces.
                 if p.fired() {
-                    world.push_counter_sample("hbm bytes", rank, p.high_water_bytes as f64);
+                    sample("hbm bytes", p.high_water_bytes);
                 }
             }
-        }
+            samples
+        });
         for (rank, t) in times.iter().enumerate() {
             count_totals[rank] += *t;
         }

@@ -1,7 +1,7 @@
 //! Shared machinery of the two GPU pipelines (§III-B / §IV-B).
 
 use crate::config::{CountingConfig, RunConfig};
-use crate::pipeline::driver::{CounterOom, PressureStats};
+use crate::pipeline::driver::{CounterOom, DriverCtx, PressureStats};
 use crate::table::{table_capacity, DeviceCountTable, InsertOutcome};
 use crate::width::PackedKmer;
 use dedukt_dna::packed::ConcatReads;
@@ -9,7 +9,7 @@ use dedukt_dna::Read;
 use dedukt_gpu::mem_plan::{alloc_fails, estimate_factor};
 use dedukt_gpu::transfer::staging_time;
 use dedukt_gpu::{Device, KernelReport, LaunchConfig, MemPlan};
-use dedukt_sim::{DataVolume, Histogram, SimTime};
+use dedukt_sim::{DataVolume, Histogram, MetricOp, SimTime};
 
 /// Thread-block size used by all pipeline kernels.
 pub const BLOCK_THREADS: u32 = 256;
@@ -369,10 +369,12 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
     /// k-mers back in by key, so pressured runs report exactly the counts
     /// an unconstrained run would — and records the counting telemetry
     /// (same series as the single-launch pipelines, plus the pressure
-    /// series, which exist only when pressure actually fired).
+    /// series, which exist only when pressure actually fired). The
+    /// regrow and spill totals are not among them: the driver journals
+    /// those facts once ([`crate::pipeline::driver::journal_pressure`]).
     pub(crate) fn finish(
         mut self,
-        metrics: &Option<std::sync::Arc<dedukt_sim::MetricsRegistry>>,
+        ctx: &DriverCtx,
         rank: usize,
     ) -> crate::pipeline::RankCountResult<K> {
         let mut entries = self.table.to_host();
@@ -380,40 +382,35 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         // spill merge changes the entry list.
         let device_load = entries.len() as f64 / self.table.capacity() as f64;
         merge_spill(&mut entries, std::mem::take(&mut self.spill));
-        if let Some(m) = metrics {
-            m.counter_add("kmers_counted_total", Some(rank), self.instances);
-            m.merge_histogram("count_probe_steps", Some(rank), &self.probe_hist);
-            m.gauge_set("count_table_load_factor", Some(rank), device_load);
-            m.gauge_set(
-                "kernel_occupancy:count_kmers",
-                Some(rank),
-                self.last_occupancy,
-            );
-            m.gauge_max(
-                "device_peak_bytes",
-                Some(rank),
-                self.device.peak_bytes() as f64,
-            );
+        ctx.rank_metrics(rank, || {
+            let peak = self.device.peak_bytes() as f64;
+            let mut observed = vec![
+                ("kmers_counted_total", MetricOp::CounterAdd(self.instances)),
+                (
+                    "count_probe_steps",
+                    MetricOp::HistogramMerge(std::mem::take(&mut self.probe_hist)),
+                ),
+                ("count_table_load_factor", MetricOp::GaugeSet(device_load)),
+                (
+                    "kernel_occupancy:count_kmers",
+                    MetricOp::GaugeSet(self.last_occupancy),
+                ),
+                ("device_peak_bytes", MetricOp::GaugeMax(peak)),
+            ];
             // Pressure series are emitted only when the event happened, so
             // an unconstrained run's metrics schema is byte-identical to
             // earlier releases.
-            if self.regrows > 0 {
-                m.counter_add("table_regrows_total", Some(rank), self.regrows);
-            }
-            if self.spilled > 0 {
-                m.counter_add("spill_kmers_total", Some(rank), self.spilled);
-            }
             if self.oom_events > 0 {
-                m.counter_add("device_oom_events_total", Some(rank), self.oom_events);
+                observed.push((
+                    "device_oom_events_total",
+                    MetricOp::CounterAdd(self.oom_events),
+                ));
             }
             if self.regrows + self.spilled + self.oom_events > 0 {
-                m.gauge_max(
-                    "hbm_high_water_bytes",
-                    Some(rank),
-                    self.device.peak_bytes() as f64,
-                );
+                observed.push(("hbm_high_water_bytes", MetricOp::GaugeMax(peak)));
             }
-        }
+            observed
+        });
         crate::pipeline::RankCountResult {
             entries,
             instances: self.instances,

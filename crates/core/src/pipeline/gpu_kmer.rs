@@ -33,7 +33,7 @@ use dedukt_dna::packed::ConcatReads;
 use dedukt_dna::ReadSet;
 use dedukt_net::cost::Network;
 use dedukt_net::BspWorld;
-use dedukt_sim::{DataVolume, SimTime};
+use dedukt_sim::{DataVolume, MetricOp, SimTime};
 use std::marker::PhantomData;
 
 /// Calls `f` with every packed k-mer whose start position lies in
@@ -139,10 +139,18 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
             .map(|v| v.len() as u64 * K::KMER_WIRE_BYTES)
             .sum();
         let d2h = staging(&device, rc, DataVolume::from_bytes(out_bytes));
-        if let Some(m) = &ctx.metrics {
-            m.gauge_set("kernel_occupancy:parse_kmers", Some(rank), report.occupancy);
-            m.gauge_max("device_peak_bytes", Some(rank), device.peak_bytes() as f64);
-        }
+        ctx.rank_metrics(rank, || {
+            [
+                (
+                    "kernel_occupancy:parse_kmers",
+                    MetricOp::GaugeSet(report.occupancy),
+                ),
+                (
+                    "device_peak_bytes",
+                    MetricOp::GaugeMax(device.peak_bytes() as f64),
+                ),
+            ]
+        });
         BucketOut {
             buckets: out,
             compute: h2d + report.time,
@@ -210,7 +218,7 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
         rank: usize,
         counter: DeviceRoundCounter<K>,
     ) -> RankCountResult<K> {
-        counter.finish(&ctx.metrics, rank)
+        counter.finish(ctx, rank)
     }
 }
 

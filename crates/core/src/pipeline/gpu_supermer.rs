@@ -33,7 +33,7 @@ use crate::width::PackedKmer;
 use dedukt_dna::ReadSet;
 use dedukt_net::cost::Network;
 use dedukt_net::BspWorld;
-use dedukt_sim::{DataVolume, Histogram, SimTime};
+use dedukt_sim::{DataVolume, Histogram, MetricOp, SimTime};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
@@ -275,7 +275,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             .map(|v| v.len() as u64 * K::SUPERMER_WIRE_BYTES)
             .sum();
         let d2h = staging(&device, rc, DataVolume::from_bytes(out_bytes));
-        if let Some(m) = &ctx.metrics {
+        ctx.rank_metrics(rank, || {
             // Supermer-length distribution and the wire-compression ratio
             // this rank achieved: one k-mer word each (8/16 B) had they
             // been sent raw vs one word + length byte (9/17 B) per
@@ -287,23 +287,35 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
                 kmer_count += (s.len as u64).saturating_sub(cfg.k as u64 - 1);
             }
             let supermer_count = length_hist.count();
-            m.merge_histogram("supermer_length_bases", Some(rank), &length_hist);
-            m.counter_add("supermers_built_total", Some(rank), supermer_count);
+            let mut observed = vec![
+                (
+                    "supermer_length_bases",
+                    MetricOp::HistogramMerge(length_hist),
+                ),
+                (
+                    "supermers_built_total",
+                    MetricOp::CounterAdd(supermer_count),
+                ),
+            ];
             if supermer_count > 0 {
-                m.gauge_set(
+                observed.push((
                     "supermer_compression_ratio",
-                    Some(rank),
-                    (kmer_count * K::KMER_WIRE_BYTES) as f64
-                        / (supermer_count * K::SUPERMER_WIRE_BYTES) as f64,
-                );
+                    MetricOp::GaugeSet(
+                        (kmer_count * K::KMER_WIRE_BYTES) as f64
+                            / (supermer_count * K::SUPERMER_WIRE_BYTES) as f64,
+                    ),
+                ));
             }
-            m.gauge_set(
+            observed.push((
                 "kernel_occupancy:build_supermers",
-                Some(rank),
-                report.occupancy,
-            );
-            m.gauge_max("device_peak_bytes", Some(rank), device.peak_bytes() as f64);
-        }
+                MetricOp::GaugeSet(report.occupancy),
+            ));
+            observed.push((
+                "device_peak_bytes",
+                MetricOp::GaugeMax(device.peak_bytes() as f64),
+            ));
+            observed
+        });
         BucketOut {
             buckets,
             compute: h2d + report.time,
@@ -476,7 +488,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         rank: usize,
         counter: DeviceRoundCounter<K>,
     ) -> RankCountResult<K> {
-        counter.finish(&ctx.metrics, rank)
+        counter.finish(ctx, rank)
     }
 }
 

@@ -53,25 +53,28 @@ pub struct RunReport<K: TableKey = u64> {
     pub spectrum: Option<Spectrum>,
     /// Per-rank `(kmer, count)` tables, if requested (verification).
     pub tables: Option<Vec<Vec<(K, u32)>>>,
-    /// Per-rank phase timeline, if requested (Chrome trace-event ready).
-    pub trace: Option<Vec<dedukt_sim::TraceEvent>>,
-    /// Cumulative per-rank exchange-byte samples, if a trace was
-    /// requested — embedded as `"ph": "C"` counter tracks by
-    /// [`dedukt_sim::trace::write_chrome_trace_with`].
-    pub trace_counters: Option<Vec<dedukt_sim::TraceCounter>>,
-    /// Run-wide telemetry snapshot, if requested
-    /// ([`crate::config::RunConfig::collect_metrics`]).
-    pub metrics: Option<dedukt_sim::MetricsSnapshot>,
     /// Real host wall-clock seconds per driver stage — always measured,
     /// and the report's only nondeterministic numbers (they time this
     /// process, not the simulated machine).
     pub wall: crate::stats::WallClock,
-    /// Structured run journal for `dedukt analyze`, if requested
-    /// ([`crate::config::RunConfig::collect_journal`]).
-    pub journal: Option<Vec<dedukt_sim::JournalEvent>>,
+    /// The run's event stream, recorded when any of
+    /// [`crate::config::RunConfig::collect_trace`], `collect_metrics` or
+    /// `collect_journal` is set. The Chrome trace
+    /// ([`dedukt_sim::write_chrome_trace`]), the metrics snapshot
+    /// ([`RunReport::metrics`]) and the JSONL journal for `dedukt analyze`
+    /// ([`dedukt_sim::write_journal`]) are projections of it.
+    pub events: Option<Vec<dedukt_sim::JournalEvent>>,
 }
 
 impl<K: TableKey> RunReport<K> {
+    /// The run's metrics snapshot, folded from its event stream (`None`
+    /// when nothing was recorded).
+    pub fn metrics(&self) -> Option<dedukt_sim::MetricsSnapshot> {
+        self.events
+            .as_deref()
+            .map(dedukt_sim::MetricsSnapshot::from_events)
+    }
+
     /// End-to-end simulated time (excl. I/O): the sum of the phase bars,
     /// matching how the paper's stacked breakdowns read.
     pub fn total_time(&self) -> SimTime {

@@ -33,7 +33,7 @@ use dedukt_dna::ReadSet;
 use dedukt_net::cost::SsdParams;
 use dedukt_net::BspWorld;
 use dedukt_sim::rng::mix_coords;
-use dedukt_sim::{Journal, JournalEvent, SimTime};
+use dedukt_sim::{JournalEvent, MetricOp, SimTime};
 use dedukt_store::plan::read_errors;
 use dedukt_store::{
     read_bin_counts, write_bin_counts, BinCounts, BinMeta, BinStore, IoPlan, Manifest,
@@ -211,7 +211,6 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
     stages: &S,
     ctx: &DriverCtx,
     world: &mut BspWorld,
-    journal: Option<&Journal>,
     reads: &ReadSet,
     dir: &Path,
     bucketed: Option<Bucketed<S::Item>>,
@@ -222,8 +221,7 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
     let disk = Disk {
         store: BinStore::create(dir).map_err(|e| store_failed(0, e))?,
         ssd: SsdParams::nvme(),
-        io: rc.io.as_ref(),
-        journal,
+        ctx,
     };
 
     // ── Pass 1: the exchange, spooled into bins on the NVMe tier ───────
@@ -243,7 +241,7 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
                 slot_bytes,
             );
             let sink = Spooling { stages, ctx, nbins };
-            let ex = exchange_rounds(stages, &sink, ctx, world, journal, bucketed)?;
+            let ex = exchange_rounds(stages, &sink, ctx, world, bucketed)?;
             // Salvaged spools rejoin their bins: a checkpoint or a
             // departure holds exactly the records its live successor
             // lacks, so every instance lands in one bin once.
@@ -306,8 +304,7 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
                     ));
                 }
                 let secs = &mut read_secs[owner];
-                let payloads =
-                    disk.read_recovering(stages, ctx, meta, nbins, secs, &mut storage)?;
+                let payloads = disk.read_recovering(stages, meta, nbins, secs, &mut storage)?;
                 let items: Vec<S::Item> = payloads
                     .iter()
                     .flat_map(|p| p.chunks_exact(S::Item::BYTES).map(S::Item::decode))
@@ -333,7 +330,7 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
                     .map_err(|e| oom(e, high_water.clone()))?;
                 let pressure = stages.pressure(&counter);
                 high_water[owner] = high_water[owner].max(pressure.high_water_bytes);
-                journal_pressure(journal, [(owner, pressure)]);
+                journal_pressure(ctx, [(owner, pressure)]);
                 let counted = stages.finish(ctx, owner, counter);
                 debug_assert_eq!(counted.instances, meta.instances);
                 // Gerbil-style pre-filter: counts below `--min-count`
@@ -368,33 +365,36 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
     }
     let (_, read_step) = world.compute_step_named("bin-read", |rank| ((), read_secs[rank]));
     let (_, count_step) = world.compute_step_named("count", |rank| ((), count_secs[rank]));
-    if let Some(m) = &ctx.metrics {
-        m.counter_add("storage_write_bytes_total", None, storage.write_bytes);
-        m.counter_add("storage_read_bytes_total", None, storage.read_bytes);
+    ctx.record(|| {
+        let mut observed = vec![
+            ("storage_write_bytes_total", storage.write_bytes),
+            ("storage_read_bytes_total", storage.read_bytes),
+        ];
         if storage.io_retries > 0 {
-            m.counter_add("io_retries_total", None, storage.io_retries);
+            observed.push(("io_retries_total", storage.io_retries));
         }
         if storage.quarantined_bins > 0 {
-            m.counter_add("quarantined_bins_total", None, storage.quarantined_bins);
-            m.counter_add("rederived_bins_total", None, storage.quarantined_bins);
-            m.counter_add("rederive_bytes_total", None, storage.rederived_bytes);
-        }
-        if storage.io_retries > 0 || storage.quarantined_bins > 0 {
-            m.gauge_add(
-                "recovery_seconds_total",
-                None,
-                storage.recovery_time.as_secs(),
-            );
+            observed.push(("quarantined_bins_total", storage.quarantined_bins));
+            observed.push(("rederived_bins_total", storage.quarantined_bins));
+            observed.push(("rederive_bytes_total", storage.rederived_bytes));
         }
         if rc.min_count > 1 {
-            m.counter_add("filtered_kmers_total", None, filtered_total);
-            m.counter_add(
-                "filtered_kmer_instances_total",
-                None,
-                filtered_instances_total,
-            );
+            observed.push(("filtered_kmers_total", filtered_total));
+            observed.push(("filtered_kmer_instances_total", filtered_instances_total));
         }
-    }
+        let mut events: Vec<JournalEvent> = observed
+            .into_iter()
+            .map(|(name, n)| JournalEvent::metric(name, None, MetricOp::CounterAdd(n)))
+            .collect();
+        if storage.io_retries > 0 || storage.quarantined_bins > 0 {
+            events.push(JournalEvent::metric(
+                "recovery_seconds_total",
+                None,
+                MetricOp::GaugeAdd(storage.recovery_time.as_secs()),
+            ));
+        }
+        events
+    });
     Ok(Counted {
         results,
         summary,
@@ -406,25 +406,29 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
 }
 
 /// The bin store as one run uses it: the files, the simulated drive
-/// that prices them, the io fault plan, and the journal that annotates
-/// every operation (on top of the compute steps that charge the time).
+/// that prices them, and the run whose io fault plan damages them and
+/// whose journal annotates every operation (on top of the compute steps
+/// that charge the time).
 struct Disk<'a> {
     store: BinStore,
     ssd: SsdParams,
-    io: Option<&'a IoPlan>,
-    journal: Option<&'a Journal>,
+    ctx: &'a DriverCtx<'a>,
 }
 
 impl Disk<'_> {
+    fn io(&self) -> Option<&IoPlan> {
+        self.ctx.rc.io.as_ref()
+    }
+
     fn io_event(&self, op: &str, bin: u64, bytes: u64, secs: SimTime) {
-        if let Some(j) = self.journal {
-            j.push(JournalEvent::Io {
+        self.ctx.record(|| {
+            [JournalEvent::Io {
                 op: op.to_string(),
                 bin,
                 bytes,
                 secs: secs.as_secs(),
-            });
-        }
+            }]
+        });
     }
 
     /// Lands the spools and writes the manifest. Each bin gets one block
@@ -452,7 +456,7 @@ impl Disk<'_> {
             }
             let w = self
                 .store
-                .write_bin(bin as u32, 0, &blocks, self.io)
+                .write_bin(bin as u32, 0, &blocks, self.io())
                 .map_err(|e| store_failed(bin as u64, e))?;
             let dt = self.ssd.write_time(w.physical_bytes);
             write_secs[bin / (nbins / nranks)] += dt;
@@ -504,13 +508,12 @@ impl Disk<'_> {
     fn read_recovering<S: CounterStages>(
         &self,
         stages: &S,
-        ctx: &DriverCtx,
         meta: &BinMeta,
         nbins: usize,
         secs: &mut SimTime,
         storage: &mut StorageSummary,
     ) -> Result<Vec<Vec<u8>>, RunError> {
-        let spec = self.io.map(|p| *p.spec());
+        let spec = self.io().map(|p| *p.spec());
         let bin = meta.bin as u64;
         let mut generation = 0u32;
         let mut blocks = meta.blocks;
@@ -519,7 +522,7 @@ impl Disk<'_> {
         loop {
             let mut damage: Option<String> = None;
             for _ in 0..spec.map_or(1, |s| s.max_retries) {
-                let transient = self.io.is_some_and(|p| read_errors(p, bin, attempts));
+                let transient = self.io().is_some_and(|p| read_errors(p, bin, attempts));
                 attempts += 1;
                 if transient {
                     let dt = SimTime::from_secs(self.ssd.seek_secs);
@@ -561,10 +564,10 @@ impl Disk<'_> {
             self.io_event("quarantine", bin, meta.bytes, SimTime::ZERO);
             rederives += 1;
             generation += 1;
-            let (fresh, compute) = rederive(stages, ctx, nbins, meta.bin as usize);
+            let (fresh, compute) = rederive(stages, self.ctx, nbins, meta.bin as usize);
             let w = self
                 .store
-                .write_bin(meta.bin, generation, &fresh, self.io)
+                .write_bin(meta.bin, generation, &fresh, self.io())
                 .map_err(|e| store_failed(bin, e))?;
             blocks = w.blocks;
             let dt = compute + self.ssd.write_time(w.physical_bytes);
@@ -588,7 +591,7 @@ fn rederive<S: CounterStages>(
     bin: usize,
 ) -> (Vec<Vec<u8>>, SimTime) {
     let quiet = DriverCtx {
-        metrics: None,
+        journal: None,
         ..ctx.clone()
     };
     let owner = bin / (nbins / ctx.nranks);

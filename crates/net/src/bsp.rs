@@ -16,9 +16,7 @@ use crate::cost::Network;
 use crate::fault::{BucketFate, ChecksumFrame, FaultPlan, WireHash};
 use crate::route::ExchangeRoute;
 use crate::stats::CommStats;
-use dedukt_sim::{
-    Journal, JournalEvent, MetricsRegistry, SimClock, SimTime, TraceCounter, TraceEvent,
-};
+use dedukt_sim::{Journal, JournalEvent, MetricOp, SimClock, SimTime};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -110,12 +108,9 @@ pub struct BspWorld {
     net: Network,
     clocks: Vec<SimClock>,
     stats: CommStats,
-    trace: Vec<TraceEvent>,
-    counters: Vec<TraceCounter>,
-    sent_bytes_cum: Vec<u64>,
-    metrics: Option<Arc<MetricsRegistry>>,
     step_counter: usize,
     fault: Option<FaultState>,
+    /// The run's one recorder; a world without one records nothing.
     journal: Option<Arc<Journal>>,
     /// Superstep sequence number for journaled compute spans; advances
     /// only while a journal is attached (it is observable nowhere else).
@@ -130,10 +125,6 @@ impl BspWorld {
             net,
             clocks: vec![SimClock::new(); n],
             stats: CommStats::default(),
-            trace: Vec::new(),
-            counters: Vec::new(),
-            sent_bytes_cum: vec![0; n],
-            metrics: None,
             step_counter: 0,
             fault: None,
             journal: None,
@@ -141,19 +132,12 @@ impl BspWorld {
         }
     }
 
-    /// Attaches a metrics registry: subsequent supersteps and collectives
-    /// record per-rank counters and gauges into it. All simulated times
-    /// come from the analytic cost models, so attaching a registry never
-    /// changes them.
-    pub fn enable_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        self.metrics = Some(registry);
-    }
-
-    /// Attaches a run journal: every subsequent clock charge — compute
-    /// spans, per-rank collective charges, backoff advances — is recorded
-    /// as a typed [`JournalEvent`]. Like metrics, the journal is a pure
-    /// observer: simulated times come from the cost models and cannot be
-    /// perturbed by recording them.
+    /// Attaches the run's journal: every subsequent clock charge —
+    /// compute spans, per-rank collective charges, backoff advances — is
+    /// recorded as a typed [`JournalEvent`], together with the engine's
+    /// metric observations and trace samples that no clock charge carries.
+    /// The journal is a pure observer: simulated times come from the cost
+    /// models and cannot be perturbed by recording them.
     pub fn enable_journal(&mut self, journal: Arc<Journal>) {
         self.journal = Some(journal);
     }
@@ -194,20 +178,14 @@ impl BspWorld {
         }
     }
 
-    /// Advances every rank's clock by `dt`, recording one `name` trace
-    /// span per rank — used to charge retry backoff to the sim clock.
+    /// Advances every rank's clock by `dt`, recording one `name` span per
+    /// rank — used to charge retry backoff to the sim clock.
     pub fn advance_all(&mut self, name: &str, dt: SimTime) {
         if dt.is_zero() {
             return;
         }
         let step = self.next_journal_step();
         for rank in 0..self.clocks.len() {
-            self.trace.push(TraceEvent {
-                name: name.to_string(),
-                rank,
-                start: self.clocks[rank].now(),
-                duration: dt,
-            });
             if let Some(j) = &self.journal {
                 let start = self.clocks[rank].now().as_secs();
                 j.push(JournalEvent::Span {
@@ -248,6 +226,11 @@ impl BspWorld {
         &self.stats
     }
 
+    /// `rank`'s simulated clock.
+    pub fn now(&self, rank: usize) -> SimTime {
+        self.clocks[rank].now()
+    }
+
     /// The latest rank clock — the simulated makespan so far.
     pub fn elapsed(&self) -> SimTime {
         self.clocks
@@ -269,15 +252,14 @@ impl BspWorld {
         self.compute_step_named(&name, f)
     }
 
-    /// Like [`BspWorld::compute_step`], with a phase name for the run
-    /// trace (see [`BspWorld::take_trace`]).
+    /// Like [`BspWorld::compute_step`], with a phase name for the run's
+    /// journaled spans.
     pub fn compute_step_named<T, F>(&mut self, name: &str, f: F) -> (Vec<T>, StepTimes)
     where
         T: Send,
         F: Fn(usize) -> (T, SimTime) + Sync,
     {
         let results: Vec<(T, SimTime)> = (0..self.nranks()).into_par_iter().map(&f).collect();
-        let metrics = self.metrics.clone();
         let straggle: Option<(FaultPlan, u64)> = self.fault.as_mut().map(|fs| {
             fs.compute_steps += 1;
             (fs.plan, fs.compute_steps - 1)
@@ -299,14 +281,8 @@ impl BspWorld {
                 }
                 None => dt,
             };
-            if !dt.is_zero() {
-                self.trace.push(TraceEvent {
-                    name: name.to_string(),
-                    rank,
-                    start: self.clocks[rank].now(),
-                    duration: dt,
-                });
-                if let Some(j) = &self.journal {
+            if let Some(j) = &self.journal {
+                if !dt.is_zero() {
                     let start = self.clocks[rank].now().as_secs();
                     j.push(JournalEvent::Span {
                         step,
@@ -316,42 +292,20 @@ impl BspWorld {
                         end: start + dt.as_secs(),
                     });
                 }
-            }
-            if let Some(m) = &metrics {
-                m.gauge_add("compute_seconds_total", Some(rank), dt.as_secs());
+                // Not a fold of the spans: `end - start` need not equal
+                // `dt` to the last bit (the trace takes the span's exact
+                // length from here), and backoff spans are not compute.
+                j.push(JournalEvent::metric(
+                    "compute_seconds_total",
+                    Some(rank),
+                    MetricOp::GaugeAdd(dt.as_secs()),
+                ));
             }
             self.clocks[rank].advance(dt);
             times.push(dt);
             outputs.push(out);
         }
         (outputs, StepTimes::from_times(&times))
-    }
-
-    /// Drains the recorded trace (compute steps and collectives, one span
-    /// per rank per step), e.g. for
-    /// [`dedukt_sim::trace::write_chrome_trace`].
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.trace)
-    }
-
-    /// Drains the recorded counter samples (cumulative Alltoallv bytes per
-    /// rank, one sample per collective), for
-    /// [`dedukt_sim::trace::write_chrome_trace_with`].
-    pub fn take_trace_counters(&mut self) -> Vec<TraceCounter> {
-        std::mem::take(&mut self.counters)
-    }
-
-    /// Records one sample on a named counter lane at `rank`'s current
-    /// simulated time. Lets layers above the wire (e.g. the counting
-    /// stage's spill accounting) feed the same Chrome-trace counter
-    /// machinery as the built-in byte and retry lanes.
-    pub fn push_counter_sample(&mut self, name: &str, rank: usize, value: f64) {
-        self.counters.push(TraceCounter {
-            name: name.to_string(),
-            rank,
-            ts: self.clocks[rank].now(),
-            value,
-        });
     }
 
     /// Performs an Alltoallv: `send[src][dst]` is the payload `src` sends
@@ -540,17 +494,6 @@ impl BspWorld {
 
         // Synchronize: nobody finishes before the slowest rank has arrived.
         let start = self.elapsed();
-        let metrics = self.metrics.clone();
-        if let Some(m) = &metrics {
-            m.counter_add("exchange_collectives_total", None, 1);
-            // Zero-padded so the superstep series sorts numerically in
-            // exports (the registry is name-ordered).
-            m.counter_add(
-                &format!("exchange_superstep_bytes:{:04}", self.stats.collectives),
-                None,
-                sent_per_rank.iter().sum(),
-            );
-        }
         let mut elapsed = Vec::with_capacity(p);
         let mut wire = Vec::with_capacity(p);
         for (rank, wt) in wire_times.iter().enumerate() {
@@ -562,53 +505,6 @@ impl BspWorld {
             let intra = intra_times[rank];
             let inject = *wt - intra;
             let charged = intra + SimTime::max(inject, hid);
-            self.trace.push(TraceEvent {
-                name: "alltoallv".to_string(),
-                rank,
-                start,
-                duration: *wt,
-            });
-            if !hid.is_zero() {
-                // The hidden count kernel runs on the rank's device stream
-                // while the wire is busy; it shares the collective's start.
-                self.trace.push(TraceEvent {
-                    name: "count(overlap)".to_string(),
-                    rank,
-                    start,
-                    duration: hid,
-                });
-            }
-            if let Some(m) = &metrics {
-                // How long this rank idled at the barrier waiting for the
-                // slowest participant (SimTime subtraction floors at zero).
-                let wait = start - self.clocks[rank].now();
-                m.counter_add("exchange_bytes_total", Some(rank), sent_per_rank[rank]);
-                // Always recorded (zero included) so the on-node/off-node
-                // split is pinned in the metrics schema.
-                m.counter_add(
-                    "exchange_intra_node_bytes_total",
-                    Some(rank),
-                    intra_sent_per_rank[rank],
-                );
-                if is_retry {
-                    m.counter_add(
-                        "exchange_retry_bytes_total",
-                        Some(rank),
-                        sent_per_rank[rank],
-                    );
-                }
-                m.gauge_add("alltoallv_wire_seconds_total", Some(rank), wt.as_secs());
-                m.gauge_add("alltoallv_wait_seconds_total", Some(rank), wait.as_secs());
-                if hidden.is_some() {
-                    // Compute seconds this rank did not pay for serially:
-                    // the portion of the hidden work the wire absorbed.
-                    m.gauge_add(
-                        "overlap_hidden_seconds_total",
-                        Some(rank),
-                        SimTime::min(*wt, hid).as_secs(),
-                    );
-                }
-            }
             if let Some(j) = &self.journal {
                 match route {
                     ExchangeRoute::Direct => j.push(JournalEvent::Collective {
@@ -653,37 +549,66 @@ impl BspWorld {
                             tier: "inject".to_string(),
                             comp_bytes: sent_per_rank[rank] - intra_sent_per_rank[rank],
                         });
+                        // The two tier events' wire times need not sum to
+                        // `wt` to the last bit.
+                        j.push(JournalEvent::metric(
+                            "alltoallv_wire_seconds_total",
+                            Some(rank),
+                            MetricOp::GaugeAdd(wt.as_secs()),
+                        ));
                     }
+                }
+                // Facts no collective event carries. The on-node split is
+                // always recorded (zero included) so it is pinned in the
+                // metrics schema.
+                j.push(JournalEvent::metric(
+                    "exchange_intra_node_bytes_total",
+                    Some(rank),
+                    MetricOp::CounterAdd(intra_sent_per_rank[rank]),
+                ));
+                if is_retry {
+                    j.push(JournalEvent::metric(
+                        "exchange_retry_bytes_total",
+                        Some(rank),
+                        MetricOp::CounterAdd(sent_per_rank[rank]),
+                    ));
+                }
+                // How long this rank idled at the barrier waiting for the
+                // slowest participant (SimTime subtraction floors at zero).
+                let wait = start - self.clocks[rank].now();
+                j.push(JournalEvent::metric(
+                    "alltoallv_wait_seconds_total",
+                    Some(rank),
+                    MetricOp::GaugeAdd(wait.as_secs()),
+                ));
+                if hidden.is_some() {
+                    // Compute seconds this rank did not pay for serially:
+                    // the portion of the hidden work the wire absorbed.
+                    j.push(JournalEvent::metric(
+                        "overlap_hidden_seconds_total",
+                        Some(rank),
+                        MetricOp::GaugeAdd(SimTime::min(*wt, hid).as_secs()),
+                    ));
                 }
             }
             self.clocks[rank].sync_to(start + charged);
-            self.sent_bytes_cum[rank] += sent_per_rank[rank];
-            self.counters.push(TraceCounter {
-                name: "alltoallv bytes".to_string(),
-                rank,
-                ts: start + charged,
-                value: self.sent_bytes_cum[rank] as f64,
-            });
             elapsed.push(charged);
             wire.push(*wt);
         }
         let times = StepTimes::from_times(&elapsed);
         let wire = StepTimes::from_times(&wire);
 
-        if is_retry {
+        if let (true, Some(j)) = (is_retry, &self.journal) {
             // "retry buckets" counter lane: cumulative buckets each source
             // rank had to re-offer, sampled at this attempt's finish.
             let fs = self.fault.as_mut().expect("is_retry implies fault state");
             for (rank, row) in send_bytes.iter().enumerate() {
                 fs.retry_buckets_cum[rank] += row.iter().filter(|&&b| b > 0).count() as u64;
-            }
-            let cum = fs.retry_buckets_cum.clone();
-            for (rank, &buckets) in cum.iter().enumerate() {
-                self.counters.push(TraceCounter {
+                j.push(JournalEvent::Sample {
                     name: "retry buckets".to_string(),
                     rank,
-                    ts: self.clocks[rank].now(),
-                    value: buckets as f64,
+                    ts: self.clocks[rank].now().as_secs(),
+                    value: fs.retry_buckets_cum[rank] as f64,
                 });
             }
         }
@@ -754,6 +679,33 @@ mod tests {
 
     fn world(nodes: usize) -> BspWorld {
         BspWorld::new(Network::summit_gpu(nodes))
+    }
+
+    /// A world recording into a journal, and the journal.
+    fn journaled(nodes: usize) -> (BspWorld, Arc<Journal>) {
+        let mut w = world(nodes);
+        let j = Arc::new(Journal::new());
+        w.enable_journal(Arc::clone(&j));
+        (w, j)
+    }
+
+    /// `(phase, rank, start)` of every journaled span.
+    fn spans(events: &[JournalEvent]) -> Vec<(String, usize, f64)> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                JournalEvent::Span {
+                    phase, rank, start, ..
+                } => Some((phase.clone(), *rank, *start)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn chrome_trace(events: &[JournalEvent]) -> String {
+        let mut buf = Vec::new();
+        dedukt_sim::write_chrome_trace(&mut buf, events).unwrap();
+        String::from_utf8(buf).unwrap()
     }
 
     #[test]
@@ -837,26 +789,34 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_steps_and_collectives() {
-        let mut w = world(1);
+    fn journal_records_steps_and_collectives() {
+        let (mut w, j) = journaled(1);
         let p = w.nranks();
         w.compute_step_named("parse", |r| ((), SimTime::from_millis(1.0 + r as f64)));
         w.alltoallv(vec![vec![vec![1u64; 10]; p]; p]);
-        let trace = w.take_trace();
-        // One parse span per rank plus one alltoallv span per rank.
-        assert_eq!(trace.len(), 2 * p);
-        assert_eq!(trace.iter().filter(|e| e.name == "parse").count(), p);
-        assert_eq!(trace.iter().filter(|e| e.name == "alltoallv").count(), p);
-        // Parse spans start at 0; the collective starts after the slowest.
-        for e in &trace {
-            if e.name == "parse" {
-                assert!(e.start.is_zero());
-            } else {
-                assert_eq!(e.start, SimTime::from_millis(6.0)); // rank 5 parse
-            }
-        }
-        // Draining empties the trace.
-        assert!(w.take_trace().is_empty());
+        let events = j.take();
+        // One parse span per rank plus one collective event per rank.
+        let parse = spans(&events);
+        assert_eq!(parse.len(), p);
+        assert!(parse
+            .iter()
+            .all(|(name, _, start)| name == "parse" && *start == 0.0));
+        let starts: Vec<f64> = events
+            .iter()
+            .filter_map(|e| match e {
+                JournalEvent::Collective { start, .. } => Some(*start),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(starts.len(), p);
+        // The collective starts after the slowest parse (rank 5's).
+        assert!(starts
+            .iter()
+            .all(|&s| s == SimTime::from_millis(6.0).as_secs()));
+        // A world without a journal records nothing at all.
+        let mut quiet = world(1);
+        quiet.compute_step_named("parse", |_| ((), SimTime::from_millis(1.0)));
+        assert!(quiet.journal.is_none());
     }
 
     #[test]
@@ -871,12 +831,15 @@ mod tests {
         assert_eq!(out.wire.mean, out.times.mean); // blocking: wire == charged
 
         // Hidden compute much longer than the wire: charged = hidden.
-        let mut w = world(1);
+        let (mut w, j) = journaled(1);
         let big = SimTime::from_secs(wire.as_secs() * 10.0);
         let out = w.alltoallv_overlapped(send(p), &vec![big; p]);
         assert_eq!(out.times.max, big);
         assert_eq!(out.wire.max, wire); // pure wire unchanged
         assert_eq!(w.elapsed(), big);
+        // The hidden kernel shows up as its own trace span.
+        let trace = chrome_trace(&j.take());
+        assert_eq!(trace.matches("\"name\": \"count(overlap)\"").count(), p);
 
         // Hidden compute shorter than the wire: fully absorbed, charged =
         // wire — identical clocks to the blocking exchange.
@@ -896,25 +859,17 @@ mod tests {
         assert_eq!(w.stats().total_bytes, plain.stats().total_bytes);
         assert_eq!(w.stats().overlapped_collectives, 1);
         assert_eq!(plain.stats().overlapped_collectives, 0);
-        // The hidden kernel shows up as its own trace span.
-        let trace = w.take_trace();
-        assert_eq!(
-            trace.iter().filter(|e| e.name == "count(overlap)").count(),
-            p
-        );
     }
 
     #[test]
     fn metrics_record_overlap_savings() {
-        use dedukt_sim::MetricValue;
-        let mut w = world(1);
-        let reg = Arc::new(MetricsRegistry::new());
-        w.enable_metrics(Arc::clone(&reg));
+        use dedukt_sim::{MetricValue, MetricsSnapshot};
+        let (mut w, j) = journaled(1);
         let p = w.nranks();
         let send: Vec<Vec<Vec<u64>>> = vec![vec![vec![1u64; 40]; p]; p];
         let hidden = vec![SimTime::from_secs(100.0); p]; // dwarfs the wire
         let out = w.alltoallv_overlapped(send, &hidden);
-        let snap = reg.snapshot();
+        let snap = MetricsSnapshot::from_events(&j.take());
         // The absorbed portion is the wire time (hidden > wire here).
         match snap.get("overlap_hidden_seconds_total", Some(0)) {
             Some(MetricValue::Gauge(v)) => {
@@ -971,7 +926,7 @@ mod tests {
     #[test]
     fn retry_loop_recovers_every_bucket() {
         use crate::fault::{FaultPlan, FaultSpec};
-        let mut w = world(1);
+        let (mut w, j) = journaled(1);
         let spec = FaultSpec::parse("fail=0.4,corrupt=0.3,straggle=0").unwrap();
         w.enable_faults(FaultPlan::new(1234, spec));
         let p = w.nranks();
@@ -1020,8 +975,10 @@ mod tests {
         );
         assert!(w.stats().total_bytes > w.stats().retry_bytes);
         // Retry attempts left "retry buckets" counter samples.
-        let lanes = w.take_trace_counters();
-        assert!(lanes.iter().any(|c| c.name == "retry buckets"));
+        assert!(j
+            .take()
+            .iter()
+            .any(|e| matches!(e, JournalEvent::Sample { name, .. } if name == "retry buckets")));
     }
 
     #[test]
@@ -1082,26 +1039,24 @@ mod tests {
 
     #[test]
     fn advance_all_charges_every_clock() {
-        let mut w = world(1);
+        let (mut w, j) = journaled(1);
         w.advance_all("retry-backoff", SimTime::from_millis(2.0));
         assert!(w
             .clocks
             .iter()
             .all(|c| c.now() == SimTime::from_millis(2.0)));
-        let trace = w.take_trace();
-        assert_eq!(trace.len(), w.nranks());
-        assert!(trace.iter().all(|e| e.name == "retry-backoff"));
+        let backoff = spans(&j.take());
+        assert_eq!(backoff.len(), w.nranks());
+        assert!(backoff.iter().all(|(name, ..)| name == "retry-backoff"));
         // Zero advance records nothing.
         w.advance_all("noop", SimTime::ZERO);
-        assert!(w.take_trace().is_empty());
+        assert!(j.take().is_empty());
     }
 
     #[test]
     fn journal_records_every_clock_charge() {
-        use dedukt_sim::{analyze, Journal};
-        let mut w = world(1);
-        let j = Arc::new(Journal::new());
-        w.enable_journal(Arc::clone(&j));
+        use dedukt_sim::analyze;
+        let (mut w, j) = journaled(1);
         let p = w.nranks();
         w.compute_step_named("parse", |r| ((), SimTime::from_millis(1.0 + r as f64)));
         let send: Vec<Vec<Vec<u64>>> = vec![vec![vec![7u64; 16]; p]; p];
@@ -1134,39 +1089,32 @@ mod tests {
 
     #[test]
     fn journal_is_a_pure_observer() {
-        use dedukt_sim::Journal;
         let run = |journal: bool| {
             let mut w = world(1);
-            let j = Arc::new(Journal::new());
             if journal {
-                w.enable_journal(Arc::clone(&j));
+                w.enable_journal(Arc::new(Journal::new()));
             }
             let p = w.nranks();
             w.compute_step_named("parse", |r| ((), SimTime::from_millis(r as f64)));
             let out = w.alltoallv(vec![vec![vec![5u64; 8]; p]; p]);
-            (
-                out.times.mean,
-                out.times.max,
-                w.elapsed(),
-                w.take_trace(),
-                w.take_trace_counters(),
-            )
+            let clocks: Vec<SimTime> = (0..p).map(|r| w.now(r)).collect();
+            (out.times.mean, out.times.max, clocks, out.recv)
         };
         let plain = run(false);
         let journaled = run(true);
         assert_eq!(plain.0, journaled.0);
         assert_eq!(plain.1, journaled.1);
-        assert_eq!(plain.2, journaled.2);
-        assert_eq!(plain.3, journaled.3, "trace must be bit-identical");
-        assert_eq!(plain.4, journaled.4, "counter lanes must be bit-identical");
+        assert_eq!(
+            plain.2, journaled.2,
+            "every rank clock must be bit-identical"
+        );
+        assert_eq!(plain.3, journaled.3);
     }
 
     #[test]
     fn metrics_record_exchange_and_straggler_waits() {
-        use dedukt_sim::MetricValue;
-        let mut w = world(1);
-        let reg = Arc::new(MetricsRegistry::new());
-        w.enable_metrics(Arc::clone(&reg));
+        use dedukt_sim::{MetricValue, MetricsSnapshot};
+        let (mut w, j) = journaled(1);
         let p = w.nranks();
         // Rank 0 computes for 1 s; everyone else waits at the collective.
         w.compute_step(|r| {
@@ -1182,7 +1130,8 @@ mod tests {
         let send: Vec<Vec<Vec<u64>>> = vec![vec![vec![7u64; 3]; p]; p];
         w.alltoallv(send.clone());
         w.alltoallv(send);
-        let snap = reg.snapshot();
+        let events = j.take();
+        let snap = MetricsSnapshot::from_events(&events);
         // Per-rank bytes sum to the world's total exchange bytes.
         assert_eq!(
             snap.counter_total("exchange_bytes_total"),
@@ -1215,13 +1164,19 @@ mod tests {
             snap.get("compute_seconds_total", Some(0)),
             Some(&MetricValue::Gauge(1.0))
         );
-        // The counter lane carries one cumulative-bytes sample per rank per
-        // collective, recorded whether or not metrics are attached.
-        let counters = w.take_trace_counters();
-        assert_eq!(counters.len(), 2 * p);
-        let last = counters.last().unwrap();
-        assert_eq!(last.name, "alltoallv bytes");
-        assert_eq!(last.value, (w.stats().total_bytes / p as u64) as f64);
-        assert!(w.take_trace_counters().is_empty());
+        // The trace's counter lane carries one cumulative-bytes sample per
+        // rank per collective.
+        let trace = chrome_trace(&events);
+        assert_eq!(trace.matches("\"ph\": \"C\"").count(), 2 * p);
+        assert_eq!(
+            trace.matches("\"name\": \"alltoallv bytes\"").count(),
+            2 * p
+        );
+        let last = format!("{{\"value\": {}}}", w.stats().total_bytes / p as u64);
+        assert!(trace
+            .trim_end()
+            .trim_end_matches(']')
+            .trim_end()
+            .ends_with(&format!("{last}}}")));
     }
 }

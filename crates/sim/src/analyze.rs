@@ -629,6 +629,9 @@ pub fn analyze(events: &[JournalEvent]) -> Result<RunAnalysis, String> {
             JournalEvent::Phase { phase, secs } => a.phases.push((phase.clone(), *secs)),
             JournalEvent::Wall { stage, secs } => a.wall.push((stage.clone(), *secs)),
             JournalEvent::Run { makespan } => a.makespan = *makespan,
+            // In-memory-only kinds: the JSONL never carries them, so the
+            // analysis of a run never depends on them.
+            JournalEvent::Sample { .. } | JournalEvent::Metric { .. } => {}
         }
     }
 

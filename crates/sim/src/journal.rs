@@ -1,30 +1,41 @@
-//! Structured run journal — a JSONL flight recorder for one run.
+//! The run's event stream — the one recorder of a run — and its JSONL
+//! projection.
 //!
-//! Where the Chrome trace ([`crate::trace`]) targets human eyeballs in a
-//! timeline viewer, the journal targets *machines*: one flat JSON object
-//! per line, with a typed event vocabulary rich enough to reconstruct the
-//! superstep DAG offline. Every charge against a simulated rank clock is
-//! journaled — compute spans, collective charges, retry backoff — so an
-//! analyzer can re-derive the makespan, walk the critical path, and
-//! reconcile per-phase totals against the metrics snapshot exactly
-//! (see [`crate::analyze`]).
+//! Every fact a run reports about itself is recorded once, as a typed
+//! [`JournalEvent`], into one [`Journal`]. Three outputs are projections
+//! of that one stream, so they agree by construction:
 //!
-//! The journal follows the metrics discipline: collection is opt-in, and
-//! a run without a journal attached is bit-identical to one with it
-//! (pinned by `tests/journal_schema.rs`). Events are recorded in a
-//! deterministic order (rank-major within each superstep), so two
-//! identical runs produce byte-identical journals.
+//! - the JSONL journal ([`write_journal`]) for machines: one flat JSON
+//!   object per line, rich enough to reconstruct the superstep DAG
+//!   offline — every charge against a simulated rank clock is journaled,
+//!   so [`crate::analyze`] can re-derive the makespan, walk the critical
+//!   path, and reconcile per-phase totals exactly;
+//! - the Chrome trace ([`crate::trace::write_chrome_trace`]) for human
+//!   eyeballs in a timeline viewer;
+//! - the metrics snapshot ([`crate::MetricsSnapshot::from_events`]).
+//!
+//! Two kinds live in memory only and never reach the JSONL:
+//! [`JournalEvent::Sample`] (trace counter lanes no other event carries)
+//! and [`JournalEvent::Metric`] (metric observations no other event
+//! carries). Recording is opt-in: a run without a journal records
+//! nothing, and is bit-identical to one with it (pinned by
+//! `tests/journal_schema.rs`). Events are recorded in a deterministic
+//! order (rank-major within each superstep), so two identical runs
+//! produce identical streams.
 //!
 //! No JSON dependency: lines are emitted directly and parsed by the small
 //! flat-object parser in [`parse_flat_json`], which `dedukt analyze` and
 //! `dedukt-bench --check` reuse.
 
+use crate::metrics::MetricOp;
 use crate::trace::escape;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::Mutex;
 
-/// One typed journal event (one JSONL line).
+/// One typed event of a run's stream (one JSONL line, for every kind but
+/// the in-memory-only [`JournalEvent::Sample`] and
+/// [`JournalEvent::Metric`]).
 ///
 /// The `ev` field on the wire names the variant; the vocabulary is pinned
 /// by `tests/journal_schema.rs`. All times are simulated seconds unless a
@@ -173,6 +184,30 @@ pub enum JournalEvent {
         /// Simulated makespan, seconds.
         makespan: f64,
     },
+    /// One sample of a Chrome-trace counter lane whose values no other
+    /// event carries (`retry buckets`, `spill k-mers`, `hbm bytes`). In
+    /// memory only: [`write_journal`] skips it.
+    Sample {
+        /// Counter-lane name.
+        name: String,
+        /// Rank the sample belongs to.
+        rank: usize,
+        /// Sample instant on the rank's simulated clock, seconds.
+        ts: f64,
+        /// Sampled value.
+        value: f64,
+    },
+    /// One metric observation no other event carries (probe histograms,
+    /// load factors, device peaks, wait seconds, …). In memory only:
+    /// [`write_journal`] skips it.
+    Metric {
+        /// Series name.
+        name: String,
+        /// Per-rank lane, or `None` for a run-global series.
+        rank: Option<usize>,
+        /// How the observation folds into the series.
+        op: MetricOp,
+    },
 }
 
 /// Formats an `f64` so that parsing the text recovers the exact bits
@@ -188,6 +223,15 @@ fn num(x: f64) -> String {
 }
 
 impl JournalEvent {
+    /// A [`JournalEvent::Metric`] observation.
+    pub fn metric(name: &str, rank: Option<usize>, op: MetricOp) -> JournalEvent {
+        JournalEvent::Metric {
+            name: name.to_string(),
+            rank,
+            op,
+        }
+    }
+
     /// The `ev` discriminator this event serializes with.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -204,12 +248,15 @@ impl JournalEvent {
             JournalEvent::Phase { .. } => "phase",
             JournalEvent::Wall { .. } => "wall",
             JournalEvent::Run { .. } => "run",
+            JournalEvent::Sample { .. } => "sample",
+            JournalEvent::Metric { .. } => "metric",
         }
     }
 
-    /// Serializes the event as one flat JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        match self {
+    /// Serializes the event as one flat JSON object (no trailing newline);
+    /// `None` for the in-memory-only kinds.
+    pub fn to_json(&self) -> Option<String> {
+        Some(match self {
             JournalEvent::Meta {
                 mode,
                 nodes,
@@ -301,7 +348,8 @@ impl JournalEvent {
             JournalEvent::Run { makespan } => {
                 format!("{{\"ev\":\"run\",\"makespan\":{}}}", num(*makespan))
             }
-        }
+            JournalEvent::Sample { .. } | JournalEvent::Metric { .. } => return None,
+        })
     }
 
     /// Parses one JSONL line back into a typed event.
@@ -535,7 +583,7 @@ pub fn parse_flat_json(line: &str) -> Result<FlatJson, String> {
 }
 
 /// A thread-safe event collector, shared between the network engine and
-/// the driver the way the metrics registry is ([`crate::MetricsRegistry`]).
+/// the driver: the run's one recorder.
 ///
 /// Pushes are cheap appends under a mutex; a run that never attaches a
 /// journal pays nothing.
@@ -560,31 +608,17 @@ impl Journal {
         self.events.lock().expect("journal poisoned").extend(evs);
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("journal poisoned").len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clones the recorded events in order.
-    pub fn snapshot(&self) -> Vec<JournalEvent> {
-        self.events.lock().expect("journal poisoned").clone()
-    }
-
     /// Drains the recorded events, leaving the journal empty.
     pub fn take(&self) -> Vec<JournalEvent> {
         std::mem::take(&mut *self.events.lock().expect("journal poisoned"))
     }
 }
 
-/// Writes events as JSONL: one [`JournalEvent::to_json`] object per line.
+/// Writes events as JSONL: one [`JournalEvent::to_json`] object per line,
+/// skipping the in-memory-only kinds.
 pub fn write_journal<W: Write>(w: &mut W, events: &[JournalEvent]) -> io::Result<()> {
-    for ev in events {
-        writeln!(w, "{}", ev.to_json())?;
+    for line in events.iter().filter_map(JournalEvent::to_json) {
+        writeln!(w, "{line}")?;
     }
     Ok(())
 }
@@ -608,7 +642,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(ev: JournalEvent) {
-        let line = ev.to_json();
+        let line = ev.to_json().expect("persisted kind");
         let back = JournalEvent::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
         assert_eq!(back, ev, "roundtrip failed for {line}");
     }
@@ -697,7 +731,7 @@ mod tests {
         // awkward values.
         for &x in &[0.1, 1.0 / 3.0, 1e-300, 123456.789012345, f64::MIN_POSITIVE] {
             let ev = JournalEvent::Run { makespan: x };
-            match JournalEvent::parse(&ev.to_json()).unwrap() {
+            match JournalEvent::parse(&ev.to_json().unwrap()).unwrap() {
                 JournalEvent::Run { makespan } => assert_eq!(makespan.to_bits(), x.to_bits()),
                 other => panic!("wrong variant {other:?}"),
             }
@@ -707,15 +741,13 @@ mod tests {
     #[test]
     fn journal_collects_in_order_and_drains() {
         let j = Journal::new();
-        assert!(j.is_empty());
         j.push(JournalEvent::Run { makespan: 1.0 });
         j.extend([
             JournalEvent::Run { makespan: 2.0 },
             JournalEvent::Run { makespan: 3.0 },
         ]);
-        assert_eq!(j.len(), 3);
         let evs = j.take();
-        assert!(j.is_empty());
+        assert!(j.take().is_empty());
         assert_eq!(
             evs,
             vec![
@@ -749,6 +781,25 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 3);
         assert_eq!(read_journal(&text).unwrap(), events);
+        // The in-memory-only kinds never reach the JSONL.
+        let mut with_memory_only = events.clone();
+        with_memory_only.insert(
+            1,
+            JournalEvent::Sample {
+                name: "spill k-mers".into(),
+                rank: 0,
+                ts: 0.25,
+                value: 7.0,
+            },
+        );
+        with_memory_only.push(JournalEvent::Metric {
+            name: "device_peak_bytes".into(),
+            rank: Some(0),
+            op: MetricOp::GaugeMax(4096.0),
+        });
+        let mut buf2 = Vec::new();
+        write_journal(&mut buf2, &with_memory_only).unwrap();
+        assert_eq!(buf2, text.as_bytes());
         // Blank lines are tolerated.
         assert_eq!(read_journal(&format!("\n{text}\n")).unwrap(), events);
     }

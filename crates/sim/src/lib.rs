@@ -24,12 +24,12 @@ pub mod volume;
 
 pub use analyze::{analyze, render_diff, RunAnalysis};
 pub use journal::{read_journal, write_journal, Journal, JournalEvent};
-pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, MetricOp, MetricValue, MetricsSnapshot};
 pub use plan::{Plan, Spec};
 pub use rate::Rate;
 pub use rng::SplitMix64;
 pub use stats::DistStats;
 pub use tally::Counter;
 pub use time::{SimClock, SimTime};
-pub use trace::{TraceCounter, TraceEvent};
+pub use trace::write_chrome_trace;
 pub use volume::DataVolume;

@@ -1,5 +1,5 @@
 //! Run-wide metrics: mergeable counters, gauges, and log-bucketed
-//! histograms behind a [`MetricsRegistry`].
+//! histograms, folded from a run's event stream.
 //!
 //! The paper's whole argument is read off instrumentation — phase
 //! breakdowns (Figs. 3/7), exchange volume (Table II), load imbalance
@@ -9,14 +9,16 @@
 //! a JSON snapshot ([`MetricsSnapshot::write_json`]) and Prometheus text
 //! exposition ([`MetricsSnapshot::write_prometheus`]).
 //!
-//! Collection is strictly an observer: all simulated times come from
-//! analytic cost models, so recording metrics can never perturb them, and
-//! the registry is threaded through the pipelines as an `Option` so a run
-//! without `--metrics` does no work at all.
+//! There is no registry: a snapshot is a projection of the run's one
+//! event stream ([`MetricsSnapshot::from_events`]), so it agrees with the
+//! journal and the Chrome trace by construction. Recording is strictly an
+//! observer: all simulated times come from analytic cost models, so
+//! recording can never perturb them.
 
+use crate::JournalEvent;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::sync::Mutex;
 
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `b ≥ 1`
 /// holds values in `[2^(b-1), 2^b)`.
@@ -172,103 +174,43 @@ pub enum MetricValue {
     Histogram(Histogram),
 }
 
-type MetricKey = (String, Option<usize>);
-
-/// Thread-safe registry of `(name, rank)`-keyed metrics.
-///
-/// The map is a `BTreeMap` so exports are deterministically ordered —
-/// name-major, run-global series before per-rank lanes.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<BTreeMap<MetricKey, MetricValue>>,
+/// How one [`JournalEvent::Metric`] observation folds into its series.
+#[derive(Clone, Debug, PartialEq)]
+pub enum MetricOp {
+    /// Adds to a counter.
+    CounterAdd(u64),
+    /// Sets a gauge.
+    GaugeSet(f64),
+    /// Adds to a gauge (accumulated simulated durations, which are
+    /// fractional).
+    GaugeAdd(f64),
+    /// Raises a gauge to the value if it is larger (high-water marks).
+    GaugeMax(f64),
+    /// Merges a locally accumulated histogram.
+    HistogramMerge(Histogram),
 }
 
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to a counter.
-    pub fn counter_add(&self, name: &str, rank: Option<usize>, n: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        match inner
-            .entry((name.to_string(), rank))
-            .or_insert(MetricValue::Counter(0))
-        {
-            MetricValue::Counter(v) => *v += n,
-            _ => panic!("metric {name:?} is not a counter"),
+impl MetricOp {
+    /// The series an observation starts when it is the first of its
+    /// name and rank.
+    fn empty(&self) -> MetricValue {
+        match self {
+            MetricOp::CounterAdd(_) => MetricValue::Counter(0),
+            MetricOp::GaugeSet(_) | MetricOp::GaugeAdd(_) => MetricValue::Gauge(0.0),
+            MetricOp::GaugeMax(_) => MetricValue::Gauge(f64::NEG_INFINITY),
+            MetricOp::HistogramMerge(_) => MetricValue::Histogram(Histogram::new()),
         }
     }
 
-    /// Sets a gauge to `v`.
-    pub fn gauge_set(&self, name: &str, rank: Option<usize>, v: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.insert((name.to_string(), rank), MetricValue::Gauge(v));
-    }
-
-    /// Adds `v` to a gauge (creating it at `v`). Used for accumulated
-    /// simulated durations, which are fractional.
-    pub fn gauge_add(&self, name: &str, rank: Option<usize>, v: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        match inner
-            .entry((name.to_string(), rank))
-            .or_insert(MetricValue::Gauge(0.0))
-        {
-            MetricValue::Gauge(g) => *g += v,
-            _ => panic!("metric {name:?} is not a gauge"),
-        }
-    }
-
-    /// Raises a gauge to `v` if `v` is larger (high-water marks).
-    pub fn gauge_max(&self, name: &str, rank: Option<usize>, v: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        match inner
-            .entry((name.to_string(), rank))
-            .or_insert(MetricValue::Gauge(f64::NEG_INFINITY))
-        {
-            MetricValue::Gauge(g) => *g = g.max(v),
-            _ => panic!("metric {name:?} is not a gauge"),
-        }
-    }
-
-    /// Records one histogram sample.
-    pub fn observe(&self, name: &str, rank: Option<usize>, value: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        match inner
-            .entry((name.to_string(), rank))
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
-        {
-            MetricValue::Histogram(h) => h.observe(value),
-            _ => panic!("metric {name:?} is not a histogram"),
-        }
-    }
-
-    /// Merges a locally-accumulated shard histogram in one lock
-    /// acquisition (the hot-loop-friendly path).
-    pub fn merge_histogram(&self, name: &str, rank: Option<usize>, shard: &Histogram) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        match inner
-            .entry((name.to_string(), rank))
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
-        {
-            MetricValue::Histogram(h) => h.merge(shard),
-            _ => panic!("metric {name:?} is not a histogram"),
-        }
-    }
-
-    /// Freezes the registry into an exportable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        MetricsSnapshot {
-            entries: inner
-                .iter()
-                .map(|((name, rank), value)| MetricEntry {
-                    name: name.clone(),
-                    rank: *rank,
-                    value: value.clone(),
-                })
-                .collect(),
+    /// Folds the observation into its series.
+    fn fold_into(&self, series: &mut MetricValue) {
+        match (self, series) {
+            (MetricOp::CounterAdd(n), MetricValue::Counter(v)) => *v += n,
+            (MetricOp::GaugeSet(x), MetricValue::Gauge(g)) => *g = *x,
+            (MetricOp::GaugeAdd(x), MetricValue::Gauge(g)) => *g += x,
+            (MetricOp::GaugeMax(x), MetricValue::Gauge(g)) => *g = g.max(*x),
+            (MetricOp::HistogramMerge(h), MetricValue::Histogram(acc)) => acc.merge(h),
+            (op, series) => panic!("metric op {op:?} does not apply to {series:?}"),
         }
     }
 }
@@ -284,7 +226,7 @@ pub struct MetricEntry {
     pub value: MetricValue,
 }
 
-/// A frozen, ordered view of every metric in a registry.
+/// A frozen, ordered view of every metric of one run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// All series, ordered name-major then rank.
@@ -292,6 +234,121 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Folds a run's event stream into its metrics snapshot.
+    ///
+    /// [`JournalEvent::Metric`] observations apply as recorded. Every
+    /// other series is derived from the events that already carry its
+    /// fact, and only where the fold is bit-exact:
+    ///
+    /// - collectives give `exchange_collectives_total`, the per-superstep
+    ///   `exchange_superstep_bytes:NNNN` series and the per-rank
+    ///   `exchange_bytes_total`, plus `alltoallv_wire_seconds_total` under
+    ///   direct routing (a hierarchical collective splits a rank's wire
+    ///   time across two tier events whose sum is not bit-exact, so the
+    ///   engine records that series as a `Metric` instead);
+    /// - retries give `retries_total` and `corrupt_buckets_total`;
+    /// - regrow, spill and rank-death events give `table_regrows_total`,
+    ///   `spill_kmers_total` and `rank_deaths_total`;
+    /// - phase, wall and run events give `phase_seconds:*`,
+    ///   `wall_seconds:*` and `makespan_seconds`.
+    ///
+    /// Superstep indices are zero-padded to four digits, or to the digits
+    /// of the last index if it has more, so the series sorts numerically
+    /// however many collectives ran.
+    pub fn from_events<'a>(events: &'a [JournalEvent]) -> MetricsSnapshot {
+        use MetricOp::{CounterAdd, GaugeAdd, GaugeSet};
+        let mut series: BTreeMap<(Cow<'a, str>, Option<usize>), MetricValue> = BTreeMap::new();
+        let mut fold = |name: Cow<'a, str>, rank: Option<usize>, op: &MetricOp| {
+            let value = series.entry((name, rank)).or_insert_with(|| op.empty());
+            op.fold_into(value);
+        };
+        let mut supersteps: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut relay_step = None;
+        for ev in events {
+            let (name, rank, op): (Cow<str>, _, _) = match ev {
+                JournalEvent::Metric { name, rank, op } => {
+                    fold(name.into(), *rank, op);
+                    continue;
+                }
+                JournalEvent::Collective {
+                    step,
+                    rank,
+                    wire,
+                    tier,
+                    comp_bytes,
+                    ..
+                } => {
+                    // A rank's physical payload is carried once per
+                    // collective: by its direct event, or by the intra-node
+                    // relay of a hierarchical one, which moves it twice
+                    // (gather and scatter).
+                    let sent = if tier == "intra" {
+                        relay_step = Some(*step);
+                        comp_bytes / 2
+                    } else if relay_step == Some(*step) {
+                        continue;
+                    } else {
+                        fold(
+                            "alltoallv_wire_seconds_total".into(),
+                            Some(*rank),
+                            &GaugeAdd(*wire),
+                        );
+                        *comp_bytes
+                    };
+                    *supersteps.entry(*step).or_default() += sent;
+                    ("exchange_bytes_total".into(), Some(*rank), CounterAdd(sent))
+                }
+                JournalEvent::Retry {
+                    failed, corrupt, ..
+                } => {
+                    fold("retries_total".into(), None, &CounterAdd(failed + corrupt));
+                    ("corrupt_buckets_total".into(), None, CounterAdd(*corrupt))
+                }
+                JournalEvent::Regrow { rank, count } => (
+                    "table_regrows_total".into(),
+                    Some(*rank),
+                    CounterAdd(*count),
+                ),
+                JournalEvent::Spill { rank, kmers } => {
+                    ("spill_kmers_total".into(), Some(*rank), CounterAdd(*kmers))
+                }
+                JournalEvent::RankDead { .. } => ("rank_deaths_total".into(), None, CounterAdd(1)),
+                JournalEvent::Phase { phase, secs } => (
+                    format!("phase_seconds:{phase}").into(),
+                    None,
+                    GaugeSet(*secs),
+                ),
+                JournalEvent::Wall { stage, secs } => (
+                    format!("wall_seconds:{stage}").into(),
+                    None,
+                    GaugeSet(*secs),
+                ),
+                JournalEvent::Run { makespan } => {
+                    ("makespan_seconds".into(), None, GaugeSet(*makespan))
+                }
+                _ => continue,
+            };
+            fold(name, rank, &op);
+        }
+        if let Some(&last) = supersteps.keys().next_back() {
+            let collectives = CounterAdd(supersteps.len() as u64);
+            fold("exchange_collectives_total".into(), None, &collectives);
+            let width = last.to_string().len().max(4);
+            for (step, bytes) in supersteps {
+                let name = format!("exchange_superstep_bytes:{step:0width$}");
+                fold(name.into(), None, &CounterAdd(bytes));
+            }
+        }
+        let entries = series.into_iter().map(|((name, rank), value)| MetricEntry {
+            name: name.into_owned(),
+            rank,
+            value,
+        });
+        MetricsSnapshot {
+            entries: entries.collect(),
+        }
+    }
+
     /// Looks up one series.
     pub fn get(&self, name: &str, rank: Option<usize>) -> Option<&MetricValue> {
         self.entries
@@ -482,16 +539,45 @@ mod tests {
         assert_eq!(ha, hall);
     }
 
+    fn metric(name: &str, rank: Option<usize>, op: MetricOp) -> JournalEvent {
+        JournalEvent::Metric {
+            name: name.into(),
+            rank,
+            op,
+        }
+    }
+
+    fn one_sample(v: u64) -> MetricOp {
+        let mut h = Histogram::new();
+        h.observe(v);
+        MetricOp::HistogramMerge(h)
+    }
+
+    fn collective(step: u64, rank: usize, tier: &str, wire: f64, comp_bytes: u64) -> JournalEvent {
+        JournalEvent::Collective {
+            step,
+            rank,
+            label: "alltoallv".into(),
+            start: 0.0,
+            wire,
+            hidden: 0.0,
+            charged: wire,
+            bytes: comp_bytes,
+            tier: tier.into(),
+            comp_bytes,
+        }
+    }
+
     #[test]
-    fn registry_accumulates_and_snapshots_ordered() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("bytes_total", Some(1), 10);
-        reg.counter_add("bytes_total", Some(0), 5);
-        reg.counter_add("bytes_total", Some(1), 7);
-        reg.gauge_max("peak", None, 3.0);
-        reg.gauge_max("peak", None, 2.0);
-        reg.observe("probe_steps", Some(0), 1);
-        let snap = reg.snapshot();
+    fn metric_events_fold_and_snapshot_ordered() {
+        let snap = MetricsSnapshot::from_events(&[
+            metric("bytes_total", Some(1), MetricOp::CounterAdd(10)),
+            metric("bytes_total", Some(0), MetricOp::CounterAdd(5)),
+            metric("bytes_total", Some(1), MetricOp::CounterAdd(7)),
+            metric("peak", None, MetricOp::GaugeMax(3.0)),
+            metric("peak", None, MetricOp::GaugeMax(2.0)),
+            metric("probe_steps", Some(0), one_sample(1)),
+        ]);
         assert_eq!(
             snap.get("bytes_total", Some(1)),
             Some(&MetricValue::Counter(17))
@@ -502,7 +588,7 @@ mod tests {
         );
         assert_eq!(snap.get("peak", None), Some(&MetricValue::Gauge(3.0)));
         assert_eq!(snap.counter_total("bytes_total"), 22);
-        // BTreeMap ordering: names sorted, None before Some within a name.
+        // Names sorted, None before Some within a name.
         let names: Vec<_> = snap.entries.iter().map(|e| (&e.name, e.rank)).collect();
         let mut sorted = names.clone();
         sorted.sort();
@@ -510,13 +596,101 @@ mod tests {
     }
 
     #[test]
+    fn derived_series_fold_the_events_that_carry_them() {
+        let snap = MetricsSnapshot::from_events(&[
+            // A direct collective over two ranks...
+            collective(1, 0, "inject", 0.5, 64),
+            collective(1, 1, "inject", 0.25, 32),
+            // ...then a hierarchical one: the relay carries the payload
+            // twice, the injection event carries no new bytes.
+            collective(2, 0, "intra", 0.125, 2 * 16),
+            collective(2, 0, "inject", 0.5, 8),
+            collective(2, 1, "intra", 0.125, 2 * 4),
+            collective(2, 1, "inject", 0.5, 2),
+            JournalEvent::Retry {
+                round: 0,
+                attempt: 1,
+                failed: 3,
+                corrupt: 1,
+                backoff: 0.1,
+            },
+            JournalEvent::Regrow { rank: 1, count: 2 },
+            JournalEvent::Spill { rank: 1, kmers: 9 },
+            JournalEvent::RankDead { rank: 0, round: 1 },
+            JournalEvent::Phase {
+                phase: "count".into(),
+                secs: 1.5,
+            },
+            JournalEvent::Wall {
+                stage: "total".into(),
+                secs: 0.75,
+            },
+            JournalEvent::Run { makespan: 2.5 },
+        ]);
+        let get = |name: &str, rank| snap.get(name, rank).cloned();
+        use MetricValue::{Counter, Gauge};
+        assert_eq!(get("exchange_collectives_total", None), Some(Counter(2)));
+        assert_eq!(
+            get("exchange_superstep_bytes:0001", None),
+            Some(Counter(96))
+        );
+        assert_eq!(
+            get("exchange_superstep_bytes:0002", None),
+            Some(Counter(20))
+        );
+        assert_eq!(get("exchange_bytes_total", Some(0)), Some(Counter(80)));
+        assert_eq!(get("exchange_bytes_total", Some(1)), Some(Counter(36)));
+        // Wire seconds come only from direct events.
+        assert_eq!(
+            get("alltoallv_wire_seconds_total", Some(0)),
+            Some(Gauge(0.5))
+        );
+        assert_eq!(get("retries_total", None), Some(Counter(4)));
+        assert_eq!(get("corrupt_buckets_total", None), Some(Counter(1)));
+        assert_eq!(get("table_regrows_total", Some(1)), Some(Counter(2)));
+        assert_eq!(get("spill_kmers_total", Some(1)), Some(Counter(9)));
+        assert_eq!(get("rank_deaths_total", None), Some(Counter(1)));
+        assert_eq!(get("phase_seconds:count", None), Some(Gauge(1.5)));
+        assert_eq!(get("wall_seconds:total", None), Some(Gauge(0.75)));
+        assert_eq!(get("makespan_seconds", None), Some(Gauge(2.5)));
+    }
+
+    #[test]
+    fn superstep_series_sort_numerically_past_9999_collectives() {
+        let events: Vec<JournalEvent> = (1..=10_001)
+            .map(|step| collective(step, 0, "inject", 0.0, step))
+            .collect();
+        let snap = MetricsSnapshot::from_events(&events);
+        let steps: Vec<&str> = snap
+            .entries
+            .iter()
+            .filter_map(|e| e.name.strip_prefix("exchange_superstep_bytes:"))
+            .collect();
+        assert_eq!(steps.len(), 10_001);
+        assert_eq!(steps[0], "00001");
+        assert_eq!(steps[10_000], "10001");
+        // Export order is name order; it must also be collective order.
+        let parsed: Vec<u64> = steps.iter().map(|s| s.parse().unwrap()).collect();
+        assert!(parsed.windows(2).all(|w| w[0] < w[1]), "not numeric order");
+        assert_eq!(
+            snap.get("exchange_superstep_bytes:10001", None),
+            Some(&MetricValue::Counter(10_001))
+        );
+        // Runs under 10,000 collectives keep their four-digit names.
+        let short = MetricsSnapshot::from_events(&events[..9_999]);
+        assert!(short.get("exchange_superstep_bytes:0001", None).is_some());
+        assert!(short.get("exchange_superstep_bytes:9999", None).is_some());
+    }
+
+    #[test]
     fn json_export_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("c", Some(0), 1);
-        reg.gauge_set("g", None, 0.5);
-        reg.observe("h", Some(2), 9);
+        let snap = MetricsSnapshot::from_events(&[
+            metric("c", Some(0), MetricOp::CounterAdd(1)),
+            metric("g", None, MetricOp::GaugeSet(0.5)),
+            metric("h", Some(2), one_sample(9)),
+        ]);
         let mut buf = Vec::new();
-        reg.snapshot().write_json(&mut buf).unwrap();
+        snap.write_json(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("\"metrics\": ["));
         assert!(text.contains("\"name\": \"c\", \"rank\": 0, \"type\": \"counter\", \"value\": 1"));
@@ -527,12 +701,13 @@ mod tests {
 
     #[test]
     fn prometheus_export_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("exchange_bytes_total", Some(0), 64);
-        reg.counter_add("exchange_bytes_total", Some(1), 32);
-        reg.observe("probe-steps", Some(0), 3);
+        let snap = MetricsSnapshot::from_events(&[
+            metric("exchange_bytes_total", Some(0), MetricOp::CounterAdd(64)),
+            metric("exchange_bytes_total", Some(1), MetricOp::CounterAdd(32)),
+            metric("probe-steps", Some(0), one_sample(3)),
+        ]);
         let mut buf = Vec::new();
-        reg.snapshot().write_prometheus(&mut buf).unwrap();
+        snap.write_prometheus(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("# TYPE exchange_bytes_total counter"));
         // The TYPE line is emitted once per metric name, not per lane.
@@ -549,8 +724,7 @@ mod tests {
     #[test]
     fn empty_snapshot_is_valid_json() {
         let mut buf = Vec::new();
-        MetricsRegistry::new()
-            .snapshot()
+        MetricsSnapshot::from_events(&[])
             .write_json(&mut buf)
             .unwrap();
         let text = String::from_utf8(buf).unwrap();

@@ -2,8 +2,7 @@
 //! losslessly, and the Chrome-trace emitter must always produce
 //! well-formed JSON, no matter how hostile the span/counter names are.
 
-use dedukt_sim::trace::{write_chrome_trace_with, TraceCounter, TraceEvent};
-use dedukt_sim::{Histogram, SimTime};
+use dedukt_sim::{write_chrome_trace, Histogram, JournalEvent};
 use proptest::prelude::*;
 
 // ── A minimal JSON syntax checker ────────────────────────────────────────
@@ -178,28 +177,31 @@ fn json_checker_rejects_malformed_text() {
     }
 }
 
-fn render_trace(events: &[TraceEvent], counters: &[TraceCounter]) -> String {
+fn render_trace(events: &[JournalEvent]) -> String {
     let mut buf = Vec::new();
-    write_chrome_trace_with(&mut buf, events, counters).unwrap();
+    write_chrome_trace(&mut buf, events).unwrap();
     String::from_utf8(buf).unwrap()
 }
 
 #[test]
 fn trace_with_counters_and_hostile_names_is_valid_json() {
     let hostile = "quote\" slash\\ newline\n tab\t nul\u{0} unicode\u{1F9EC}";
-    let events = vec![TraceEvent {
-        name: hostile.to_string(),
-        rank: 0,
-        start: SimTime::from_micros(0.5),
-        duration: SimTime::from_micros(1.25),
-    }];
-    let counters = vec![TraceCounter {
-        name: hostile.to_string(),
-        rank: 3,
-        ts: SimTime::from_micros(2.0),
-        value: 1e18,
-    }];
-    let text = render_trace(&events, &counters);
+    let events = vec![
+        JournalEvent::Span {
+            step: 1,
+            rank: 0,
+            phase: hostile.to_string(),
+            start: 0.5e-6,
+            end: 1.75e-6,
+        },
+        JournalEvent::Sample {
+            name: hostile.to_string(),
+            rank: 3,
+            ts: 2e-6,
+            value: 1e18,
+        },
+    ];
+    let text = render_trace(&events);
     check_json(&text).unwrap_or_else(|e| panic!("invalid trace JSON ({e}):\n{text}"));
     // The metadata, span, and counter events all survived.
     assert_eq!(text.matches("\"ph\": \"M\"").count(), 2);
@@ -224,7 +226,7 @@ proptest! {
     /// Telemetry invariant: merging per-shard histograms gives exactly
     /// the histogram of the concatenated samples — bucket-wise and in
     /// every summary statistic. This is what lets every pipeline build
-    /// block-local histograms and fold them into the registry.
+    /// block-local histograms and fold them into one series.
     #[test]
     fn histogram_merge_equals_histogram_of_concatenation(
         shards in prop::collection::vec(
@@ -299,23 +301,23 @@ proptest! {
     ) {
         let n = names.len().min(ranks.len()).min(micros.len()).min(values.len());
         let mut events = Vec::new();
-        let mut counters = Vec::new();
         for j in 0..n {
-            let ts = SimTime::from_micros(micros[j] as f64 / 7.0);
-            events.push(TraceEvent {
-                name: names[j].clone(),
+            let ts = micros[j] as f64 / 7.0 * 1e-6;
+            events.push(JournalEvent::Span {
+                step: j as u64,
                 rank: ranks[j],
+                phase: names[j].clone(),
                 start: ts,
-                duration: SimTime::from_micros(values[j] as f64 / 3.0),
+                end: ts + values[j] as f64 / 3.0 * 1e-6,
             });
-            counters.push(TraceCounter {
+            events.push(JournalEvent::Sample {
                 name: names[j].clone(),
                 rank: ranks[j],
                 ts,
                 value: values[j] as f64,
             });
         }
-        let text = render_trace(&events, &counters);
+        let text = render_trace(&events);
         if let Err(e) = check_json(&text) {
             prop_assert!(false, "invalid trace JSON ({}):\n{}", e, text);
         }

@@ -474,23 +474,26 @@ fn count_with_width<K: PackedKmer>(
             );
         }
     }
+    // The trace, the metrics and the journal are projections of the one
+    // event stream the run recorded.
+    let events = match &report.events {
+        Some(events) => events.as_slice(),
+        None if outputs.trace_path.is_some()
+            || outputs.metrics_path.is_some()
+            || outputs.journal_path.is_some() =>
+        {
+            return Err("internal error: pipeline recorded no events despite an output flag".into())
+        }
+        None => &[],
+    };
     if let Some(p) = outputs.trace_path {
-        let events = report
-            .trace
-            .as_ref()
-            .ok_or("internal error: pipeline did not collect the trace despite --trace")?;
-        let counters = report.trace_counters.as_deref().unwrap_or(&[]);
         let mut w = BufWriter::new(File::create(&p).map_err(|e| e.to_string())?);
-        dedukt::sim::trace::write_chrome_trace_with(&mut w, events, counters)
-            .map_err(|e| e.to_string())?;
+        dedukt::sim::write_chrome_trace(&mut w, events).map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
         eprintln!("wrote chrome trace to {p} (open in chrome://tracing or Perfetto)");
     }
     if let Some(p) = outputs.metrics_path {
-        let snapshot = report
-            .metrics
-            .as_ref()
-            .ok_or("internal error: pipeline did not collect metrics despite --metrics")?;
+        let snapshot = dedukt::sim::MetricsSnapshot::from_events(events);
         let mut w = BufWriter::new(File::create(&p).map_err(|e| e.to_string())?);
         match outputs.metrics_format {
             MetricsFormat::Json => snapshot.write_json(&mut w).map_err(|e| e.to_string())?,
@@ -502,17 +505,11 @@ fn count_with_width<K: PackedKmer>(
         eprintln!("wrote {} metric series to {p}", snapshot.entries.len());
     }
     if let Some(p) = outputs.journal_path {
-        let events = report
-            .journal
-            .as_ref()
-            .ok_or("internal error: pipeline did not record a journal despite --journal")?;
         let mut w = BufWriter::new(File::create(&p).map_err(|e| format!("{p}: {e}"))?);
         dedukt::sim::write_journal(&mut w, events).map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
-        eprintln!(
-            "wrote run journal ({} events) to {p} — inspect with `dedukt analyze {p}`",
-            events.len()
-        );
+        let lines = events.iter().filter_map(|e| e.to_json()).count();
+        eprintln!("wrote run journal ({lines} events) to {p} — inspect with `dedukt analyze {p}`");
     }
     // Always show the top heavy hitters as a quick sanity signal.
     eprintln!("top k-mers:");

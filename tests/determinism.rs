@@ -11,6 +11,7 @@ mod common;
 use common::tiny_reads;
 use dedukt::core::{pipeline, Mode, RunConfig};
 use dedukt::dna::{Dataset, DatasetId, ScalePreset};
+use dedukt::sim::{write_chrome_trace, write_journal};
 
 #[test]
 fn dataset_generation_is_bit_stable() {
@@ -38,11 +39,23 @@ fn pipeline_results_are_stable_across_runs() {
             rc.two_pass_dir = Some(store.clone());
         }
         // Everything but the host wall clock, down to table order and
-        // every simulated time.
+        // every simulated time: the report itself, its Chrome trace, and
+        // its journal (whose `wall` lines time the host).
         let report = || {
             let mut r = pipeline::run(&reads, &rc).expect("valid config");
             r.wall = Default::default();
-            format!("{r:?}")
+            let events = r.events.take().expect("trace requested");
+            let mut trace = Vec::new();
+            write_chrome_trace(&mut trace, &events).unwrap();
+            let mut journal = Vec::new();
+            write_journal(&mut journal, &events).unwrap();
+            let journal: Vec<String> = String::from_utf8(journal)
+                .unwrap()
+                .lines()
+                .filter(|l| !l.contains("\"ev\":\"wall\""))
+                .map(str::to_string)
+                .collect();
+            format!("{r:?}\n{}\n{journal:?}", String::from_utf8(trace).unwrap())
         };
         let first = report();
         for rerun in 1..3 {

@@ -11,6 +11,7 @@ use dedukt::core::pipeline::{run_typed, RunError, RunReport};
 use dedukt::core::{Mode, PackedKmer, RunConfig};
 use dedukt::dna::ReadSet;
 use dedukt::net::{FaultPlan, FaultSpec};
+use dedukt::sim::write_chrome_trace;
 use proptest::prelude::*;
 
 /// Runs `mode` with and without `plan` at width `K` and checks every
@@ -64,7 +65,7 @@ fn check_fault_invariants<K: PackedKmer>(
 
     // Telemetry agrees with the report, and the fault series exist
     // exactly when recovery happened.
-    let snap = faulty.metrics.as_ref().expect("metrics requested");
+    let snap = faulty.metrics().expect("metrics requested");
     let has = |name: &str| snap.entries.iter().any(|e| e.name == name);
     if faulty.exchange.retries > 0 {
         assert_eq!(snap.counter_total("retries_total"), faulty.exchange.retries);
@@ -186,10 +187,11 @@ fn pinned_seed_exercises_recovery_on_every_engine() {
         let traced = run_maybe_spooled::<u64>(&reads, &rc, two_pass).unwrap();
         // Recovery shows up in the trace: backoff spans and the retry
         // counter lane both exist.
-        let events = traced.trace.as_ref().unwrap();
-        assert!(events.iter().any(|e| e.name == "retry-backoff"));
-        let counters = traced.trace_counters.as_ref().unwrap();
-        assert!(counters.iter().any(|c| c.name == "retry buckets"));
+        let mut trace = Vec::new();
+        write_chrome_trace(&mut trace, traced.events.as_ref().unwrap()).unwrap();
+        let trace = String::from_utf8(trace).unwrap();
+        assert!(trace.contains("\"name\": \"retry-backoff\", \"ph\": \"X\""));
+        assert!(trace.contains("\"name\": \"retry buckets\", \"ph\": \"C\""));
     }
 }
 

@@ -121,7 +121,7 @@ fn plan_labels_round_trip_through_the_grammar() {
     );
     rc.collect_journal = true;
     let report = run(&tiny_reads(), &rc).expect("survivable plans");
-    let JournalEvent::Meta { detail, .. } = &report.journal.as_ref().unwrap()[0] else {
+    let JournalEvent::Meta { detail, .. } = &report.events.as_ref().unwrap()[0] else {
         panic!("the journal opens with its meta event");
     };
     for label in [

@@ -19,6 +19,7 @@ use dedukt::core::{Mode, PackedKmer, RunConfig};
 use dedukt::dna::ReadSet;
 use dedukt::gpu::mem_plan::{alloc_fails, estimate_factor, underestimates};
 use dedukt::gpu::{MemPlan, MemSpec};
+use dedukt::sim::JournalEvent;
 use proptest::prelude::*;
 
 /// The four series the recovery machinery may add to the export; they
@@ -85,14 +86,8 @@ fn check_memory_invariants<K: PackedKmer>(
     // Metric gating, both directions: the unconstrained run exports no
     // pressure series at all, and in the pressured run the high-water
     // gauge appears exactly when at least one event counter does.
-    let has = |r: &RunReport<K>, name: &str| {
-        r.metrics
-            .as_ref()
-            .unwrap()
-            .entries
-            .iter()
-            .any(|e| e.name == name)
-    };
+    let has =
+        |r: &RunReport<K>, name: &str| r.metrics().unwrap().entries.iter().any(|e| e.name == name);
     for name in PRESSURE_SERIES {
         assert!(
             !has(&clean, name),
@@ -185,7 +180,7 @@ fn pinned_underestimate_regrows_on_device() {
     for mode in [Mode::GpuKmer, Mode::GpuSupermer] {
         let pressured = check_memory_invariants::<u64>(&reads, mode, 1, 17, 0.01, plan, None)
             .expect("regrow alone always survives");
-        let snap = pressured.metrics.as_ref().unwrap();
+        let snap = pressured.metrics().unwrap();
         assert!(
             snap.counter_total("table_regrows_total") > 0,
             "mode {mode:?}: a 1% estimate must force at least one regrow"
@@ -197,7 +192,7 @@ fn pinned_underestimate_regrows_on_device() {
     }
     let cpu = check_memory_invariants::<u64>(&reads, Mode::CpuBaseline, 1, 17, 0.01, plan, None)
         .expect("host counting cannot OOM");
-    let snap = cpu.metrics.as_ref().unwrap();
+    let snap = cpu.metrics().unwrap();
     for name in PRESSURE_SERIES {
         assert!(
             !snap.entries.iter().any(|e| e.name == *name),
@@ -219,7 +214,7 @@ fn pinned_alloc_denial_spills_to_host() {
     for mode in [Mode::GpuKmer, Mode::GpuSupermer] {
         let pressured = check_memory_invariants::<u64>(&reads, mode, 1, 17, 0.01, plan, None)
             .expect("the spill budget is ample: the run must survive");
-        let snap = pressured.metrics.as_ref().unwrap();
+        let snap = pressured.metrics().unwrap();
         assert!(
             snap.counter_total("spill_kmers_total") > 0,
             "mode {mode:?}: with regrow denied, overflow must spill"
@@ -235,9 +230,11 @@ fn pinned_alloc_denial_spills_to_host() {
         rc.mem = Some(plan);
         rc.collect_trace = true;
         let traced = run_typed::<u64>(&reads, &rc).unwrap();
-        let counters = traced.trace_counters.as_ref().unwrap();
+        let events = traced.events.as_ref().unwrap();
         assert!(
-            counters.iter().any(|c| c.name == "spill k-mers"),
+            events
+                .iter()
+                .any(|e| matches!(e, JournalEvent::Sample { name, .. } if name == "spill k-mers")),
             "mode {mode:?}: spilling must surface as a counter lane"
         );
     }
@@ -263,7 +260,7 @@ fn real_hbm_budget_denial_recovers_via_spill() {
         Some(16 * 1024),
     )
     .expect("an ample spill budget survives a 16 KiB device");
-    let snap = pressured.metrics.as_ref().unwrap();
+    let snap = pressured.metrics().unwrap();
     assert!(snap.counter_total("table_regrows_total") > 0);
     assert!(snap.counter_total("device_oom_events_total") > 0);
     assert!(snap.counter_total("spill_kmers_total") > 0);

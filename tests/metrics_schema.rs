@@ -45,7 +45,7 @@ const SUPERMER_SERIES: &[&str] = &[
 #[test]
 fn supermer_metrics_schema_is_stable() {
     let report = run_with_metrics(Mode::GpuSupermer);
-    let snap = report.metrics.as_ref().expect("metrics requested");
+    let snap = report.metrics().expect("metrics requested");
     let names: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
     for required in SUPERMER_SERIES {
         assert!(names.contains(required), "missing series {required}");
@@ -66,7 +66,7 @@ fn supermer_metrics_schema_is_stable() {
 fn metric_totals_are_consistent_with_the_report() {
     for mode in [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer] {
         let report = run_with_metrics(mode);
-        let snap = report.metrics.as_ref().unwrap();
+        let snap = report.metrics().unwrap();
 
         // Exchange accounting: the per-rank byte counters sum to the
         // report's wire total, and the per-superstep series partition it.
@@ -145,13 +145,12 @@ fn wide_metrics_schema_matches_narrow() {
         r.iter().map(|e| e.name.clone()).collect()
     };
     assert_eq!(
-        names(&narrow.metrics.as_ref().unwrap().entries),
-        names(&wide.metrics.as_ref().unwrap().entries),
+        names(&narrow.metrics().unwrap().entries),
+        names(&wide.metrics().unwrap().entries),
         "wide and narrow runs must export the same series"
     );
     assert_eq!(
-        wide.metrics
-            .as_ref()
+        wide.metrics()
             .unwrap()
             .counter_total("exchange_bytes_total"),
         wide.exchange.units * 17,
@@ -207,8 +206,7 @@ fn zero_fault_plan_changes_nothing() {
         // The exported series set — the schema dashboards key on — is
         // exactly the PR 3 set: no fault series appear without retries.
         let names = |r: &RunReport| -> BTreeSet<String> {
-            r.metrics
-                .as_ref()
+            r.metrics()
                 .unwrap()
                 .entries
                 .iter()
@@ -251,8 +249,7 @@ fn zero_pressure_plan_changes_nothing() {
         assert_eq!(zeroed.spectrum, plain.spectrum, "mode {mode:?}");
 
         let names = |r: &RunReport| -> BTreeSet<String> {
-            r.metrics
-                .as_ref()
+            r.metrics()
                 .unwrap()
                 .entries
                 .iter()
@@ -284,8 +281,8 @@ fn disabling_metrics_leaves_the_run_bit_identical() {
         let off = run(&reads, &rc).expect("valid config");
         rc.collect_metrics = true;
         let on = run(&reads, &rc).expect("valid config");
-        assert!(off.metrics.is_none());
-        assert!(on.metrics.is_some());
+        assert!(off.events.is_none());
+        assert!(on.metrics().is_some());
         assert_eq!(off.phases.parse, on.phases.parse, "mode {mode:?}");
         assert_eq!(off.phases.exchange, on.phases.exchange, "mode {mode:?}");
         assert_eq!(off.phases.count, on.phases.count, "mode {mode:?}");

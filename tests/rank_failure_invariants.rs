@@ -86,7 +86,7 @@ fn check_rank_failure_invariants<K: PackedKmer>(
     // The journal agrees with the report: one rankdead event per death,
     // rescale events only for scheduled rounds the run reached, and
     // every event names a real rank / world size.
-    let events = disturbed.journal.as_ref().expect("journal requested");
+    let events = disturbed.events.as_ref().expect("journal requested");
     let mut deaths = 0u64;
     let mut rescales = 0usize;
     for e in events {
@@ -116,7 +116,7 @@ fn check_rank_failure_invariants<K: PackedKmer>(
     // Metric gating, both directions: the death series exist exactly
     // when a rank actually died (no fault plan runs here, so retries
     // never co-own `recovery_seconds_total`).
-    let snap = disturbed.metrics.as_ref().expect("metrics requested");
+    let snap = disturbed.metrics().expect("metrics requested");
     let has = |name: &str| snap.entries.iter().any(|e| e.name == name);
     if disturbed.exchange.rank_deaths > 0 {
         assert_eq!(
@@ -334,7 +334,7 @@ fn rescale_shrink_and_grow_preserve_counts() {
         )
         .expect("a rescale without deaths cannot exhaust any budget");
         let rescales: Vec<(u64, usize, usize)> = r
-            .journal
+            .events
             .as_ref()
             .unwrap()
             .iter()
@@ -420,7 +420,7 @@ fn noop_specs_are_normalized_to_absent_on_every_engine() {
         assert_eq!(b.makespan, a.makespan, "mode {mode:?}");
         assert_eq!(b.exchange.bytes, a.exchange.bytes, "mode {mode:?}");
         assert_eq!(b.exchange.rank_deaths, 0, "mode {mode:?}");
-        let snap = b.metrics.as_ref().unwrap();
+        let snap = b.metrics().unwrap();
         for name in [
             "retries_total",
             "rank_deaths_total",
@@ -437,7 +437,7 @@ fn noop_specs_are_normalized_to_absent_on_every_engine() {
         noop.collect_journal = true;
         let a = run_typed::<u64>(&reads, &bare).unwrap();
         let b = run_typed::<u64>(&reads, &noop).unwrap();
-        let detail = |r: &RunReport| match &r.journal.as_ref().unwrap()[0] {
+        let detail = |r: &RunReport| match &r.events.as_ref().unwrap()[0] {
             JournalEvent::Meta { detail, .. } => detail.clone(),
             other => panic!("first event is {other:?}"),
         };

@@ -50,7 +50,7 @@ fn check_two_pass<K: PackedKmer>(
         Ok(r) => {
             assert_counts_identical(&r, &clean);
             // Telemetry agrees with the report wherever recovery shows.
-            let snap = r.metrics.as_ref().expect("metrics requested");
+            let snap = r.metrics().expect("metrics requested");
             let has = |name: &str| snap.entries.iter().any(|e| e.name == name);
             assert!(has("storage_write_bytes_total"));
             assert!(has("storage_read_bytes_total"));
@@ -216,7 +216,7 @@ proptest! {
         rc.min_count = min_count;
         let filtered = run_typed::<u64>(&reads, &rc).expect("clean plan cannot fail");
         let _ = std::fs::remove_dir_all(&dir);
-        let snap = filtered.metrics.as_ref().expect("metrics requested");
+        let snap = filtered.metrics().expect("metrics requested");
         let dropped = snap.counter_total("filtered_kmer_instances_total");
         prop_assert_eq!(filtered.total_kmers + dropped, clean.total_kmers);
         prop_assert_eq!(
