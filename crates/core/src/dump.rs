@@ -25,24 +25,59 @@ pub fn merge_tables<K: Ord + Copy>(per_rank: &[Vec<(K, u32)>]) -> Vec<(K, u32)> 
     all
 }
 
+/// Appends the `k` bases of a packed k-mer word (either width) to `out`
+/// as ASCII: 32 bases per extracted `u64`, one lookup in the encoding's
+/// symbol table per base.
+fn push_kmer_ascii<K: KmerWord>(out: &mut Vec<u8>, kmer: K, k: usize, encoding: Encoding) {
+    let ascii = encoding.ascii_table();
+    let mut pos = 0;
+    while pos < k {
+        let m = (k - pos).min(32);
+        let chunk = kmer.submer_of(k, pos, m);
+        out.extend((0..m).rev().map(|i| ascii[(chunk >> (2 * i)) as usize & 3]));
+        pos += m;
+    }
+}
+
+/// Appends the decimal digits of `n` to `out`.
+fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
 /// Renders a packed k-mer word (either width) as an ASCII sequence.
 pub fn kmer_ascii<K: KmerWord>(kmer: K, k: usize, encoding: Encoding) -> String {
-    kmer.word_codes(k, encoding)
-        .into_iter()
-        .map(|c| Base::from_code(c).to_ascii() as char)
-        .collect()
+    let mut out = Vec::with_capacity(k);
+    push_kmer_ascii(&mut out, kmer, k, encoding);
+    String::from_utf8(out).expect("bases are ASCII")
 }
 
 /// Writes a KMC-style dump: one `SEQUENCE\tCOUNT` line per distinct
-/// k-mer, sorted by packed word. Width-generic: k up to `K::MAX_K`.
+/// k-mer, sorted by packed word. Width-generic: k up to `K::MAX_K`. Each
+/// line is built in one reused buffer.
 pub fn write_dump<W: Write, K: KmerWord>(
     w: &mut W,
     entries: &[(K, u32)],
     k: usize,
     encoding: Encoding,
 ) -> io::Result<()> {
+    let mut line = Vec::with_capacity(k + 12);
     for &(kmer, count) in entries {
-        writeln!(w, "{}\t{}", kmer_ascii(kmer, k, encoding), count)?;
+        line.clear();
+        push_kmer_ascii(&mut line, kmer, k, encoding);
+        line.push(b'\t');
+        push_decimal(&mut line, count);
+        line.push(b'\n');
+        w.write_all(&line)?;
     }
     Ok(())
 }
@@ -134,6 +169,77 @@ mod tests {
         assert!(text.lines().all(|l| l.contains('\t')));
         let back = read_dump(BufReader::new(&buf[..]), enc).unwrap();
         assert_eq!(back, entries);
+    }
+
+    /// The `writeln!` formulation the line buffer replaced.
+    fn kmer_ascii_old<K: KmerWord>(kmer: K, k: usize, encoding: Encoding) -> String {
+        kmer.word_codes(k, encoding)
+            .into_iter()
+            .map(|c| Base::from_code(c).to_ascii() as char)
+            .collect()
+    }
+
+    fn dump_old<K: KmerWord>(entries: &[(K, u32)], k: usize, encoding: Encoding) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &(kmer, count) in entries {
+            writeln!(out, "{}\t{}", kmer_ascii_old(kmer, k, encoding), count).unwrap();
+        }
+        out
+    }
+
+    /// Words with every symbol, both ends set, and the all-zero and
+    /// all-one patterns, masked to `k` bases.
+    fn words(k: usize) -> Vec<u128> {
+        let mask = dedukt_dna::kmer::Kmer128::mask(k);
+        [
+            0,
+            u128::MAX,
+            0x1b1b_1b1b_1b1b_1b1b_1b1b_1b1b_1b1b_1b1b,
+            1,
+            1 << (2 * k - 1),
+            0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+        ]
+        .map(|w| w & mask)
+        .to_vec()
+    }
+
+    #[test]
+    fn dump_bytes_equal_the_writeln_formulation() {
+        let counts = [1, 9, 10, u32::MAX];
+        for encoding in [Encoding::Alphabetical, Encoding::PaperRandom] {
+            for k in [1, 17, 31] {
+                let entries: Vec<(u64, u32)> = words(k)
+                    .iter()
+                    .flat_map(|&w| counts.map(|c| (w as u64, c)))
+                    .collect();
+                let mut got = Vec::new();
+                write_dump(&mut got, &entries, k, encoding).unwrap();
+                assert_eq!(
+                    got,
+                    dump_old(&entries, k, encoding),
+                    "u64 k={k} {encoding:?}"
+                );
+                for &(w, _) in &entries {
+                    assert_eq!(kmer_ascii(w, k, encoding), kmer_ascii_old(w, k, encoding));
+                }
+            }
+            for k in [32, 41, 63] {
+                let entries: Vec<(u128, u32)> = words(k)
+                    .iter()
+                    .flat_map(|&w| counts.map(|c| (w, c)))
+                    .collect();
+                let mut got = Vec::new();
+                write_dump(&mut got, &entries, k, encoding).unwrap();
+                assert_eq!(
+                    got,
+                    dump_old(&entries, k, encoding),
+                    "u128 k={k} {encoding:?}"
+                );
+                for &(w, _) in &entries {
+                    assert_eq!(kmer_ascii(w, k, encoding), kmer_ascii_old(w, k, encoding));
+                }
+            }
+        }
     }
 
     #[test]

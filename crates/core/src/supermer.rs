@@ -18,7 +18,7 @@
 //! the supermer's minimizer.
 
 use crate::minimizer::MinimizerScheme;
-use dedukt_dna::kmer::KmerWord;
+use dedukt_dna::kmer::{Kmer, KmerWord};
 use dedukt_dna::Encoding;
 
 /// A packed supermer, generic over its word width: at most
@@ -180,6 +180,11 @@ pub fn supermers_of_window(
 /// Width-generic Algorithm 2 window builder: identical control flow at
 /// either word width; supermers are bounded by `window + k - 1 ≤
 /// W::MAX_K` bases so each packs into one `W` word.
+///
+/// Minimizers roll: the rank keys of the window's m-mers are computed
+/// once, and each k-mer's minimum is rescanned only when the previous
+/// one slides out (leftmost on ties, as in
+/// [`MinimizerScheme::minimizer_of_w`]).
 pub fn supermers_of_window_w<W: KmerWord>(
     codes: &[u8],
     wstart: usize,
@@ -197,9 +202,29 @@ pub fn supermers_of_window_w<W: KmerWord>(
     debug_assert!(wstart < nkmers);
     let wend = (wstart + window).min(nkmers);
 
+    // Every m-mer of the window's bases (at most W::MAX_K of them): its
+    // packed word and rank key, by offset from `wstart`.
+    let m = scheme.m;
+    let mmask = Kmer::mask(m);
+    let (mut mwords, mut keys) = ([0u64; 64], [0u64; 64]);
+    let mut acc = 0u64;
+    for (i, &c) in codes[wstart..wend + k - 1].iter().enumerate() {
+        acc = ((acc << 2) | enc.encode(c) as u64) & mmask;
+        if i + 1 >= m {
+            mwords[i + 1 - m] = acc;
+            keys[i + 1 - m] = scheme.rank_key(acc);
+        }
+    }
+    // The leftmost smallest key among the `span` m-mers from `from`.
+    let span = k - m + 1;
+    let leftmost_min = |from: usize| {
+        (from + 1..from + span).fold(from, |best, j| if keys[j] < keys[best] { j } else { best })
+    };
+
     // First k-mer of the window starts a fresh supermer (Line 4-10).
     let mut kw = pack_span::<W>(codes, wstart, k, enc);
-    let mut prev = scheme.minimizer_of_w(kw, k).word;
+    let mut best = leftmost_min(0);
+    let mut prev = mwords[best];
     let mut smer_word = kw;
     let mut smer_len = k;
     let mut smer_min = prev;
@@ -209,7 +234,14 @@ pub fn supermers_of_window_w<W: KmerWord>(
         // Roll the k-mer window by one base.
         let next_sym = enc.encode(codes[pos + k - 1]);
         kw = kw.roll_sym(next_sym, kmask);
-        let mz = scheme.minimizer_of_w(kw, k).word;
+        let first = pos - wstart;
+        let last = first + span - 1;
+        if best < first {
+            best = leftmost_min(first);
+        } else if keys[last] < keys[best] {
+            best = last;
+        }
+        let mz = mwords[best];
         if mz != prev {
             out.push(SupermerW {
                 word: smer_word,
@@ -466,5 +498,130 @@ mod tests {
         let narrow = build_supermers_reference(&read, 8, &s);
         let wide = build_supermers_reference_w::<u128>(&read, 8, &s);
         assert_eq!(narrow, wide);
+    }
+
+    /// The builder before minimizers rolled: a fresh scan of all
+    /// `k - m + 1` m-mers per k-mer. The oracle for the rolling one.
+    fn supermers_of_window_rescan<W: KmerWord>(
+        codes: &[u8],
+        wstart: usize,
+        k: usize,
+        window: usize,
+        scheme: &MinimizerScheme,
+        out: &mut Vec<SupermerW<W>>,
+    ) {
+        debug_assert!(scheme.m < k && k <= W::MAX_K);
+        debug_assert!(window + k - 1 <= W::MAX_K, "supermer must fit one word");
+        let enc = scheme.encoding;
+        let kmask = W::kmer_mask(k);
+        let full = W::kmer_mask(W::MAX_K);
+        let nkmers = codes.len().saturating_sub(k - 1);
+        debug_assert!(wstart < nkmers);
+        let wend = (wstart + window).min(nkmers);
+
+        // First k-mer of the window starts a fresh supermer (Line 4-10).
+        let mut kw = pack_span::<W>(codes, wstart, k, enc);
+        let mut prev = scheme.minimizer_of_w(kw, k).word;
+        let mut smer_word = kw;
+        let mut smer_len = k;
+        let mut smer_min = prev;
+
+        // Remaining k-mers extend or flush (Line 11-22).
+        for pos in wstart + 1..wend {
+            // Roll the k-mer window by one base.
+            let next_sym = enc.encode(codes[pos + k - 1]);
+            kw = kw.roll_sym(next_sym, kmask);
+            let mz = scheme.minimizer_of_w(kw, k).word;
+            if mz != prev {
+                out.push(SupermerW {
+                    word: smer_word,
+                    len: smer_len as u8,
+                    minimizer: smer_min,
+                });
+                smer_word = kw;
+                smer_len = k;
+                smer_min = mz;
+            } else {
+                // ADDCHAR: append the new base to the supermer (Line 20-21).
+                // The full-width mask never clips: len ≤ window + k - 1.
+                smer_word = smer_word.roll_sym(next_sym, full);
+                smer_len += 1;
+            }
+            prev = mz;
+        }
+        out.push(SupermerW {
+            word: smer_word,
+            len: smer_len as u8,
+            minimizer: smer_min,
+        });
+    }
+
+    fn scheme_of(encoding: bool, kmc2: bool, m: usize) -> MinimizerScheme {
+        MinimizerScheme {
+            encoding: if encoding {
+                Encoding::PaperRandom
+            } else {
+                Encoding::Alphabetical
+            },
+            ordering: if kmc2 {
+                OrderingKind::Kmc2
+            } else {
+                OrderingKind::EncodedLexicographic
+            },
+            m,
+        }
+    }
+
+    /// Every window of `codes` through the rolling and the rescanning
+    /// builder at width `W`.
+    fn both_builders<W: KmerWord>(
+        codes: &[u8],
+        k: usize,
+        window: usize,
+        scheme: &MinimizerScheme,
+    ) -> (Vec<SupermerW<W>>, Vec<SupermerW<W>>) {
+        let (mut rolled, mut rescanned) = (Vec::new(), Vec::new());
+        let mut w = 0;
+        while w < codes.len().saturating_sub(k - 1) {
+            supermers_of_window_w(codes, w, k, window, scheme, &mut rolled);
+            supermers_of_window_rescan(codes, w, k, window, scheme, &mut rescanned);
+            w += window;
+        }
+        (rolled, rescanned)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Rolling minimizers build the same supermers as rescanning
+        /// every k-mer, at both widths, encodings and orderings — poly-A
+        /// runs included, where ties and KMC 2 demotions are common.
+        #[test]
+        fn rolling_minimizers_match_the_rescan(
+            bases in proptest::collection::vec(0u8..4, 0..120),
+            poly_a in proptest::prelude::any::<bool>(),
+            k in 2usize..32,
+            m_pick in 0usize..64,
+            window_pick in 0usize..64,
+            encoding in proptest::prelude::any::<bool>(),
+            kmc2 in proptest::prelude::any::<bool>(),
+        ) {
+            let codes: Vec<u8> = if poly_a {
+                bases.iter().map(|&b| b & (b >> 1)).collect()
+            } else {
+                bases
+            };
+            let m = 1 + m_pick % (k - 1).min(31);
+            let scheme = scheme_of(encoding, kmc2, m);
+            let window = 1 + window_pick % (33 - k);
+            let (rolled, rescanned) = both_builders::<u64>(&codes, k, window, &scheme);
+            proptest::prop_assert_eq!(rolled, rescanned);
+            let wide_k = k + 32;
+            let m = 1 + m_pick % 31;
+            let scheme = scheme_of(encoding, kmc2, m);
+            let window = 1 + window_pick % (65 - wide_k);
+            let (rolled, rescanned) = both_builders::<u128>(&codes, wide_k, window, &scheme);
+            proptest::prop_assert_eq!(rolled, rescanned);
+        }
     }
 }

@@ -11,6 +11,24 @@
 
 use std::fmt;
 
+/// The [`ASCII_TO_CODE`] entry of every byte that is not `ACGTacgt`.
+pub const NOT_A_BASE: u8 = 4;
+
+/// ASCII byte → base code (A=0, C=1, G=2, T=3, either case); every other
+/// byte, `N` included, maps to [`NOT_A_BASE`]. The one table every parser
+/// decodes sequence bytes through.
+pub static ASCII_TO_CODE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut code = 0;
+    while code < 4 {
+        let upper = b"ACGT"[code];
+        table[upper as usize] = code as u8;
+        table[upper.to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
+    }
+    table
+};
+
 /// A single nucleotide. The discriminant is the internal *code*
 /// (alphabetical: A=0, C=1, G=2, T=3).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -57,12 +75,9 @@ impl Base {
     /// separators, like the paper's "special bases" marking read ends).
     #[inline]
     pub fn from_ascii(ch: u8) -> Option<Base> {
-        match ch {
-            b'A' | b'a' => Some(Base::A),
-            b'C' | b'c' => Some(Base::C),
-            b'G' | b'g' => Some(Base::G),
-            b'T' | b't' => Some(Base::T),
-            _ => None,
+        match ASCII_TO_CODE[ch as usize] {
+            NOT_A_BASE => None,
+            code => Some(Base::from_code(code)),
         }
     }
 
@@ -138,6 +153,16 @@ impl Encoding {
     pub fn decode_base(self, sym: u8) -> Base {
         Base::from_code(self.decode(sym))
     }
+
+    /// 2-bit symbol → uppercase ASCII letter under this encoding.
+    #[inline]
+    pub fn ascii_table(self) -> &'static [u8; 4] {
+        match self {
+            Encoding::Alphabetical => b"ACGT",
+            // Symbols 0..4 decode to C, A, T, G.
+            Encoding::PaperRandom => b"CATG",
+        }
+    }
 }
 
 impl Default for Encoding {
@@ -152,24 +177,10 @@ impl Default for Encoding {
 /// (each a `Vec` of base codes). Fragments shorter than `min_len` are
 /// dropped.
 pub fn ascii_to_fragments(seq: &[u8], min_len: usize) -> Vec<Vec<u8>> {
-    let mut fragments = Vec::new();
-    let mut cur: Vec<u8> = Vec::new();
-    for &ch in seq {
-        match Base::from_ascii(ch) {
-            Some(b) => cur.push(b.code()),
-            None => {
-                if cur.len() >= min_len {
-                    fragments.push(std::mem::take(&mut cur));
-                } else {
-                    cur.clear();
-                }
-            }
-        }
-    }
-    if cur.len() >= min_len {
-        fragments.push(cur);
-    }
-    fragments
+    seq.split(|&ch| ASCII_TO_CODE[ch as usize] == NOT_A_BASE)
+        .filter(|run| run.len() >= min_len)
+        .map(|run| run.iter().map(|&ch| ASCII_TO_CODE[ch as usize]).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -191,6 +202,33 @@ mod tests {
         assert_eq!(Base::from_ascii(b'-'), None);
         for b in Base::ALL {
             assert_eq!(Base::from_ascii(b.to_ascii()), Some(b));
+        }
+    }
+
+    /// The `match` the table replaced.
+    fn from_ascii_match(ch: u8) -> Option<Base> {
+        match ch {
+            b'A' | b'a' => Some(Base::A),
+            b'C' | b'c' => Some(Base::C),
+            b'G' | b'g' => Some(Base::G),
+            b'T' | b't' => Some(Base::T),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn ascii_table_equals_the_match_on_every_byte() {
+        for ch in 0..=255u8 {
+            assert_eq!(Base::from_ascii(ch), from_ascii_match(ch), "byte {ch}");
+        }
+    }
+
+    #[test]
+    fn ascii_tables_invert_the_encodings() {
+        for e in [Encoding::Alphabetical, Encoding::PaperRandom] {
+            for sym in 0..4u8 {
+                assert_eq!(e.ascii_table()[sym as usize], e.decode_base(sym).to_ascii());
+            }
         }
     }
 
@@ -240,6 +278,9 @@ mod tests {
         assert_eq!(frags, vec![vec![0, 1, 2, 3]]);
         assert!(ascii_to_fragments(b"NNNN", 1).is_empty());
         assert!(ascii_to_fragments(b"", 1).is_empty());
+        // At min_len 0 every run counts, empty ones included.
+        assert_eq!(ascii_to_fragments(b"AnC", 0), vec![vec![0], vec![1]]);
+        assert_eq!(ascii_to_fragments(b"N", 0), vec![vec![]; 2]);
     }
 
     #[test]

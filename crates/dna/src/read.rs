@@ -1,6 +1,6 @@
 //! Sequencing reads.
 
-use crate::base::Base;
+use crate::base::{Base, ASCII_TO_CODE, NOT_A_BASE};
 
 /// A single sequencing read: an identifier, base codes, and optional
 /// per-base quality scores (Phred+33 style, kept only for FASTQ round
@@ -19,10 +19,10 @@ impl Read {
     /// Builds a read from an ASCII sequence, which must be clean ACGT.
     /// Returns `None` if any character is ambiguous.
     pub fn from_ascii(id: impl Into<String>, seq: &[u8]) -> Option<Read> {
-        let codes = seq
-            .iter()
-            .map(|&c| Base::from_ascii(c).map(Base::code))
-            .collect::<Option<Vec<u8>>>()?;
+        let codes: Vec<u8> = seq.iter().map(|&c| ASCII_TO_CODE[c as usize]).collect();
+        if codes.contains(&NOT_A_BASE) {
+            return None;
+        }
         Some(Read {
             id: id.into(),
             codes,

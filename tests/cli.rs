@@ -215,6 +215,42 @@ fn min_qual_trims_before_counting() {
 }
 
 #[test]
+fn min_qual_trims_fragments_of_reads_with_ambiguous_bases() {
+    let dir = tmpdir("minqual-n");
+    let fastq = dir.join("q.fq");
+    // Two all-Q2 reads; the second is split by an N into two fragments,
+    // each of which must be trimmed like a clean read.
+    let seq = "ACGTTGCAAGGATCCGTA"; // 18 bases: 2 k-mers at k = 17
+    let q = "#".repeat(seq.len());
+    std::fs::write(
+        &fastq,
+        format!("@clean\n{seq}\n+\n{q}\n@withN\n{seq}N{seq}\n+\n{q}#{q}\n"),
+    )
+    .unwrap();
+    let count = |extra: &[&str], out: &Path| {
+        let run = dedukt()
+            .args(["count"])
+            .arg(&fastq)
+            .args(["--mode", "cpu", "--nodes", "1", "--k", "17"])
+            .args(extra)
+            .arg("--out")
+            .arg(out)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        std::fs::read_to_string(out).unwrap()
+    };
+    let untrimmed = count(&[], &dir.join("all.tsv"));
+    assert_eq!(untrimmed.lines().count(), 2, "{untrimmed}");
+    let trimmed = count(&["--min-qual", "20"], &dir.join("q.tsv"));
+    assert_eq!(trimmed, "", "every base is Q2");
+}
+
+#[test]
 fn bad_usage_exits_nonzero() {
     assert!(!dedukt()
         .args(["frobnicate"])
