@@ -16,10 +16,10 @@ use crate::partition::key_owner;
 use crate::pipeline::driver::{
     exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, RoundRecv,
 };
+use crate::pipeline::gpu_kmer::{for_kmers_in_range, read_ends};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::table::HostCountTable;
 use crate::width::PackedKmer;
-use dedukt_dna::kmer::kmer_words_w;
 use dedukt_dna::ReadSet;
 use dedukt_gpu::mem_plan::estimate_factor;
 use dedukt_net::cost::Network;
@@ -51,18 +51,18 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
     fn bucket(&self, ctx: &DriverCtx, rank: usize) -> BucketOut<K> {
         let cfg = &ctx.cfg;
         let mut out: Vec<Vec<K>> = vec![Vec::new(); ctx.nranks];
-        let mut bases = 0u64;
-        for read in ctx.parts[rank] {
-            bases += read.codes.len() as u64;
-            for w in kmer_words_w::<K>(&read.codes, cfg.k, cfg.encoding) {
-                let key = if cfg.canonical {
-                    w.canonical_word(cfg.k)
-                } else {
-                    w
-                };
-                out[key_owner(&ctx.hasher, key, ctx.nranks)].push(key);
-            }
-        }
+        let part = ctx.parts[rank];
+        let ends = read_ends(part);
+        let bases = ends.last().copied().unwrap_or(0);
+        for_kmers_in_range::<K>(part, &ends, (0, bases), cfg.k, cfg.encoding, |w| {
+            let key = if cfg.canonical {
+                w.canonical_word(cfg.k)
+            } else {
+                w
+            };
+            out[key_owner(&ctx.hasher, key, ctx.nranks)].push(key);
+        });
+        // Parsing is charged on every base, reads shorter than k included.
         BucketOut {
             buckets: out,
             compute: ctx.rc.cpu_model.parse_rate.time_for(bases as f64),

@@ -4,8 +4,6 @@ use crate::config::{CountingConfig, RunConfig};
 use crate::pipeline::driver::{CounterOom, DriverCtx, PressureStats};
 use crate::table::{table_capacity, DeviceCountTable, InsertOutcome};
 use crate::width::PackedKmer;
-use dedukt_dna::packed::ConcatReads;
-use dedukt_dna::Read;
 use dedukt_gpu::mem_plan::{alloc_fails, estimate_factor};
 use dedukt_gpu::transfer::staging_time;
 use dedukt_gpu::{Device, KernelReport, LaunchConfig, MemPlan};
@@ -50,17 +48,6 @@ pub fn block_range(total: usize, nblocks: u32, b: u32) -> (usize, usize) {
     let lo = bi * base + bi.min(rem);
     let hi = lo + base + usize::from(bi < rem);
     (lo, hi)
-}
-
-/// Concatenates a rank's reads into the packed device layout (§III-B1).
-pub fn concat_rank_reads(part: &[Read], cfg: &CountingConfig) -> ConcatReads {
-    ConcatReads::from_reads(part.iter().map(|r| &r.codes[..]), cfg.encoding)
-}
-
-/// Host→device volume of the concatenated read batch: packed bases plus
-/// the read-boundary offsets.
-pub fn reads_h2d_volume(concat: &ConcatReads) -> DataVolume {
-    DataVolume::from_bytes((concat.bases.packed_bytes() + concat.ends.len() * 8) as u64)
 }
 
 /// Staging cost for moving `volume` between host and device, zero when
@@ -147,9 +134,9 @@ fn scaled_estimate(expected: u64, factor: f64) -> usize {
 
 /// Per-rank device-side counting state threaded through the staged
 /// driver's exchange rounds: one device, one count table sized from the
-/// rank's (possibly scaled-down) load estimate, and one stream recording
-/// the round-by-round count kernels (the kernels the overlapped exchange
-/// hides behind the wire).
+/// rank's (possibly scaled-down) load estimate, and the counting
+/// telemetry of the round-by-round count kernels (the kernels the
+/// overlapped exchange hides behind the wire).
 ///
 /// Under memory pressure — an undersized estimate, a shrunk safety
 /// factor, or a tight `--device-hbm` budget — the table can fill. The
@@ -163,7 +150,6 @@ fn scaled_estimate(expected: u64, factor: f64) -> usize {
 pub(crate) struct DeviceRoundCounter<K: PackedKmer = u64> {
     device: Device,
     table: DeviceCountTable<K>,
-    stream: dedukt_gpu::Stream,
     probe_hist: Histogram,
     probe_steps: u64,
     instances: u64,
@@ -203,7 +189,6 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         Ok(DeviceRoundCounter {
             device,
             table,
-            stream: dedukt_gpu::Stream::new(),
             probe_hist: Histogram::new(),
             probe_steps: 0,
             instances: 0,
@@ -255,7 +240,6 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         self.probe_hist.merge(&hist);
         self.last_occupancy = report.occupancy;
         *dt += report.time;
-        self.stream.record_kernel(report);
         overflow
     }
 
@@ -312,7 +296,6 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
             b.atomic(2 * n, 0);
         });
         *dt += report.time;
-        self.stream.record_kernel(report);
         self.table = new_table; // the old table drops, freeing its slots
         self.regrows += 1;
         true

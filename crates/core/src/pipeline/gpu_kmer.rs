@@ -3,12 +3,18 @@
 //!
 //! Per rank (6 per node, one V100 each):
 //!
-//! 1. **Parse & process** — concatenate the rank's reads into one packed
-//!    base array, copy to the device, and launch the parse kernel: thread
-//!    blocks take contiguous base chunks, threads build k-mers with a
-//!    rolling window (coalesced reads, §III-B1), hash each k-mer with
-//!    MurmurHash3 and append it to the outgoing buffer of its owner rank
-//!    (atomic appends in the real kernel, tallied as such).
+//! 1. **Parse & process** — copy the rank's reads to the device as one
+//!    concatenated, 2-bit packed base array, and launch the parse kernel:
+//!    thread blocks take contiguous chunks of the concatenated base
+//!    index, threads build k-mers with a rolling window (coalesced reads,
+//!    §III-B1), hash each k-mer with MurmurHash3 and append it to the
+//!    outgoing buffer of its owner rank (atomic appends in the real
+//!    kernel, tallied as such). The simulator prices that layout without
+//!    building it: the host→device copy is charged `ceil(bases / 4)`
+//!    bytes plus one 8-byte read-end offset per read, each block charges
+//!    a quarter byte per base it reads, and blocks take their
+//!    [`block_range`] over the prefix sums of the read lengths while the
+//!    kernel walks the reads' base codes in place.
 //! 2. **Exchange** — stage outgoing buffers to the host (unless
 //!    GPUDirect), `MPI_Alltoallv`, stage received k-mers back in.
 //! 3. **Count** — the device CAS/linear-probing table kernel (§III-B3).
@@ -23,58 +29,62 @@ use crate::pipeline::driver::{
     exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx,
     PressureStats, RoundRecv,
 };
-use crate::pipeline::gpu_common::{
-    block_range, chunked_launch, concat_rank_reads, reads_h2d_volume, staging, DeviceRoundCounter,
-};
+use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::width::PackedKmer;
-use dedukt_dna::kmer::KmerWord;
-use dedukt_dna::packed::ConcatReads;
-use dedukt_dna::ReadSet;
+use dedukt_dna::kmer::{kmer_words_w, KmerWord};
+use dedukt_dna::{Encoding, Read, ReadSet};
 use dedukt_net::cost::Network;
 use dedukt_net::BspWorld;
 use dedukt_sim::{DataVolume, MetricOp, SimTime};
 use std::marker::PhantomData;
 
+/// Exclusive end offsets of a part's reads in its concatenated base
+/// index — the prefix sums of the read lengths. Read `i` spans
+/// `ends[i - 1]..ends[i]` (with `ends[-1] = 0`): the out-of-band form of
+/// the paper's in-band read-end bases.
+pub(crate) fn read_ends(part: &[Read]) -> Vec<usize> {
+    part.iter()
+        .scan(0, |end, read| {
+            *end += read.codes.len();
+            Some(*end)
+        })
+        .collect()
+}
+
 /// Calls `f` with every packed k-mer whose start position lies in
-/// `[lo, hi)` of the concatenated base array, honouring read boundaries.
-/// Returns the number of k-mers visited and the number of bases read.
-/// Width-generic: the rolling window packs into any [`KmerWord`].
+/// `[lo, hi)` of the part's concatenated base index (`ends` from
+/// [`read_ends`]), in order, never spanning a read boundary. Each read
+/// segment inside the range is walked in place with [`kmer_words_w`].
+/// Returns the number of k-mers visited and the number of bases read
+/// (each segment's span: its k-mers plus `k - 1`). Both k-mer stages
+/// share this walk: a GPU block over its [`block_range`], the CPU rank
+/// over its whole part.
 pub(crate) fn for_kmers_in_range<W: KmerWord>(
-    concat: &ConcatReads,
-    lo: usize,
-    hi: usize,
+    part: &[Read],
+    ends: &[usize],
+    (lo, hi): (usize, usize),
     k: usize,
+    encoding: Encoding,
     mut f: impl FnMut(W),
 ) -> (u64, u64) {
-    let mask = W::kmer_mask(k);
     let mut kmers = 0u64;
     let mut bases = 0u64;
-    let mut ri = concat.ends.partition_point(|&e| e <= lo);
-    while ri < concat.num_reads() {
-        let (rs, re) = concat.read_span(ri);
+    let first = ends.partition_point(|&e| e <= lo);
+    for (read, &re) in part[first..].iter().zip(&ends[first..]) {
+        let rs = re - read.codes.len();
         if rs >= hi {
             break;
         }
-        let first = rs.max(lo);
         // A k-mer starting at p stays within its read iff p + k <= re.
-        let last_excl = (re + 1).saturating_sub(k).min(hi);
-        if first < last_excl {
-            let mut w = W::ZERO;
-            for p in first..first + k {
-                w = w.roll_sym(concat.bases.symbol(p), mask);
-            }
-            f(w);
-            kmers += 1;
-            bases += k as u64;
-            for p in first + 1..last_excl {
-                w = w.roll_sym(concat.bases.symbol(p + k - 1), mask);
-                f(w);
-                kmers += 1;
-                bases += 1;
-            }
+        let start = rs.max(lo);
+        let stop = (re + 1).saturating_sub(k).min(hi);
+        if start < stop {
+            let segment = &read.codes[start - rs..stop - rs + k - 1];
+            kmer_words_w::<W>(segment, k, encoding).for_each(&mut f);
+            kmers += (stop - start) as u64;
+            bases += segment.len() as u64;
         }
-        ri += 1;
     }
     (kmers, bases)
 }
@@ -100,15 +110,21 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
         let nranks = ctx.nranks;
         let tuning = rc.gpu_tuning;
         let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
-        let concat = concat_rank_reads(ctx.parts[rank], cfg);
-        let h2d = staging(&device, rc, reads_h2d_volume(&concat));
+        let part = ctx.parts[rank];
+        let ends = read_ends(part);
+        let nbases = ends.last().copied().unwrap_or(0);
+        // The packed layout's bytes: 2-bit bases plus the read-end offsets.
+        let h2d = staging(
+            &device,
+            rc,
+            DataVolume::from_bytes((nbases.div_ceil(4) + ends.len() * 8) as u64),
+        );
 
-        let nbases = concat.num_bases().max(1);
         let launch = chunked_launch(nbases);
         let (report, block_buckets) = device.launch_map("parse_kmers", launch, |b| {
-            let (lo, hi) = block_range(nbases.min(concat.num_bases()), b.cfg.grid_blocks, b.block);
+            let range = block_range(nbases, b.cfg.grid_blocks, b.block);
             let mut local: Vec<Vec<K>> = vec![Vec::new(); nranks];
-            let (nk, nb) = for_kmers_in_range::<K>(&concat, lo, hi, cfg.k, |w| {
+            let (nk, nb) = for_kmers_in_range::<K>(part, &ends, range, cfg.k, cfg.encoding, |w| {
                 let key = if cfg.canonical {
                     w.canonical_word(cfg.k)
                 } else {
@@ -252,39 +268,110 @@ mod tests {
         (reads, rc)
     }
 
-    #[test]
-    fn kmer_iteration_respects_read_boundaries() {
-        use dedukt_dna::base::Base;
-        use dedukt_dna::Encoding;
-        let r1: Vec<u8> = b"ACGTACG"
+    /// Splits `part` at every block count from 1 up to the grid the
+    /// parse kernel launches for it, and checks the blocks' walks against
+    /// [`kmer_words_w`] over each whole read.
+    fn check_walk<W: KmerWord>(
+        part: &[Read],
+        k: usize,
+        encoding: Encoding,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let ends = read_ends(part);
+        let nbases = ends.last().copied().unwrap_or(0);
+        let expected: Vec<W> = part
             .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
+            .flat_map(|r| kmer_words_w::<W>(&r.codes, k, encoding))
             .collect();
-        let r2: Vec<u8> = b"GGTT"
+        let total: usize = part
             .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
-            .collect();
-        let concat = ConcatReads::from_reads([&r1[..], &r2[..]], Encoding::Alphabetical);
-        let k = 3;
-        let mut seen: Vec<u64> = Vec::new();
-        let (nk, _) = for_kmers_in_range(&concat, 0, concat.num_bases(), k, |w| seen.push(w));
-        // r1 has 5 k-mers, r2 has 2; none spanning the boundary.
-        assert_eq!(nk, 7);
-        assert_eq!(seen.len(), 7);
-        // Splitting the range must visit exactly the same k-mers.
-        for split in 1..concat.num_bases() {
-            let mut split_seen: Vec<u64> = Vec::new();
-            for_kmers_in_range(&concat, 0, split, k, |w| split_seen.push(w));
-            for_kmers_in_range(&concat, split, concat.num_bases(), k, |w| {
-                split_seen.push(w)
-            });
-            assert_eq!(split_seen, seen, "split at {split}");
+            .map(|r| (r.codes.len() + 1).saturating_sub(k))
+            .sum();
+        proptest::prop_assert_eq!(expected.len(), total);
+        for nblocks in 1..=chunked_launch(nbases).grid_blocks {
+            let mut seen: Vec<W> = Vec::new();
+            let mut nk_sum = 0;
+            for b in 0..nblocks {
+                let (lo, hi) = block_range(nbases, nblocks, b);
+                let mut block: Vec<W> = Vec::new();
+                let (nk, nb) =
+                    for_kmers_in_range::<W>(part, &ends, (lo, hi), k, encoding, |w| block.push(w));
+                proptest::prop_assert_eq!(nk as usize, block.len());
+                // A block reads the span of each read segment it walks:
+                // its k-mer starts in the read, plus k - 1.
+                let spans: usize = part
+                    .iter()
+                    .zip(&ends)
+                    .map(|(r, &re)| {
+                        let rs = re - r.codes.len();
+                        let starts = (rs..(re + 1).saturating_sub(k))
+                            .filter(|p| (lo..hi).contains(p))
+                            .count();
+                        if starts > 0 {
+                            starts + k - 1
+                        } else {
+                            0
+                        }
+                    })
+                    .sum();
+                proptest::prop_assert_eq!(nb as usize, spans, "block {} of {}", b, nblocks);
+                nk_sum += nk as usize;
+                seen.extend(block);
+            }
+            proptest::prop_assert_eq!(nk_sum, total);
+            proptest::prop_assert!(seen == expected, "{} blocks reorder k-mers", nblocks);
         }
-        // The wide instantiation visits the identical k-mers (values fit
-        // narrow words at k=3, so the two widths must agree bit-for-bit).
-        let mut wide: Vec<u128> = Vec::new();
-        for_kmers_in_range(&concat, 0, concat.num_bases(), k, |w| wide.push(w));
-        assert_eq!(wide, seen.iter().map(|&w| w as u128).collect::<Vec<_>>());
+        Ok(())
+    }
+
+    /// Reads of `pick`-driven lengths in `0..=2k`: exactly `k`, shorter
+    /// than `k`, or anywhere in the range.
+    fn part_of(reads: &[(usize, Vec<u8>)], k: usize) -> Vec<Read> {
+        reads
+            .iter()
+            .map(|(pick, bases)| {
+                let len = match pick % 4 {
+                    0 => k,
+                    1 => pick / 4 % k,
+                    _ => pick / 4 % (2 * k + 1),
+                };
+                Read {
+                    id: String::new(),
+                    codes: bases[..len].to_vec(),
+                    quals: None,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The in-place walk visits exactly each read's k-mers, in read
+        /// order, at either key width and however the part is split into
+        /// blocks; reads shorter than k contribute none.
+        #[test]
+        fn walk_matches_per_read_kmers_at_every_split(
+            parts in proptest::collection::vec(
+                proptest::collection::vec((0usize..1024, proptest::collection::vec(0u8..4, 126)), 0..10),
+                1..4,
+            ),
+            k_pick in 0usize..1024,
+            paper_encoding in proptest::prelude::any::<bool>(),
+        ) {
+            let encoding = if paper_encoding {
+                Encoding::PaperRandom
+            } else {
+                Encoding::Alphabetical
+            };
+            let narrow_k = 1 + k_pick % 31;
+            let wide_k = 32 + k_pick % 32;
+            check_walk::<u64>(&[], narrow_k, encoding)?;
+            check_walk::<u128>(&[], wide_k, encoding)?;
+            for reads in &parts {
+                check_walk::<u64>(&part_of(reads, narrow_k), narrow_k, encoding)?;
+                check_walk::<u128>(&part_of(reads, wide_k), wide_k, encoding)?;
+            }
+        }
     }
 
     #[test]

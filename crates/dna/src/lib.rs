@@ -7,8 +7,6 @@
 //!   de-skew minimizer partitions.
 //! * [`kmer`] — packed k-mer words (`u64` for k ≤ 32, `u128` for k ≤ 64)
 //!   with rolling extension, reverse complement and canonicalization.
-//! * [`packed`] — 2-bit packed base arrays (the "one long array of bases"
-//!   the GPU pipeline concatenates reads into, §III-B1).
 //! * [`read`] / [`fastq`] — reads and FASTQ/FASTA parsing and writing.
 //! * [`sim`] — deterministic synthetic genome and long-read simulators.
 //! * [`datasets`] — the Table I dataset catalog, re-scaled for a single
@@ -21,7 +19,6 @@ pub mod base;
 pub mod datasets;
 pub mod fastq;
 pub mod kmer;
-pub mod packed;
 pub mod read;
 pub mod sim;
 pub mod spectrum;
@@ -29,5 +26,4 @@ pub mod spectrum;
 pub use base::{Base, Encoding};
 pub use datasets::{Dataset, DatasetId, ScalePreset};
 pub use kmer::{Kmer, Kmer128};
-pub use packed::PackedSeq;
 pub use read::{Read, ReadSet};

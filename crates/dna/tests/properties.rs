@@ -3,7 +3,6 @@
 use dedukt_dna::base::{ascii_to_fragments, Base};
 use dedukt_dna::fastq::{parse_fastq, write_fastq};
 use dedukt_dna::kmer::{kmer_words, Kmer};
-use dedukt_dna::packed::PackedSeq;
 use dedukt_dna::{Encoding, Read, ReadSet};
 use proptest::prelude::*;
 use std::io::BufReader;
@@ -13,31 +12,6 @@ fn encoding() -> impl Strategy<Value = Encoding> {
 }
 
 proptest! {
-    /// PackedSeq is a faithful container for any code sequence.
-    #[test]
-    fn packed_seq_roundtrip(codes in prop::collection::vec(0u8..4, 0..500), enc in encoding()) {
-        let p = PackedSeq::from_codes(&codes, enc);
-        prop_assert_eq!(p.len(), codes.len());
-        prop_assert_eq!(p.to_codes(), codes.clone());
-        prop_assert_eq!(p.packed_bytes(), codes.len().div_ceil(4));
-    }
-
-    /// Every window read out of a PackedSeq equals packing that window
-    /// directly.
-    #[test]
-    fn packed_windows_match_kmer_packing(
-        codes in prop::collection::vec(0u8..4, 5..100),
-        k in 1usize..20,
-        enc in encoding(),
-    ) {
-        prop_assume!(k <= codes.len());
-        let p = PackedSeq::from_codes(&codes, enc);
-        for start in 0..=codes.len() - k {
-            let expect = Kmer::from_codes(&codes[start..start + k], enc).word();
-            prop_assert_eq!(p.kmer_word(start, k), expect);
-        }
-    }
-
     /// kmer_words yields exactly len-k+1 windows for clean input.
     #[test]
     fn kmer_count_formula(codes in prop::collection::vec(0u8..4, 0..200), k in 1usize..33) {

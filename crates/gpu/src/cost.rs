@@ -9,8 +9,7 @@
 //!
 //! * **Compute** — simple instructions retire at the device's peak rate
 //!   scaled by an occupancy efficiency (latency hiding saturates around
-//!   ~50% occupancy, the usual CUDA guidance) and stretched by warp
-//!   divergence (divergent instructions execute both branch paths).
+//!   ~50% occupancy, the usual CUDA guidance).
 //! * **Memory** — coalesced traffic moves at full HBM bandwidth; random
 //!   traffic pays a 1/8 efficiency factor (a 32-byte minimum transaction
 //!   servicing a 4-byte useful access).
@@ -63,12 +62,11 @@ pub fn kernel_time(
 ) -> (SimTime, TimeBreakdown) {
     let eff = occupancy_efficiency(occupancy);
 
-    // Compute pipeline: divergent instructions execute both paths (×2).
-    let effective_instr = tally.instructions as f64 + tally.divergent_instructions as f64;
+    // Compute pipeline.
     let compute = config
         .peak_instr_rate()
         .scaled(eff)
-        .time_for(effective_instr);
+        .time_for(tally.instructions as f64);
 
     // Memory pipeline.
     let hbm = config.hbm_bandwidth.scaled(eff);
@@ -105,7 +103,6 @@ mod tests {
             gmem_random_bytes: random,
             atomics,
             atomic_conflicts: conflicts,
-            divergent_instructions: 0,
         }
     }
 
@@ -158,18 +155,6 @@ mod tests {
         let (fast, _) = kernel_time(&c, &w, 1.0);
         let (slow, _) = kernel_time(&c, &w, 0.1);
         assert!(slow > fast * 2.0);
-    }
-
-    #[test]
-    fn divergence_doubles_divergent_portion() {
-        let c = DeviceConfig::v100();
-        let base = tally(1_000_000_000, 0, 0, 0, 0);
-        let mut div = base;
-        div.divergent_instructions = 1_000_000_000; // everything divergent
-        let (_, b0) = kernel_time(&c, &base, 1.0);
-        let (_, b1) = kernel_time(&c, &div, 1.0);
-        let ratio = b1.compute / b0.compute;
-        assert!((ratio - 2.0).abs() < 0.01, "ratio {ratio}");
     }
 
     #[test]

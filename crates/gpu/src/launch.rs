@@ -1,8 +1,9 @@
 //! Kernel launch API.
 //!
-//! A kernel is a closure invoked once per *thread block*; inside, it
-//! iterates its threads. Blocks execute concurrently on a rayon pool — so
-//! anything shared between blocks must live in an
+//! A kernel is a closure invoked once per *thread block*; it does the
+//! block's whole share of the work (the real kernels' grid-stride loops)
+//! and returns the block's output. Blocks execute concurrently on a rayon
+//! pool — so anything shared between blocks must live in an
 //! [`crate::memory::AtomicBuffer`], exactly mirroring the CUDA rules the
 //! paper's kernels play by ("as all the GPU threads concurrently update
 //! this buffer, the update operation is performed atomically", §III-B1).
@@ -27,24 +28,6 @@ pub struct LaunchConfig {
     pub block_threads: u32,
 }
 
-impl LaunchConfig {
-    /// A launch covering at least `total_threads` threads with the given
-    /// block size.
-    pub fn cover(total_threads: usize, block_threads: u32) -> LaunchConfig {
-        assert!(block_threads > 0);
-        let grid_blocks = total_threads.div_ceil(block_threads as usize).max(1) as u32;
-        LaunchConfig {
-            grid_blocks,
-            block_threads,
-        }
-    }
-
-    /// Total threads in the launch.
-    pub fn total_threads(&self) -> usize {
-        self.grid_blocks as usize * self.block_threads as usize
-    }
-}
-
 /// Work performed by a kernel, tallied per block and merged after the
 /// launch. All quantities are *logical* (what the real GPU would do), not
 /// host-side measurements.
@@ -64,9 +47,6 @@ pub struct WorkTally {
     /// a hint the kernel derives from its data distribution, used by the
     /// contention model.
     pub atomic_conflicts: u64,
-    /// Instructions executed under warp divergence (both sides of a
-    /// branch serialised).
-    pub divergent_instructions: u64,
 }
 
 impl WorkTally {
@@ -77,46 +57,12 @@ impl WorkTally {
         self.gmem_random_bytes += other.gmem_random_bytes;
         self.atomics += other.atomics;
         self.atomic_conflicts += other.atomic_conflicts;
-        self.divergent_instructions += other.divergent_instructions;
         self
     }
 }
 
-/// Per-thread coordinates handed to kernel bodies.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadCtx {
-    /// Block index within the grid.
-    pub block: u32,
-    /// Thread index within the block.
-    pub thread: u32,
-    /// Threads per block.
-    pub block_dim: u32,
-    /// Blocks in the grid.
-    pub grid_dim: u32,
-}
-
-impl ThreadCtx {
-    /// Flat global thread id (`block * blockDim + thread`).
-    #[inline]
-    pub fn global_id(&self) -> usize {
-        self.block as usize * self.block_dim as usize + self.thread as usize
-    }
-
-    /// Warp index within the block.
-    #[inline]
-    pub fn warp(&self) -> u32 {
-        self.thread / 32
-    }
-
-    /// Lane index within the warp.
-    #[inline]
-    pub fn lane(&self) -> u32 {
-        self.thread % 32
-    }
-}
-
-/// Block-level execution context: thread iteration plus the block-local
-/// work tally.
+/// Block-level execution context: the block's coordinates plus its
+/// block-local work tally.
 pub struct BlockCtx {
     /// Block index within the grid.
     pub block: u32,
@@ -127,18 +73,6 @@ pub struct BlockCtx {
 }
 
 impl BlockCtx {
-    /// Iterates this block's threads.
-    pub fn threads(&self) -> impl Iterator<Item = ThreadCtx> {
-        let block = self.block;
-        let cfg = self.cfg;
-        (0..cfg.block_threads).map(move |thread| ThreadCtx {
-            block,
-            thread,
-            block_dim: cfg.block_threads,
-            grid_dim: cfg.grid_blocks,
-        })
-    }
-
     /// Records `n` simple instructions.
     #[inline]
     pub fn instr(&mut self, n: u64) {
@@ -164,13 +98,6 @@ impl BlockCtx {
         self.tally.atomics += n;
         self.tally.atomic_conflicts += conflicts.min(n);
     }
-
-    /// Records `n` instructions executed under warp divergence.
-    #[inline]
-    pub fn divergent(&mut self, n: u64) {
-        self.tally.instructions += n;
-        self.tally.divergent_instructions += n;
-    }
 }
 
 /// Everything known about a completed launch.
@@ -191,50 +118,9 @@ pub struct KernelReport {
 }
 
 impl Device {
-    /// Launches `kernel` over `cfg`, executing blocks in parallel, and
-    /// returns the merged work tally with its simulated duration.
-    ///
-    /// The closure runs once per block and must iterate
-    /// [`BlockCtx::threads`] itself (this is also where real CUDA kernels
-    /// get their grid-stride loops).
-    pub fn launch<F>(&self, name: &str, cfg: LaunchConfig, kernel: F) -> KernelReport
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        assert!(cfg.grid_blocks > 0 && cfg.block_threads > 0, "empty launch");
-        assert!(
-            cfg.block_threads <= self.config().max_threads_per_block,
-            "block of {} exceeds device limit {}",
-            cfg.block_threads,
-            self.config().max_threads_per_block
-        );
-        let tally = (0..cfg.grid_blocks)
-            .into_par_iter()
-            .map(|block| {
-                let mut ctx = BlockCtx {
-                    block,
-                    cfg,
-                    tally: WorkTally::default(),
-                };
-                kernel(&mut ctx);
-                ctx.tally
-            })
-            .reduce(WorkTally::default, |a, b| a.merge(&b));
-
-        let occupancy = occupancy::achieved_occupancy(self.config(), cfg);
-        let (time, breakdown) = cost::kernel_time(self.config(), &tally, occupancy);
-        KernelReport {
-            name: name.to_string(),
-            cfg,
-            tally,
-            occupancy,
-            time,
-            breakdown,
-        }
-    }
-
-    /// Like [`Device::launch`], but each block also produces a value;
-    /// returns the report plus all block outputs in block order.
+    /// Launches `kernel` over `cfg`, executing blocks in parallel; returns
+    /// the merged work tally with its simulated duration, plus every
+    /// block's output in block order.
     ///
     /// This is how the pipelines' parse kernels hand their per-block
     /// partition buffers back: real CUDA kernels write them to device
@@ -297,62 +183,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cover_rounds_up() {
-        let c = LaunchConfig::cover(1000, 256);
-        assert_eq!(c.grid_blocks, 4);
-        assert_eq!(c.total_threads(), 1024);
-        assert_eq!(LaunchConfig::cover(0, 128).grid_blocks, 1);
-    }
-
-    #[test]
-    fn thread_coordinates() {
-        let t = ThreadCtx {
-            block: 3,
-            thread: 70,
-            block_dim: 256,
-            grid_dim: 8,
-        };
-        assert_eq!(t.global_id(), 3 * 256 + 70);
-        assert_eq!(t.warp(), 2);
-        assert_eq!(t.lane(), 6);
-    }
-
-    #[test]
-    fn launch_runs_every_thread_exactly_once() {
-        let d = Device::v100();
-        let cfg = LaunchConfig {
-            grid_blocks: 7,
-            block_threads: 64,
-        };
-        let hits = d.alloc_atomic(cfg.total_threads()).unwrap();
-        d.launch("touch", cfg, |b| {
-            for t in b.threads() {
-                hits.fetch_add(t.global_id(), 1);
-            }
-        });
-        assert!(hits.snapshot().iter().all(|&h| h == 1));
-    }
-
-    #[test]
     fn tallies_merge_across_blocks() {
         let d = Device::v100();
         let cfg = LaunchConfig {
             grid_blocks: 10,
             block_threads: 32,
         };
-        let r = d.launch("tally", cfg, |b| {
-            for _t in b.threads() {
-                b.instr(3);
-                b.gmem_coalesced(8);
-                b.atomic(1, 0);
-            }
-            b.divergent(5);
+        let (r, _) = d.launch_map("tally", cfg, |b| {
+            let threads = u64::from(b.cfg.block_threads);
+            b.instr(3 * threads);
+            b.gmem_coalesced(8 * threads);
+            b.atomic(threads, 0);
         });
-        let threads = cfg.total_threads() as u64;
-        assert_eq!(r.tally.instructions, threads * 3 + 10 * 5);
-        assert_eq!(r.tally.gmem_coalesced_bytes, threads * 8);
-        assert_eq!(r.tally.atomics, threads);
-        assert_eq!(r.tally.divergent_instructions, 50);
+        assert_eq!(r.tally.instructions, 10 * 32 * 3);
+        assert_eq!(r.tally.gmem_coalesced_bytes, 10 * 32 * 8);
+        assert_eq!(r.tally.atomics, 10 * 32);
         assert!(r.time > SimTime::ZERO);
     }
 
@@ -364,19 +209,19 @@ mod tests {
             grid_blocks: 64,
             block_threads: 128,
         };
-        d.launch("count", cfg, |b| {
-            for _t in b.threads() {
+        d.launch_map("count", cfg, |b| {
+            for _ in 0..b.cfg.block_threads {
                 counter.fetch_add(0, 1);
             }
         });
-        assert_eq!(counter.load(0), cfg.total_threads() as u64);
+        assert_eq!(counter.load(0), 64 * 128);
     }
 
     #[test]
     #[should_panic(expected = "exceeds device limit")]
     fn oversized_block_rejected() {
         let d = Device::v100();
-        d.launch(
+        d.launch_map(
             "bad",
             LaunchConfig {
                 grid_blocks: 1,
@@ -408,16 +253,8 @@ mod tests {
             grid_blocks: 80,
             block_threads: 256,
         };
-        let small = d.launch("small", cfg, |b| {
-            for _t in b.threads() {
-                b.instr(10);
-            }
-        });
-        let big = d.launch("big", cfg, |b| {
-            for _t in b.threads() {
-                b.instr(10_000);
-            }
-        });
+        let (small, _) = d.launch_map("small", cfg, |b| b.instr(10 * 256));
+        let (big, _) = d.launch_map("big", cfg, |b| b.instr(10_000 * 256));
         assert!(big.time > small.time);
     }
 }

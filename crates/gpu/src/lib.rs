@@ -4,11 +4,11 @@
 //! software stand-in (see DESIGN.md §2 for the substitution rationale).
 //! It has two halves that are deliberately kept separate:
 //!
-//! * **Functional execution** — kernels are Rust closures launched over a
-//!   `(grid, block, thread)` coordinate space ([`launch`]). Blocks execute
-//!   in parallel on a rayon pool; device memory is real memory
-//!   ([`memory::DeviceBuffer`], [`memory::AtomicBuffer`]), so every result a
-//!   kernel produces is a real, bit-exact computation.
+//! * **Functional execution** — kernels are Rust closures launched once
+//!   per block of a `(grid, block)` launch ([`launch`]). Blocks execute in
+//!   parallel on a rayon pool; device memory is real memory
+//!   ([`memory::AtomicBuffer`]), so every result a kernel produces is a
+//!   real, bit-exact computation.
 //! * **Analytic timing** — kernels tally the work they do (instructions,
 //!   global-memory traffic with a coalescing classification, atomics); the
 //!   cost model ([`cost`]) converts the tally plus the device parameters
@@ -26,12 +26,10 @@ pub mod launch;
 pub mod mem_plan;
 pub mod memory;
 pub mod occupancy;
-pub mod stream;
 pub mod transfer;
 
 pub use config::DeviceConfig;
-pub use launch::{BlockCtx, KernelReport, LaunchConfig, ThreadCtx, WorkTally};
+pub use launch::{BlockCtx, KernelReport, LaunchConfig, WorkTally};
 pub use mem_plan::{MemPlan, MemSpec};
-pub use memory::{AtomicBuffer, AtomicBuffer128, AtomicBuffer32, Device, DeviceBuffer, OomError};
-pub use stream::Stream;
-pub use transfer::{Link, TransferDirection};
+pub use memory::{AtomicBuffer, AtomicBuffer128, AtomicBuffer32, Device, OomError};
+pub use transfer::Link;

@@ -7,14 +7,13 @@
 //! motivates the paper's distributed approach in the first place ("GPUs
 //! generally have smaller memories compared to CPUs", §I).
 //!
-//! Two buffer flavours exist: [`DeviceBuffer`] for exclusive or
-//! block-partitioned access, and [`AtomicBuffer`]/[`AtomicBuffer32`] for
-//! structures that concurrent thread blocks genuinely share (the outgoing
-//! partition buffer of Fig. 2, the counting hash table of §III-B3).
+//! Every buffer is atomic ([`AtomicBuffer`], [`AtomicBuffer32`],
+//! [`AtomicBuffer128`]), because the structure the pipelines keep on the
+//! device, the counting hash table of §III-B3, is shared by concurrently
+//! executing thread blocks.
 
 use crate::config::DeviceConfig;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -109,33 +108,6 @@ impl Device {
         self.inner.peak.load(Ordering::Relaxed)
     }
 
-    /// Allocates a zero-initialised buffer of `len` elements.
-    pub fn alloc_zeroed<T: Default + Clone>(
-        &self,
-        len: usize,
-    ) -> Result<DeviceBuffer<T>, OomError> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        self.inner.try_reserve(bytes)?;
-        Ok(DeviceBuffer {
-            data: vec![T::default(); len],
-            bytes,
-            device: Arc::clone(&self.inner),
-        })
-    }
-
-    /// Allocates a buffer initialised from a host slice (the functional
-    /// half of a host→device copy; the *cost* of the copy is charged
-    /// separately via [`crate::transfer`]).
-    pub fn alloc_from_slice<T: Clone>(&self, src: &[T]) -> Result<DeviceBuffer<T>, OomError> {
-        let bytes = std::mem::size_of_val(src) as u64;
-        self.inner.try_reserve(bytes)?;
-        Ok(DeviceBuffer {
-            data: src.to_vec(),
-            bytes,
-            device: Arc::clone(&self.inner),
-        })
-    }
-
     /// Allocates a zeroed buffer of `len` 64-bit atomics.
     pub fn alloc_atomic(&self, len: usize) -> Result<AtomicBuffer, OomError> {
         let bytes = (len * 8) as u64;
@@ -174,43 +146,6 @@ impl Device {
             bytes,
             device: Arc::clone(&self.inner),
         })
-    }
-}
-
-/// A device-resident typed buffer with exclusive (or block-partitioned)
-/// access. Dereferences to a slice.
-#[derive(Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
-    bytes: u64,
-    device: Arc<DeviceInner>,
-}
-
-impl<T> DeviceBuffer<T> {
-    /// Moves the contents back to the host, releasing device memory.
-    /// (The transfer *cost* is charged separately via [`crate::transfer`].)
-    pub fn into_host(mut self) -> Vec<T> {
-        std::mem::take(&mut self.data)
-        // Drop impl releases the byte accounting.
-    }
-}
-
-impl<T> Deref for DeviceBuffer<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> DerefMut for DeviceBuffer<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.device.release(self.bytes);
     }
 }
 
@@ -406,7 +341,7 @@ mod tests {
     #[test]
     fn allocation_accounting() {
         let d = small_device(1024);
-        let b = d.alloc_zeroed::<u64>(64).unwrap(); // 512 B
+        let b = d.alloc_atomic(64).unwrap(); // 512 B
         assert_eq!(d.allocated_bytes(), 512);
         drop(b);
         assert_eq!(d.allocated_bytes(), 0);
@@ -416,21 +351,13 @@ mod tests {
     #[test]
     fn oom_is_refused_and_rolled_back() {
         let d = small_device(100);
-        let err = d.alloc_zeroed::<u8>(200).unwrap_err();
+        let err = d.alloc_atomic32(50).unwrap_err();
         assert_eq!(err.requested, 200);
         assert_eq!(err.capacity, 100);
-        assert_eq!(d.allocated_bytes(), 0); // rollback happened
-                                            // A fitting allocation still works afterwards.
-        assert!(d.alloc_zeroed::<u8>(100).is_ok());
-    }
-
-    #[test]
-    fn from_slice_roundtrip() {
-        let d = small_device(4096);
-        let buf = d.alloc_from_slice(&[1u32, 2, 3]).unwrap();
-        assert_eq!(&*buf, &[1, 2, 3]);
-        assert_eq!(buf.into_host(), vec![1, 2, 3]);
+        // The reservation was rolled back, and a fitting allocation still
+        // works afterwards.
         assert_eq!(d.allocated_bytes(), 0);
+        assert!(d.alloc_atomic32(25).is_ok());
     }
 
     #[test]
@@ -518,6 +445,6 @@ mod tests {
     fn v100_capacity_enforced() {
         let d = Device::v100();
         // 17 GB must not fit on a 16 GB device.
-        assert!(d.alloc_zeroed::<u8>(17 * (1 << 30)).is_err());
+        assert!(d.alloc_atomic32(17 * (1 << 28)).is_err());
     }
 }

@@ -18,16 +18,6 @@ pub enum Link {
     NvLink,
 }
 
-/// Direction of a host↔device transfer. Both directions cost the same in
-/// this model; the distinction is kept for traces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TransferDirection {
-    /// Host to device.
-    HostToDevice,
-    /// Device to host.
-    DeviceToHost,
-}
-
 /// Simulated duration of moving `volume` across `link` once.
 pub fn transfer_time(config: &DeviceConfig, link: Link, volume: DataVolume) -> SimTime {
     let bw = match link {
