@@ -1,5 +1,5 @@
 //! The paper's reported numbers, for side-by-side printing in the
-//! regenerated tables (EXPERIMENTS.md quotes the same constants).
+//! regenerated tables (EXPERIMENTS.md quotes the same numbers).
 
 use dedukt_dna::DatasetId;
 
@@ -39,25 +39,6 @@ pub fn table3_row(id: DatasetId) -> Option<(u64, u64, u64, u64, u64, f64)> {
         _ => None,
     }
 }
-
-/// Fig. 6 overall speedups over the CPU baseline (approximate read-offs):
-/// average ~11× (k-mer) and ~13× (supermer) on 16 nodes; up to 150× on
-/// H. sapiens at 64 nodes.
-pub const FIG6A_AVG_KMER_SPEEDUP: f64 = 11.0;
-pub const FIG6A_AVG_SUPERMER_SPEEDUP: f64 = 13.0;
-pub const FIG6B_HSAPIENS_MAX_SPEEDUP: f64 = 150.0;
-
-/// Fig. 7 (64 nodes): supermer parse +33%, count +27%, exchange −33% on
-/// H. sapiens.
-pub const FIG7_PARSE_OVERHEAD: f64 = 1.33;
-pub const FIG7_COUNT_OVERHEAD: f64 = 1.27;
-pub const FIG7_EXCHANGE_SPEEDUP: f64 = 1.5;
-
-/// Fig. 8: up to 3× Alltoallv speedup (H. sapiens, 64 nodes, m=7).
-pub const FIG8_MAX_ALLTOALLV_SPEEDUP: f64 = 3.0;
-
-/// Fig. 9: C. elegans and H. sapiens scale 2.3× from 64 to 128 nodes.
-pub const FIG9_64_TO_128_SCALING: f64 = 2.3;
 
 #[cfg(test)]
 mod tests {

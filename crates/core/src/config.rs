@@ -507,9 +507,8 @@ impl RunConfig {
             "--round-limit" => self.round_limit_bytes = Some(number(flag, value()?)?),
             "--overlap-rounds" => self.overlap_rounds = true,
             "--exchange-algo" => {
-                self.exchange_algo = dedukt_net::ExchangeRoute::parse(value()?)
-                    .map_err(named)?
-                    .algo()
+                self.exchange_algo =
+                    dedukt_net::cost::ExchangeAlgo::parse(value()?).map_err(named)?
             }
             "--wire-compress" => self.wire_compress = true,
             "--fault-seed" | "--fault-spec" => plan::apply_flag(&mut self.fault, flag, value()?)?,

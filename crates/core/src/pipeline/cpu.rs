@@ -16,12 +16,12 @@ use crate::partition::key_owner;
 use crate::pipeline::driver::{
     exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, RoundRecv,
 };
+use crate::pipeline::gpu_common::scaled_estimate;
 use crate::pipeline::gpu_kmer::{for_kmers_in_range, read_ends};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::table::HostCountTable;
 use crate::width::PackedKmer;
 use dedukt_dna::ReadSet;
-use dedukt_gpu::mem_plan::estimate_factor;
 use dedukt_net::cost::Network;
 use dedukt_net::BspWorld;
 use dedukt_sim::{MetricOp, SimTime};
@@ -101,15 +101,9 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
         // never changes CPU results and never OOMs (no device budget) —
         // memory pressure on this engine only re-sizes the initial
         // allocation. `pressure` keeps its all-zero default.
-        let factor = ctx.rc.table_safety * ctx.rc.mem.map_or(1.0, |p| estimate_factor(&p, rank));
-        let expected = if factor == 1.0 {
-            expected_instances as usize
-        } else {
-            ((expected_instances as f64) * factor).ceil().max(1.0) as usize
-        };
         Ok(CpuCounter {
             table: HostCountTable::with_expected(
-                expected,
+                scaled_estimate(ctx.rc, rank, expected_instances),
                 ctx.cfg.table_load_factor,
                 ctx.cfg.hash_seed ^ 0xC0C0,
             ),

@@ -1067,10 +1067,7 @@ pub(crate) fn run_detail(rc: &RunConfig) -> String {
         parts.push("overlap".to_string());
     }
     if rc.exchange_algo != dedukt_net::cost::ExchangeAlgo::Direct {
-        parts.push(format!(
-            "exchange-algo={}",
-            dedukt_net::ExchangeRoute::from_algo(rc.exchange_algo).label()
-        ));
+        parts.push(format!("exchange-algo={}", rc.exchange_algo.label()));
     }
     if rc.wire_compress {
         parts.push("wire-compress".to_string());

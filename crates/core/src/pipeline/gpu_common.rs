@@ -50,6 +50,26 @@ pub fn block_range(total: usize, nblocks: u32, b: u32) -> (usize, usize) {
     (lo, hi)
 }
 
+/// Concatenates a parse kernel's per-block destination buckets, in block
+/// order, into one bucket per destination rank (the device-side
+/// compaction the kernels charge for). Each destination is allocated
+/// once at its exact final size, so the short-lived block-local vectors
+/// never grow a long-lived bucket through repeated reallocation.
+pub(crate) fn merge_block_buckets<T>(
+    block_buckets: Vec<Vec<Vec<T>>>,
+    nranks: usize,
+) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..nranks)
+        .map(|dst| Vec::with_capacity(block_buckets.iter().map(|b| b[dst].len()).sum()))
+        .collect();
+    for blocks in block_buckets {
+        for (dst, v) in blocks.into_iter().enumerate() {
+            out[dst].extend(v);
+        }
+    }
+    out
+}
+
 /// Staging cost for moving `volume` between host and device, zero when
 /// GPUDirect is enabled (§III-B2).
 pub fn staging(device: &Device, rc: &RunConfig, volume: DataVolume) -> SimTime {
@@ -120,11 +140,13 @@ pub fn count_round_on_device<K: PackedKmer>(
     (report, probe_steps, probe_hist, overflow)
 }
 
-/// Scales a rank's expected-instance estimate by the combined safety ×
-/// underestimate factor. A factor of exactly 1.0 skips the float round
-/// trip entirely so default runs size tables byte-identically to
+/// Scales rank `rank`'s expected-instance estimate by the combined
+/// `--table-safety` × injected-underestimate factor — the one sizing rule
+/// of every engine's count table. A factor of exactly 1.0 skips the float
+/// round trip entirely so default runs size tables byte-identically to
 /// earlier releases.
-fn scaled_estimate(expected: u64, factor: f64) -> usize {
+pub(crate) fn scaled_estimate(rc: &RunConfig, rank: usize, expected: u64) -> usize {
+    let factor = rc.table_safety * rc.mem.map_or(1.0, |p| estimate_factor(&p, rank));
     if factor == 1.0 {
         expected as usize
     } else {
@@ -178,8 +200,7 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         expected_instances: u64,
     ) -> Result<Self, CounterOom> {
         let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
-        let factor = rc.table_safety * rc.mem.map_or(1.0, |p| estimate_factor(&p, rank));
-        let capacity = table_capacity(cfg, scaled_estimate(expected_instances, factor));
+        let capacity = table_capacity(cfg, scaled_estimate(rc, rank, expected_instances));
         let hash_seed = cfg.hash_seed ^ 0xC0C0;
         let table =
             DeviceCountTable::<K>::new(&device, capacity, hash_seed).map_err(|e| CounterOom {
@@ -634,6 +655,13 @@ mod tests {
         assert_eq!(probe_hist.sum(), probe_steps);
         assert!(probe_hist.min() >= 1);
         assert!(load_factor > 0.0 && load_factor <= 1.0);
+        // Blocks run in block order, so counting the same batch into a
+        // second fresh table takes the same probe paths: equal probe
+        // totals, histogram buckets and slot order.
+        let (_, again_steps, again_hist, again_entries, _) = count_once(&kmers);
+        assert_eq!(again_steps, probe_steps);
+        assert_eq!(again_hist, probe_hist);
+        assert_eq!(again_entries, entries);
     }
 
     #[test]

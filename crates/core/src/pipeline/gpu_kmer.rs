@@ -29,7 +29,9 @@ use crate::pipeline::driver::{
     exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx,
     PressureStats, RoundRecv,
 };
-use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
+use crate::pipeline::gpu_common::{
+    block_range, chunked_launch, merge_block_buckets, staging, DeviceRoundCounter,
+};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::width::PackedKmer;
 use dedukt_dna::kmer::{kmer_words_w, KmerWord};
@@ -143,13 +145,7 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
             local
         });
 
-        // Merge per-block buckets (device-side compaction; charged above).
-        let mut out: Vec<Vec<K>> = vec![Vec::new(); nranks];
-        for blocks in block_buckets {
-            for (dst, v) in blocks.into_iter().enumerate() {
-                out[dst].extend(v);
-            }
-        }
+        let out = merge_block_buckets(block_buckets, nranks);
         let out_bytes: u64 = out
             .iter()
             .map(|v| v.len() as u64 * K::KMER_WIRE_BYTES)

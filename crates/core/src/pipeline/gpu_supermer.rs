@@ -25,7 +25,9 @@ use crate::partition::{minimizer_owner, BalancedAssignment};
 use crate::pipeline::driver::{
     run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats, RoundRecv,
 };
-use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
+use crate::pipeline::gpu_common::{
+    block_range, chunked_launch, merge_block_buckets, staging, DeviceRoundCounter,
+};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::supermer::build_supermers_reference_w;
 use crate::supermer::{num_windows, supermers_of_window_w, SupermerW};
@@ -264,12 +266,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             local
         });
 
-        let mut buckets: Vec<Vec<PackedSupermer<K>>> = vec![Vec::new(); nranks];
-        for blocks in block_buckets {
-            for (dst, v) in blocks.into_iter().enumerate() {
-                buckets[dst].extend(v);
-            }
-        }
+        let buckets = merge_block_buckets(block_buckets, nranks);
         let out_bytes: u64 = buckets
             .iter()
             .map(|v| v.len() as u64 * K::SUPERMER_WIRE_BYTES)

@@ -265,8 +265,9 @@ pub(crate) fn assemble_counts<K: TableKey>(
         }
         s
     });
-    // Tables leave in key order: slot order depends on which concurrent
-    // insert won each probe, so it is not part of the result.
+    // Tables leave in key order: slot order depends on the table size and
+    // its recovery history (regrows, spills), so it is not part of the
+    // result.
     let tables = collect_tables.then(|| {
         rank_results
             .into_iter()

@@ -22,10 +22,6 @@ use dedukt_dna::spectrum::Spectrum;
 use dedukt_gpu::{AtomicBuffer32, Device, OomError};
 use dedukt_hash::Murmur3x64;
 
-/// The narrow-width empty-slot sentinel. k ≤ 31 keeps every real packed
-/// k-mer below it (wide keys use `u128::MAX`, see [`TableKey::EMPTY`]).
-pub const EMPTY_KEY: u64 = u64::MAX;
-
 /// A packed k-mer key a count table can store: `u64` for k ≤ 31 (the
 /// paper's regime) or `u128` for wide k ≤ 63 (this reproduction's long-k
 /// extension). Keys are `Ord` so spilled k-mers can be merged back into

@@ -2,11 +2,18 @@
 //!
 //! A kernel is a closure invoked once per *thread block*; it does the
 //! block's whole share of the work (the real kernels' grid-stride loops)
-//! and returns the block's output. Blocks execute concurrently on a rayon
-//! pool — so anything shared between blocks must live in an
-//! [`crate::memory::AtomicBuffer`], exactly mirroring the CUDA rules the
-//! paper's kernels play by ("as all the GPU threads concurrently update
-//! this buffer, the update operation is performed atomically", §III-B1).
+//! and returns the block's output. Blocks run one after another in block
+//! order on the calling thread: the simulated duration comes from the
+//! per-block work tallies, not from host threads, and the rank that
+//! launched the kernel is already one of the host's parallel tasks. In
+//! block order, every block sees the device memory its predecessors left,
+//! so a launch's results — down to the hash-table slots its inserts land
+//! in and the probe steps they take — are a pure function of its inputs.
+//! The `Sync` kernel bound keeps the CUDA rules the paper's kernels play
+//! by: anything shared between blocks must live in an
+//! [`crate::memory::AtomicBuffer`] ("as all the GPU threads concurrently
+//! update this buffer, the update operation is performed atomically",
+//! §III-B1).
 //!
 //! Kernels report the work they perform through the block-local
 //! [`WorkTally`] (merged across blocks after the launch); the cost model
@@ -16,7 +23,6 @@ use crate::cost::{self, TimeBreakdown};
 use crate::memory::Device;
 use crate::occupancy;
 use dedukt_sim::SimTime;
-use rayon::prelude::*;
 
 /// Grid and block dimensions for a launch (1-D, which is all the paper's
 /// kernels need).
@@ -118,9 +124,9 @@ pub struct KernelReport {
 }
 
 impl Device {
-    /// Launches `kernel` over `cfg`, executing blocks in parallel; returns
-    /// the merged work tally with its simulated duration, plus every
-    /// block's output in block order.
+    /// Launches `kernel` over `cfg`, running blocks `0..grid_blocks` in
+    /// order on the calling thread; returns the merged work tally with its
+    /// simulated duration, plus every block's output in block order.
     ///
     /// This is how the pipelines' parse kernels hand their per-block
     /// partition buffers back: real CUDA kernels write them to device
@@ -134,7 +140,6 @@ impl Device {
         kernel: F,
     ) -> (KernelReport, Vec<R>)
     where
-        R: Send,
         F: Fn(&mut BlockCtx) -> R + Sync,
     {
         assert!(cfg.grid_blocks > 0 && cfg.block_threads > 0, "empty launch");
@@ -144,8 +149,8 @@ impl Device {
             cfg.block_threads,
             self.config().max_threads_per_block
         );
-        let results: Vec<(WorkTally, R)> = (0..cfg.grid_blocks)
-            .into_par_iter()
+        let mut tally = WorkTally::default();
+        let outputs: Vec<R> = (0..cfg.grid_blocks)
             .map(|block| {
                 let mut ctx = BlockCtx {
                     block,
@@ -153,15 +158,10 @@ impl Device {
                     tally: WorkTally::default(),
                 };
                 let out = kernel(&mut ctx);
-                (ctx.tally, out)
+                tally = tally.merge(&ctx.tally);
+                out
             })
             .collect();
-        let mut tally = WorkTally::default();
-        let mut outputs = Vec::with_capacity(results.len());
-        for (t, out) in results {
-            tally = tally.merge(&t);
-            outputs.push(out);
-        }
         let occupancy = occupancy::achieved_occupancy(self.config(), cfg);
         let (time, breakdown) = cost::kernel_time(self.config(), &tally, occupancy);
         (
@@ -202,18 +202,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_blocks_share_atomics_correctly() {
+    fn blocks_run_in_order_over_shared_atomics() {
         let d = Device::v100();
         let counter = d.alloc_atomic(1).unwrap();
         let cfg = LaunchConfig {
             grid_blocks: 64,
             block_threads: 128,
         };
-        d.launch_map("count", cfg, |b| {
+        // Each block sees exactly the atomic updates of the blocks before it.
+        let (_, seen) = d.launch_map("count", cfg, |b| {
+            let before = counter.load(0);
             for _ in 0..b.cfg.block_threads {
                 counter.fetch_add(0, 1);
             }
+            before
         });
+        assert_eq!(seen, (0..64).map(|b| b * 128).collect::<Vec<u64>>());
         assert_eq!(counter.load(0), 64 * 128);
     }
 

@@ -5,10 +5,11 @@
 //! It has two halves that are deliberately kept separate:
 //!
 //! * **Functional execution** — kernels are Rust closures launched once
-//!   per block of a `(grid, block)` launch ([`launch`]). Blocks execute in
-//!   parallel on a rayon pool; device memory is real memory
+//!   per block of a `(grid, block)` launch ([`launch`]). Blocks run in
+//!   block order on the launching thread (ranks, not blocks, are the
+//!   host's parallel tasks); device memory is real memory
 //!   ([`memory::AtomicBuffer`]), so every result a kernel produces is a
-//!   real, bit-exact computation.
+//!   real, bit-exact computation that depends only on its inputs.
 //! * **Analytic timing** — kernels tally the work they do (instructions,
 //!   global-memory traffic with a coalescing classification, atomics); the
 //!   cost model ([`cost`]) converts the tally plus the device parameters

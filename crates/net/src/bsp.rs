@@ -12,9 +12,8 @@
 //! slowest participant has contributed) and then charges each rank its
 //! modelled collective time.
 
-use crate::cost::Network;
+use crate::cost::{ExchangeAlgo, Network};
 use crate::fault::{BucketFate, ChecksumFrame, FaultPlan, WireHash};
-use crate::route::ExchangeRoute;
 use crate::stats::CommStats;
 use dedukt_sim::{Journal, JournalEvent, MetricOp, SimClock, SimTime};
 use rayon::prelude::*;
@@ -380,10 +379,10 @@ impl BspWorld {
             .map(|row| row.iter().map(|v| v.len() as u64 * elem).collect())
             .collect();
         let topo = self.net.topology;
-        let route = ExchangeRoute::from_algo(self.net.params.algo);
+        let route = self.net.params.algo;
         self.stats
             .record_alltoallv(&send_bytes, |r| topo.node_of(r));
-        if route == ExchangeRoute::Hierarchical {
+        if route == ExchangeAlgo::NodeAggregated {
             // Every payload byte crosses the intra-node tier twice:
             // gather to the source leader, scatter from the destination
             // leader (node-local traffic included — it routes via the
@@ -451,8 +450,8 @@ impl BspWorld {
         // for direct (where the single-tier arithmetic below reduces
         // bit-for-bit to the pre-routing formula).
         let intra_times = match route {
-            ExchangeRoute::Direct => vec![SimTime::ZERO; p],
-            ExchangeRoute::Hierarchical => self.net.alltoallv_intra_times(&send_bytes),
+            ExchangeAlgo::Direct => vec![SimTime::ZERO; p],
+            ExchangeAlgo::NodeAggregated => self.net.alltoallv_intra_times(&send_bytes),
         };
         let sent_per_rank: Vec<u64> = send_bytes.iter().map(|row| row.iter().sum()).collect();
         // On-node vs off-node split of each rank's sent bytes (physical).
@@ -507,7 +506,7 @@ impl BspWorld {
             let charged = intra + SimTime::max(inject, hid);
             if let Some(j) = &self.journal {
                 match route {
-                    ExchangeRoute::Direct => j.push(JournalEvent::Collective {
+                    ExchangeAlgo::Direct => j.push(JournalEvent::Collective {
                         step: self.stats.collectives,
                         rank,
                         label: "alltoallv".to_string(),
@@ -519,7 +518,7 @@ impl BspWorld {
                         tier: "inject".to_string(),
                         comp_bytes: sent_per_rank[rank],
                     }),
-                    ExchangeRoute::Hierarchical => {
+                    ExchangeAlgo::NodeAggregated => {
                         // Two stacked events per rank, sharing the step:
                         // the intra-node gather/scatter, then the
                         // injection-tier frame exchange. Their charges sum
@@ -675,7 +674,6 @@ impl BspWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Network;
 
     fn world(nodes: usize) -> BspWorld {
         BspWorld::new(Network::summit_gpu(nodes))

@@ -19,18 +19,41 @@
 use crate::topology::Topology;
 use dedukt_sim::{Rate, SimTime};
 
-/// How the personalized all-to-all is routed.
+/// How the personalized all-to-all is routed. The one knob both prices
+/// the collective (this module) and routes its payloads
+/// ([`crate::route`]), so the clocks and the payload paths always agree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExchangeAlgo {
-    /// Every rank messages every other rank directly — `P − 1` messages
-    /// per rank, the default `MPI_Alltoallv` shape.
+    /// `direct`: every rank messages every other rank directly — `P − 1`
+    /// messages per rank, the default `MPI_Alltoallv` shape.
     Direct,
-    /// Node-aggregated: ranks combine per-node payloads on-node first, a
+    /// `hierarchical`: ranks combine per-node payloads on-node first, a
     /// leader exchanges `nodes − 1` node-to-node messages, and results
     /// scatter on-node. Trades intra-node gather/scatter bandwidth for a
     /// `ranks/node ×` reduction in message count — the optimization
     /// direction of Pan et al. (SC'18), cited by the paper's §VI.
     NodeAggregated,
+}
+
+impl ExchangeAlgo {
+    /// Parses a CLI-facing name (`direct` | `hierarchical`).
+    pub fn parse(s: &str) -> Result<ExchangeAlgo, String> {
+        match s {
+            "direct" => Ok(ExchangeAlgo::Direct),
+            "hierarchical" => Ok(ExchangeAlgo::NodeAggregated),
+            other => Err(format!(
+                "unknown exchange algorithm `{other}` (expected `direct` or `hierarchical`)"
+            )),
+        }
+    }
+
+    /// Stable lowercase CLI name (journal detail, bench reports).
+    pub fn label(self) -> &'static str {
+        match self {
+            ExchangeAlgo::Direct => "direct",
+            ExchangeAlgo::NodeAggregated => "hierarchical",
+        }
+    }
 }
 
 /// Network performance parameters.
@@ -252,6 +275,18 @@ mod tests {
 
     fn uniform_matrix(p: usize, bytes: u64) -> Vec<Vec<u64>> {
         vec![vec![bytes; p]; p]
+    }
+
+    #[test]
+    fn parse_accepts_both_names_and_rejects_garbage() {
+        assert_eq!(ExchangeAlgo::parse("direct"), Ok(ExchangeAlgo::Direct));
+        assert_eq!(
+            ExchangeAlgo::parse("hierarchical"),
+            Ok(ExchangeAlgo::NodeAggregated)
+        );
+        assert!(ExchangeAlgo::parse("fancy").unwrap_err().contains("fancy"));
+        assert_eq!(ExchangeAlgo::Direct.label(), "direct");
+        assert_eq!(ExchangeAlgo::NodeAggregated.label(), "hierarchical");
     }
 
     #[test]

@@ -25,6 +25,5 @@ pub mod topology;
 pub use bsp::BspWorld;
 pub use cost::NetworkParams;
 pub use fault::{BucketFate, ChecksumFrame, FaultPlan, FaultSpec, RankPlan, RankSpec, WireHash};
-pub use route::ExchangeRoute;
 pub use stats::CommStats;
 pub use topology::Topology;

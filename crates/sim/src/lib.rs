@@ -4,9 +4,9 @@
 //! communication volumes) for real, but hardware timings are produced by
 //! analytic cost models. This crate holds the vocabulary types those models
 //! speak: [`SimTime`] for simulated durations, [`DataVolume`] for byte
-//! counts, [`Rate`] for throughputs, plus counters and distribution
-//! statistics ([`DistStats`]) used for load-imbalance reporting (Table III of
-//! the paper).
+//! counts, [`Rate`] for throughputs, plus distribution statistics
+//! ([`DistStats`]) used for load-imbalance reporting (Table III of the
+//! paper).
 
 #![warn(missing_docs)]
 
@@ -17,7 +17,6 @@ pub mod plan;
 pub mod rate;
 pub mod rng;
 pub mod stats;
-pub mod tally;
 pub mod time;
 pub mod trace;
 pub mod volume;
@@ -29,7 +28,6 @@ pub use plan::{Plan, Spec};
 pub use rate::Rate;
 pub use rng::SplitMix64;
 pub use stats::DistStats;
-pub use tally::Counter;
 pub use time::{SimClock, SimTime};
 pub use trace::write_chrome_trace;
 pub use volume::DataVolume;

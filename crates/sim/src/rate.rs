@@ -26,12 +26,6 @@ impl Rate {
         Rate::per_sec(gb * 1e9)
     }
 
-    /// Bandwidth constructor: megabytes (1e6 bytes) per second.
-    #[inline]
-    pub fn mb_per_sec(mb: f64) -> Self {
-        Rate::per_sec(mb * 1e6)
-    }
-
     /// Item-rate constructor: millions of items per second.
     #[inline]
     pub fn mitems_per_sec(m: f64) -> Self {

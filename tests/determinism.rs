@@ -1,17 +1,17 @@
 //! Determinism guarantees across repeated runs.
 //!
-//! Thread blocks execute concurrently, so *slot layouts* inside the
-//! device tables may differ between runs — exactly as on a real GPU.
-//! Nothing a user consumes may: a run report is a pure function of
-//! (input, config) apart from its host wall clock, and so are the
-//! generated datasets themselves.
+//! Ranks are the only host-parallel axis: each rank's kernels run their
+//! thread blocks in block order, so even the device tables' probe paths
+//! and slot layouts repeat. A run report — its trace, journal and metrics
+//! included — is a pure function of (input, config) apart from its host
+//! wall clock, and so are the generated datasets themselves.
 
 mod common;
 
 use common::tiny_reads;
 use dedukt::core::{pipeline, Mode, RunConfig};
 use dedukt::dna::{Dataset, DatasetId, ScalePreset};
-use dedukt::sim::{write_chrome_trace, write_journal};
+use dedukt::sim::{write_chrome_trace, write_journal, MetricsSnapshot};
 
 #[test]
 fn dataset_generation_is_bit_stable() {
@@ -35,18 +35,26 @@ fn pipeline_results_are_stable_across_runs() {
         rc.collect_tables = true;
         rc.collect_spectrum = true;
         rc.collect_trace = true;
+        rc.collect_metrics = true;
         if two_pass {
             rc.two_pass_dir = Some(store.clone());
         }
-        // Everything but the host wall clock, down to table order and
-        // every simulated time: the report itself, its Chrome trace, and
-        // its journal (whose `wall` lines time the host).
+        // Everything but the host wall clock, down to table order, every
+        // simulated time and every probe-histogram lane: the report
+        // itself, its Chrome trace, its journal (whose `wall` lines time
+        // the host) and its metrics (whose `wall_seconds` series do).
         let report = || {
             let mut r = pipeline::run(&reads, &rc).expect("valid config");
             r.wall = Default::default();
             let events = r.events.take().expect("trace requested");
             let mut trace = Vec::new();
             write_chrome_trace(&mut trace, &events).unwrap();
+            let mut metrics = MetricsSnapshot::from_events(&events);
+            metrics
+                .entries
+                .retain(|e| !e.name.starts_with("wall_seconds"));
+            let mut metrics_json = Vec::new();
+            metrics.write_json(&mut metrics_json).unwrap();
             let mut journal = Vec::new();
             write_journal(&mut journal, &events).unwrap();
             let journal: Vec<String> = String::from_utf8(journal)
@@ -55,7 +63,11 @@ fn pipeline_results_are_stable_across_runs() {
                 .filter(|l| !l.contains("\"ev\":\"wall\""))
                 .map(str::to_string)
                 .collect();
-            format!("{r:?}\n{}\n{journal:?}", String::from_utf8(trace).unwrap())
+            format!(
+                "{r:?}\n{}\n{journal:?}\n{}",
+                String::from_utf8(trace).unwrap(),
+                String::from_utf8(metrics_json).unwrap()
+            )
         };
         let first = report();
         for rerun in 1..3 {

@@ -5,11 +5,11 @@
 //! correctness — and exhausting the spill budget is a clean
 //! `DeviceOom` error, never a panic.
 //!
-//! Under pressure the *set* of k-mers that bounces off a full table is
-//! interleaving-dependent (blocks insert in parallel), so these tests
-//! deliberately assert only interleaving-independent facts: spectra,
-//! totals, sorted per-rank tables, and plan-draw determinism — never
-//! raw spill counts or makespans of pressured runs.
+//! Under pressure the *set* of k-mers that bounces off a full table
+//! follows the table's probe history, not the counted result, so these
+//! tests deliberately assert only result-level facts: spectra, totals,
+//! sorted per-rank tables, and plan-draw determinism — never raw spill
+//! counts or makespans of pressured runs.
 
 mod common;
 
