@@ -386,7 +386,7 @@ pub struct RunConfig {
     /// Out-of-core two-pass mode (DESIGN.md §12): pass 1 is the ordinary
     /// exchange, but every rank spools what it receives into bins under
     /// this directory on a simulated NVMe tier instead of counting it;
-    /// pass 2 counts the bins back one at a time, each sized to fit its
+    /// in pass 2 each rank counts its own bins, each sized to fit its
     /// count table. Composes with every exchange, fault, rank and
     /// routing option. `None` (the default) counts fully in memory.
     pub two_pass_dir: Option<std::path::PathBuf>,

@@ -10,7 +10,7 @@
 //! counter-specific hooks (what to bucket, how items move on the wire,
 //! how received items are counted). Under `--two-pass` the same rounds
 //! feed a spool instead of the counters, and the spooled bins are
-//! counted afterwards one at a time ([`two_pass`]).
+//! counted afterwards, each rank its own, rank-parallel ([`two_pass`]).
 //!
 //! ## Rounds and overlap
 //!
@@ -89,7 +89,10 @@ impl DriverCtx<'_> {
     /// the hook recorded with its result. Hooks run rank-parallel;
     /// recording their events afterwards, in rank order, keeps the stream
     /// independent of the thread schedule.
-    fn rank_local<T>(&self, hook: impl FnOnce(&DriverCtx) -> T) -> (T, Vec<JournalEvent>) {
+    pub(crate) fn rank_local<T>(
+        &self,
+        hook: impl FnOnce(&DriverCtx) -> T,
+    ) -> (T, Vec<JournalEvent>) {
         if self.journal.is_none() {
             return (hook(self), Vec::new());
         }
@@ -377,7 +380,7 @@ pub(crate) struct Counted<K: TableKey> {
 /// Runs one counter through the shared staged superstep skeleton:
 /// pre-pass and bucketing, then the exchange rounds feeding either the
 /// live counters or, under `--two-pass`, the spool whose bins pass 2
-/// counts one at a time ([`two_pass::count_out_of_core`]).
+/// counts rank-parallel ([`two_pass::count_out_of_core`]).
 ///
 /// Errs when a fault plan's retry budget is exhausted mid-exchange
 /// ([`RunError::ExchangeFailed`]), when a rank exhausts both the device

@@ -7,9 +7,10 @@
 //! ([`CounterStages::bin_of`]) instead of counting it, and the bins land
 //! on a simulated NVMe tier ([`dedukt_store::BinStore`]) with a manifest.
 //! Bins nest inside owner ranges, so per-rank tables match the in-memory
-//! run's. Pass 2 counts the bins one at a time in manifest order with the
-//! stage's own counter, on a table [`plan_bins`] sized to the
-//! `--device-hbm` budget.
+//! run's. In pass 2 each rank counts its own bins, rank-parallel, in
+//! manifest order, with the stage's own counter on a table [`plan_bins`]
+//! sized to the `--device-hbm` budget; folding the ranks in rank order
+//! replays the manifest order, so the report is the serial walk's.
 //!
 //! A deterministic [`dedukt_store::IoPlan`] injects torn writes, bit rot
 //! and transient read errors; recovery re-reads, then quarantines the
@@ -38,6 +39,7 @@ use dedukt_store::plan::read_errors;
 use dedukt_store::{
     read_bin_counts, write_bin_counts, BinCounts, BinMeta, BinStore, IoPlan, Manifest,
 };
+use rayon::prelude::*;
 use std::path::Path;
 use std::time::Instant;
 
@@ -267,101 +269,85 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
         ..Default::default()
     };
 
-    // ── Pass 2: count the bins one at a time, in manifest order ────────
-    let mut results: Vec<RankCountResult<S::Key>> = (0..nranks)
-        .map(|_| RankCountResult {
-            entries: Vec::new(),
-            instances: 0,
+    // ── Pass 2: each rank counts its own bins, rank-parallel ───────────
+    // A finished bin's counts are already on disk — under `--resume` they
+    // are loaded, not recounted. (A fresh run ignores and overwrites any
+    // counts a killed predecessor left behind.)
+    let finished: Vec<Option<BinCounts>> = manifest
+        .bins
+        .iter()
+        .map(|meta| {
+            rc.two_pass_resume
+                .then(|| read_bin_counts(&disk.store.counts_path(meta.bin)))
+                .flatten()
         })
         .collect();
-    let mut read_secs = vec![SimTime::ZERO; nranks];
-    let mut count_secs = vec![SimTime::ZERO; nranks];
+    // An injected kill strikes before the (K+1)-th bin this run would
+    // count in manifest order; the cut is fixed up front so no rank counts
+    // past it.
+    let kill_after = rc.io.as_ref().and_then(|p| p.spec().kill_after);
+    let kill = kill_after.and_then(|k| {
+        let cut = (0..nbins)
+            .filter(|&i| finished[i].is_none())
+            .nth(k as usize);
+        cut.map(|cut| (cut, k))
+    });
+    let mut work: Vec<(usize, RankWork)> = (0..nranks).map(|rank| (rank, Vec::new())).collect();
+    for (meta, done) in manifest
+        .bins
+        .iter()
+        .zip(finished)
+        .take(kill.map_or(nbins, |(cut, _)| cut))
+    {
+        work[meta.bin as usize / per_rank].1.push((meta, done));
+    }
+    let counted: Vec<(RankBins<S::Key>, Vec<JournalEvent>)> = work
+        .into_par_iter()
+        .map(|(rank, bins)| {
+            ctx.rank_local(|ctx| {
+                RankBins::count(stages, &disk.on(ctx), rank, bins, nbins, planned_load)
+            })
+        })
+        .collect();
+    // Bins nest inside owner ranges (`owner = bin / per_rank` is monotone),
+    // so folding in rank order replays the bins in manifest order: the
+    // event stream, the float recovery sum and the first error all come
+    // out as one serial walk over the manifest would leave them.
+    let mut results = Vec::with_capacity(nranks);
+    let mut read_secs = Vec::with_capacity(nranks);
+    let mut count_secs = Vec::with_capacity(nranks);
     let mut high_water = vec![0u64; nranks];
     let mut filtered_total = 0u64;
     let mut filtered_instances_total = 0u64;
-    let mut completed_this_run = 0u64;
-    let kill_after = rc.io.as_ref().and_then(|p| p.spec().kill_after);
-    for meta in &manifest.bins {
-        let bin = meta.bin as u64;
-        let owner = meta.bin as usize / per_rank;
-        // A finished bin's counts are already on disk — under `--resume`
-        // they are loaded, not recounted. (A fresh run ignores and
-        // overwrites any counts a killed predecessor left behind.)
-        let finished = rc
-            .two_pass_resume
-            .then(|| read_bin_counts(&disk.store.counts_path(meta.bin)))
-            .flatten();
-        let counts = match finished {
-            Some(counts) => counts,
-            None => {
-                if kill_after.is_some_and(|n| completed_this_run >= n) {
-                    return Err(store_failed(
-                        bin,
-                        format!(
-                            "injected kill after {completed_this_run} completed bins; \
-                             re-run with --resume to count the remaining bins"
-                        ),
-                    ));
-                }
-                let secs = &mut read_secs[owner];
-                let payloads = disk.read_recovering(stages, meta, nbins, secs, &mut storage)?;
-                let items: Vec<S::Item> = payloads
-                    .iter()
-                    .flat_map(|p| p.chunks_exact(S::Item::BYTES).map(S::Item::decode))
-                    .collect();
-                drop(payloads);
-                // The stage's own counter, sized for the bin's exact load
-                // capped at the load `plan_bins` fitted to the device
-                // budget: a bin skewed past the cap still counts exactly,
-                // its table regrowing or spilling (DESIGN.md §8).
-                let oom = |e: CounterOom, mut high_water: Vec<u64>| {
-                    high_water[owner] = high_water[owner].max(e.high_water_bytes);
-                    RunError::DeviceOom {
-                        rank: owner,
-                        detail: e.detail,
-                        high_water_bytes: high_water,
-                    }
-                };
-                let mut counter = stages
-                    .make_counter(ctx, owner, meta.instances.min(planned_load))
-                    .map_err(|e| oom(e, high_water.clone()))?;
-                count_secs[owner] += stages
-                    .count_round(ctx, &mut counter, items)
-                    .map_err(|e| oom(e, high_water.clone()))?;
-                let pressure = stages.pressure(&counter);
-                high_water[owner] = high_water[owner].max(pressure.high_water_bytes);
-                journal_pressure(ctx, [(owner, pressure)]);
-                let counted = stages.finish(ctx, owner, counter);
-                debug_assert_eq!(counted.instances, meta.instances);
-                // Gerbil-style pre-filter: counts below `--min-count`
-                // never leave the bin; the dump and spectrum see only
-                // survivors.
-                let mut counts = BinCounts::default();
-                for (key, count) in counted.entries {
-                    if count >= rc.min_count {
-                        counts.entries.push((key.to_u128(), count));
-                        counts.instances += count as u64;
-                    } else {
-                        counts.filtered += 1;
-                        counts.filtered_instances += count as u64;
-                    }
-                }
-                write_bin_counts(&disk.store.counts_path(meta.bin), &counts)
-                    .map_err(|e| store_failed(bin, e))?;
-                completed_this_run += 1;
-                counts
+    for (rank, (bins, events)) in counted.into_iter().enumerate() {
+        ctx.record(|| events);
+        high_water[rank] = bins.high_water;
+        if let Some(mut err) = bins.failed {
+            // Ranks above the failing one report zero, as if the walk
+            // stopped here.
+            if let RunError::DeviceOom {
+                high_water_bytes, ..
+            } = &mut err
+            {
+                *high_water_bytes = high_water;
             }
-        };
-        let result = &mut results[owner];
-        result.entries.extend(
-            counts
-                .entries
-                .iter()
-                .map(|&(key, count)| (S::Key::from_u128(key), count)),
-        );
-        result.instances += counts.instances;
-        filtered_total += counts.filtered;
-        filtered_instances_total += counts.filtered_instances;
+            return Err(err);
+        }
+        bins.storage.fold_into(&mut storage);
+        results.push(bins.result);
+        read_secs.push(bins.read_secs);
+        count_secs.push(bins.count_secs);
+        filtered_total += bins.filtered;
+        filtered_instances_total += bins.filtered_instances;
+    }
+    if let Some((cut, completed)) = kill {
+        return Err(store_failed(
+            manifest.bins[cut].bin as u64,
+            format!(
+                "injected kill after {completed} completed bins; \
+                 re-run with --resume to count the remaining bins"
+            ),
+        ));
     }
     let (_, read_step) = world.compute_step_named("bin-read", |rank| ((), read_secs[rank]));
     let (_, count_step) = world.compute_step_named("count", |rank| ((), count_secs[rank]));
@@ -405,6 +391,157 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
     })
 }
 
+/// One rank's share of pass 2: its bins in manifest order, each with
+/// its counts when `--resume` found them finished.
+type RankWork<'m> = Vec<(&'m BinMeta, Option<BinCounts>)>;
+
+/// What one rank's share of pass 2 produced: its bins, counted (or
+/// loaded) in manifest order until the first failure.
+struct RankBins<K: PackedKmer> {
+    result: RankCountResult<K>,
+    read_secs: SimTime,
+    count_secs: SimTime,
+    /// Device high-water mark over the bins counted so far.
+    high_water: u64,
+    storage: StorageTally,
+    filtered: u64,
+    filtered_instances: u64,
+    /// The first failure; no later bin of the rank is counted.
+    failed: Option<RunError>,
+}
+
+impl<K: PackedKmer> RankBins<K> {
+    /// Counts `rank`'s bins — `finished` ones are loaded as they are.
+    fn count<S: CounterStages<Key = K>>(
+        stages: &S,
+        disk: &Disk,
+        rank: usize,
+        bins: RankWork,
+        nbins: usize,
+        planned_load: u64,
+    ) -> RankBins<K> {
+        let mut out = RankBins {
+            result: RankCountResult {
+                entries: Vec::new(),
+                instances: 0,
+            },
+            read_secs: SimTime::ZERO,
+            count_secs: SimTime::ZERO,
+            high_water: 0,
+            storage: StorageTally::default(),
+            filtered: 0,
+            filtered_instances: 0,
+            failed: None,
+        };
+        for (meta, finished) in bins {
+            let counts = match finished {
+                Some(counts) => counts,
+                None => match out.count_bin(stages, disk, rank, meta, nbins, planned_load) {
+                    Ok(counts) => counts,
+                    Err(e) => {
+                        out.failed = Some(e);
+                        break;
+                    }
+                },
+            };
+            out.result.entries.extend(
+                counts
+                    .entries
+                    .iter()
+                    .map(|&(key, count)| (K::from_u128(key), count)),
+            );
+            out.result.instances += counts.instances;
+            out.filtered += counts.filtered;
+            out.filtered_instances += counts.filtered_instances;
+        }
+        out
+    }
+
+    /// Reads, counts, filters and persists one bin of `owner`'s. A
+    /// `DeviceOom` leaves its high-water vector for the fold to fill.
+    fn count_bin<S: CounterStages<Key = K>>(
+        &mut self,
+        stages: &S,
+        disk: &Disk,
+        owner: usize,
+        meta: &BinMeta,
+        nbins: usize,
+        planned_load: u64,
+    ) -> Result<BinCounts, RunError> {
+        let ctx = disk.ctx;
+        let payloads =
+            disk.read_recovering(stages, meta, nbins, &mut self.read_secs, &mut self.storage)?;
+        let items: Vec<S::Item> = payloads
+            .iter()
+            .flat_map(|p| p.chunks_exact(S::Item::BYTES).map(S::Item::decode))
+            .collect();
+        drop(payloads);
+        // The stage's own counter, sized for the bin's exact load capped
+        // at the load `plan_bins` fitted to the device budget: a bin
+        // skewed past the cap still counts exactly, its table regrowing or
+        // spilling (DESIGN.md §8).
+        let high_water = &mut self.high_water;
+        let mut oom = |e: CounterOom| {
+            *high_water = (*high_water).max(e.high_water_bytes);
+            RunError::DeviceOom {
+                rank: owner,
+                detail: e.detail,
+                high_water_bytes: Vec::new(),
+            }
+        };
+        let mut counter = stages
+            .make_counter(ctx, owner, meta.instances.min(planned_load))
+            .map_err(&mut oom)?;
+        self.count_secs += stages
+            .count_round(ctx, &mut counter, items)
+            .map_err(&mut oom)?;
+        let pressure = stages.pressure(&counter);
+        self.high_water = self.high_water.max(pressure.high_water_bytes);
+        journal_pressure(ctx, [(owner, pressure)]);
+        let counted = stages.finish(ctx, owner, counter);
+        debug_assert_eq!(counted.instances, meta.instances);
+        // Gerbil-style pre-filter: counts below `--min-count` never leave
+        // the bin; the dump and spectrum see only survivors.
+        let mut counts = BinCounts::default();
+        for (key, count) in counted.entries {
+            if count >= ctx.rc.min_count {
+                counts.entries.push((key.to_u128(), count));
+                counts.instances += count as u64;
+            } else {
+                counts.filtered += 1;
+                counts.filtered_instances += count as u64;
+            }
+        }
+        write_bin_counts(&disk.store.counts_path(meta.bin), &counts)
+            .map_err(|e| store_failed(meta.bin as u64, e))?;
+        Ok(counts)
+    }
+}
+
+/// One rank's pass-2 storage accounting. The counters add up in any
+/// order; recovery seconds stay separate increments so the fold adds them
+/// in manifest order, to the float sum a serial walk reaches.
+#[derive(Default)]
+struct StorageTally {
+    read_bytes: u64,
+    io_retries: u64,
+    quarantined_bins: u64,
+    rederived_bytes: u64,
+    recovery: Vec<SimTime>,
+}
+
+impl StorageTally {
+    fn fold_into(self, storage: &mut StorageSummary) {
+        storage.read_bytes += self.read_bytes;
+        storage.io_retries += self.io_retries;
+        storage.quarantined_bins += self.quarantined_bins;
+        storage.rederived_bytes += self.rederived_bytes;
+        for dt in self.recovery {
+            storage.recovery_time += dt;
+        }
+    }
+}
+
 /// The bin store as one run uses it: the files, the simulated drive
 /// that prices them, and the run whose io fault plan damages them and
 /// whose journal annotates every operation (on top of the compute steps
@@ -416,6 +553,15 @@ struct Disk<'a> {
 }
 
 impl Disk<'_> {
+    /// The same store, annotating `ctx`'s journal instead.
+    fn on<'b>(&self, ctx: &'b DriverCtx<'b>) -> Disk<'b> {
+        Disk {
+            store: self.store.clone(),
+            ssd: self.ssd,
+            ctx,
+        }
+    }
+
     fn io(&self) -> Option<&IoPlan> {
         self.ctx.rc.io.as_ref()
     }
@@ -504,14 +650,14 @@ impl Disk<'_> {
     /// read errors retry (a fresh draw per attempt); real damage
     /// quarantines the generation and re-derives the bin at the next one.
     /// Disk seconds accrue to `secs` (the bin owner's), recovery to
-    /// `storage`.
+    /// `tally`.
     fn read_recovering<S: CounterStages>(
         &self,
         stages: &S,
         meta: &BinMeta,
         nbins: usize,
         secs: &mut SimTime,
-        storage: &mut StorageSummary,
+        tally: &mut StorageTally,
     ) -> Result<Vec<Vec<u8>>, RunError> {
         let spec = self.io().map(|p| *p.spec());
         let bin = meta.bin as u64;
@@ -526,8 +672,8 @@ impl Disk<'_> {
                 attempts += 1;
                 if transient {
                     let dt = SimTime::from_secs(self.ssd.seek_secs);
-                    storage.io_retries += 1;
-                    storage.recovery_time += dt;
+                    tally.io_retries += 1;
+                    tally.recovery.push(dt);
                     *secs += dt;
                     self.io_event("retry", bin, 0, dt);
                     continue;
@@ -535,7 +681,7 @@ impl Disk<'_> {
                 match self.store.read_bin(meta.bin, generation, blocks) {
                     Ok(payloads) => {
                         let dt = self.ssd.read_time(meta.bytes);
-                        storage.read_bytes += meta.bytes;
+                        tally.read_bytes += meta.bytes;
                         *secs += dt;
                         self.io_event("read", bin, meta.bytes, dt);
                         return Ok(payloads);
@@ -560,7 +706,7 @@ impl Disk<'_> {
                     ),
                 ));
             }
-            storage.quarantined_bins += 1;
+            tally.quarantined_bins += 1;
             self.io_event("quarantine", bin, meta.bytes, SimTime::ZERO);
             rederives += 1;
             generation += 1;
@@ -571,8 +717,8 @@ impl Disk<'_> {
                 .map_err(|e| store_failed(bin, e))?;
             blocks = w.blocks;
             let dt = compute + self.ssd.write_time(w.physical_bytes);
-            storage.rederived_bytes += w.logical_bytes;
-            storage.recovery_time += dt;
+            tally.rederived_bytes += w.logical_bytes;
+            tally.recovery.push(dt);
             *secs += dt;
             self.io_event("rederive", bin, w.logical_bytes, dt);
         }

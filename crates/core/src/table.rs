@@ -320,22 +320,22 @@ impl<K: PackedKmer> DeviceCountTable<K> {
         }
     }
 
-    /// Copies the table to the host as `(kmer, count)` pairs
-    /// (quiescent reads only).
+    /// Copies the table to the host as `(kmer, count)` pairs in slot
+    /// order, walking the slots in place (quiescent reads only).
     pub fn to_host(&self) -> Vec<(K, u32)> {
-        let keys = K::slots_snapshot(&self.keys);
-        let counts = self.counts.snapshot();
-        keys.into_iter()
-            .zip(counts)
-            .filter(|&(k, _)| k != K::EMPTY)
+        (0..self.capacity)
+            .filter_map(|slot| {
+                let k = K::slot_load(&self.keys, slot);
+                (k != K::EMPTY).then(|| (k, self.counts.load(slot)))
+            })
             .collect()
     }
 
-    /// Number of distinct keys (quiescent reads only). Shares the
-    /// [`DeviceCountTable::to_host`] snapshot path rather than taking a
-    /// second, possibly-skewed snapshot of its own.
+    /// Number of distinct keys (quiescent reads only).
     pub fn distinct(&self) -> usize {
-        self.to_host().len()
+        (0..self.capacity)
+            .filter(|&slot| K::slot_load(&self.keys, slot) != K::EMPTY)
+            .count()
     }
 }
 

@@ -64,9 +64,6 @@ pub trait PackedKmer: TableKey + KmerWord + dedukt_net::WireHash {
     /// Atomic compare-and-swap on slot `i` (CUDA `atomicCAS` semantics):
     /// returns the value observed before the operation.
     fn slot_cas(slots: &Self::DeviceSlots, i: usize, current: Self, new: Self) -> Self;
-
-    /// Copies all slots to the host.
-    fn slots_snapshot(slots: &Self::DeviceSlots) -> Vec<Self>;
 }
 
 impl PackedKmer for u64 {
@@ -99,10 +96,6 @@ impl PackedKmer for u64 {
     fn slot_cas(slots: &AtomicBuffer, i: usize, current: u64, new: u64) -> u64 {
         slots.compare_and_swap(i, current, new)
     }
-
-    fn slots_snapshot(slots: &AtomicBuffer) -> Vec<u64> {
-        slots.snapshot()
-    }
 }
 
 impl PackedKmer for u128 {
@@ -134,10 +127,6 @@ impl PackedKmer for u128 {
     #[inline]
     fn slot_cas(slots: &AtomicBuffer128, i: usize, current: u128, new: u128) -> u128 {
         slots.compare_and_swap(i, current, new)
-    }
-
-    fn slots_snapshot(slots: &AtomicBuffer128) -> Vec<u128> {
-        slots.snapshot()
     }
 }
 

@@ -197,14 +197,6 @@ impl AtomicBuffer {
             Err(prev) => prev,
         }
     }
-
-    /// Copies the current contents to a host `Vec`.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.data
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect()
-    }
 }
 
 impl Drop for AtomicBuffer {
@@ -248,14 +240,6 @@ impl AtomicBuffer32 {
     #[inline]
     pub fn fetch_add(&self, i: usize, v: u32) -> u32 {
         self.data[i].fetch_add(v, Ordering::Relaxed)
-    }
-
-    /// Copies the current contents to a host `Vec`.
-    pub fn snapshot(&self) -> Vec<u32> {
-        self.data
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect()
     }
 }
 
@@ -315,11 +299,6 @@ impl AtomicBuffer128 {
         }
         prev
     }
-
-    /// Copies the current contents to a host `Vec`.
-    pub fn snapshot(&self) -> Vec<u128> {
-        (0..self.data.len()).map(|i| self.load(i)).collect()
-    }
 }
 
 impl Drop for AtomicBuffer128 {
@@ -369,7 +348,7 @@ mod tests {
         assert_eq!(a.load(0), 7);
         assert_eq!(a.fetch_add(1, 5), 0);
         assert_eq!(a.fetch_add(1, 5), 5);
-        assert_eq!(a.snapshot(), vec![7, 10, 0, 0]);
+        assert_eq!((0..4).map(|i| a.load(i)).collect::<Vec<_>>(), [7, 10, 0, 0]);
     }
 
     #[test]
@@ -378,7 +357,7 @@ mod tests {
         let a = d.alloc_atomic32(2).unwrap();
         a.fetch_add(0, 3);
         a.store(1, 9);
-        assert_eq!(a.snapshot(), vec![3, 9]);
+        assert_eq!([a.load(0), a.load(1)], [3, 9]);
         assert_eq!(a.len(), 2);
     }
 
@@ -412,7 +391,10 @@ mod tests {
         assert_eq!(a.compare_and_swap(0, 0, 9), big); // failure: saw big
         assert_eq!(a.load(0), big);
         a.store(1, 11);
-        assert_eq!(a.snapshot(), vec![big, 11, 0, 0]);
+        assert_eq!(
+            (0..4).map(|i| a.load(i)).collect::<Vec<_>>(),
+            [big, 11, 0, 0]
+        );
         drop(a);
         assert_eq!(d.allocated_bytes(), 0);
     }

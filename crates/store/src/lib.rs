@@ -3,7 +3,7 @@
 //! Pass 1 of the two-pass pipeline partitions extracted items into
 //! minimizer-keyed *bins* and lands them on this store as
 //! checksum-framed blocks ([`block`]); a per-run [`Manifest`] records
-//! what was written so pass 2 can stream bins back one at a time and a
+//! what was written so pass 2 can read each bin back on its owner and a
 //! killed second pass can resume from exactly where it stopped. The
 //! store is backed by real files in a run directory — the *bytes* are
 //! real and verifiable, only the *time* they take is simulated (the SSD

@@ -15,6 +15,7 @@
 //! so a kill mid-write leaves no half-complete file a resume could
 //! mistake for a finished bin.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use dedukt_sim::journal::parse_flat_json;
@@ -128,15 +129,19 @@ pub struct BinCounts {
 /// a kill can never leave a partial file that [`read_bin_counts`] would
 /// take for a finished bin.
 pub fn write_bin_counts(path: &Path, counts: &BinCounts) -> Result<(), String> {
-    let mut text = format!(
-        "# entries={} instances={} filtered={} filtered_instances={}\n",
+    // One buffer for the whole file: a 63-mer is 32 hex digits, a count
+    // at most 10 decimal ones.
+    let mut text = String::with_capacity(80 + counts.entries.len() * 24);
+    let _ = writeln!(
+        text,
+        "# entries={} instances={} filtered={} filtered_instances={}",
         counts.entries.len(),
         counts.instances,
         counts.filtered,
         counts.filtered_instances
     );
     for &(key, count) in &counts.entries {
-        text.push_str(&format!("{key:x}\t{count}\n"));
+        let _ = writeln!(text, "{key:x}\t{count}");
     }
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
@@ -244,6 +249,49 @@ mod tests {
         std::fs::write(&path, cut).unwrap();
         assert_eq!(read_bin_counts(&path), None);
         assert_eq!(read_bin_counts(&dir.join("absent.tsv")), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bin_counts_bytes_equal_the_format_formulation() {
+        let dir =
+            std::env::temp_dir().join(format!("dedukt-store-test-{}-bytes", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bin-0001.counts.tsv");
+        let counts = BinCounts {
+            entries: vec![
+                (0, 1),
+                (0xF, 9),
+                (0x10, 10),
+                (u64::MAX as u128, u32::MAX),
+                (u64::MAX as u128 + 1, 2),
+                (0x1234_5678_9ABC_DEF0_0FED_CBA9_8765_4321, 65_536),
+                (u128::MAX - 1, 3),
+            ],
+            instances: 1 << 40,
+            filtered: 7,
+            filtered_instances: u64::MAX,
+        };
+        write_bin_counts(&path, &counts).unwrap();
+        let mut expect = format!(
+            "# entries={} instances={} filtered={} filtered_instances={}\n",
+            counts.entries.len(),
+            counts.instances,
+            counts.filtered,
+            counts.filtered_instances
+        );
+        for &(key, count) in &counts.entries {
+            expect.push_str(&format!("{key:x}\t{count}\n"));
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expect);
+        assert_eq!(read_bin_counts(&path), Some(counts));
+        let empty = BinCounts::default();
+        write_bin_counts(&path, &empty).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "# entries=0 instances=0 filtered=0 filtered_instances=0\n"
+        );
+        assert_eq!(read_bin_counts(&path), Some(empty));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,6 +15,7 @@ use dedukt::core::pipeline::{run_typed, RunError, RunReport};
 use dedukt::core::table::capacity_for;
 use dedukt::core::{Mode, PackedKmer};
 use dedukt::dna::ReadSet;
+use dedukt::gpu::{MemPlan, MemSpec};
 use dedukt::store::{BinStore, IoPlan, IoSpec};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -378,4 +379,129 @@ fn exhausted_storage_budget_fails_cleanly_on_every_engine() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The bins of the store in `dir` whose counts file exists, and the
+/// manifest's bin count.
+fn finished_bins(dir: &std::path::Path) -> (Vec<u32>, usize) {
+    let store = BinStore::create(dir).expect("store dir");
+    let manifest = store
+        .read_manifest()
+        .expect("readable manifest")
+        .expect("pass 1 wrote a manifest");
+    let done = manifest
+        .bins
+        .iter()
+        .map(|b| b.bin)
+        .filter(|&bin| store.counts_path(bin).exists())
+        .collect();
+    (done, manifest.bins.len())
+}
+
+/// An injected kill cuts pass 2 in manifest order even though ranks
+/// count their bins in parallel: exactly the first K bins the run would
+/// count have counts files, the error names the (K+1)-th, a resumed run
+/// with a second kill counts exactly K more, and a final resume lands on
+/// the in-memory spectrum.
+#[test]
+fn kill_cuts_pass_two_in_manifest_order_and_resume_finishes() {
+    let reads = tiny_reads();
+    let mut rc = instrumented_config(Mode::GpuSupermer, 2, 17);
+    let clean = run_typed::<u64>(&reads, &rc).expect("in-memory run cannot fail");
+    let dir = scratch("kill-order");
+    let _ = std::fs::remove_dir_all(&dir);
+    rc.two_pass_dir = Some(dir.clone());
+    rc.gpu_device.memory_bytes = 1 << 16;
+    let kill = |after: u64| {
+        let mut spec = IoSpec::none();
+        spec.kill_after = Some(after);
+        Some(IoPlan::new(7, spec))
+    };
+    let expect_kill =
+        |rc: &dedukt::core::RunConfig, after: u64, at: u32| match run_typed::<u64>(&reads, rc) {
+            Err(RunError::StorageFailed { bin, detail }) => {
+                assert_eq!(bin, at as u64, "the kill strikes bin {at}: {detail}");
+                assert!(
+                    detail.contains(&format!("after {after} completed bins")),
+                    "{detail}"
+                );
+            }
+            other => panic!("expected an injected kill, got {:?}", other.map(|_| ())),
+        };
+
+    rc.io = kill(3);
+    expect_kill(&rc, 3, 3);
+    let (done, nbins) = finished_bins(&dir);
+    let per_rank = nbins / rc.nranks();
+    assert!(
+        per_rank >= 2,
+        "a 64 KiB budget must split ranges ({nbins} bins)"
+    );
+    assert_eq!(done, vec![0, 1, 2]);
+
+    // Resumed with a second kill: the three finished bins are loaded, and
+    // the next `2 * per_rank` bins — spanning rank boundaries — are
+    // counted before the cut.
+    let more = 2 * per_rank as u64;
+    rc.two_pass_resume = true;
+    rc.io = kill(more);
+    let cut = 3 + more as u32;
+    expect_kill(&rc, more, cut);
+    let (done, _) = finished_bins(&dir);
+    assert_eq!(done, (0..cut).collect::<Vec<_>>());
+
+    rc.io = None;
+    let resumed = run_typed::<u64>(&reads, &rc).expect("resume finishes the store");
+    assert_counts_identical(&resumed, &clean);
+    assert_eq!(resumed.tables, clean.tables);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pass-2 `DeviceOom` (regrows denied, no spill budget) reports what
+/// a walk over the manifest would: the owner of the lowest failing bin,
+/// the high-water marks of the ranks below it, and zero for every rank
+/// above it — even though those ranks counted their bins in parallel.
+#[test]
+fn pass_two_oom_names_the_owner_of_the_lowest_failing_bin() {
+    let reads = tiny_reads();
+    let dir = scratch("oom-order");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut rc = instrumented_config(Mode::GpuSupermer, 2, 17);
+    rc.two_pass_dir = Some(dir.clone());
+    rc.gpu_device.memory_bytes = 16 * 1024;
+    // Default under/shrink rates undersize some tables; every regrow is
+    // denied and nothing may spill.
+    let spec = MemSpec::parse("afail=1,spill=0").expect("valid spec");
+    rc.mem = Some(MemPlan::new(1, spec));
+    let (rank, high_water_bytes) = match run_typed::<u64>(&reads, &rc) {
+        Err(RunError::DeviceOom {
+            rank,
+            detail,
+            high_water_bytes,
+        }) => {
+            assert!(detail.contains("spill budget exhausted"), "{detail}");
+            (rank, high_water_bytes)
+        }
+        other => panic!("expected a pass-2 DeviceOom, got {:?}", other.map(|_| ())),
+    };
+    // Every bin before the failing one finished; ranks above it may have
+    // finished bins of their own, but the lowest unfinished bin is the
+    // one that failed.
+    let (done, nbins) = finished_bins(&dir);
+    let per_rank = nbins / rc.nranks();
+    let failing = (0..nbins as u32)
+        .find(|bin| !done.contains(bin))
+        .expect("some bin failed");
+    assert_eq!(rank, failing as usize / per_rank);
+    assert!(
+        rank > 0,
+        "this plan must let rank 0 finish (failed at {rank})"
+    );
+    assert_eq!(high_water_bytes.len(), rc.nranks());
+    assert!(high_water_bytes[..=rank].iter().all(|&hw| hw > 0));
+    assert!(
+        high_water_bytes[rank + 1..].iter().all(|&hw| hw == 0),
+        "ranks above {rank} report zero: {high_water_bytes:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
