@@ -16,7 +16,7 @@
 //! Supporting modules: [`minimizer`] (three orderings incl. the paper's
 //! random-encoding trick), [`supermer`] (sequential reference and windowed
 //! builders, Algorithm 2), [`table`] (open-addressing count tables, host
-//! and device-atomic variants), [`partition`] (owner-rank assignment incl.
+//! and device variants), [`partition`] (owner-rank assignment incl.
 //! the balanced extension), [`model`] (the §IV-D analytic communication
 //! model), [`stats`] (phase breakdowns, volumes, Table III imbalance),
 //! and [`verify`] (a single-threaded reference counter every pipeline is

@@ -81,12 +81,13 @@ pub fn staging(device: &Device, rc: &RunConfig, volume: DataVolume) -> SimTime {
 }
 
 /// The GPU counting kernel (§III-B3): one thread per received k-mer,
-/// inserting into an existing device open-addressing `table` with CAS +
-/// atomicAdd — one launch per round of the staged driver. Returns the
-/// launch report, total probe steps, the per-insert probe histogram, and
-/// the k-mers the table could not take because every slot was occupied
-/// (always empty for a table sized for its full load; non-empty only
-/// under memory pressure, when the caller must regrow or spill).
+/// inserting into an existing device open-addressing `table`, priced as
+/// the paper's CAS + atomicAdd — one launch per round of the staged
+/// driver. Returns the launch report, total probe steps, the per-insert
+/// probe histogram, and the k-mers the table could not take because
+/// every slot was occupied (always empty for a table sized for its full
+/// load; non-empty only under memory pressure, when the caller must
+/// regrow or spill).
 ///
 /// Bounced k-mers still pay their full probe circuit in the cost tally,
 /// but are *not* observed in the histogram — exactly one observation per
@@ -104,19 +105,17 @@ pub fn count_round_on_device<K: PackedKmer>(
         let mut fresh = 0u64;
         let mut hist = Histogram::new();
         let mut overflow = Vec::new();
-        for &k in &kmers[lo..hi] {
-            match table.insert(k) {
-                InsertOutcome::Inserted(r) => {
-                    probes += r.steps as u64;
-                    fresh += u64::from(r.new);
-                    hist.observe(r.steps as u64);
-                }
-                InsertOutcome::Full { steps } => {
-                    probes += steps as u64;
-                    overflow.push(k);
-                }
+        table.insert_all(&kmers[lo..hi], |k, outcome| match outcome {
+            InsertOutcome::Inserted(r) => {
+                probes += r.steps as u64;
+                fresh += u64::from(r.new);
+                hist.observe(r.steps as u64);
             }
-        }
+            InsertOutcome::Full { steps } => {
+                probes += steps as u64;
+                overflow.push(k);
+            }
+        });
         let n = (hi - lo) as u64;
         // Effective compute (calibrated) + real memory/atomic traffic:
         // each probe touches a key-width-sized key (8 B narrow, 16 B

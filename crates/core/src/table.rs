@@ -1,32 +1,36 @@
 //! Open-addressing k-mer count tables with linear probing (§III-B3).
 //!
-//! Two variants share the layout (a power-of-two slot array of packed
-//! k-mer keys plus 32-bit counts, linear probing, an all-ones empty
-//! sentinel: `u64::MAX` at the narrow width, `u128::MAX` at the wide
-//! width). The sentinels stay valid at both widths because a packed
-//! k-mer occupies at most `2k` bits of its word — 62 of 64 for k ≤ 31,
-//! 126 of 128 for wide k ≤ 63 — so a real key always has zero top bits
-//! and can never be all-ones:
+//! Two variants share the scheme (a power-of-two table of packed k-mer
+//! keys plus 32-bit counts, linear probing, an all-ones empty sentinel:
+//! `u64::MAX` at the narrow width, `u128::MAX` at the wide width). The
+//! sentinels stay valid at both widths because a packed k-mer occupies at
+//! most `2k` bits of its word — 62 of 64 for k ≤ 31, 126 of 128 for wide
+//! k ≤ 63 — so a real key always has zero top bits and can never be
+//! all-ones:
 //!
 //! * [`HostCountTable`] — single-owner, growable; used by the CPU baseline
-//!   ranks.
-//! * [`DeviceCountTable`] — fixed-capacity over device atomics; insertion
-//!   is the CUDA-style CAS claim loop the paper describes ("Both
-//!   operations are handled atomically to avoid race conditions …
-//!   collisions are addressed using … linear probing"). Safe to call from
-//!   concurrently executing thread blocks.
+//!   ranks. Keys and counts sit in two arrays.
+//! * [`DeviceCountTable`] — fixed-capacity, charged against the device
+//!   budget; insertion is the probe sequence of the CUDA claim loop the
+//!   paper describes ("Both operations are handled atomically to avoid
+//!   race conditions … collisions are addressed using … linear probing").
+//!   A rank owns its device and runs its blocks in order, so the table has
+//!   a single writer and keeps each key and its count in one packed slot;
+//!   the count kernel prices the CAS and `atomicAdd` it stands for.
 
 use crate::config::CountingConfig;
 use crate::width::PackedKmer;
 use dedukt_dna::spectrum::Spectrum;
-use dedukt_gpu::{AtomicBuffer32, Device, OomError};
+use dedukt_gpu::{Device, OomError, Reservation};
 use dedukt_hash::Murmur3x64;
+use std::cell::{Cell, OnceCell};
+use std::collections::HashMap;
 
 /// A packed k-mer key a count table can store: `u64` for k ≤ 31 (the
 /// paper's regime) or `u128` for wide k ≤ 63 (this reproduction's long-k
 /// extension). Keys are `Ord` so spilled k-mers can be merged back into
 /// a table snapshot by deterministic sorted-run coalescing.
-pub trait TableKey: Copy + Eq + Ord + std::fmt::Debug + Send + Sync {
+pub trait TableKey: Copy + Eq + Ord + std::hash::Hash + std::fmt::Debug + Send + Sync {
     /// Sentinel marking an empty slot; no real packed k-mer may equal it
     /// (guaranteed by the k-length caps above).
     const EMPTY: Self;
@@ -214,53 +218,94 @@ pub enum InsertOutcome {
     },
 }
 
-/// A fixed-capacity count table over device atomics, safe for concurrent
-/// insertion from many thread blocks — the GPU counting kernel's data
-/// structure (§III-B3). Generic over the packed key width (`u64` by
-/// default; `u128` for wide k).
+/// One device-table slot: a key and its count with no padding between
+/// them (12 B at `u64` keys, 20 B at `u128` keys), so a hit's count
+/// update reads the bytes next to the key it compared, not a second
+/// array.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed)]
+struct Slot<K> {
+    key: K,
+    count: u32,
+}
+
+/// Where a probe for one key ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Probe {
+    /// The key sits in `slot`, reached after `steps` probes.
+    Hit { slot: usize, steps: u32 },
+    /// The key is absent and `slot` is the empty slot it would claim.
+    Vacant { slot: usize, steps: u32 },
+    /// The key is absent and no slot is empty.
+    Full { steps: u32 },
+}
+
+/// How many k-mers [`DeviceCountTable::insert_all`] hashes and loads
+/// ahead of inserting them.
+const GROUP: usize = 16;
+
+/// A fixed-capacity count table in device memory — the GPU counting
+/// kernel's data structure (§III-B3). Generic over the packed key width
+/// (`u64` by default; `u128` for wide k).
+///
+/// The table has one writer, the rank whose kernels insert into it, so
+/// its slots are plain cells: `insert` takes `&self` like the CUDA kernel
+/// it models, with no host atomics behind it.
 #[derive(Debug)]
 pub struct DeviceCountTable<K: PackedKmer = u64> {
-    keys: K::DeviceSlots,
-    counts: AtomicBuffer32,
+    slots: Vec<Cell<Slot<K>>>,
     mask: usize,
-    capacity: usize,
+    occupied: Cell<usize>,
+    /// Key → slot of every stored key, built on the first probe after the
+    /// table fills. A full table takes no new key, so the index never
+    /// goes stale, and it answers each probe without walking every slot.
+    full_index: OnceCell<HashMap<K, usize>>,
     hasher: Murmur3x64,
+    /// The device charge: the key array's bytes, then the count array's.
+    _charge: (Reservation, Reservation),
 }
 
 impl<K: PackedKmer> DeviceCountTable<K> {
     /// Allocates a table with `capacity` slots (rounded up to a power of
-    /// two) on `device`, keys initialised to the empty sentinel.
+    /// two) on `device`, keys initialised to the empty sentinel. Charged
+    /// as a key array plus a 4-byte count array, reserved in that order.
     pub fn new(
         device: &Device,
         capacity: usize,
         hash_seed: u64,
     ) -> Result<DeviceCountTable<K>, OomError> {
         let cap = capacity.next_power_of_two().max(16);
-        let keys = K::alloc_device_slots(device, cap)?;
-        let counts = device.alloc_atomic32(cap)?;
+        let keys = device.reserve(cap as u64 * K::KMER_WIRE_BYTES)?;
+        let counts = device.reserve(cap as u64 * 4)?;
+        let empty = Slot {
+            key: K::EMPTY,
+            count: 0,
+        };
         Ok(DeviceCountTable {
-            keys,
-            counts,
+            slots: vec![Cell::new(empty); cap],
             mask: cap - 1,
-            capacity: cap,
+            occupied: Cell::new(0),
+            full_index: OnceCell::new(),
             hasher: Murmur3x64::new(hash_seed),
+            _charge: (keys, counts),
         })
     }
 
     /// Slot capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
-    /// Inserts one k-mer instance from any thread. On success returns the
-    /// probe-step count (≥ 1) and whether this insert claimed a fresh
-    /// slot — both feed the kernel cost accounting. When every slot is
-    /// occupied by other keys the insert returns [`InsertOutcome::Full`]
-    /// instead of landing; tables sized from estimates can fill up under
-    /// memory pressure, so a full table is data, not a bug.
+    /// Inserts one k-mer instance. On success returns the probe-step
+    /// count (≥ 1) and whether this insert claimed a fresh slot — both
+    /// feed the kernel cost accounting. When every slot is occupied by
+    /// other keys the insert returns [`InsertOutcome::Full`] instead of
+    /// landing; tables sized from estimates can fill up under memory
+    /// pressure, so a full table is data, not a bug.
     ///
-    /// This is the CUDA idiom: `atomicCAS` to claim an empty slot, then
-    /// `atomicAdd` on the count; linear probing on collision.
+    /// The probe sequence is the CUDA idiom's: `atomicCAS` to claim an
+    /// empty slot, then `atomicAdd` on the count; linear probing on
+    /// collision.
     pub fn insert(&self, kmer: K) -> InsertOutcome {
         self.insert_counted(kmer, 1)
     }
@@ -269,73 +314,128 @@ impl<K: PackedKmer> DeviceCountTable<K> {
     /// once — the rehash primitive: a regrow kernel migrates each old
     /// slot's accumulated count with a single probe sequence.
     pub fn insert_counted(&self, kmer: K, count: u32) -> InsertOutcome {
-        debug_assert_ne!(kmer, K::EMPTY, "k-mer collides with empty sentinel");
-        debug_assert!(count > 0, "inserting zero occurrences is meaningless");
-        let mut slot = (kmer.hash_with(&self.hasher) as usize) & self.mask;
-        let mut steps = 1u32;
-        loop {
-            let existing = K::slot_load(&self.keys, slot);
-            if existing == kmer {
-                self.counts.fetch_add(slot, count);
-                return InsertOutcome::Inserted(InsertResult { steps, new: false });
+        self.insert_at(kmer, self.home(kmer), count)
+    }
+
+    /// Inserts one instance of each of `kmers` in order, handing every
+    /// outcome to `on` — exactly what calling [`DeviceCountTable::insert`]
+    /// on each would return. Works in groups: it hashes a group and loads
+    /// each member's home slot before inserting the group in order, so
+    /// the group's cache misses overlap instead of waiting on one another.
+    pub fn insert_all(&self, kmers: &[K], mut on: impl FnMut(K, InsertOutcome)) {
+        let mut homes = [0usize; GROUP];
+        for group in kmers.chunks(GROUP) {
+            for (home, &kmer) in homes.iter_mut().zip(group) {
+                *home = self.home(kmer);
+                std::hint::black_box(self.slots[*home].get());
             }
-            if existing == K::EMPTY {
-                let prev = K::slot_cas(&self.keys, slot, K::EMPTY, kmer);
-                if prev == K::EMPTY || prev == kmer {
-                    self.counts.fetch_add(slot, count);
-                    return InsertOutcome::Inserted(InsertResult {
-                        steps,
-                        new: prev == K::EMPTY,
-                    });
-                }
-                // Another thread claimed the slot for a different k-mer;
-                // fall through to probe on.
+            for (&home, &kmer) in homes.iter().zip(group) {
+                on(kmer, self.insert_at(kmer, home, 1));
             }
-            if steps as usize >= self.capacity() {
-                // Every slot visited, none claimable: the table is full
-                // and (by the full probe circuit) the key is absent.
-                return InsertOutcome::Full { steps };
-            }
-            slot = (slot + 1) & self.mask;
-            steps += 1;
         }
     }
 
-    /// The count of `kmer`, or `None` (quiescent reads only). Bounds the
-    /// probe on slots visited, mirroring the insert path: after
-    /// `capacity` probes every slot has been seen and the key is absent.
+    /// The count of `kmer`, or `None`.
     pub fn get(&self, kmer: K) -> Option<u32> {
-        let mut slot = (kmer.hash_with(&self.hasher) as usize) & self.mask;
-        let mut steps = 1usize;
-        loop {
-            let k = K::slot_load(&self.keys, slot);
-            if k == kmer {
-                return Some(self.counts.load(slot));
-            }
-            if k == K::EMPTY || steps >= self.capacity() {
-                return None;
-            }
-            slot = (slot + 1) & self.mask;
-            steps += 1;
+        match self.probe(kmer, self.home(kmer)) {
+            Probe::Hit { slot, .. } => Some(self.slots[slot].get().count),
+            Probe::Vacant { .. } | Probe::Full { .. } => None,
         }
     }
 
     /// Copies the table to the host as `(kmer, count)` pairs in slot
-    /// order, walking the slots in place (quiescent reads only).
+    /// order.
     pub fn to_host(&self) -> Vec<(K, u32)> {
-        (0..self.capacity)
-            .filter_map(|slot| {
-                let k = K::slot_load(&self.keys, slot);
-                (k != K::EMPTY).then(|| (k, self.counts.load(slot)))
+        self.slots
+            .iter()
+            .map(|cell| {
+                let s = cell.get();
+                (s.key, s.count)
             })
+            .filter(|&(key, _)| key != K::EMPTY)
             .collect()
     }
 
-    /// Number of distinct keys (quiescent reads only).
+    /// Number of distinct keys.
     pub fn distinct(&self) -> usize {
-        (0..self.capacity)
-            .filter(|&slot| K::slot_load(&self.keys, slot) != K::EMPTY)
-            .count()
+        self.occupied.get()
+    }
+
+    fn home(&self, kmer: K) -> usize {
+        (kmer.hash_with(&self.hasher) as usize) & self.mask
+    }
+
+    fn insert_at(&self, kmer: K, home: usize, count: u32) -> InsertOutcome {
+        debug_assert_ne!(kmer, K::EMPTY, "k-mer collides with empty sentinel");
+        debug_assert!(count > 0, "inserting zero occurrences is meaningless");
+        match self.probe(kmer, home) {
+            Probe::Hit { slot, steps } => {
+                let cell = &self.slots[slot];
+                let mut s = cell.get();
+                s.count += count;
+                cell.set(s);
+                InsertOutcome::Inserted(InsertResult { steps, new: false })
+            }
+            Probe::Vacant { slot, steps } => {
+                self.slots[slot].set(Slot { key: kmer, count });
+                self.occupied.set(self.occupied.get() + 1);
+                InsertOutcome::Inserted(InsertResult { steps, new: true })
+            }
+            Probe::Full { steps } => InsertOutcome::Full { steps },
+        }
+    }
+
+    /// Probes for `kmer` from its `home` slot: by walking while the table
+    /// has an empty slot, through the full-table index once it has none.
+    fn probe(&self, kmer: K, home: usize) -> Probe {
+        if self.occupied.get() < self.capacity() {
+            self.walk(kmer, home)
+        } else {
+            self.lookup_full(kmer, home)
+        }
+    }
+
+    /// Linear probing from `home`: stops at the key, at an empty slot, or
+    /// after visiting every slot.
+    fn walk(&self, kmer: K, home: usize) -> Probe {
+        let mut slot = home;
+        let mut steps = 1u32;
+        loop {
+            let key = self.slots[slot].get().key;
+            if key == kmer {
+                return Probe::Hit { slot, steps };
+            }
+            if key == K::EMPTY {
+                return Probe::Vacant { slot, steps };
+            }
+            if steps as usize >= self.capacity() {
+                return Probe::Full { steps };
+            }
+            slot = (slot + 1) & self.mask;
+            steps += 1;
+        }
+    }
+
+    /// What [`DeviceCountTable::walk`] answers on a full table, in O(1):
+    /// a stored key is `((slot − home) & mask) + 1` probes from home, and
+    /// an absent key costs the whole circuit.
+    fn lookup_full(&self, kmer: K, home: usize) -> Probe {
+        let index = self.full_index.get_or_init(|| {
+            self.slots
+                .iter()
+                .enumerate()
+                .map(|(slot, s)| (s.get().key, slot))
+                .collect()
+        });
+        match index.get(&kmer) {
+            Some(&slot) => Probe::Hit {
+                slot,
+                steps: ((slot.wrapping_sub(home) & self.mask) + 1) as u32,
+            },
+            None => Probe::Full {
+                steps: self.capacity() as u32,
+            },
+        }
     }
 }
 
@@ -433,30 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn device_concurrent_inserts_are_exact() {
-        let device = Device::v100();
-        let t = std::sync::Arc::new(DeviceCountTable::new(&device, 4096, 9).unwrap());
-        let handles: Vec<_> = (0..4)
-            .map(|tid| {
-                let t = std::sync::Arc::clone(&t);
-                std::thread::spawn(move || {
-                    // All threads hammer an overlapping key range.
-                    for i in 0..1000u64 {
-                        t.insert(i % 257);
-                    }
-                    let _ = tid;
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total: u64 = t.to_host().iter().map(|&(_, c)| c as u64).sum();
-        assert_eq!(total, 4000, "no insert may be lost or duplicated");
-        assert_eq!(t.distinct(), 257);
-    }
-
-    #[test]
     fn wide_device_table_counts_like_wide_host_table() {
         let device = Device::v100();
         let t: DeviceCountTable<u128> = DeviceCountTable::new(&device, 256, 7).unwrap();
@@ -541,6 +617,121 @@ mod tests {
             InsertOutcome::Inserted(InsertResult { new: false, .. })
         ));
         assert_eq!(t.get(9), Some(500));
+    }
+
+    /// FNV-1a over a run's observable table behaviour: every insert's
+    /// outcome in stream order, then the `to_host` slot order.
+    fn fnv(digest: &mut u64, word: u128) {
+        for byte in word.to_le_bytes() {
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Inserts `n` seeded draws from a pool of `pool` distinct keys into a
+    /// `capacity`-slot table; returns (digest, `Full` outcomes, total
+    /// probe steps, distinct keys stored).
+    fn golden_run<K: PackedKmer>(
+        key: fn(u64) -> K,
+        capacity: usize,
+        pool: u64,
+        n: usize,
+    ) -> (u64, usize, u64, usize) {
+        let device = Device::v100();
+        let t = DeviceCountTable::<K>::new(&device, capacity, 0x5EED).unwrap();
+        let mut rng = dedukt_sim::rng::SplitMix64::new(capacity as u64 ^ pool);
+        let stream: Vec<K> = (0..n).map(|_| key(rng.next_below(pool))).collect();
+        let (mut digest, mut full, mut steps) = (0xcbf2_9ce4_8422_2325u64, 0, 0u64);
+        // The grouped insert must answer exactly like one insert per key.
+        let batched = DeviceCountTable::<K>::new(&device, capacity, 0x5EED).unwrap();
+        let mut batched_outcomes = Vec::new();
+        batched.insert_all(&stream, |_, outcome| batched_outcomes.push(outcome));
+        let singles: Vec<InsertOutcome> = stream.iter().map(|&k| t.insert(k)).collect();
+        assert_eq!(singles, batched_outcomes);
+        assert_eq!(t.to_host(), batched.to_host());
+        for outcome in singles {
+            let word = match outcome {
+                InsertOutcome::Inserted(r) => {
+                    steps += u64::from(r.steps);
+                    u128::from(r.steps) << 1 | u128::from(r.new)
+                }
+                InsertOutcome::Full { steps: s } => {
+                    full += 1;
+                    steps += u64::from(s);
+                    u128::from(s) << 64
+                }
+            };
+            fnv(&mut digest, word);
+        }
+        for (k, c) in t.to_host() {
+            fnv(&mut digest, k.to_u128());
+            fnv(&mut digest, u128::from(c));
+        }
+        (digest, full, steps, t.distinct())
+    }
+
+    fn narrow_key(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 2
+    }
+
+    fn wide_key(i: u64) -> u128 {
+        (u128::from(narrow_key(i)) << 64 | u128::from(i)) >> 2
+    }
+
+    #[test]
+    fn golden_outcomes_and_slot_order_at_both_widths() {
+        // A roomy table (no `Full`) and one driven full (most keys of the
+        // pool bounce; stored keys keep counting), at either key width.
+        assert_eq!(
+            golden_run(narrow_key, 1024, 600, 4000),
+            (8441289027624101451, 0, 6541, 599)
+        );
+        assert_eq!(
+            golden_run(narrow_key, 64, 200, 1500),
+            (4266532609064847969, 973, 66981, 64)
+        );
+        assert_eq!(
+            golden_run(wide_key, 1024, 600, 4000),
+            (13432650755641881886, 0, 6341, 599)
+        );
+        assert_eq!(
+            golden_run(wide_key, 64, 200, 1500),
+            (1233793459144356706, 973, 65611, 64)
+        );
+    }
+
+    /// Fills a `capacity`-slot table from a pool of twice as many keys,
+    /// then checks that the full-table index answers every pool key —
+    /// stored or bounced — exactly as a walk over all slots does.
+    fn index_matches_walk<K: PackedKmer>(key: fn(u64) -> K, capacity: usize) {
+        let device = Device::v100();
+        let t = DeviceCountTable::<K>::new(&device, capacity, 23).unwrap();
+        let pool = 2 * capacity as u64;
+        for i in 0..pool {
+            t.insert(key(i));
+        }
+        assert_eq!(t.distinct(), t.capacity());
+        let (mut hits, mut misses) = (0, 0);
+        for i in 0..pool {
+            let k = key(i);
+            let home = t.home(k);
+            let walked = t.walk(k, home);
+            assert_eq!(t.lookup_full(k, home), walked, "key {i}");
+            match walked {
+                Probe::Hit { .. } => hits += 1,
+                Probe::Full { steps } => {
+                    assert_eq!(steps as usize, t.capacity());
+                    misses += 1;
+                }
+                Probe::Vacant { .. } => panic!("a full table has no vacant slot"),
+            }
+        }
+        assert_eq!((hits, misses), (capacity, capacity));
+    }
+
+    #[test]
+    fn full_table_index_answers_like_the_walk_at_both_widths() {
+        index_matches_walk(narrow_key, 256);
+        index_matches_walk(wide_key, 256);
     }
 
     #[test]

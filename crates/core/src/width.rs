@@ -7,8 +7,7 @@
 //! ([`TableKey`]) with the bit-packing contract
 //! ([`dedukt_dna::kmer::KmerWord`]) and adding what the staged driver
 //! needs on top: exact wire-byte sizes (8 vs 16 for k-mers, 9 vs 17 for
-//! supermers), the width's counting bounds, and the device-atomic slot
-//! machinery backing [`crate::table::DeviceCountTable`] at either width.
+//! supermers) and the width's counting bounds.
 //!
 //! With this trait in place there is exactly one driver, one set of
 //! `CounterStages`, one device table, and one CLI path; k ≤ 31 and
@@ -16,10 +15,9 @@
 
 use crate::table::TableKey;
 use dedukt_dna::kmer::KmerWord;
-use dedukt_gpu::{AtomicBuffer, AtomicBuffer128, Device, OomError};
 
 /// A packed k-mer key the full counting stack can run on: hashable table
-/// key, 2-bit packable word, and device-table slot element.
+/// key and 2-bit packable word.
 ///
 /// The counting bound is one below the packing bound at either width:
 /// the all-ones word (k = [`KmerWord::MAX_K`], every base the symbol 3)
@@ -48,22 +46,6 @@ pub trait PackedKmer: TableKey + KmerWord + dedukt_net::WireHash {
     /// Inverse of [`PackedKmer::to_u128`]. Truncating — only feed it
     /// values this width produced.
     fn from_u128(v: u128) -> Self;
-
-    /// Device-resident key-slot array of the width's device count table,
-    /// supporting the CUDA-style atomic CAS claim loop.
-    type DeviceSlots: Send + Sync + std::fmt::Debug;
-
-    /// Allocates `len` key slots on `device`, initialised to
-    /// [`TableKey::EMPTY`]. Charged at [`PackedKmer::KMER_WIRE_BYTES`]
-    /// per slot.
-    fn alloc_device_slots(device: &Device, len: usize) -> Result<Self::DeviceSlots, OomError>;
-
-    /// Loads slot `i`.
-    fn slot_load(slots: &Self::DeviceSlots, i: usize) -> Self;
-
-    /// Atomic compare-and-swap on slot `i` (CUDA `atomicCAS` semantics):
-    /// returns the value observed before the operation.
-    fn slot_cas(slots: &Self::DeviceSlots, i: usize, current: Self, new: Self) -> Self;
 }
 
 impl PackedKmer for u64 {
@@ -76,26 +58,6 @@ impl PackedKmer for u64 {
     fn from_u128(v: u128) -> u64 {
         v as u64
     }
-
-    type DeviceSlots = AtomicBuffer;
-
-    fn alloc_device_slots(device: &Device, len: usize) -> Result<AtomicBuffer, OomError> {
-        let slots = device.alloc_atomic(len)?;
-        for i in 0..len {
-            slots.store(i, u64::EMPTY);
-        }
-        Ok(slots)
-    }
-
-    #[inline]
-    fn slot_load(slots: &AtomicBuffer, i: usize) -> u64 {
-        slots.load(i)
-    }
-
-    #[inline]
-    fn slot_cas(slots: &AtomicBuffer, i: usize, current: u64, new: u64) -> u64 {
-        slots.compare_and_swap(i, current, new)
-    }
 }
 
 impl PackedKmer for u128 {
@@ -107,26 +69,6 @@ impl PackedKmer for u128 {
 
     fn from_u128(v: u128) -> u128 {
         v
-    }
-
-    type DeviceSlots = AtomicBuffer128;
-
-    fn alloc_device_slots(device: &Device, len: usize) -> Result<AtomicBuffer128, OomError> {
-        let slots = device.alloc_atomic128(len)?;
-        for i in 0..len {
-            slots.store(i, u128::EMPTY);
-        }
-        Ok(slots)
-    }
-
-    #[inline]
-    fn slot_load(slots: &AtomicBuffer128, i: usize) -> u128 {
-        slots.load(i)
-    }
-
-    #[inline]
-    fn slot_cas(slots: &AtomicBuffer128, i: usize, current: u128, new: u128) -> u128 {
-        slots.compare_and_swap(i, current, new)
     }
 }
 
@@ -144,14 +86,5 @@ mod tests {
         assert_eq!(<u128 as PackedKmer>::MAX_COUNTING_K, 63);
         assert_eq!(<u64 as PackedKmer>::MAX_SUPERMER_BASES, 32);
         assert_eq!(<u128 as PackedKmer>::MAX_SUPERMER_BASES, 64);
-    }
-
-    #[test]
-    fn device_slots_start_empty_at_both_widths() {
-        let device = Device::v100();
-        let narrow = <u64 as PackedKmer>::alloc_device_slots(&device, 8).unwrap();
-        assert!((0..8).all(|i| <u64 as PackedKmer>::slot_load(&narrow, i) == u64::EMPTY));
-        let wide = <u128 as PackedKmer>::alloc_device_slots(&device, 8).unwrap();
-        assert!((0..8).all(|i| <u128 as PackedKmer>::slot_load(&wide, i) == u128::EMPTY));
     }
 }

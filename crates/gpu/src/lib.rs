@@ -7,9 +7,10 @@
 //! * **Functional execution** — kernels are Rust closures launched once
 //!   per block of a `(grid, block)` launch ([`launch`]). Blocks run in
 //!   block order on the launching thread (ranks, not blocks, are the
-//!   host's parallel tasks); device memory is real memory
-//!   ([`memory::AtomicBuffer`]), so every result a kernel produces is a
-//!   real, bit-exact computation that depends only on its inputs.
+//!   host's parallel tasks); device memory is real host memory charged
+//!   against the device budget ([`memory::Reservation`]), so every result
+//!   a kernel produces is a real, bit-exact computation that depends only
+//!   on its inputs.
 //! * **Analytic timing** — kernels tally the work they do (instructions,
 //!   global-memory traffic with a coalescing classification, atomics); the
 //!   cost model ([`cost`]) converts the tally plus the device parameters
@@ -32,5 +33,5 @@ pub mod transfer;
 pub use config::DeviceConfig;
 pub use launch::{BlockCtx, KernelReport, LaunchConfig, WorkTally};
 pub use mem_plan::{MemPlan, MemSpec};
-pub use memory::{AtomicBuffer, AtomicBuffer128, AtomicBuffer32, Device, OomError};
+pub use memory::{Device, OomError, Reservation};
 pub use transfer::Link;

@@ -88,7 +88,7 @@ proptest! {
             let mut held = Vec::new();
             let mut expected = 0u64;
             for &s in &sizes {
-                held.push(device.alloc_atomic(s).unwrap());
+                held.push(device.reserve((s * 8) as u64).unwrap());
                 expected += (s * 8) as u64;
                 prop_assert_eq!(device.allocated_bytes(), expected);
             }
