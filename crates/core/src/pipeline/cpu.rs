@@ -17,7 +17,7 @@ use crate::pipeline::driver::{
     exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, RoundRecv,
 };
 use crate::pipeline::gpu_common::scaled_estimate;
-use crate::pipeline::gpu_kmer::{for_kmers_in_range, read_ends};
+use crate::pipeline::gpu_kmer::{read_ends, route_kmers_in_range};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::table::HostCountTable;
 use crate::width::PackedKmer;
@@ -33,7 +33,7 @@ pub(crate) struct CpuCounter<K: PackedKmer> {
     received: u64,
 }
 
-struct CpuStages<K: PackedKmer>(PhantomData<K>);
+pub(crate) struct CpuStages<K: PackedKmer>(pub(crate) PhantomData<K>);
 
 impl<K: PackedKmer> CounterStages for CpuStages<K> {
     type Key = K;
@@ -49,19 +49,10 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
 
     // ── Phase 1: parse & process k-mers (Algorithm 1, PARSEKMER) ──────
     fn bucket(&self, ctx: &DriverCtx, rank: usize) -> BucketOut<K> {
-        let cfg = &ctx.cfg;
         let mut out: Vec<Vec<K>> = vec![Vec::new(); ctx.nranks];
-        let part = ctx.parts[rank];
-        let ends = read_ends(part);
+        let ends = read_ends(ctx.parts[rank]);
         let bases = ends.last().copied().unwrap_or(0);
-        for_kmers_in_range::<K>(part, &ends, (0, bases), cfg.k, cfg.encoding, |w| {
-            let key = if cfg.canonical {
-                w.canonical_word(cfg.k)
-            } else {
-                w
-            };
-            out[key_owner(&ctx.hasher, key, ctx.nranks)].push(key);
-        });
+        route_kmers_in_range(ctx, rank, &ends, (0, bases), &mut out);
         // Parsing is charged on every base, reads shorter than k included.
         BucketOut {
             buckets: out,

@@ -64,7 +64,21 @@ pub(crate) struct DriverCtx<'a> {
     pub journal: Option<Arc<Journal>>,
 }
 
-impl DriverCtx<'_> {
+impl<'a> DriverCtx<'a> {
+    /// The context of a run of `rc` over `reads`, split by bases across
+    /// `rc.nranks()` ranks, recording into `journal` when one is given.
+    pub fn new(rc: &'a RunConfig, reads: &'a ReadSet, journal: Option<Arc<Journal>>) -> Self {
+        let nranks = rc.nranks();
+        DriverCtx {
+            rc,
+            cfg: rc.counting,
+            nranks,
+            parts: reads.partition_by_bases(nranks),
+            hasher: Murmur3x64::new(rc.counting.hash_seed),
+            journal,
+        }
+    }
+
     /// Records the events `events` builds, when recording is on.
     pub fn record<E: IntoIterator<Item = JournalEvent>>(&self, events: impl FnOnce() -> E) {
         if let Some(j) = &self.journal {
@@ -416,14 +430,7 @@ pub(crate) fn run_staged<S: CounterStages>(
             detail: run_detail(rc),
         });
     }
-    let ctx = DriverCtx {
-        rc,
-        cfg: rc.counting,
-        nranks,
-        parts: reads.partition_by_bases(nranks),
-        hasher: Murmur3x64::new(rc.counting.hash_seed),
-        journal,
-    };
+    let ctx = DriverCtx::new(rc, reads, journal);
 
     // ── Pre-pass + bucketing (parse phase) ─────────────────────────────
     // `--resume` skips bucketing and the exchange: the manifest is pass

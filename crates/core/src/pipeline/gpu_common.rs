@@ -6,7 +6,7 @@ use crate::table::{table_capacity, DeviceCountTable, InsertOutcome};
 use crate::width::PackedKmer;
 use dedukt_gpu::mem_plan::{alloc_fails, estimate_factor};
 use dedukt_gpu::transfer::staging_time;
-use dedukt_gpu::{Device, KernelReport, LaunchConfig, MemPlan};
+use dedukt_gpu::{Device, LaunchConfig, MemPlan};
 use dedukt_sim::{DataVolume, Histogram, MetricOp, SimTime};
 
 /// Thread-block size used by all pipeline kernels.
@@ -50,93 +50,14 @@ pub fn block_range(total: usize, nblocks: u32, b: u32) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Concatenates a parse kernel's per-block destination buckets, in block
-/// order, into one bucket per destination rank (the device-side
-/// compaction the kernels charge for). Each destination is allocated
-/// once at its exact final size, so the short-lived block-local vectors
-/// never grow a long-lived bucket through repeated reallocation.
-pub(crate) fn merge_block_buckets<T>(
-    block_buckets: Vec<Vec<Vec<T>>>,
-    nranks: usize,
-) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = (0..nranks)
-        .map(|dst| Vec::with_capacity(block_buckets.iter().map(|b| b[dst].len()).sum()))
-        .collect();
-    for blocks in block_buckets {
-        for (dst, v) in blocks.into_iter().enumerate() {
-            out[dst].extend(v);
-        }
-    }
-    out
-}
-
 /// Staging cost for moving `volume` between host and device, zero when
 /// GPUDirect is enabled (§III-B2).
-pub fn staging(device: &Device, rc: &RunConfig, volume: DataVolume) -> SimTime {
+pub fn staging(rc: &RunConfig, volume: DataVolume) -> SimTime {
     if rc.gpu_direct {
         SimTime::ZERO
     } else {
-        staging_time(device.config(), volume)
+        staging_time(&rc.gpu_device, volume)
     }
-}
-
-/// The GPU counting kernel (§III-B3): one thread per received k-mer,
-/// inserting into an existing device open-addressing `table`, priced as
-/// the paper's CAS + atomicAdd — one launch per round of the staged
-/// driver. Returns the launch report, total probe steps, the per-insert
-/// probe histogram, and the k-mers the table could not take because
-/// every slot was occupied (always empty for a table sized for its full
-/// load; non-empty only under memory pressure, when the caller must
-/// regrow or spill).
-///
-/// Bounced k-mers still pay their full probe circuit in the cost tally,
-/// but are *not* observed in the histogram — exactly one observation per
-/// successfully counted instance, whenever it finally lands.
-pub fn count_round_on_device<K: PackedKmer>(
-    device: &Device,
-    table: &DeviceCountTable<K>,
-    kmers: &[K],
-    cycles_per_kmer: f64,
-) -> (KernelReport, u64, Histogram, Vec<K>) {
-    let launch = chunked_launch(kmers.len().max(1));
-    let (report, block_stats) = device.launch_map("count_kmers", launch, |b| {
-        let (lo, hi) = block_range(kmers.len(), b.cfg.grid_blocks, b.block);
-        let mut probes = 0u64;
-        let mut fresh = 0u64;
-        let mut hist = Histogram::new();
-        let mut overflow = Vec::new();
-        table.insert_all(&kmers[lo..hi], |k, outcome| match outcome {
-            InsertOutcome::Inserted(r) => {
-                probes += r.steps as u64;
-                fresh += u64::from(r.new);
-                hist.observe(r.steps as u64);
-            }
-            InsertOutcome::Full { steps } => {
-                probes += steps as u64;
-                overflow.push(k);
-            }
-        });
-        let n = (hi - lo) as u64;
-        // Effective compute (calibrated) + real memory/atomic traffic:
-        // each probe touches a key-width-sized key (8 B narrow, 16 B
-        // wide) + the hit updates a 4B count, all effectively random;
-        // CAS + atomicAdd per insert, where repeat occurrences of hot
-        // k-mers collide on their slot.
-        b.instr((n as f64 * cycles_per_kmer) as u64);
-        b.gmem_coalesced(n * K::KMER_WIRE_BYTES); // streaming the received k-mers
-        b.gmem_random(probes * K::KMER_WIRE_BYTES + n * 4);
-        b.atomic(2 * n, n - fresh);
-        (probes, hist, overflow)
-    });
-    let mut probe_hist = Histogram::new();
-    let mut probe_steps = 0u64;
-    let mut overflow = Vec::new();
-    for (p, h, o) in block_stats {
-        probe_steps += p;
-        probe_hist.merge(&h);
-        overflow.extend(o);
-    }
-    (report, probe_steps, probe_hist, overflow)
 }
 
 /// Scales rank `rank`'s expected-instance estimate by the combined
@@ -251,13 +172,49 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         Ok(dt)
     }
 
-    /// One counting launch into the current table; merges the probe
-    /// telemetry and returns the bounced k-mers.
+    /// One launch of the counting kernel (§III-B3) into the current
+    /// table: one thread per k-mer, priced as the paper's CAS +
+    /// atomicAdd. Records each counted insert's probe steps and returns
+    /// the k-mers the table could not take because every slot was
+    /// occupied (none for a table sized for its full load; some only
+    /// under memory pressure, when the caller regrows or spills).
+    ///
+    /// Bounced k-mers still pay their full probe circuit in the cost
+    /// tally, but are *not* observed in the histogram — exactly one
+    /// observation per successfully counted instance, whenever it
+    /// finally lands.
     fn launch_count(&mut self, kmers: &[K], cycles_per_kmer: f64, dt: &mut SimTime) -> Vec<K> {
-        let (report, probes, hist, overflow) =
-            count_round_on_device(&self.device, &self.table, kmers, cycles_per_kmer);
-        self.probe_steps += probes;
-        self.probe_hist.merge(&hist);
+        let (table, probe_hist, probe_steps) =
+            (&self.table, &mut self.probe_hist, &mut self.probe_steps);
+        let mut overflow = Vec::new();
+        let launch = chunked_launch(kmers.len().max(1));
+        let report = self.device.launch_map("count_kmers", launch, |b| {
+            let (lo, hi) = block_range(kmers.len(), b.cfg.grid_blocks, b.block);
+            let mut probes = 0u64;
+            let mut fresh = 0u64;
+            table.insert_all(&kmers[lo..hi], |k, outcome| match outcome {
+                InsertOutcome::Inserted(r) => {
+                    probes += r.steps as u64;
+                    fresh += u64::from(r.new);
+                    probe_hist.observe(r.steps as u64);
+                }
+                InsertOutcome::Full { steps } => {
+                    probes += steps as u64;
+                    overflow.push(k);
+                }
+            });
+            *probe_steps += probes;
+            let n = (hi - lo) as u64;
+            // Effective compute (calibrated) + real memory/atomic traffic:
+            // each probe touches a key-width-sized key (8 B narrow, 16 B
+            // wide) + the hit updates a 4B count, all effectively random;
+            // CAS + atomicAdd per insert, where repeat occurrences of hot
+            // k-mers collide on their slot.
+            b.instr((n as f64 * cycles_per_kmer) as u64);
+            b.gmem_coalesced(n * K::KMER_WIRE_BYTES); // streaming the received k-mers
+            b.gmem_random(probes * K::KMER_WIRE_BYTES + n * 4);
+            b.atomic(2 * n, n - fresh);
+        });
         self.last_occupancy = report.occupancy;
         *dt += report.time;
         overflow
@@ -296,7 +253,7 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         // so `Full` is unreachable here.
         let old = self.table.to_host();
         let launch = chunked_launch(old.len().max(1));
-        let (report, _) = self.device.launch_map("regrow_table", launch, |b| {
+        let report = self.device.launch_map("regrow_table", launch, |b| {
             let (lo, hi) = block_range(old.len(), b.cfg.grid_blocks, b.block);
             let mut probes = 0u64;
             for &(k, c) in &old[lo..hi] {
@@ -508,6 +465,7 @@ pub fn split_rounds_weighted<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mode;
 
     #[test]
     fn split_rounds_roundtrip_and_cap() {
@@ -611,23 +569,21 @@ mod tests {
         }
     }
 
-    /// One kernel launch into a table sized for the exact batch:
-    /// `(report, probe steps, probe histogram, entries, load factor)`.
-    fn count_once<K: PackedKmer>(
-        kmers: &[K],
-    ) -> (KernelReport, u64, Histogram, Vec<(K, u32)>, f64) {
-        let device = Device::v100();
-        let capacity = table_capacity(&CountingConfig::default(), kmers.len());
-        let table = DeviceCountTable::<K>::new(&device, capacity, 7).unwrap();
-        let (report, probes, hist, overflow) =
-            count_round_on_device(&device, &table, kmers, 1000.0);
+    /// One round into a fresh counter sized for the exact batch:
+    /// `(round time, counter)`.
+    fn count_once<K: PackedKmer>(kmers: &[K]) -> (SimTime, DeviceRoundCounter<K>) {
+        let rc = RunConfig::new(Mode::GpuKmer, 1);
+        fn oom<T>(e: CounterOom) -> T {
+            panic!("{}", e.detail)
+        }
+        let mut counter = DeviceRoundCounter::<K>::new(&rc, &rc.counting, 0, kmers.len() as u64)
+            .unwrap_or_else(oom);
+        let dt = counter.count(kmers, 1000.0).unwrap_or_else(oom);
         assert!(
-            overflow.is_empty(),
+            counter.regrows + counter.spilled == 0,
             "a table sized for the batch cannot overflow"
         );
-        let entries = table.to_host();
-        let load = entries.len() as f64 / table.capacity() as f64;
-        (report, probes, hist, entries, load)
+        (dt, counter)
     }
 
     #[test]
@@ -639,7 +595,10 @@ mod tests {
                 kmers.push(key);
             }
         }
-        let (report, probe_steps, probe_hist, entries, load_factor) = count_once(&kmers);
+        let (dt, counter) = count_once(&kmers);
+        let entries = counter.table.to_host();
+        let (probe_steps, probe_hist) = (counter.probe_steps, &counter.probe_hist);
+        let load_factor = entries.len() as f64 / counter.table.capacity() as f64;
         assert_eq!(entries.len(), 100);
         let total: u64 = entries.iter().map(|&(_, c)| c as u64).sum();
         assert_eq!(total, kmers.len() as u64);
@@ -647,7 +606,7 @@ mod tests {
             assert_eq!(c as u64, k + 1, "key {k}");
         }
         assert!(probe_steps >= kmers.len() as u64);
-        assert!(report.time > SimTime::ZERO);
+        assert!(dt > SimTime::ZERO);
         // The probe histogram covers every insert and sums to the probe
         // total; the load factor reflects 100 distinct keys in the table.
         assert_eq!(probe_hist.count(), kmers.len() as u64);
@@ -657,15 +616,15 @@ mod tests {
         // Blocks run in block order, so counting the same batch into a
         // second fresh table takes the same probe paths: equal probe
         // totals, histogram buckets and slot order.
-        let (_, again_steps, again_hist, again_entries, _) = count_once(&kmers);
-        assert_eq!(again_steps, probe_steps);
-        assert_eq!(again_hist, probe_hist);
-        assert_eq!(again_entries, entries);
+        let (_, again) = count_once(&kmers);
+        assert_eq!(again.probe_steps, probe_steps);
+        assert_eq!(&again.probe_hist, probe_hist);
+        assert_eq!(again.table.to_host(), entries);
     }
 
     #[test]
     fn empty_input_yields_empty_table() {
-        assert!(count_once::<u64>(&[]).3.is_empty());
+        assert!(count_once::<u64>(&[]).1.table.to_host().is_empty());
     }
 
     #[test]
@@ -677,11 +636,12 @@ mod tests {
                 kmers.push((key << 64) | key);
             }
         }
-        let (report, _, probe_hist, entries, _) = count_once(&kmers);
+        let (dt, counter) = count_once(&kmers);
+        let entries = counter.table.to_host();
         assert_eq!(entries.len(), 50);
         let total: u64 = entries.iter().map(|&(_, c)| c as u64).sum();
         assert_eq!(total, kmers.len() as u64);
-        assert!(report.time > SimTime::ZERO);
-        assert_eq!(probe_hist.count(), kmers.len() as u64);
+        assert!(dt > SimTime::ZERO);
+        assert_eq!(counter.probe_hist.count(), kmers.len() as u64);
     }
 }

@@ -29,9 +29,7 @@ use crate::pipeline::driver::{
     exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx,
     PressureStats, RoundRecv,
 };
-use crate::pipeline::gpu_common::{
-    block_range, chunked_launch, merge_block_buckets, staging, DeviceRoundCounter,
-};
+use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::width::PackedKmer;
 use dedukt_dna::kmer::{kmer_words_w, KmerWord};
@@ -91,6 +89,30 @@ pub(crate) fn for_kmers_in_range<W: KmerWord>(
     (kmers, bases)
 }
 
+/// Routes every k-mer whose start lies in `range` of rank `rank`'s part
+/// to the bucket of its owner rank: canonicalized when the run counts
+/// canonical k-mers, then placed by [`key_owner`]. Returns what
+/// [`for_kmers_in_range`] returns. Both k-mer stages bucket with it: the
+/// CPU rank over its whole part, each GPU parse block over its
+/// [`block_range`].
+pub(crate) fn route_kmers_in_range<K: PackedKmer>(
+    ctx: &DriverCtx,
+    rank: usize,
+    ends: &[usize],
+    range: (usize, usize),
+    buckets: &mut [Vec<K>],
+) -> (u64, u64) {
+    let cfg = &ctx.cfg;
+    for_kmers_in_range::<K>(ctx.parts[rank], ends, range, cfg.k, cfg.encoding, |w| {
+        let key = if cfg.canonical {
+            w.canonical_word(cfg.k)
+        } else {
+            w
+        };
+        buckets[key_owner(&ctx.hasher, key, ctx.nranks)].push(key);
+    })
+}
+
 struct GpuKmerStages<K: PackedKmer>(PhantomData<K>);
 
 impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
@@ -108,32 +130,22 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
     // ── Phase 1: parse & process on the device ────────────────────────
     fn bucket(&self, ctx: &DriverCtx, rank: usize) -> BucketOut<K> {
         let rc = ctx.rc;
-        let cfg = &ctx.cfg;
         let nranks = ctx.nranks;
         let tuning = rc.gpu_tuning;
         let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
-        let part = ctx.parts[rank];
-        let ends = read_ends(part);
+        let ends = read_ends(ctx.parts[rank]);
         let nbases = ends.last().copied().unwrap_or(0);
         // The packed layout's bytes: 2-bit bases plus the read-end offsets.
         let h2d = staging(
-            &device,
             rc,
             DataVolume::from_bytes((nbases.div_ceil(4) + ends.len() * 8) as u64),
         );
 
+        let mut out: Vec<Vec<K>> = vec![Vec::new(); nranks];
         let launch = chunked_launch(nbases);
-        let (report, block_buckets) = device.launch_map("parse_kmers", launch, |b| {
+        let report = device.launch_map("parse_kmers", launch, |b| {
             let range = block_range(nbases, b.cfg.grid_blocks, b.block);
-            let mut local: Vec<Vec<K>> = vec![Vec::new(); nranks];
-            let (nk, nb) = for_kmers_in_range::<K>(part, &ends, range, cfg.k, cfg.encoding, |w| {
-                let key = if cfg.canonical {
-                    w.canonical_word(cfg.k)
-                } else {
-                    w
-                };
-                local[key_owner(&ctx.hasher, key, nranks)].push(key);
-            });
+            let (nk, nb) = route_kmers_in_range(ctx, rank, &ends, range, &mut out);
             // Calibrated compute plus real traffic: packed reads stream
             // in coalesced; bucket appends scatter key-width words and
             // bump per-destination offsets atomically (warp-aggregated).
@@ -142,15 +154,13 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
             b.gmem_random(nk * K::KMER_WIRE_BYTES);
             let atomics = nk / 32 + 1;
             b.atomic(atomics, atomics / (nranks as u64).max(32));
-            local
         });
 
-        let out = merge_block_buckets(block_buckets, nranks);
         let out_bytes: u64 = out
             .iter()
             .map(|v| v.len() as u64 * K::KMER_WIRE_BYTES)
             .sum();
-        let d2h = staging(&device, rc, DataVolume::from_bytes(out_bytes));
+        let d2h = staging(rc, DataVolume::from_bytes(out_bytes));
         ctx.rank_metrics(rank, || {
             [
                 (
@@ -189,9 +199,7 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
     }
 
     fn stage_in(&self, ctx: &DriverCtx, received_items: u64) -> SimTime {
-        let device = dedukt_gpu::Device::new(ctx.rc.gpu_device.clone());
         staging(
-            &device,
             ctx.rc,
             DataVolume::from_bytes(received_items * K::KMER_WIRE_BYTES),
         )
@@ -254,6 +262,7 @@ pub fn run_gpu_kmer_typed<K: PackedKmer>(
 mod tests {
     use super::*;
     use crate::config::Mode;
+    use crate::pipeline::cpu::CpuStages;
     use crate::verify::{check_against_reference, reference_total};
     use dedukt_dna::{Dataset, DatasetId, ScalePreset};
 
@@ -366,6 +375,39 @@ mod tests {
             for reads in &parts {
                 check_walk::<u64>(&part_of(reads, narrow_k), narrow_k, encoding)?;
                 check_walk::<u128>(&part_of(reads, wide_k), wide_k, encoding)?;
+            }
+        }
+    }
+
+    /// Every rank's GPU parse buckets equal the CPU engine's, per
+    /// destination and in order.
+    fn assert_buckets_match_cpu<K: PackedKmer>(ctx: &DriverCtx) {
+        for rank in 0..ctx.nranks {
+            let gpu = GpuKmerStages::<K>(PhantomData).bucket(ctx, rank).buckets;
+            let cpu = CpuStages::<K>(PhantomData).bucket(ctx, rank).buckets;
+            assert_eq!(gpu.len(), ctx.nranks);
+            assert!(
+                gpu.iter().any(|b| !b.is_empty()),
+                "rank {rank} routed nothing"
+            );
+            assert!(gpu == cpu, "rank {rank}: GPU and CPU buckets differ");
+        }
+    }
+
+    #[test]
+    fn buckets_equal_cpu_buckets_at_both_widths() {
+        let (reads, mut rc) = tiny(1);
+        for (k, m) in [(17, 7), (41, 11)] {
+            for canonical in [false, true] {
+                rc.counting.k = k;
+                rc.counting.m = m;
+                rc.counting.canonical = canonical;
+                let ctx = DriverCtx::new(&rc, &reads, None);
+                if k < 32 {
+                    assert_buckets_match_cpu::<u64>(&ctx);
+                } else {
+                    assert_buckets_match_cpu::<u128>(&ctx);
+                }
             }
         }
     }

@@ -25,9 +25,7 @@ use crate::partition::{minimizer_owner, BalancedAssignment};
 use crate::pipeline::driver::{
     run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats, RoundRecv,
 };
-use crate::pipeline::gpu_common::{
-    block_range, chunked_launch, merge_block_buckets, staging, DeviceRoundCounter,
-};
+use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
 use crate::supermer::build_supermers_reference_w;
 use crate::supermer::{num_windows, supermers_of_window_w, SupermerW};
@@ -182,10 +180,9 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
                     sampled_kmers += nk;
                 }
             }
-            let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
             let dt = SimTime::from_secs(
                 sampled_kmers as f64 * tuning.supermer_parse_cycles_per_kmer
-                    / device.config().peak_instr_rate().units_per_sec(),
+                    / rc.gpu_device.peak_instr_rate().units_per_sec(),
             );
             (weights, dt)
         });
@@ -224,15 +221,14 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         let total_windows = *win_offsets.last().unwrap();
         let total_bases: usize = part.iter().map(|r| r.len()).sum();
         let h2d = staging(
-            &device,
             rc,
             DataVolume::from_bytes((total_bases / 4 + part.len() * 8) as u64),
         );
 
+        let mut buckets: Vec<Vec<PackedSupermer<K>>> = vec![Vec::new(); nranks];
         let launch = chunked_launch(total_windows.max(1));
-        let (report, block_buckets) = device.launch_map("build_supermers", launch, |b| {
+        let report = device.launch_map("build_supermers", launch, |b| {
             let (lo, hi) = block_range(total_windows, b.cfg.grid_blocks, b.block);
-            let mut local: Vec<Vec<PackedSupermer<K>>> = vec![Vec::new(); nranks];
             let mut smers: Vec<SupermerW<K>> = Vec::new();
             let mut kmers_scanned = 0u64;
             let mut smers_built = 0u64;
@@ -245,7 +241,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
                 supermers_of_window_w(codes, wstart, cfg.k, cfg.window, &scheme, &mut smers);
                 for sm in &smers {
                     let dst = self.owner(ctx, sm.minimizer);
-                    local[dst].push(PackedSupermer {
+                    buckets[dst].push(PackedSupermer {
                         word: sm.word,
                         len: sm.len,
                     });
@@ -263,15 +259,13 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             b.gmem_random(smers_built * K::SUPERMER_WIRE_BYTES);
             let atomics = smers_built / 32 + 1;
             b.atomic(atomics, atomics / (nranks as u64).max(32));
-            local
         });
 
-        let buckets = merge_block_buckets(block_buckets, nranks);
         let out_bytes: u64 = buckets
             .iter()
             .map(|v| v.len() as u64 * K::SUPERMER_WIRE_BYTES)
             .sum();
-        let d2h = staging(&device, rc, DataVolume::from_bytes(out_bytes));
+        let d2h = staging(rc, DataVolume::from_bytes(out_bytes));
         ctx.rank_metrics(rank, || {
             // Supermer-length distribution and the wire-compression ratio
             // this rank achieved: one k-mer word each (8/16 B) had they
@@ -430,9 +424,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     }
 
     fn stage_in(&self, ctx: &DriverCtx, received_items: u64) -> SimTime {
-        let device = dedukt_gpu::Device::new(ctx.rc.gpu_device.clone());
         staging(
-            &device,
             ctx.rc,
             DataVolume::from_bytes(received_items * K::SUPERMER_WIRE_BYTES),
         )
@@ -529,6 +521,54 @@ mod tests {
         let mut rc = RunConfig::new(Mode::GpuSupermer, nodes);
         rc.collect_tables = true;
         (reads, rc)
+    }
+
+    /// Every rank's supermer buckets equal, per destination, its reads'
+    /// windowed supermers in read order, each routed to its minimizer's
+    /// owner.
+    fn assert_buckets_match_windowed<K: PackedKmer>(ctx: &DriverCtx) {
+        let stages = SupermerStages::<K> {
+            assignment: None,
+            compress: false,
+            _key: PhantomData,
+        };
+        let cfg = &ctx.cfg;
+        let scheme = cfg.minimizer_scheme();
+        for rank in 0..ctx.nranks {
+            let mut expected: Vec<Vec<(K, u8)>> = vec![Vec::new(); ctx.nranks];
+            for read in ctx.parts[rank] {
+                for sm in crate::supermer::build_supermers_windowed_w::<K>(
+                    &read.codes,
+                    cfg.k,
+                    cfg.window,
+                    &scheme,
+                ) {
+                    expected[stages.owner(ctx, sm.minimizer)].push((sm.word, sm.len));
+                }
+            }
+            let got: Vec<Vec<(K, u8)>> = stages
+                .bucket(ctx, rank)
+                .buckets
+                .iter()
+                .map(|b| b.iter().map(|s| (s.word, s.len)).collect())
+                .collect();
+            assert!(
+                expected.iter().any(|b| !b.is_empty()),
+                "rank {rank} routed nothing"
+            );
+            assert!(got == expected, "rank {rank}: supermer buckets differ");
+        }
+    }
+
+    #[test]
+    fn buckets_equal_routed_windowed_supermers_at_both_widths() {
+        let (reads, mut rc) = tiny(1);
+        let ctx = DriverCtx::new(&rc, &reads, None);
+        assert_buckets_match_windowed::<u64>(&ctx);
+        rc.counting.k = 41;
+        rc.counting.m = 11;
+        let ctx = DriverCtx::new(&rc, &reads, None);
+        assert_buckets_match_windowed::<u128>(&ctx);
     }
 
     #[test]

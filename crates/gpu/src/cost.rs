@@ -1,6 +1,6 @@
 //! The analytic kernel cost model.
 //!
-//! Converts a merged [`WorkTally`] into a simulated kernel duration against
+//! Converts a launch's [`WorkTally`] into a simulated kernel duration against
 //! a [`DeviceConfig`]. The model is a classic bounded-overlap roofline:
 //! compute, memory and atomic pipelines proceed concurrently, so the kernel
 //! takes as long as its *slowest* pipeline, plus a fixed launch overhead.
@@ -53,7 +53,7 @@ fn occupancy_efficiency(occupancy: f64) -> f64 {
     (occupancy / OCCUPANCY_KNEE).clamp(0.05, 1.0)
 }
 
-/// Models the duration of a kernel whose merged tally is `tally`, achieving
+/// Models the duration of a kernel whose launch tallied `tally`, achieving
 /// `occupancy`, on `config`. Returns the total and its breakdown.
 pub fn kernel_time(
     config: &DeviceConfig,

@@ -2,9 +2,11 @@
 //!
 //! A kernel is a closure invoked once per *thread block*; it does the
 //! block's whole share of the work (the real kernels' grid-stride loops)
-//! and returns the block's output. Blocks run one after another in block
+//! and writes its results straight into the state it captures — the
+//! launching rank's outgoing buckets or count table, as the real kernels
+//! write device global memory. Blocks run one after another in block
 //! order on the calling thread: the simulated duration comes from the
-//! per-block work tallies, not from host threads, and the rank that
+//! work the blocks tally, not from host threads, and the rank that
 //! launched the kernel is already one of the host's parallel tasks. In
 //! block order, every block sees the device memory its predecessors left,
 //! so a launch's results — down to the hash-table slots its inserts land
@@ -15,9 +17,9 @@
 //! this buffer, the update operation is performed atomically", §III-B1)
 //! they still *price* as atomics, through [`BlockCtx::atomic`].
 //!
-//! Kernels report the work they perform through the block-local
-//! [`WorkTally`] (merged across blocks after the launch); the cost model
-//! converts the merged tally into a simulated kernel duration.
+//! Kernels report the work they perform through [`BlockCtx`], whose
+//! tally is the launch's: each block adds its own charges to it, and the
+//! cost model converts the total into a simulated kernel duration.
 
 use crate::cost::{self, TimeBreakdown};
 use crate::memory::Device;
@@ -34,8 +36,7 @@ pub struct LaunchConfig {
     pub block_threads: u32,
 }
 
-/// Work performed by a kernel, tallied per block and merged after the
-/// launch. All quantities are *logical* (what the real GPU would do), not
+/// Work performed by a kernel, summed over its blocks. All quantities are *logical* (what the real GPU would do), not
 /// host-side measurements.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkTally {
@@ -55,26 +56,14 @@ pub struct WorkTally {
     pub atomic_conflicts: u64,
 }
 
-impl WorkTally {
-    /// Elementwise sum of two tallies.
-    pub fn merge(mut self, other: &WorkTally) -> WorkTally {
-        self.instructions += other.instructions;
-        self.gmem_coalesced_bytes += other.gmem_coalesced_bytes;
-        self.gmem_random_bytes += other.gmem_random_bytes;
-        self.atomics += other.atomics;
-        self.atomic_conflicts += other.atomic_conflicts;
-        self
-    }
-}
-
-/// Block-level execution context: the block's coordinates plus its
-/// block-local work tally.
+/// Block-level execution context: the block's coordinates plus the
+/// launch's work tally, which each block adds its charges to.
 pub struct BlockCtx {
     /// Block index within the grid.
     pub block: u32,
     /// Launch dimensions.
     pub cfg: LaunchConfig,
-    /// Block-local work tally (merged across blocks after the launch).
+    /// The launch's work tally so far.
     pub tally: WorkTally,
 }
 
@@ -113,7 +102,7 @@ pub struct KernelReport {
     pub name: String,
     /// Launch dimensions used.
     pub cfg: LaunchConfig,
-    /// Merged work tally.
+    /// Work tally summed over the blocks.
     pub tally: WorkTally,
     /// Achieved occupancy in [0, 1].
     pub occupancy: f64,
@@ -125,22 +114,15 @@ pub struct KernelReport {
 
 impl Device {
     /// Launches `kernel` over `cfg`, running blocks `0..grid_blocks` in
-    /// order on the calling thread; returns the merged work tally with its
-    /// simulated duration, plus every block's output in block order.
+    /// order on the calling thread; returns the launch's work tally with
+    /// its simulated duration.
     ///
-    /// This is how the pipelines' parse kernels hand their per-block
-    /// partition buffers back: real CUDA kernels write them to device
-    /// global memory, which the simulator represents as the returned
-    /// values. The *cost* of those writes must still be tallied by the
-    /// kernel body.
-    pub fn launch_map<R, F>(
-        &self,
-        name: &str,
-        cfg: LaunchConfig,
-        mut kernel: F,
-    ) -> (KernelReport, Vec<R>)
+    /// The kernel writes its output into the state it captures (the
+    /// real kernels write device global memory); the *cost* of those
+    /// writes must still be tallied by the kernel body.
+    pub fn launch_map<F>(&self, name: &str, cfg: LaunchConfig, mut kernel: F) -> KernelReport
     where
-        F: FnMut(&mut BlockCtx) -> R,
+        F: FnMut(&mut BlockCtx),
     {
         assert!(cfg.grid_blocks > 0 && cfg.block_threads > 0, "empty launch");
         assert!(
@@ -149,32 +131,25 @@ impl Device {
             cfg.block_threads,
             self.config().max_threads_per_block
         );
-        let mut tally = WorkTally::default();
-        let outputs: Vec<R> = (0..cfg.grid_blocks)
-            .map(|block| {
-                let mut ctx = BlockCtx {
-                    block,
-                    cfg,
-                    tally: WorkTally::default(),
-                };
-                let out = kernel(&mut ctx);
-                tally = tally.merge(&ctx.tally);
-                out
-            })
-            .collect();
+        let mut ctx = BlockCtx {
+            block: 0,
+            cfg,
+            tally: WorkTally::default(),
+        };
+        for block in 0..cfg.grid_blocks {
+            ctx.block = block;
+            kernel(&mut ctx);
+        }
         let occupancy = occupancy::achieved_occupancy(self.config(), cfg);
-        let (time, breakdown) = cost::kernel_time(self.config(), &tally, occupancy);
-        (
-            KernelReport {
-                name: name.to_string(),
-                cfg,
-                tally,
-                occupancy,
-                time,
-                breakdown,
-            },
-            outputs,
-        )
+        let (time, breakdown) = cost::kernel_time(self.config(), &ctx.tally, occupancy);
+        KernelReport {
+            name: name.to_string(),
+            cfg,
+            tally: ctx.tally,
+            occupancy,
+            time,
+            breakdown,
+        }
     }
 }
 
@@ -189,7 +164,7 @@ mod tests {
             grid_blocks: 10,
             block_threads: 32,
         };
-        let (r, _) = d.launch_map("tally", cfg, |b| {
+        let r = d.launch_map("tally", cfg, |b| {
             let threads = u64::from(b.cfg.block_threads);
             b.instr(3 * threads);
             b.gmem_coalesced(8 * threads);
@@ -210,12 +185,15 @@ mod tests {
             block_threads: 128,
         };
         // Each block sees exactly the updates of the blocks before it.
-        let (_, seen) = d.launch_map("count", cfg, |b| {
-            let before = counter;
+        let mut seen = Vec::new();
+        d.launch_map("count", cfg, |b| {
+            seen.push((b.block, counter));
             counter += u64::from(b.cfg.block_threads);
-            before
         });
-        assert_eq!(seen, (0..64).map(|b| b * 128).collect::<Vec<u64>>());
+        assert_eq!(
+            seen,
+            (0..64).map(|b| (b, u64::from(b) * 128)).collect::<Vec<_>>()
+        );
         assert_eq!(counter, 64 * 128);
     }
 
@@ -234,29 +212,14 @@ mod tests {
     }
 
     #[test]
-    fn launch_map_returns_block_outputs_in_order() {
-        let d = Device::v100();
-        let cfg = LaunchConfig {
-            grid_blocks: 9,
-            block_threads: 32,
-        };
-        let (r, outs) = d.launch_map("ids", cfg, |b| {
-            b.instr(1);
-            b.block * 2
-        });
-        assert_eq!(outs, (0..9).map(|b| b * 2).collect::<Vec<_>>());
-        assert_eq!(r.tally.instructions, 9);
-    }
-
-    #[test]
     fn more_work_takes_more_simulated_time() {
         let d = Device::v100();
         let cfg = LaunchConfig {
             grid_blocks: 80,
             block_threads: 256,
         };
-        let (small, _) = d.launch_map("small", cfg, |b| b.instr(10 * 256));
-        let (big, _) = d.launch_map("big", cfg, |b| b.instr(10_000 * 256));
+        let small = d.launch_map("small", cfg, |b| b.instr(10 * 256));
+        let big = d.launch_map("big", cfg, |b| b.instr(10_000 * 256));
         assert!(big.time > small.time);
     }
 }

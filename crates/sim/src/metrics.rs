@@ -28,8 +28,8 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// Merging shard histograms is exactly equivalent (bucket-wise, and for
 /// `sum`/`count`/`min`/`max`) to building one histogram over the
-/// concatenated samples — the property the per-block accumulators in the
-/// GPU pipelines rely on.
+/// concatenated samples — the property that lets every rank record its
+/// own histograms and the metrics fold merge them into one series.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,

@@ -225,8 +225,8 @@ proptest! {
 
     /// Telemetry invariant: merging per-shard histograms gives exactly
     /// the histogram of the concatenated samples — bucket-wise and in
-    /// every summary statistic. This is what lets every pipeline build
-    /// block-local histograms and fold them into one series.
+    /// every summary statistic. This is what lets every rank record its
+    /// own histograms and the metrics fold merge them into one series.
     #[test]
     fn histogram_merge_equals_histogram_of_concatenation(
         shards in prop::collection::vec(
