@@ -302,8 +302,8 @@ pub struct RunConfig {
     /// Supermer pipeline only: ship each minimizer bucket through the
     /// KMC 2-style wire codec ([`crate::wire`]) — varint/delta-coded
     /// lengths plus 2-bit base packing — instead of the flat
-    /// `WORD_BYTES + 1` record per supermer. Buckets are decoded on
-    /// receipt, so spectra are bit-identical either way; only the
+    /// `WORD_BYTES + 1` record per supermer. The wire is charged the
+    /// encoded size; spectra are bit-identical either way, and only the
     /// physical wire bytes (and hence simulated exchange time) change.
     /// No effect on the k-mer pipelines, whose payloads are already
     /// maximally packed words.

@@ -13,9 +13,7 @@
 
 use crate::config::RunConfig;
 use crate::partition::key_owner;
-use crate::pipeline::driver::{
-    exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, RoundRecv,
-};
+use crate::pipeline::driver::{run_staged, BucketOut, CounterOom, CounterStages, DriverCtx};
 use crate::pipeline::gpu_common::scaled_estimate;
 use crate::pipeline::gpu_kmer::{read_ends, route_kmers_in_range};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
@@ -23,7 +21,6 @@ use crate::table::HostCountTable;
 use crate::width::PackedKmer;
 use dedukt_dna::ReadSet;
 use dedukt_net::cost::Network;
-use dedukt_net::BspWorld;
 use dedukt_sim::{MetricOp, SimTime};
 use std::marker::PhantomData;
 
@@ -69,15 +66,8 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
         key_owner(&ctx.hasher, *key, nbins)
     }
 
-    // ── Phase 2: exchange (Algorithm 1, EXCHANGEKMER) ─────────────────
-    fn exchange_round(
-        &self,
-        world: &mut BspWorld,
-        round: Vec<Vec<Vec<K>>>,
-        hidden: Option<&[SimTime]>,
-    ) -> RoundRecv<K> {
-        exchange_items_round(world, round, hidden)
-    }
+    // Phase 2, the exchange (Algorithm 1, EXCHANGEKMER), is the driver's
+    // default: one collective of packed k-mers per round.
 
     // ── Phase 3: count (Algorithm 1, COUNTKMER) ───────────────────────
     fn make_counter(
@@ -106,13 +96,14 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
         &self,
         ctx: &DriverCtx,
         counter: &mut CpuCounter<K>,
-        items: Vec<K>,
+        buckets: Vec<Vec<K>>,
     ) -> Result<SimTime, CounterOom> {
-        counter.received += items.len() as u64;
-        for k in &items {
-            counter.table.insert(*k);
+        let items: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+        counter.received += items;
+        for &k in buckets.iter().flatten() {
+            counter.table.insert(k);
         }
-        Ok(ctx.rc.cpu_model.count_rate.time_for(items.len() as f64))
+        Ok(ctx.rc.cpu_model.count_rate.time_for(items as f64))
     }
 
     fn snapshot_counts(&self, counter: &CpuCounter<K>) -> (Vec<(K, u32)>, u64) {

@@ -27,6 +27,39 @@
 //! final round's count remains exposed as the count phase. Payloads,
 //! counts, and volumes are unaffected — overlap changes *when* simulated
 //! work happens, never *what* is computed.
+//!
+//! ## Route, count, fold
+//!
+//! The rounds run in three passes, so each rank counts its whole round
+//! list back to back instead of every round visiting every rank's table
+//! in turn:
+//!
+//! 1. **Route** ([`route_rounds`], serial, no simulated time, no sink
+//!    state). Walk the rounds in order: rescales, drawn deaths,
+//!    checkpoints and fault fates (pure in `(plan, round, attempt, src,
+//!    dst)`, [`BspWorld::route`]). Each delivery moves, uncopied, into
+//!    its sink slot's op list; each collective's wire bytes
+//!    ([`CounterStages::traffic`]) and every other charge becomes a
+//!    serial step. A slot's ops are the calls made on its sink, in round
+//!    order: absorb (a death's replays first, then the round's delivery,
+//!    retried buckets after first-attempt ones) and reopen; snapshots
+//!    are marks between ops. Routing stops at lost ranks or an exhausted
+//!    retry budget.
+//! 2. **Count** ([`run_slot`], rank-parallel over slots). Each slot runs
+//!    its ops in order, records every op's kernel time or error and its
+//!    memory pressure, takes the snapshots recovery salvages, and stops
+//!    at its first out-of-memory failure.
+//! 3. **Fold** ([`fold_rounds`], serial). Walk the steps in round order:
+//!    charge each collective ([`BspWorld::charge`]) with the previous
+//!    round's recorded count times as the hidden compute, charge backoffs
+//!    and replays, journal each event at its place in round order, and
+//!    return the first error in round order — an out-of-memory error
+//!    carries every rank's high-water mark as of that point.
+//!
+//! The invariant that makes this exact: **an absorb depends only on its
+//! own slot's earlier ops.** Both sinks keep it — a counter's table, a
+//! spool's bins — so each slot reaches the states counting round by
+//! round would, and the report is the same byte for byte.
 
 use crate::config::{CountingConfig, RunConfig};
 use crate::partition::surviving_owner;
@@ -38,9 +71,10 @@ use crate::table::TableKey;
 use crate::width::PackedKmer;
 use dedukt_dna::{Read, ReadSet};
 use dedukt_hash::Murmur3x64;
+use dedukt_net::bsp::Traffic;
 use dedukt_net::cost::Network;
 use dedukt_net::fault::dies_at;
-use dedukt_net::BspWorld;
+use dedukt_net::{BspWorld, WireHash};
 use dedukt_sim::{Journal, JournalEvent, MetricOp, SimTime};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -130,26 +164,6 @@ pub(crate) struct BucketOut<I> {
     pub stage_out: SimTime,
 }
 
-/// What one exchange round delivered.
-pub(crate) struct RoundRecv<I> {
-    /// `items[dst]` — everything rank `dst` received this round,
-    /// concatenated in source-rank order.
-    pub items: Vec<Vec<I>>,
-    /// `undelivered[src][dst]` — buckets lost to an injected fault this
-    /// attempt, in send-matrix shape so the driver can feed them straight
-    /// back into the next attempt. All empty on a fault-free fabric.
-    pub undelivered: Vec<Vec<Vec<I>>>,
-    /// Buckets that failed to send this attempt.
-    pub failed_sends: u64,
-    /// Buckets that arrived corrupt (checksum mismatch) this attempt.
-    pub corrupt_buckets: u64,
-    /// Mean per-rank pure wire time of the round's collective(s).
-    pub wire_mean: SimTime,
-    /// Mean per-rank *charged* time: equals `wire_mean` for a blocking
-    /// round, `max(wire, hidden compute)` for an overlapped one.
-    pub charged_mean: SimTime,
-}
-
 /// A counting stage ran out of device memory and could not recover —
 /// the grow path was denied *and* the host spill budget is exhausted
 /// (or even the initial table allocation failed). The driver converts
@@ -202,8 +216,9 @@ pub(crate) trait CounterStages: Sync {
     /// What moves on the wire (a packed k-mer, a supermer word+length).
     /// `Clone` because rank-failure recovery retains sent rounds and
     /// replays a dead rank's slice of them into the survivors; a
-    /// [`Record`] because `--two-pass` spools it to disk.
-    type Item: Send + Clone + Record;
+    /// [`Record`] because `--two-pass` spools it to disk; [`WireHash`]
+    /// because the receiver verifies each bucket's checksum frame.
+    type Item: Send + Sync + Clone + Record + WireHash;
     /// Per-rank counting state threaded through the rounds.
     type Counter: Send;
 
@@ -239,15 +254,15 @@ pub(crate) trait CounterStages: Sync {
     /// run's.
     fn bin_of(&self, ctx: &DriverCtx, item: &Self::Item, nbins: usize) -> usize;
 
-    /// Move one round through the wire. `hidden`, when present, carries
-    /// per-rank compute times to overlap behind the collective (the
-    /// previous round's count kernels).
-    fn exchange_round(
-        &self,
-        world: &mut BspWorld,
-        round: Vec<Vec<Vec<Self::Item>>>,
-        hidden: Option<&[SimTime]>,
-    ) -> RoundRecv<Self::Item>;
+    /// The wire traffic of `round[src][dst]` buckets: one [`Traffic`] per
+    /// collective the round issues, in issue order. The previous round's
+    /// count kernels, when overlapped, hide behind the first. The driver
+    /// moves the items itself; this only says what the wire carries. The
+    /// default is one collective of [`CounterStages::ITEM_WIRE_BYTES`]
+    /// records.
+    fn traffic(&self, round: &[Vec<Vec<Self::Item>>]) -> Vec<Traffic> {
+        vec![Traffic::flat(round, Self::ITEM_WIRE_BYTES)]
+    }
 
     /// Host→device staging time for everything a rank received (zero on
     /// the CPU pipeline and under GPUDirect).
@@ -266,15 +281,15 @@ pub(crate) trait CounterStages: Sync {
         expected_instances: u64,
     ) -> Result<Self::Counter, CounterOom>;
 
-    /// Count one round's received items; returns the simulated kernel
-    /// time (charged either as hidden compute or in the count phase).
-    /// Errs only when the rank exhausted both the device budget and its
-    /// host spill budget.
+    /// Count one delivery — `buckets` in arrival order, counted as their
+    /// concatenation; returns the simulated kernel time (charged either
+    /// as hidden compute or in the count phase). Errs only when the rank
+    /// exhausted both the device budget and its host spill budget.
     fn count_round(
         &self,
         ctx: &DriverCtx,
         counter: &mut Self::Counter,
-        items: Vec<Self::Item>,
+        buckets: Vec<Vec<Self::Item>>,
     ) -> Result<SimTime, CounterOom>;
 
     /// This counter's memory-pressure telemetry so far. The default is
@@ -305,7 +320,9 @@ pub(crate) trait CounterStages: Sync {
 /// memory ([`Counting`]), or its per-bin spool in pass 1 of `--two-pass`
 /// ([`two_pass::Spooling`]). The exchange rounds — retries, rank death,
 /// rescale, checkpoints — only ever open, feed, measure and snapshot
-/// sinks, so they run unchanged on either.
+/// sinks, so they run unchanged on either. Each call depends only on the
+/// state it is given, so every rank's sink runs its rounds back to back,
+/// rank-parallel, and reaches the states a round-order walk would.
 pub(crate) trait Sink<I>: Sync {
     /// One rank's live state.
     type State: Send;
@@ -314,8 +331,9 @@ pub(crate) trait Sink<I>: Sync {
     type Held: Send;
     /// A fresh sink for `rank`, which expects `expected` k-mer inserts.
     fn open(&self, rank: usize, expected: u64) -> Result<Self::State, CounterOom>;
-    /// Feeds one round's items; returns the simulated kernel time.
-    fn absorb(&self, state: &mut Self::State, items: Vec<I>) -> Result<SimTime, CounterOom>;
+    /// Feeds one delivery, `buckets` in arrival order; returns the
+    /// simulated kernel time.
+    fn absorb(&self, state: &mut Self::State, buckets: Vec<Vec<I>>) -> Result<SimTime, CounterOom>;
     /// Memory-pressure telemetry so far; all zero for a sink with no
     /// device budget.
     fn pressure(&self, _state: &Self::State) -> PressureStats {
@@ -336,8 +354,12 @@ impl<S: CounterStages> Sink<S::Item> for Counting<'_, S> {
         self.0.make_counter(self.1, rank, expected)
     }
 
-    fn absorb(&self, counter: &mut S::Counter, items: Vec<S::Item>) -> Result<SimTime, CounterOom> {
-        self.0.count_round(self.1, counter, items)
+    fn absorb(
+        &self,
+        counter: &mut S::Counter,
+        buckets: Vec<Vec<S::Item>>,
+    ) -> Result<SimTime, CounterOom> {
+        self.0.count_round(self.1, counter, buckets)
     }
 
     fn pressure(&self, counter: &S::Counter) -> PressureStats {
@@ -387,7 +409,7 @@ pub(crate) struct Counted<K: TableKey> {
     pub count: SimTime,
     /// Bin-store accounting, under `--two-pass` only.
     pub storage: Option<StorageSummary>,
-    /// Host seconds of the path's round loop.
+    /// Host seconds of the path's exchange rounds.
     pub wall_rounds: f64,
 }
 
@@ -546,8 +568,8 @@ pub(crate) fn run_staged<S: CounterStages>(
 }
 
 /// The parse phase proper: every rank buckets its partition by
-/// destination, and the expected per-destination load is tallied over
-/// all of it.
+/// destination and tallies the k-mer inserts each destination will get
+/// from it; the rows sum to the expected per-destination load.
 fn bucket_phase<S: CounterStages>(
     stages: &S,
     ctx: &DriverCtx,
@@ -556,11 +578,23 @@ fn bucket_phase<S: CounterStages>(
     let nranks = ctx.nranks;
     let (bucket_out, bucket_step) = world.compute_step_named(S::BUCKET_PHASE, |rank| {
         let (b, events) = ctx.rank_local(|ctx| stages.bucket(ctx, rank));
-        ((b.buckets, b.stage_out, events), b.compute)
+        let inserts: Vec<u64> = b
+            .buckets
+            .iter()
+            .map(|payload| payload.iter().map(|i| stages.item_instances(ctx, i)).sum())
+            .collect();
+        ((b.buckets, b.stage_out, inserts, events), b.compute)
     });
     let mut buckets = Vec::with_capacity(nranks);
     let mut stage_out = Vec::with_capacity(nranks);
-    for (b, t, events) in bucket_out {
+    // Expected inserts per destination, over ALL rounds — count tables
+    // are sized for the full load up front, so slicing the exchange into
+    // rounds cannot change probe sequences or results.
+    let mut expected = vec![0u64; nranks];
+    for (b, t, inserts, events) in bucket_out {
+        for (dst, n) in inserts.into_iter().enumerate() {
+            expected[dst] += n;
+        }
         buckets.push(b);
         stage_out.push(t);
         ctx.record(|| events);
@@ -569,17 +603,6 @@ fn bucket_phase<S: CounterStages>(
         .iter()
         .flat_map(|row| row.iter().map(|v| v.len() as u64))
         .sum();
-    // Expected inserts per destination, over ALL rounds — count tables
-    // are sized for the full load up front, so slicing the exchange into
-    // rounds cannot change probe sequences or results.
-    let mut expected = vec![0u64; nranks];
-    for row in &buckets {
-        for (dst, payload) in row.iter().enumerate() {
-            for item in payload {
-                expected[dst] += stages.item_instances(ctx, item);
-            }
-        }
-    }
     Bucketed {
         buckets,
         stage_out,
@@ -665,6 +688,11 @@ pub(crate) fn journal_pressure(
 /// each through the wire into every rank's sink — retrying faulty
 /// deliveries, recovering dead ranks from checkpoints and replayed
 /// history, and re-homing ranges across elastic rescales — and stage in.
+///
+/// Three passes ([module docs](self)): [`route_rounds`] walks the rounds
+/// and leaves each sink slot its list of ops; every slot runs its list
+/// back to back, rank-parallel ([`run_slot`]); [`fold_rounds`] then
+/// charges the clock, journals and picks the first error in round order.
 pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
     stages: &S,
     sink: &K,
@@ -683,20 +711,149 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
         .into_par_iter()
         .map(|rank| sink.open(rank, expected[rank]))
         .collect();
-    let mut sinks = opened_or_oom(sink, made)?;
-    let mut received_items = vec![0u64; nranks];
-    let mut count_totals = vec![SimTime::ZERO; nranks];
-    let mut last_round_times = vec![SimTime::ZERO; nranks];
-    let mut prev_round_times: Option<Vec<SimTime>> = None;
-    let mut wire_total = SimTime::ZERO;
-    let mut charged_total = SimTime::ZERO;
-    // Fault-recovery accounting, all zero on a perfect fabric: retry
-    // attempts and their backoffs are charged to `recovery_total`,
-    // keeping `wire_total`/`charged_total` pure first-attempt time.
+    let opened: Vec<u64> = made
+        .iter()
+        .map(|r| match r {
+            Ok(state) => sink.pressure(state).high_water_bytes,
+            Err(e) => e.high_water_bytes,
+        })
+        .collect();
+    let mut states = Vec::with_capacity(nranks);
+    for (rank, made) in made.into_iter().enumerate() {
+        states.push(made.map_err(|e| oom_error(&opened, rank, e))?);
+    }
+
+    let schedule = route_rounds(stages, ctx, world, rounds);
+    let salvage = &schedule.salvage;
+    let slots: Vec<_> = states.into_iter().zip(schedule.ops).enumerate().collect();
+    let ran: Vec<SlotRun<K::State, K::Held>> = slots
+        .into_par_iter()
+        .map(|(slot, (state, ops))| run_slot(sink, slot, expected[slot], state, ops, salvage))
+        .collect();
+    let (ran, done): (Vec<_>, Vec<Vec<Done>>) =
+        ran.into_iter().map(|r| ((r.state, r.held), r.done)).unzip();
+    let folded = fold_rounds(ctx, world, schedule.steps, done, opened)?;
+
+    let mut sinks = Vec::with_capacity(nranks);
+    let mut salvaged = Vec::with_capacity(schedule.salvage.len());
+    for (slot, (state, held)) in ran.into_iter().enumerate() {
+        sinks.push(state);
+        salvaged.extend(held.into_iter().map(|(index, held)| (index, slot, held)));
+    }
+    // A run that succeeds ran every op, so it took every snapshot.
+    debug_assert_eq!(salvaged.len(), schedule.salvage.len());
+    salvaged.sort_by_key(|&(index, ..)| index);
+    let received_items = schedule.received_items;
+    let (_, stage_in_step) = world.compute_step_named("stage-in", |rank| {
+        ((), stages.stage_in(ctx, received_items[rank]))
+    });
+    Ok(Exchanged {
+        sinks,
+        salvaged: salvaged
+            .into_iter()
+            .map(|(_, slot, held)| (slot, held))
+            .collect(),
+        count_exposed: folded.count_exposed,
+        summary: ExchangeSummary {
+            units: bucketed.units,
+            alltoallv_time: folded.wire,
+            rounds: nrounds as u64,
+            retries: schedule.retries,
+            corrupt_buckets: schedule.corrupt,
+            recovery_time: folded.recovery,
+            rank_deaths: schedule.deaths,
+            replayed_bytes: schedule.replayed_bytes,
+            ..Default::default()
+        },
+        exchange: stage_out_step.mean + folded.charged + folded.recovery + stage_in_step.mean,
+    })
+}
+
+/// One op of a sink slot's list: what the rounds do to that rank's sink,
+/// in round order.
+enum Op<I> {
+    /// Feed a delivery: a round's buckets in arrival order, or a dead
+    /// range's replayed history.
+    Absorb(Vec<Vec<I>>),
+    /// Restart the sink empty: a dead or departing rank, or a range's
+    /// interim holder when the range's owner rejoins.
+    Reopen,
+}
+
+/// What one op left: its kernel time (zero for a reopen) or the error
+/// that stopped its slot, and the slot's memory pressure after it.
+struct Done {
+    result: Result<SimTime, CounterOom>,
+    pressure: PressureStats,
+}
+
+/// One serial step of the rounds, in round order: what [`fold_rounds`]
+/// charges, journals or checks.
+enum Step {
+    /// Journal an event (a rescale, a death, a retry).
+    Event(JournalEvent),
+    /// The next op of a slot: a reopen or a replayed absorb. Its failure
+    /// ends the run here; a replay's kernel time joins the next
+    /// [`Step::Replay`].
+    Op(usize),
+    /// Charge a round boundary's replay traffic, `[src][dst]` bytes.
+    Replay(Vec<Vec<u64>>),
+    /// Charge a round's first delivery attempt.
+    Exchange(Vec<Traffic>),
+    /// Charge a retry: its backoff, then its collectives.
+    Retry(SimTime, Vec<Traffic>),
+    /// Count the round's deliveries: the next op of every slot.
+    Deliver,
+    /// The route stopped: ranks were lost or a retry budget ran out.
+    Fail(RunError),
+}
+
+/// The exchange rounds, routed.
+struct Schedule<I> {
+    /// Every slot's ops, in order.
+    ops: Vec<Vec<Op<I>>>,
+    /// `(slot, ops before it)` of each snapshot recovery salvages, in
+    /// salvage order.
+    salvage: Vec<(usize, usize)>,
+    /// The serial steps, in round order.
+    steps: Vec<Step>,
+    /// Items each rank received over all rounds.
+    received_items: Vec<u64>,
+    /// Buckets re-offered after a fault.
+    retries: u64,
+    /// Of those, buckets that arrived corrupt.
+    corrupt: u64,
+    /// Ranks that died.
+    deaths: u64,
+    /// Bytes replayed into the survivors of dead ranks.
+    replayed_bytes: u64,
+}
+
+/// Walks the rounds in order — rescales, drawn deaths, checkpoints,
+/// fault fates and retries — without touching a sink or the clock: each
+/// delivery moves into its slot's op list, and each charge becomes a
+/// [`Step`]. Fates are pure in `(plan, round, attempt, src, dst)`, so
+/// routing ahead of the charges changes nothing.
+/// Stops at the first lost-ranks or exhausted-retries failure.
+fn route_rounds<S: CounterStages>(
+    stages: &S,
+    ctx: &DriverCtx,
+    world: &mut BspWorld,
+    rounds: Vec<Vec<Vec<Vec<S::Item>>>>,
+) -> Schedule<S::Item> {
+    let rc = ctx.rc;
+    let nranks = ctx.nranks;
+    let mut sched = Schedule {
+        ops: (0..nranks).map(|_| Vec::new()).collect(),
+        salvage: Vec::new(),
+        steps: Vec::new(),
+        received_items: vec![0; nranks],
+        retries: 0,
+        corrupt: 0,
+        deaths: 0,
+        replayed_bytes: 0,
+    };
     let fault_spec = rc.fault.map(|p| *p.spec());
-    let mut recovery_total = SimTime::ZERO;
-    let mut retries_total = 0u64;
-    let mut corrupt_total = 0u64;
     // ── Rank-failure and elastic-rescale state (DESIGN.md §11) ─────────
     // `range_owner[d]` maps base minimizer range `d` (the rank that owns
     // it at full strength) to the rank currently counting it — identity
@@ -710,8 +867,8 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
     let mut alive = vec![true; nranks];
     let mut range_owner: Vec<usize> = (0..nranks).collect();
     // First round whose range-`d` traffic the current owner's *live*
-    // sink holds; everything earlier sits in `salvaged` or was replayed
-    // into it. The invariant the whole recovery path keeps:
+    // sink holds; everything earlier sits in a salvaged snapshot or was
+    // replayed into it. The invariant the whole recovery path keeps:
     // sink(range_owner[d]) holds range-`d` rounds [range_from[d]..now)
     // and nothing else of range `d`.
     let mut range_from = vec![0usize; nranks];
@@ -719,28 +876,19 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
     // order — exactly what the owner received, and the replay source
     // when an owner dies. Retained only while a plan is active.
     let mut history: Vec<Vec<Vec<S::Item>>> = Vec::new();
-    // Per-rank checkpoint: (rounds covered, snapshot).
-    let mut snaps: Vec<Option<(usize, K::Held)>> = (0..nranks).map(|_| None).collect();
-    // Salvaged (slot, snapshot) pairs awaiting the merge at assembly.
-    let mut salvaged: Vec<(usize, K::Held)> = Vec::new();
+    // Per-rank checkpoint: (rounds covered, ops before its snapshot).
+    let mut snaps: Vec<Option<(usize, usize)>> = vec![None; nranks];
     let mut rescale_sched = rc.rescale.iter().copied().peekable();
-    let mut dead_total: usize = 0;
-    let mut replayed_bytes_total = 0u64;
     for (round_idx, round) in rounds.into_iter().enumerate() {
+        let round_no = round_idx as u64;
         // ── Round boundary: graceful rescale, then drawn deaths ────────
-        while rescale_sched
-            .peek()
-            .is_some_and(|&(ro, _)| ro == round_idx as u64)
-        {
-            let (_, target) = rescale_sched.next().expect("peeked");
+        while let Some((_, target)) = rescale_sched.next_if(|&(ro, _)| ro == round_no) {
             let from = alive.iter().filter(|&&a| a).count();
-            ctx.record(|| {
-                [JournalEvent::Rescale {
-                    round: round_idx as u64,
-                    from,
-                    to: target,
-                }]
-            });
+            sched.steps.push(Step::Event(JournalEvent::Rescale {
+                round: round_no,
+                from,
+                to: target,
+            }));
             // Shrink: ranks at index >= target depart gracefully. Their
             // whole sink is salvaged (merged at assembly) and their
             // ranges pass to survivors for future rounds only — a
@@ -749,16 +897,18 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
                 if !alive[r] {
                     continue;
                 }
-                salvaged.push((r, sink.snapshot(&sinks[r])));
+                sched.salvage.push((r, sched.ops[r].len()));
                 snaps[r] = None;
                 alive[r] = false;
-                sinks[r] = reopen(sink, &sinks, r, expected[r])?;
+                sched.ops[r].push(Op::Reopen);
+                sched.steps.push(Step::Op(r));
             }
             if !alive.iter().any(|&a| a) {
-                return Err(RunError::RanksLost {
+                sched.steps.push(Step::Fail(RunError::RanksLost {
                     dead: nranks,
-                    round: round_idx as u64,
-                });
+                    round: round_no,
+                }));
+                return sched;
             }
             for d in 0..nranks {
                 if !alive[range_owner[d]] {
@@ -778,9 +928,10 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
                 alive[r] = true;
                 let holder = range_owner[r];
                 if holder != r {
-                    salvaged.push((holder, sink.snapshot(&sinks[holder])));
+                    sched.salvage.push((holder, sched.ops[holder].len()));
                     snaps[holder] = None;
-                    sinks[holder] = reopen(sink, &sinks, holder, expected[holder])?;
+                    sched.ops[holder].push(Op::Reopen);
+                    sched.steps.push(Step::Op(holder));
                     for d in 0..nranks {
                         if range_owner[d] == holder {
                             range_from[d] = round_idx;
@@ -798,29 +949,27 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
             // and the gap since is replayed from `history` into each
             // range's next owner.
             let mut replay_to = vec![0u64; nranks];
-            let mut replay_kernels = SimTime::ZERO;
             for r in 0..nranks {
-                if !alive[r] || !dies_at(plan, round_idx as u64, r) {
+                if !alive[r] || !dies_at(plan, round_no, r) {
                     continue;
                 }
                 alive[r] = false;
-                dead_total += 1;
-                ctx.record(|| {
-                    [JournalEvent::RankDead {
-                        rank: r,
-                        round: round_idx as u64,
-                    }]
-                });
-                if dead_total > plan.spec().max_dead || !alive.iter().any(|&a| a) {
-                    return Err(RunError::RanksLost {
-                        dead: dead_total,
-                        round: round_idx as u64,
-                    });
+                sched.deaths += 1;
+                sched.steps.push(Step::Event(JournalEvent::RankDead {
+                    rank: r,
+                    round: round_no,
+                }));
+                if sched.deaths as usize > plan.spec().max_dead || !alive.iter().any(|&a| a) {
+                    sched.steps.push(Step::Fail(RunError::RanksLost {
+                        dead: sched.deaths as usize,
+                        round: round_no,
+                    }));
+                    return sched;
                 }
                 let ckpt = snaps[r].take();
-                let floor = ckpt.as_ref().map_or(0, |&(c, _)| c);
-                if let Some((_, held)) = ckpt {
-                    salvaged.push((r, held));
+                let floor = ckpt.map_or(0, |(covered, _)| covered);
+                if let Some((_, at)) = ckpt {
+                    sched.salvage.push((r, at));
                 }
                 for d in 0..nranks {
                     if range_owner[d] != r {
@@ -828,16 +977,16 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
                     }
                     let new_owner = surviving_owner(rank_seed, d, &alive);
                     let start = range_from[d].max(floor);
-                    let mut items: Vec<S::Item> = Vec::new();
-                    for col in &history[start..round_idx] {
-                        items.extend(col[d].iter().cloned());
-                    }
-                    if !items.is_empty() {
-                        replay_to[new_owner] += items.len() as u64 * S::ITEM_WIRE_BYTES;
-                        match sink.absorb(&mut sinks[new_owner], items) {
-                            Ok(t) => replay_kernels += t,
-                            Err(e) => return Err(oom_error(sink, &sinks, new_owner, e)),
-                        }
+                    let replay: Vec<Vec<S::Item>> = history[start..round_idx]
+                        .iter()
+                        .filter(|col| !col[d].is_empty())
+                        .map(|col| col[d].clone())
+                        .collect();
+                    let items: u64 = replay.iter().map(|b| b.len() as u64).sum();
+                    if items > 0 {
+                        replay_to[new_owner] += items * S::ITEM_WIRE_BYTES;
+                        sched.ops[new_owner].push(Op::Absorb(replay));
+                        sched.steps.push(Step::Op(new_owner));
                     }
                     range_owner[d] = new_owner;
                     range_from[d] = start;
@@ -846,13 +995,13 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
                     // the replay. Re-validated at the next tick.
                     snaps[new_owner] = None;
                 }
-                sinks[r] = reopen(sink, &sinks, r, expected[r])?;
+                sched.ops[r].push(Op::Reopen);
+                sched.steps.push(Step::Op(r));
             }
-            // Charge the replay traffic: survivors re-parse the dead
-            // rank's deterministic input slice, so the bytes enter the
-            // fabric spread across the live sources and land on each
-            // range's new owner — priced by the same Alltoallv model as
-            // the real exchange, charged as recovery time.
+            // The replay traffic: survivors re-parse the dead rank's
+            // deterministic input slice, so the bytes enter the fabric
+            // spread across the live sources and land on each range's new
+            // owner.
             let replay_bytes: u64 = replay_to.iter().sum();
             if replay_bytes > 0 {
                 let alive_srcs: Vec<usize> = (0..nranks).filter(|&r| alive[r]).collect();
@@ -873,15 +1022,8 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
                             };
                     }
                 }
-                let net = *world.network();
-                let times = net.alltoallv_times(&matrix);
-                let wire = SimTime::from_secs(
-                    times.iter().map(|t| t.as_secs()).sum::<f64>() / nranks as f64,
-                );
-                let kernels = SimTime::from_secs(replay_kernels.as_secs() / nranks as f64);
-                world.advance_all("replay", wire + kernels);
-                recovery_total += wire + kernels;
-                replayed_bytes_total += replay_bytes;
+                sched.steps.push(Step::Replay(matrix));
+                sched.replayed_bytes += replay_bytes;
             }
         }
         // Retain this round's per-range payload for future replay, then
@@ -915,151 +1057,280 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
         } else {
             round
         };
-        // Double-buffered overlap: while this round is on the wire, the
-        // previous round's count kernel runs on each rank's stream.
-        let hidden = if rc.overlap_rounds {
-            prev_round_times.take()
-        } else {
-            None
-        };
-        world.fault_context(round_idx as u64, 0);
-        let mut rr = stages.exchange_round(world, round, hidden.as_deref());
-        wire_total += rr.wire_mean;
-        charged_total += rr.charged_mean;
-        let mut delivered = rr.items;
+        sched.steps.push(Step::Exchange(stages.traffic(&round)));
+        let mut routed = world.route(round_no, 0, round);
+        let mut delivered = std::mem::take(&mut routed.recv);
         // Bounded retry-with-backoff: re-offer only the failed/corrupt
         // buckets, with the backoff and the retry collective charged to
         // the sim clock as recovery time. Exhausting the budget is a
         // clean run failure, never a panic.
         let mut attempt: u32 = 1;
-        while rr.failed_sends + rr.corrupt_buckets > 0 {
+        while routed.failed_sends + routed.corrupt_buckets > 0 {
             let spec = fault_spec.expect("faults cannot fire without a plan");
-            retries_total += rr.failed_sends + rr.corrupt_buckets;
-            corrupt_total += rr.corrupt_buckets;
+            sched.retries += routed.failed_sends + routed.corrupt_buckets;
+            sched.corrupt += routed.corrupt_buckets;
             if attempt > spec.max_retries {
-                return Err(RunError::ExchangeFailed {
-                    round: round_idx as u64,
+                sched.steps.push(Step::Fail(RunError::ExchangeFailed {
+                    round: round_no,
                     attempts: attempt,
-                });
+                }));
+                return sched;
             }
             let backoff =
                 SimTime::from_secs(spec.backoff_secs * (1u64 << (attempt - 1).min(20)) as f64);
-            ctx.record(|| {
-                [JournalEvent::Retry {
-                    round: round_idx as u64,
-                    attempt,
-                    failed: rr.failed_sends,
-                    corrupt: rr.corrupt_buckets,
-                    backoff: backoff.as_secs(),
-                }]
-            });
-            world.advance_all("retry-backoff", backoff);
-            world.fault_context(round_idx as u64, attempt);
-            rr = stages.exchange_round(world, rr.undelivered, None);
-            recovery_total += backoff + rr.charged_mean;
-            for (dst, items) in rr.items.iter_mut().enumerate() {
-                delivered[dst].append(items);
+            sched.steps.push(Step::Event(JournalEvent::Retry {
+                round: round_no,
+                attempt,
+                failed: routed.failed_sends,
+                corrupt: routed.corrupt_buckets,
+                backoff: backoff.as_secs(),
+            }));
+            let resend = std::mem::take(&mut routed.undelivered);
+            sched
+                .steps
+                .push(Step::Retry(backoff, stages.traffic(&resend)));
+            routed = world.route(round_no, attempt, resend);
+            for (dst, buckets) in routed.recv.drain(..).enumerate() {
+                delivered[dst].extend(buckets);
             }
             attempt += 1;
         }
-        world.clear_fault_context();
-        for (rank, items) in delivered.iter().enumerate() {
-            received_items[rank] += items.len() as u64;
+        for (slot, buckets) in delivered.into_iter().enumerate() {
+            sched.received_items[slot] += buckets.iter().map(|b| b.len() as u64).sum::<u64>();
+            sched.ops[slot].push(Op::Absorb(buckets));
         }
-        // Feed this round to the sinks (functionally now; its simulated
-        // time is charged either as the next round's hidden compute or
-        // in the final count step).
-        let paired: Vec<(K::State, Vec<S::Item>)> = sinks.into_iter().zip(delivered).collect();
-        let fed: Vec<(K::State, Result<SimTime, CounterOom>)> = paired
-            .into_par_iter()
-            .map(|(mut c, items)| {
-                let dt = sink.absorb(&mut c, items);
-                (c, dt)
-            })
-            .collect();
-        let results: Vec<Result<SimTime, CounterOom>>;
-        (sinks, results) = fed.into_iter().unzip();
-        // The first failing rank names the error; every sink survives so
-        // every rank's high-water mark makes it in.
-        let mut times = Vec::with_capacity(nranks);
-        for (rank, r) in results.into_iter().enumerate() {
-            times.push(r.map_err(|e| oom_error(sink, &sinks, rank, e))?);
-        }
-        // Cumulative spill samples feed a dedicated trace counter lane —
-        // emitted only when pressure actually spilled something, so an
-        // unconstrained run's trace schema is untouched.
-        ctx.record(|| {
-            let mut samples = Vec::new();
-            for (rank, c) in sinks.iter().enumerate() {
-                let p = sink.pressure(c);
-                let ts = world.now(rank).as_secs();
-                let mut sample = |name: &str, value: u64| {
-                    samples.push(JournalEvent::Sample {
-                        name: name.to_string(),
-                        rank,
-                        ts,
-                        value: value as f64,
-                    })
-                };
-                if p.spilled > 0 {
-                    sample("spill k-mers", p.spilled);
-                }
-                // The HBM lane exists only for ranks where pressure
-                // actually fired — high-water marks are nonzero on every
-                // run, so gating on them would change clean-run traces.
-                if p.fired() {
-                    sample("hbm bytes", p.high_water_bytes);
-                }
-            }
-            samples
-        });
-        for (rank, t) in times.iter().enumerate() {
-            count_totals[rank] += *t;
-        }
-        last_round_times.clone_from(&times);
-        prev_round_times = Some(times);
-        // Checkpoint tick: every `--checkpoint-rounds N` rounds, snapshot
-        // each live sink so a later death replays only the gap since the
-        // snapshot instead of the whole run.
+        sched.steps.push(Step::Deliver);
+        // Checkpoint tick: every `--checkpoint-rounds N` rounds, mark
+        // each live sink's state so a later death replays only the gap
+        // since the snapshot instead of the whole run. Only the marks a
+        // death salvages are ever taken.
         if recovery_active {
             if let Some(n) = rc.checkpoint_rounds {
-                if (round_idx as u64 + 1).is_multiple_of(n) {
-                    for (r, c) in sinks.iter().enumerate() {
-                        if alive[r] {
-                            snaps[r] = Some((round_idx + 1, sink.snapshot(c)));
-                        }
+                if (round_no + 1).is_multiple_of(n) {
+                    for r in (0..nranks).filter(|&r| alive[r]) {
+                        snaps[r] = Some((round_idx + 1, sched.ops[r].len()));
                     }
                 }
             }
         }
     }
-    let (_, stage_in_step) = world.compute_step_named("stage-in", |rank| {
-        ((), stages.stage_in(ctx, received_items[rank]))
-    });
+    sched
+}
+
+/// What one slot's run left: its final state, each op's outcome, and the
+/// snapshots recovery salvages from it, by salvage index.
+struct SlotRun<St, H> {
+    state: St,
+    done: Vec<Done>,
+    held: Vec<(usize, H)>,
+}
+
+/// Runs one slot's ops back to back, stopping at its first failure, and
+/// takes the slot's snapshots in `salvage` (see [`Schedule::salvage`]).
+/// Every absorb depends only on its own slot's earlier ops, so slots run
+/// in parallel and each sees exactly the states a round-order walk would.
+fn run_slot<I, K: Sink<I>>(
+    sink: &K,
+    slot: usize,
+    expected: u64,
+    mut state: K::State,
+    ops: Vec<Op<I>>,
+    salvage: &[(usize, usize)],
+) -> SlotRun<K::State, K::Held> {
+    // `(ops before, salvage index)` of this slot's snapshots.
+    let mut wanted: Vec<(usize, usize)> = salvage
+        .iter()
+        .enumerate()
+        .filter(|&(_, &(s, _))| s == slot)
+        .map(|(index, &(_, at))| (at, index))
+        .collect();
+    wanted.sort_by_key(|&(at, _)| at);
+    let mut wanted = wanted.into_iter().peekable();
+    let mut done = Vec::with_capacity(ops.len());
+    let mut held = Vec::new();
+    for (at, op) in ops.into_iter().enumerate() {
+        while let Some((_, index)) = wanted.next_if(|&(w, _)| w == at) {
+            held.push((index, sink.snapshot(&state)));
+        }
+        let result = match op {
+            Op::Absorb(buckets) => sink.absorb(&mut state, buckets),
+            Op::Reopen => sink.open(slot, expected).map(|fresh| {
+                state = fresh;
+                SimTime::ZERO
+            }),
+        };
+        let failed = result.is_err();
+        done.push(Done {
+            result,
+            pressure: sink.pressure(&state),
+        });
+        if failed {
+            return SlotRun { state, done, held };
+        }
+    }
+    for (_, index) in wanted {
+        held.push((index, sink.snapshot(&state)));
+    }
+    SlotRun { state, done, held }
+}
+
+/// What the fold charged.
+struct Folded {
+    /// Per-rank absorb time left exposed to the count phase.
+    count_exposed: Vec<SimTime>,
+    /// Pure first-attempt wire time.
+    wire: SimTime,
+    /// Charged first-attempt time (wire, or overlap's max).
+    charged: SimTime,
+    /// Retries, backoffs and replays.
+    recovery: SimTime,
+}
+
+/// Replays the schedule's steps in round order against the recorded op
+/// outcomes: charges every collective, backoff and replay to the clock,
+/// journals each event at its place in round order, and returns the
+/// first error in round order. `high_water` starts as every freshly
+/// opened sink's allocation high-water mark.
+fn fold_rounds(
+    ctx: &DriverCtx,
+    world: &mut BspWorld,
+    steps: Vec<Step>,
+    done: Vec<Vec<Done>>,
+    mut high_water: Vec<u64>,
+) -> Result<Folded, RunError> {
+    let nranks = ctx.nranks;
+    // Each slot's outcomes, consumed in route order. A slot's list ends at
+    // its first failure, which the fold meets before any later op.
+    let mut done: Vec<_> = done.into_iter().map(Vec::into_iter).collect();
+    let mut next = |slot: usize| done[slot].next().expect("op outcome");
+    let overlap = ctx.rc.overlap_rounds;
+    let mut count_totals = vec![SimTime::ZERO; nranks];
+    let mut last_round_times: Option<Vec<SimTime>> = None;
+    let mut replay_kernels = SimTime::ZERO;
+    // Fault-recovery time, all zero on a perfect fabric: retry attempts,
+    // their backoffs and replays, keeping `wire`/`charged` pure
+    // first-attempt time.
+    let mut folded = Folded {
+        count_exposed: Vec::new(),
+        wire: SimTime::ZERO,
+        charged: SimTime::ZERO,
+        recovery: SimTime::ZERO,
+    };
+    for step in steps {
+        match step {
+            Step::Event(event) => ctx.record(|| [event]),
+            Step::Op(slot) => {
+                let d = next(slot);
+                high_water[slot] = d.pressure.high_water_bytes;
+                match d.result {
+                    Ok(t) => replay_kernels += t,
+                    Err(e) => return Err(oom_error(&high_water, slot, e)),
+                }
+            }
+            Step::Replay(matrix) => {
+                // Priced by the same Alltoallv model as the real
+                // exchange, charged as recovery time.
+                let times = world.network().alltoallv_times(&matrix);
+                let wire = SimTime::from_secs(
+                    times.iter().map(|t| t.as_secs()).sum::<f64>() / nranks as f64,
+                );
+                let kernels = SimTime::from_secs(replay_kernels.as_secs() / nranks as f64);
+                world.advance_all("replay", wire + kernels);
+                folded.recovery += wire + kernels;
+                replay_kernels = SimTime::ZERO;
+            }
+            Step::Exchange(traffic) => {
+                // Double-buffered overlap: while this round is on the
+                // wire, the previous round's count kernel runs on each
+                // rank's stream.
+                let hidden = last_round_times.as_deref().filter(|_| overlap);
+                let (wire, charged) = charge_round(world, &traffic, hidden, false);
+                folded.wire += wire;
+                folded.charged += charged;
+            }
+            Step::Retry(backoff, traffic) => {
+                world.advance_all("retry-backoff", backoff);
+                let (_, charged) = charge_round(world, &traffic, None, true);
+                folded.recovery += backoff + charged;
+            }
+            Step::Deliver => {
+                // The first failing rank names the error; every rank's
+                // high-water mark after this round makes it in.
+                let (results, pressure): (Vec<_>, Vec<PressureStats>) = (0..nranks)
+                    .map(|slot| {
+                        let d = next(slot);
+                        (d.result, d.pressure)
+                    })
+                    .unzip();
+                for (slot, p) in pressure.iter().enumerate() {
+                    high_water[slot] = p.high_water_bytes;
+                }
+                let mut times = Vec::with_capacity(nranks);
+                for (slot, result) in results.into_iter().enumerate() {
+                    times.push(result.map_err(|e| oom_error(&high_water, slot, e))?);
+                }
+                // Cumulative spill samples feed a dedicated trace counter
+                // lane — emitted only when pressure actually spilled
+                // something, so an unconstrained run's trace schema is
+                // untouched.
+                ctx.record(|| {
+                    let mut samples = Vec::new();
+                    for (rank, &p) in pressure.iter().enumerate() {
+                        let ts = world.now(rank).as_secs();
+                        let mut sample = |name: &str, value: u64| {
+                            samples.push(JournalEvent::Sample {
+                                name: name.to_string(),
+                                rank,
+                                ts,
+                                value: value as f64,
+                            })
+                        };
+                        if p.spilled > 0 {
+                            sample("spill k-mers", p.spilled);
+                        }
+                        // The HBM lane exists only for ranks where
+                        // pressure actually fired — high-water marks are
+                        // nonzero on every run, so gating on them would
+                        // change clean-run traces.
+                        if p.fired() {
+                            sample("hbm bytes", p.high_water_bytes);
+                        }
+                    }
+                    samples
+                });
+                for (rank, t) in times.iter().enumerate() {
+                    count_totals[rank] += *t;
+                }
+                last_round_times = Some(times);
+            }
+            Step::Fail(e) => return Err(e),
+        }
+    }
     // Under overlap every round but the last was hidden behind a wire;
     // only the final round's kernel remains exposed. (With one round the
     // two are identical — there was nothing to hide behind.)
-    Ok(Exchanged {
-        sinks,
-        salvaged,
-        count_exposed: if rc.overlap_rounds {
-            last_round_times
-        } else {
-            count_totals
-        },
-        summary: ExchangeSummary {
-            units: bucketed.units,
-            alltoallv_time: wire_total,
-            rounds: nrounds as u64,
-            retries: retries_total,
-            corrupt_buckets: corrupt_total,
-            recovery_time: recovery_total,
-            rank_deaths: dead_total as u64,
-            replayed_bytes: replayed_bytes_total,
-            ..Default::default()
-        },
-        exchange: stage_out_step.mean + charged_total + recovery_total + stage_in_step.mean,
-    })
+    folded.count_exposed = match last_round_times {
+        Some(last) if overlap => last,
+        _ => count_totals,
+    };
+    Ok(folded)
+}
+
+/// Charges one delivery attempt's collectives in issue order, `hidden`
+/// overlapping the first; returns the summed mean wire and charged times.
+fn charge_round(
+    world: &mut BspWorld,
+    traffic: &[Traffic],
+    hidden: Option<&[SimTime]>,
+    retry: bool,
+) -> (SimTime, SimTime) {
+    let (mut wire, mut charged) = (SimTime::ZERO, SimTime::ZERO);
+    for (i, t) in traffic.iter().enumerate() {
+        let c = world.charge(t, hidden.filter(|_| i == 0), retry);
+        wire += c.wire.mean;
+        charged += c.times.mean;
+    }
+    (wire, charged)
 }
 
 /// One-line run description for the journal's meta event: the knobs that
@@ -1113,31 +1384,16 @@ pub(crate) fn run_detail(rc: &RunConfig) -> String {
 }
 
 /// [`RunError::DeviceOom`] for `rank`, carrying every rank's allocation
-/// high-water mark; the failing rank reports the mark it reached before
-/// the refused allocation.
-fn oom_error<I, K: Sink<I>>(sink: &K, sinks: &[K::State], rank: usize, e: CounterOom) -> RunError {
-    let mut high_water: Vec<u64> = sinks
-        .iter()
-        .map(|c| sink.pressure(c).high_water_bytes)
-        .collect();
-    high_water[rank] = high_water[rank].max(e.high_water_bytes);
+/// high-water mark; the failing rank reports the higher of its mark and
+/// the one it reached before the refused allocation.
+fn oom_error(high_water: &[u64], rank: usize, e: CounterOom) -> RunError {
+    let mut high_water_bytes = high_water.to_vec();
+    high_water_bytes[rank] = high_water_bytes[rank].max(e.high_water_bytes);
     RunError::DeviceOom {
         rank,
         detail: e.detail,
-        high_water_bytes: high_water,
+        high_water_bytes,
     }
-}
-
-/// Replaces a dead or departing rank's sink with a fresh one, converting
-/// an allocation failure into the run-level OOM error.
-fn reopen<I, K: Sink<I>>(
-    sink: &K,
-    sinks: &[K::State],
-    rank: usize,
-    expected: u64,
-) -> Result<K::State, RunError> {
-    sink.open(rank, expected)
-        .map_err(|e| oom_error(sink, sinks, rank, e))
 }
 
 /// Folds salvaged tables (checkpoints of dead ranks, full tables of
@@ -1175,65 +1431,4 @@ fn fold_salvaged<K: TableKey>(
             }
         }
     }
-}
-
-/// Every rank's freshly opened sink, or [`RunError::DeviceOom`] naming
-/// the first rank whose opening failed, with every rank's allocation
-/// high-water mark (a failed rank reports the mark it reached before the
-/// refused allocation).
-fn opened_or_oom<I, K: Sink<I>>(
-    sink: &K,
-    made: Vec<Result<K::State, CounterOom>>,
-) -> Result<Vec<K::State>, RunError> {
-    let Some(rank) = made.iter().position(Result::is_err) else {
-        return Ok(made.into_iter().flatten().collect());
-    };
-    let high_water_bytes = made
-        .iter()
-        .map(|r| match r {
-            Ok(c) => sink.pressure(c).high_water_bytes,
-            Err(e) => e.high_water_bytes,
-        })
-        .collect();
-    let detail = made
-        .into_iter()
-        .nth(rank)
-        .and_then(Result::err)
-        .expect("failed rank")
-        .detail;
-    Err(RunError::DeviceOom {
-        rank,
-        detail,
-        high_water_bytes,
-    })
-}
-
-/// Shared exchange hook for the pipelines whose wire items are bare
-/// packed k-mers (at either width): one Alltoallv per round, overlapped
-/// when `hidden` is present.
-pub(crate) fn exchange_items_round<I: Send + dedukt_net::fault::WireHash>(
-    world: &mut BspWorld,
-    round: Vec<Vec<Vec<I>>>,
-    hidden: Option<&[SimTime]>,
-) -> RoundRecv<I> {
-    let outcome = match hidden {
-        Some(h) => world.alltoallv_overlapped(round, h),
-        None => world.alltoallv(round),
-    };
-    RoundRecv {
-        items: flatten_recv(outcome.recv),
-        undelivered: outcome.undelivered,
-        failed_sends: outcome.failed_sends,
-        corrupt_buckets: outcome.corrupt_buckets,
-        wire_mean: outcome.wire.mean,
-        charged_mean: outcome.times.mean,
-    }
-}
-
-/// Concatenates `recv[dst][src]` payloads into one list per destination,
-/// preserving source-rank order.
-pub(crate) fn flatten_recv<I>(recv: Vec<Vec<Vec<I>>>) -> Vec<Vec<I>> {
-    recv.into_iter()
-        .map(|per_src| per_src.into_iter().flatten().collect())
-        .collect()
 }

@@ -8,6 +8,7 @@ use dedukt_gpu::mem_plan::{alloc_fails, estimate_factor};
 use dedukt_gpu::transfer::staging_time;
 use dedukt_gpu::{Device, LaunchConfig, MemPlan};
 use dedukt_sim::{DataVolume, Histogram, MetricOp, SimTime};
+use rayon::prelude::*;
 
 /// Thread-block size used by all pipeline kernels.
 pub const BLOCK_THREADS: u32 = 256;
@@ -48,6 +49,17 @@ pub fn block_range(total: usize, nblocks: u32, b: u32) -> (usize, usize) {
     let lo = bi * base + bi.min(rem);
     let hi = lo + base + usize::from(bi < rem);
     (lo, hi)
+}
+
+/// The items `lo..hi` of the concatenation of `buckets`, as the slices of
+/// the buckets they fall in, in order.
+fn pieces<T>(buckets: &[Vec<T>], lo: usize, hi: usize) -> impl Iterator<Item = &[T]> {
+    let mut start = 0;
+    buckets.iter().filter_map(move |bucket| {
+        let (from, to) = (start, start + bucket.len());
+        start = to;
+        (from < hi && lo < to).then(|| &bucket[lo.max(from) - from..hi.min(to) - from])
+    })
 }
 
 /// Staging cost for moving `volume` between host and device, zero when
@@ -146,24 +158,26 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         })
     }
 
-    /// Inserts one round's k-mers; returns the round's simulated device
-    /// time (count kernel plus any regrow kernels and spill staging).
-    /// Errs only when the table filled, no grow allocation was granted,
-    /// and the host spill budget is exhausted.
+    /// Inserts one round's k-mers — the concatenation of `buckets`, the
+    /// received buffer as it arrived — and returns the round's simulated
+    /// device time (count kernel plus any regrow kernels and spill
+    /// staging). Errs only when the table filled, no grow allocation was
+    /// granted, and the host spill budget is exhausted.
     pub(crate) fn count(
         &mut self,
-        kmers: &[K],
+        buckets: &[Vec<K>],
         cycles_per_kmer: f64,
     ) -> Result<SimTime, CounterOom> {
-        self.instances += kmers.len() as u64;
+        self.instances += buckets.iter().map(|b| b.len() as u64).sum::<u64>();
         let mut dt = SimTime::ZERO;
-        let mut pending = self.launch_count(kmers, cycles_per_kmer, &mut dt);
+        let mut pending = self.launch_count(buckets, cycles_per_kmer, &mut dt);
         // Two-tier recovery: regrow on device while allocations are
         // granted, then spill to the host. Each regrow doubles capacity,
         // so the loop strictly shrinks `pending` or exits via spill.
         while !pending.is_empty() {
             if self.try_regrow(cycles_per_kmer, &mut dt) {
-                pending = self.launch_count(&pending, cycles_per_kmer, &mut dt);
+                pending =
+                    self.launch_count(std::slice::from_ref(&pending), cycles_per_kmer, &mut dt);
             } else {
                 self.spill_pending(pending, &mut dt)?;
                 pending = Vec::new();
@@ -183,26 +197,34 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
     /// tally, but are *not* observed in the histogram — exactly one
     /// observation per successfully counted instance, whenever it
     /// finally lands.
-    fn launch_count(&mut self, kmers: &[K], cycles_per_kmer: f64, dt: &mut SimTime) -> Vec<K> {
+    fn launch_count(
+        &mut self,
+        buckets: &[Vec<K>],
+        cycles_per_kmer: f64,
+        dt: &mut SimTime,
+    ) -> Vec<K> {
         let (table, probe_hist, probe_steps) =
             (&self.table, &mut self.probe_hist, &mut self.probe_steps);
         let mut overflow = Vec::new();
-        let launch = chunked_launch(kmers.len().max(1));
+        let total = buckets.iter().map(Vec::len).sum::<usize>();
+        let launch = chunked_launch(total.max(1));
         let report = self.device.launch_map("count_kmers", launch, |b| {
-            let (lo, hi) = block_range(kmers.len(), b.cfg.grid_blocks, b.block);
+            let (lo, hi) = block_range(total, b.cfg.grid_blocks, b.block);
             let mut probes = 0u64;
             let mut fresh = 0u64;
-            table.insert_all(&kmers[lo..hi], |k, outcome| match outcome {
-                InsertOutcome::Inserted(r) => {
-                    probes += r.steps as u64;
-                    fresh += u64::from(r.new);
-                    probe_hist.observe(r.steps as u64);
-                }
-                InsertOutcome::Full { steps } => {
-                    probes += steps as u64;
-                    overflow.push(k);
-                }
-            });
+            for kmers in pieces(buckets, lo, hi) {
+                table.insert_all(kmers, |k, outcome| match outcome {
+                    InsertOutcome::Inserted(r) => {
+                        probes += r.steps as u64;
+                        fresh += u64::from(r.new);
+                        probe_hist.observe(r.steps as u64);
+                    }
+                    InsertOutcome::Full { steps } => {
+                        probes += steps as u64;
+                        overflow.push(k);
+                    }
+                });
+            }
             *probe_steps += probes;
             let n = (hi - lo) as u64;
             // Effective compute (calibrated) + real memory/atomic traffic:
@@ -417,7 +439,7 @@ fn merge_spill<K: PackedKmer>(entries: &mut Vec<(K, u32)>, mut spill: Vec<K>) {
 /// (order preserved per destination). The round count is clamped to the largest
 /// per-destination payload so caps smaller than one item still make
 /// progress (each round then carries at least one item per payload).
-pub fn split_rounds_weighted<T>(
+pub fn split_rounds_weighted<T: Send>(
     buckets: Vec<Vec<Vec<T>>>,
     limit_bytes: Option<u64>,
     item_bytes: u64,
@@ -443,20 +465,33 @@ pub fn split_rounds_weighted<T>(
     if nrounds == 1 {
         return vec![buckets];
     }
-    let nranks = buckets.len();
-    let mut rounds: Vec<Vec<Vec<Vec<T>>>> = (0..nrounds)
-        .map(|_| (0..nranks).map(|_| Vec::with_capacity(nranks)).collect())
-        .collect();
-    for (src, row) in buckets.into_iter().enumerate() {
-        for payload in row {
-            // Cut this payload into `nrounds` near-equal chunks.
-            let len = payload.len();
-            let mut iter = payload.into_iter();
-            for (r, round) in rounds.iter_mut().enumerate() {
-                let lo = r * len / nrounds;
-                let hi = (r + 1) * len / nrounds;
-                round[src].push(iter.by_ref().take(hi - lo).collect());
+    // Each source rank cuts its own row, rank-parallel: `cuts[src][r]`
+    // is its round-`r` row, every payload cut into `nrounds` near-equal
+    // chunks.
+    let cuts: Vec<Vec<Vec<Vec<T>>>> = buckets
+        .into_par_iter()
+        .map(|row| {
+            let mut cut: Vec<Vec<Vec<T>>> = (0..nrounds)
+                .map(|_| Vec::with_capacity(row.len()))
+                .collect();
+            for payload in row {
+                let len = payload.len();
+                let mut iter = payload.into_iter();
+                for (r, round) in cut.iter_mut().enumerate() {
+                    let lo = r * len / nrounds;
+                    let hi = (r + 1) * len / nrounds;
+                    round.push(iter.by_ref().take(hi - lo).collect());
+                }
             }
+            cut
+        })
+        .collect();
+    let mut rounds: Vec<Vec<Vec<Vec<T>>>> = (0..nrounds)
+        .map(|_| Vec::with_capacity(cuts.len()))
+        .collect();
+    for cut in cuts {
+        for (round, row) in rounds.iter_mut().zip(cut) {
+            round.push(row);
         }
     }
     rounds
@@ -466,6 +501,18 @@ pub fn split_rounds_weighted<T>(
 mod tests {
     use super::*;
     use crate::config::Mode;
+
+    #[test]
+    fn pieces_cover_exactly_the_requested_range() {
+        let buckets: Vec<Vec<u32>> = vec![vec![0, 1, 2], vec![], vec![3, 4], vec![5]];
+        let flat: Vec<u32> = buckets.concat();
+        for lo in 0..=flat.len() {
+            for hi in lo..=flat.len() {
+                let got: Vec<u32> = pieces(&buckets, lo, hi).flatten().copied().collect();
+                assert_eq!(got, flat[lo..hi], "{lo}..{hi}");
+            }
+        }
+    }
 
     #[test]
     fn split_rounds_roundtrip_and_cap() {
@@ -578,7 +625,7 @@ mod tests {
         }
         let mut counter = DeviceRoundCounter::<K>::new(&rc, &rc.counting, 0, kmers.len() as u64)
             .unwrap_or_else(oom);
-        let dt = counter.count(kmers, 1000.0).unwrap_or_else(oom);
+        let dt = counter.count(&[kmers.to_vec()], 1000.0).unwrap_or_else(oom);
         assert!(
             counter.regrows + counter.spilled == 0,
             "a table sized for the batch cannot overflow"

@@ -26,8 +26,7 @@
 use crate::config::RunConfig;
 use crate::partition::key_owner;
 use crate::pipeline::driver::{
-    exchange_items_round, run_staged, BucketOut, CounterOom, CounterStages, DriverCtx,
-    PressureStats, RoundRecv,
+    run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats,
 };
 use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
@@ -35,7 +34,6 @@ use crate::width::PackedKmer;
 use dedukt_dna::kmer::{kmer_words_w, KmerWord};
 use dedukt_dna::{Encoding, Read, ReadSet};
 use dedukt_net::cost::Network;
-use dedukt_net::BspWorld;
 use dedukt_sim::{DataVolume, MetricOp, SimTime};
 use std::marker::PhantomData;
 
@@ -189,15 +187,8 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
     }
 
     // ── Phase 2: exchange (stage out, Alltoallv rounds, stage in) ─────
-    fn exchange_round(
-        &self,
-        world: &mut BspWorld,
-        round: Vec<Vec<Vec<K>>>,
-        hidden: Option<&[SimTime]>,
-    ) -> RoundRecv<K> {
-        exchange_items_round(world, round, hidden)
-    }
-
+    // The rounds are the driver's default: one collective of packed
+    // k-mers each.
     fn stage_in(&self, ctx: &DriverCtx, received_items: u64) -> SimTime {
         staging(
             ctx.rc,
@@ -219,9 +210,9 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
         &self,
         ctx: &DriverCtx,
         counter: &mut DeviceRoundCounter<K>,
-        items: Vec<K>,
+        buckets: Vec<Vec<K>>,
     ) -> Result<SimTime, CounterOom> {
-        counter.count(&items, ctx.rc.gpu_tuning.count_cycles_per_kmer)
+        counter.count(&buckets, ctx.rc.gpu_tuning.count_cycles_per_kmer)
     }
 
     fn pressure(&self, counter: &DeviceRoundCounter<K>) -> PressureStats {

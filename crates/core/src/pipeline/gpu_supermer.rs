@@ -17,13 +17,13 @@
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
 //! shared [`driver`](crate::pipeline::driver); this module supplies the
-//! supermer-specific stages, including the two-collective exchange and
+//! supermer-specific stages, including the two-collective traffic and
 //! the §VII balanced-minimizer pre-pass.
 
 use crate::config::RunConfig;
 use crate::partition::{minimizer_owner, BalancedAssignment};
 use crate::pipeline::driver::{
-    run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats, RoundRecv,
+    run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats,
 };
 use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
 use crate::pipeline::{RankCountResult, RunError, RunReport};
@@ -31,8 +31,9 @@ use crate::supermer::build_supermers_reference_w;
 use crate::supermer::{num_windows, supermers_of_window_w, SupermerW};
 use crate::width::PackedKmer;
 use dedukt_dna::ReadSet;
+use dedukt_net::bsp::Traffic;
 use dedukt_net::cost::Network;
-use dedukt_net::BspWorld;
+use dedukt_net::{BspWorld, WireHash};
 use dedukt_sim::{DataVolume, Histogram, MetricOp, SimTime};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -49,9 +50,9 @@ pub(crate) struct PackedSupermer<K: Copy> {
     pub len: u8,
 }
 
-impl<K: Copy> From<(K, u8)> for PackedSupermer<K> {
-    fn from((word, len): (K, u8)) -> Self {
-        PackedSupermer { word, len }
+impl<K: Copy + WireHash> WireHash for PackedSupermer<K> {
+    fn wire_hash(&self) -> u64 {
+        (self.word, self.len).wire_hash()
     }
 }
 
@@ -68,78 +69,6 @@ impl<K: PackedKmer> SupermerStages<K> {
         match &self.assignment {
             Some(a) => a.owner(mz),
             None => minimizer_owner(&ctx.hasher, mz, ctx.nranks),
-        }
-    }
-
-    /// `--wire-compress` variant of the exchange: each minimizer bucket
-    /// rides the [`crate::wire`] codec as a single byte stream (lengths
-    /// varint/delta-coded, bases packed 2 bits each), so words and
-    /// lengths collapse into *one* collective. The journal/metrics keep
-    /// reporting the *logical* flat volume (`units × (WORD_BYTES + 1)`)
-    /// while the simulated wire is charged for the encoded physical
-    /// bytes; buckets are decoded on receipt, so counts are
-    /// bit-identical to the uncompressed path. Fault fates key on the
-    /// (src, dst) pair exactly as before, and a retried bucket
-    /// re-encodes to the identical byte string (the codec is
-    /// deterministic), so checksums and retry accounting compose
-    /// unchanged.
-    fn exchange_round_compressed(
-        &self,
-        world: &mut BspWorld,
-        round: Vec<Vec<Vec<PackedSupermer<K>>>>,
-        hidden: Option<&[SimTime]>,
-    ) -> RoundRecv<PackedSupermer<K>> {
-        let mut logical: Vec<Vec<u64>> = Vec::with_capacity(round.len());
-        let mut byte_round: Vec<Vec<Vec<u8>>> = Vec::with_capacity(round.len());
-        for row in round {
-            let mut lrow = Vec::with_capacity(row.len());
-            let mut brow = Vec::with_capacity(row.len());
-            for payload in row {
-                lrow.push(payload.len() as u64 * crate::wire::flat_wire_bytes::<K>());
-                let flat: Vec<(K, u8)> = payload.iter().map(|s| (s.word, s.len)).collect();
-                brow.push(crate::wire::encode_bucket(&flat));
-            }
-            logical.push(lrow);
-            byte_round.push(brow);
-        }
-        let out = world.alltoallv_compressed(byte_round, hidden, &logical);
-        let items = out
-            .recv
-            .into_iter()
-            .map(|srcs| {
-                let mut flat = Vec::new();
-                for buf in srcs {
-                    flat.extend(
-                        crate::wire::decode_bucket::<K>(&buf)
-                            .into_iter()
-                            .map(PackedSupermer::from),
-                    );
-                }
-                flat
-            })
-            .collect();
-        // Undelivered buckets decode back to plain items so the driver
-        // can re-offer them on the retry attempt (they re-encode to the
-        // same bytes there).
-        let undelivered = out
-            .undelivered
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|buf| {
-                        let flat = crate::wire::decode_bucket::<K>(&buf);
-                        flat.into_iter().map(PackedSupermer::from).collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        RoundRecv {
-            items,
-            undelivered,
-            failed_sends: out.failed_sends,
-            corrupt_buckets: out.corrupt_buckets,
-            wire_mean: out.wire.mean,
-            charged_mean: out.times.mean,
         }
     }
 }
@@ -340,86 +269,37 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     // Two collectives per round: the packed words, then the length bytes
     // (word + 1 B = the 9 or 17 wire bytes per supermer). Hidden compute,
     // when present, overlaps the words collective — the bulk of the
-    // volume.
-    fn exchange_round(
-        &self,
-        world: &mut BspWorld,
-        round: Vec<Vec<Vec<PackedSupermer<K>>>>,
-        hidden: Option<&[SimTime]>,
-    ) -> RoundRecv<PackedSupermer<K>> {
+    // volume. Both collectives share the round's fault fates: a bucket's
+    // words and lengths fail or deliver together.
+    //
+    // Under `--wire-compress` each minimizer bucket rides the
+    // [`crate::wire`] codec as a single byte stream (lengths varint/delta
+    // coded, bases packed 2 bits each), so words and lengths collapse
+    // into *one* collective. The wire is charged the codec's physical
+    // bytes while the journal and metrics keep reporting the *logical*
+    // flat volume (`units × (WORD_BYTES + 1)`). The codec's size depends
+    // on the lengths alone ([`crate::wire::encoded_len`]), and the items
+    // themselves move uncoded, so counts are those of the flat exchange.
+    fn traffic(&self, round: &[Vec<Vec<PackedSupermer<K>>>]) -> Vec<Traffic> {
         if self.compress {
-            return self.exchange_round_compressed(world, round, hidden);
-        }
-        let mut word_round: Vec<Vec<Vec<K>>> = Vec::with_capacity(round.len());
-        let mut len_round: Vec<Vec<Vec<u8>>> = Vec::with_capacity(round.len());
-        for row in round {
-            let mut wrow = Vec::with_capacity(row.len());
-            let mut lrow = Vec::with_capacity(row.len());
-            for payload in row {
-                let (w, l): (Vec<K>, Vec<u8>) = payload.iter().map(|s| (s.word, s.len)).unzip();
-                wrow.push(w);
-                lrow.push(l);
-            }
-            word_round.push(wrow);
-            len_round.push(lrow);
-        }
-        // Both collectives run in the driver's current fault context, so
-        // an injected fault hits a bucket's words and lengths *together*
-        // (the BSP world caches the first collective's fate matrix) —
-        // the zip alignment below survives any fault schedule.
-        let words_out = match hidden {
-            Some(h) => world.alltoallv_overlapped(word_round, h),
-            None => world.alltoallv(word_round),
-        };
-        let lens_out = world.alltoallv(len_round);
-        // Re-assemble per-rank received supermers.
-        let items = words_out
-            .recv
-            .into_iter()
-            .zip(lens_out.recv)
-            .map(|(ws, ls)| {
-                let mut flat = Vec::with_capacity(ws.iter().map(Vec::len).sum());
-                for (w_src, l_src) in ws.into_iter().zip(ls) {
-                    assert_eq!(w_src.len(), l_src.len(), "word/length streams must align");
-                    flat.extend(w_src.into_iter().zip(l_src).map(PackedSupermer::from));
-                }
-                flat
-            })
-            .collect();
-        // Undelivered buckets re-zip the same way (shared fates keep the
-        // two streams bucket-aligned) so the driver can re-offer them as
-        // ordinary items on the retry attempt.
-        let undelivered = words_out
-            .undelivered
-            .into_iter()
-            .zip(lens_out.undelivered)
-            .map(|(wrow, lrow)| {
-                wrow.into_iter()
-                    .zip(lrow)
-                    .map(|(w_dst, l_dst)| {
-                        assert_eq!(
-                            w_dst.len(),
-                            l_dst.len(),
-                            "undelivered word/length streams must align"
-                        );
-                        w_dst
-                            .into_iter()
-                            .zip(l_dst)
-                            .map(PackedSupermer::from)
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        RoundRecv {
-            items,
-            undelivered,
-            // One logical supermer bucket rides two wire buckets; report
-            // it once so retry counts match the k-mer pipelines'.
-            failed_sends: words_out.failed_sends,
-            corrupt_buckets: words_out.corrupt_buckets,
-            wire_mean: words_out.wire.mean + lens_out.wire.mean,
-            charged_mean: words_out.times.mean + lens_out.times.mean,
+            let bytes = round
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|payload| crate::wire::encoded_len(payload.iter().map(|s| s.len)))
+                        .collect()
+                })
+                .collect();
+            let flat = Traffic::flat(round, crate::wire::flat_wire_bytes::<K>());
+            vec![Traffic {
+                bytes,
+                logical: Some(flat.bytes),
+            }]
+        } else {
+            vec![
+                Traffic::flat(round, K::KMER_WIRE_BYTES),
+                Traffic::flat(round, 1),
+            ]
         }
     }
 
@@ -444,13 +324,15 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         &self,
         ctx: &DriverCtx,
         counter: &mut DeviceRoundCounter<K>,
-        items: Vec<PackedSupermer<K>>,
+        buckets: Vec<Vec<PackedSupermer<K>>>,
     ) -> Result<SimTime, CounterOom> {
         let cfg = &ctx.cfg;
         // Device-side extraction, represented functionally by this flatten;
         // its cost is the extract surcharge added to the count kernel.
-        let mut kmers = Vec::new();
-        for &PackedSupermer { word, len } in &items {
+        let items = buckets.iter().flatten();
+        let instances: u64 = items.clone().map(|s| self.item_instances(ctx, s)).sum();
+        let mut kmers = Vec::with_capacity(instances as usize);
+        for &PackedSupermer { word, len } in items {
             let n = (len as usize).saturating_sub(cfg.k - 1);
             for i in 0..n {
                 kmers.push(word.subword(len as usize, i, cfg.k));
@@ -458,7 +340,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         }
         let tuning = ctx.rc.gpu_tuning;
         counter.count(
-            &kmers,
+            std::slice::from_ref(&kmers),
             tuning.count_cycles_per_kmer + tuning.extract_cycles_per_kmer,
         )
     }

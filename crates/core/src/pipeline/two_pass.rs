@@ -144,8 +144,8 @@ impl<S: CounterStages> Sink<S::Item> for Spooling<'_, S> {
         })
     }
 
-    fn absorb(&self, spool: &mut Spool, items: Vec<S::Item>) -> Result<SimTime, CounterOom> {
-        for item in &items {
+    fn absorb(&self, spool: &mut Spool, buckets: Vec<Vec<S::Item>>) -> Result<SimTime, CounterOom> {
+        for item in buckets.iter().flatten() {
             let bin = self.stages.bin_of(self.ctx, item, self.nbins);
             item.encode(&mut spool.bins[bin]);
             spool.instances[bin] += self.stages.item_instances(self.ctx, item);
@@ -493,7 +493,7 @@ impl<K: PackedKmer> RankBins<K> {
             .make_counter(ctx, owner, meta.instances.min(planned_load))
             .map_err(&mut oom)?;
         self.count_secs += stages
-            .count_round(ctx, &mut counter, items)
+            .count_round(ctx, &mut counter, vec![items])
             .map_err(&mut oom)?;
         let pressure = stages.pressure(&counter);
         self.high_water = self.high_water.max(pressure.high_water_bytes);

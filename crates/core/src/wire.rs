@@ -113,6 +113,25 @@ pub fn encode_bucket<K: KmerWord>(items: &[(K, u8)]) -> Vec<u8> {
     out
 }
 
+/// Bytes [`encode_bucket`] writes for a bucket of supermers of lengths
+/// `lens`. The encoded size depends on the lengths alone, so the exchange
+/// prices a compressed bucket without building it.
+pub fn encoded_len(lens: impl IntoIterator<Item = u8>) -> u64 {
+    let (mut n, mut min, mut max, mut bases) = (0u64, u8::MAX, 0u8, 0u64);
+    for len in lens {
+        n += 1;
+        min = min.min(len);
+        max = max.max(len);
+        bases += u64::from(len).div_ceil(4);
+    }
+    if n == 0 {
+        return 0;
+    }
+    let varint_len = |v: u64| u64::from((64 - v.leading_zeros()).max(1).div_ceil(7));
+    let deltas = if max - min < 16 { n.div_ceil(2) } else { n };
+    varint_len(n) + varint_len(u64::from(min)) + 1 + deltas + bases
+}
+
 /// Decodes one wire-form bucket back to `(packed word, length)` supermers.
 /// Exact inverse of [`encode_bucket`]; panics on input that codec never
 /// produced (the exchange layer's checksum frames catch wire corruption
@@ -225,6 +244,32 @@ mod tests {
     fn word_of(codes: &[u8]) -> u64 {
         let mask = u64::kmer_mask(codes.len());
         codes.iter().fold(0u64, |w, &c| w.roll_sym(c, mask))
+    }
+
+    #[test]
+    fn encoded_len_matches_the_encoding() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [0usize, 1, 2, 3, 127, 128, 300, 20_000] {
+            for spread in [1u64, 16, 17, 32] {
+                let items: Vec<(u64, u8)> = (0..n)
+                    .map(|_| {
+                        let len = (1 + next() % spread) as u8;
+                        (next() & u64::kmer_mask(len as usize), len)
+                    })
+                    .collect();
+                assert_eq!(
+                    encoded_len(items.iter().map(|&(_, l)| l)),
+                    encode_bucket(&items).len() as u64,
+                    "n={n} spread={spread}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,16 +24,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 struct FaultState {
     plan: FaultPlan,
-    /// Active exchange context `(round, attempt)` set by
-    /// [`BspWorld::fault_context`]. Fates are applied **only** inside a
-    /// context — a caller that opens one is promising it has a retry
-    /// path for the undelivered buckets. Contextless collectives (e.g.
-    /// the minimizer prepass) always deliver.
-    ctx: Option<(u64, u32)>,
-    /// Fates of the first collective in the current context, reused by
-    /// subsequent collectives so paired payloads (supermer words +
-    /// lengths) share one fate and stay zip-aligned.
-    cached_fates: Option<Vec<Vec<BucketFate>>>,
     /// Compute steps seen, the straggler schedule's step coordinate.
     compute_steps: u64,
     /// Cumulative buckets re-sent on retry attempts, per source rank —
@@ -74,19 +64,7 @@ impl StepTimes {
 #[derive(Debug)]
 pub struct ExchangeOutcome<T> {
     /// `recv[dst][src]` — the payload rank `src` sent to rank `dst`.
-    /// Buckets lost to an injected fault arrive empty here and show up in
-    /// [`ExchangeOutcome::undelivered`] instead.
     pub recv: Vec<Vec<Vec<T>>>,
-    /// `undelivered[src][dst]` — buckets that failed to send or arrived
-    /// corrupt this attempt, returned in send-matrix shape so the caller
-    /// can pass them straight back to the next attempt's Alltoallv. All
-    /// empty on a fault-free fabric or outside a fault context.
-    pub undelivered: Vec<Vec<Vec<T>>>,
-    /// Buckets that failed to send this attempt.
-    pub failed_sends: u64,
-    /// Buckets delivered with a checksum mismatch and discarded this
-    /// attempt.
-    pub corrupt_buckets: u64,
     /// Per-rank *charged* time for this collective, measured from the
     /// synchronized start (straggler waits are reflected in the clocks,
     /// not here — phases are reported barrier-to-barrier, as the paper's
@@ -98,6 +76,60 @@ pub struct ExchangeOutcome<T> {
     pub times: StepTimes,
     /// Aggregated *pure wire* times, overlap excluded (`== times` for a
     /// blocking exchange). Volume accounting (Fig. 8) reads these.
+    pub wire: StepTimes,
+}
+
+/// One collective's traffic: everything the charging half of an
+/// Alltoallv needs to know about its payloads.
+#[derive(Debug)]
+pub struct Traffic {
+    /// `bytes[src][dst]` — the bytes rank `src` puts on the wire for rank
+    /// `dst`. The cost model and the statistics charge these.
+    pub bytes: Vec<Vec<u64>>,
+    /// `logical[src][dst]` — the pre-codec bytes each bucket stands for,
+    /// when a codec shrank the payload. The journal records them as
+    /// `bytes` next to the physical `comp_bytes`, so `dedukt analyze` can
+    /// report the compression ratio.
+    pub logical: Option<Vec<Vec<u64>>>,
+}
+
+impl Traffic {
+    /// The traffic of `send[src][dst]` payloads of `item_bytes`-byte
+    /// records.
+    pub fn flat<T>(send: &[Vec<Vec<T>>], item_bytes: u64) -> Traffic {
+        Traffic {
+            bytes: send
+                .iter()
+                .map(|row| row.iter().map(|v| v.len() as u64 * item_bytes).collect())
+                .collect(),
+            logical: None,
+        }
+    }
+}
+
+/// Where [`BspWorld::route`] delivered each payload.
+#[derive(Debug)]
+pub struct Routed<T> {
+    /// `recv[dst][src]` — the payload rank `src` sent to rank `dst`,
+    /// empty when its bucket was lost.
+    pub recv: Vec<Vec<Vec<T>>>,
+    /// `undelivered[src][dst]` — lost buckets, in send-matrix shape for
+    /// the next attempt.
+    pub undelivered: Vec<Vec<Vec<T>>>,
+    /// Buckets that failed to send.
+    pub failed_sends: u64,
+    /// Buckets delivered with a checksum mismatch and discarded.
+    pub corrupt_buckets: u64,
+}
+
+/// What [`BspWorld::charge`] charged each rank.
+#[derive(Debug)]
+pub struct Charged {
+    /// Per-rank charged time, from the synchronized start.
+    pub elapsed: Vec<SimTime>,
+    /// Aggregated charged times.
+    pub times: StepTimes,
+    /// Aggregated pure wire times, overlap excluded.
     pub wire: StepTimes,
 }
 
@@ -143,38 +175,14 @@ impl BspWorld {
 
     /// Attaches a deterministic fault plan. Stragglers stretch subsequent
     /// compute steps immediately; bucket fates (failed sends, corruption)
-    /// fire only inside a [`BspWorld::fault_context`], because applying
-    /// them requires the caller to own a retry path.
+    /// fire only in [`BspWorld::route`], whose caller owns a retry path.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
         let n = self.nranks();
         self.fault = Some(FaultState {
             plan,
-            ctx: None,
-            cached_fates: None,
             compute_steps: 0,
             retry_buckets_cum: vec![0; n],
         });
-    }
-
-    /// Opens (or re-keys) a fault context: collectives until the next
-    /// [`BspWorld::fault_context`]/[`BspWorld::clear_fault_context`] call
-    /// draw bucket fates at `(round, attempt)`. The first collective in a
-    /// context fixes the fate matrix; later collectives in the same
-    /// context reuse it, so multi-collective payloads (supermer words +
-    /// lengths) fail or deliver together. No-op without a fault plan.
-    pub fn fault_context(&mut self, round: u64, attempt: u32) {
-        if let Some(fs) = &mut self.fault {
-            fs.ctx = Some((round, attempt));
-            fs.cached_fates = None;
-        }
-    }
-
-    /// Closes the fault context: collectives go back to always delivering.
-    pub fn clear_fault_context(&mut self) {
-        if let Some(fs) = &mut self.fault {
-            fs.ctx = None;
-            fs.cached_fates = None;
-        }
     }
 
     /// Advances every rank's clock by `dt`, recording one `name` span per
@@ -309,9 +317,10 @@ impl BspWorld {
 
     /// Performs an Alltoallv: `send[src][dst]` is the payload `src` sends
     /// to `dst`. Payloads move (no copies); the cost model charges each
-    /// rank its simulated exchange time.
+    /// rank its simulated exchange time. Every bucket delivers: fault
+    /// fates fire only in [`BspWorld::route`].
     pub fn alltoallv<T: Send + WireHash>(&mut self, send: Vec<Vec<Vec<T>>>) -> ExchangeOutcome<T> {
-        self.exchange(send, None, None)
+        self.exchange(send, None)
     }
 
     /// Non-blocking-style Alltoallv for the double-buffered round
@@ -326,62 +335,144 @@ impl BspWorld {
         send: Vec<Vec<Vec<T>>>,
         hidden: &[SimTime],
     ) -> ExchangeOutcome<T> {
-        assert_eq!(
-            hidden.len(),
-            self.nranks(),
-            "need one hidden-compute time per rank"
-        );
-        self.exchange(send, Some(hidden), None)
+        self.exchange(send, Some(hidden))
     }
 
-    /// An Alltoallv of *codec-compressed* payloads: the wire moves (and
-    /// the cost model charges) the physical `send` bytes, while
-    /// `logical_bytes[src][dst]` declares the pre-codec volume each
-    /// bucket represents. Statistics stay physical (what actually moved);
-    /// the journal records `bytes` = logical next to `comp_bytes` =
-    /// physical, so `dedukt analyze` can report the compression ratio.
-    /// With `hidden`, behaves like [`BspWorld::alltoallv_overlapped`].
-    pub fn alltoallv_compressed<T: Send + WireHash>(
-        &mut self,
-        send: Vec<Vec<Vec<T>>>,
-        hidden: Option<&[SimTime]>,
-        logical_bytes: &[Vec<u64>],
-    ) -> ExchangeOutcome<T> {
-        if let Some(h) = hidden {
-            assert_eq!(
-                h.len(),
-                self.nranks(),
-                "need one hidden-compute time per rank"
-            );
-        }
-        assert_eq!(
-            logical_bytes.len(),
-            self.nranks(),
-            "need one logical-byte row per rank"
-        );
-        self.exchange(send, hidden, Some(logical_bytes))
-    }
-
+    /// One fault-free Alltoallv: the charging half over the payloads'
+    /// in-memory sizes, then the routing half.
     fn exchange<T: Send + WireHash>(
         &mut self,
         send: Vec<Vec<Vec<T>>>,
         hidden: Option<&[SimTime]>,
-        logical_bytes: Option<&[Vec<u64>]>,
     ) -> ExchangeOutcome<T> {
-        let p = self.nranks();
-        assert_eq!(send.len(), p, "need one send vector per rank");
-        for row in &send {
-            assert_eq!(row.len(), p, "each rank must address every rank");
+        let traffic = Traffic::flat(&send, std::mem::size_of::<T>() as u64);
+        let charged = self.charge(&traffic, hidden, false);
+        ExchangeOutcome {
+            recv: self.deliver(send, None).recv,
+            elapsed: charged.elapsed,
+            times: charged.times,
+            wire: charged.wire,
         }
-        let elem = std::mem::size_of::<T>() as u64;
-        let send_bytes: Vec<Vec<u64>> = send
-            .iter()
-            .map(|row| row.iter().map(|v| v.len() as u64 * elem).collect())
-            .collect();
+    }
+
+    /// The routing half of an Alltoallv over `send[src][dst]` at fault
+    /// coordinates `(round, attempt)`: payloads move (no copies), and the
+    /// attached fault plan's fates apply — a failed or corrupt bucket
+    /// arrives empty and comes back in [`Routed::undelivered`], so the
+    /// caller must own a retry path. No clock moves and nothing is
+    /// recorded; [`BspWorld::charge`] prices the same traffic. Fates are
+    /// pure in their coordinates, so routing may run ahead of charging.
+    pub fn route<T: WireHash>(
+        &mut self,
+        round: u64,
+        attempt: u32,
+        send: Vec<Vec<Vec<T>>>,
+    ) -> Routed<T> {
+        let fates = self
+            .fault
+            .as_ref()
+            .map(|fs| self.fate_matrix(&fs.plan, round, attempt));
+        self.deliver(send, fates.as_deref())
+    }
+
+    /// The fate of every `(src, dst)` bucket at `(round, attempt)`. The
+    /// route decides the granularity: direct draws per rank pair;
+    /// hierarchical draws one fate per coalesced inter-node frame (shared
+    /// by all its buckets) and per bucket on the intra-node tier.
+    fn fate_matrix(&self, plan: &FaultPlan, round: u64, attempt: u32) -> Vec<Vec<BucketFate>> {
+        let p = self.nranks();
         let topo = self.net.topology;
         let route = self.net.params.algo;
-        self.stats
-            .record_alltoallv(&send_bytes, |r| topo.node_of(r));
+        (0..p)
+            .map(|src| {
+                (0..p)
+                    .map(|dst| route.bucket_fate(plan, &topo, round, attempt, src, dst))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Transposes payloads — `recv[dst][src] = send[src][dst]` — applying
+    /// `fates` when given. A failed or corrupt bucket arrives empty and is
+    /// handed back in `undelivered[src][dst]`; corruption is *detected* by
+    /// the receiver recomputing the checksum frame, never silently
+    /// consumed. Nothing sent, nothing to fault: empty buckets always
+    /// deliver.
+    fn deliver<T: WireHash>(
+        &mut self,
+        send: Vec<Vec<Vec<T>>>,
+        fates: Option<&[Vec<BucketFate>]>,
+    ) -> Routed<T> {
+        let p = self.nranks();
+        assert_square(p, send.iter().map(Vec::len));
+        let mut recv: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
+        let mut undelivered: Vec<Vec<Vec<T>>> = (0..p)
+            .map(|_| (0..p).map(|_| Vec::new()).collect())
+            .collect();
+        let mut failed_sends = 0u64;
+        let mut corrupt_buckets = 0u64;
+        for (src, row) in send.into_iter().enumerate() {
+            for (dst, payload) in row.into_iter().enumerate() {
+                let fate = match fates {
+                    Some(m) if !payload.is_empty() => m[src][dst],
+                    _ => BucketFate::Deliver,
+                };
+                match fate {
+                    BucketFate::Deliver if fates.is_none() => recv[dst].push(payload),
+                    BucketFate::Deliver => {
+                        // Receiver-side verification: recompute the frame
+                        // over the delivered items.
+                        let frame = ChecksumFrame::compute(&payload);
+                        debug_assert!(frame.matches(&payload));
+                        recv[dst].push(payload);
+                    }
+                    BucketFate::FailSend => {
+                        failed_sends += 1;
+                        recv[dst].push(Vec::new());
+                        undelivered[src][dst] = payload;
+                    }
+                    BucketFate::Corrupt => {
+                        // The wire flipped bits; the frame no longer
+                        // matches, so the receiver discards the bucket.
+                        let frame = ChecksumFrame::compute(&payload).corrupted();
+                        assert!(!frame.matches(&payload), "corrupted frame must not verify");
+                        corrupt_buckets += 1;
+                        recv[dst].push(Vec::new());
+                        undelivered[src][dst] = payload;
+                    }
+                }
+            }
+        }
+        self.stats.failed_sends += failed_sends;
+        self.stats.corrupt_buckets += corrupt_buckets;
+        Routed {
+            recv,
+            undelivered,
+            failed_sends,
+            corrupt_buckets,
+        }
+    }
+
+    /// The charging half of an Alltoallv: synchronizes every rank, then
+    /// charges each its modelled time for `traffic` — hiding `hidden[r]`
+    /// of compute behind the injection tier when given — and records the
+    /// collective's statistics and journal events. `retry` marks traffic
+    /// re-sent after a fault, tracked apart from first-attempt volume.
+    pub fn charge(
+        &mut self,
+        traffic: &Traffic,
+        hidden: Option<&[SimTime]>,
+        retry: bool,
+    ) -> Charged {
+        let p = self.nranks();
+        let send_bytes = &traffic.bytes;
+        assert_square(p, send_bytes.iter().map(Vec::len));
+        if let Some(h) = hidden {
+            assert_eq!(h.len(), p, "need one hidden-compute time per rank");
+        }
+        let topo = self.net.topology;
+        let route = self.net.params.algo;
+        self.stats.record_alltoallv(send_bytes, |r| topo.node_of(r));
         if route == ExchangeAlgo::NodeAggregated {
             // Every payload byte crosses the intra-node tier twice:
             // gather to the source leader, scatter from the destination
@@ -407,51 +498,19 @@ impl BspWorld {
         if hidden.is_some() {
             self.stats.overlapped_collectives += 1;
         }
-        // Fates for this attempt, fixed before the wire: every attempted
-        // byte is charged whether or not its bucket survives. Inside a
-        // fault context the first collective's matrix is cached so paired
-        // collectives share fates. The route decides the granularity:
-        // direct draws per rank pair; hierarchical draws one fate per
-        // coalesced inter-node frame (shared by all its buckets) and per
-        // bucket on the intra-node tier.
-        let fates: Option<Vec<Vec<BucketFate>>> = match &mut self.fault {
-            Some(fs) if fs.ctx.is_some() => Some(match &fs.cached_fates {
-                Some(m) => m.clone(),
-                None => {
-                    let (round, attempt) = fs.ctx.expect("guarded above");
-                    let m: Vec<Vec<BucketFate>> = (0..p)
-                        .map(|src| {
-                            (0..p)
-                                .map(|dst| {
-                                    route.bucket_fate(&fs.plan, &topo, round, attempt, src, dst)
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    fs.cached_fates = Some(m.clone());
-                    m
-                }
-            }),
-            _ => None,
-        };
-        let is_retry = self
-            .fault
-            .as_ref()
-            .and_then(|fs| fs.ctx)
-            .is_some_and(|(_, attempt)| attempt > 0);
-        if is_retry {
+        if retry {
             // Retry traffic: charged to the wire like any collective, but
             // tracked separately from first-attempt volume.
             self.stats.retry_bytes += send_bytes.iter().flatten().sum::<u64>();
         }
-        let wire_times = self.net.alltoallv_times(&send_bytes);
+        let wire_times = self.net.alltoallv_times(send_bytes);
         // Per-rank intra-node-tier share of the wire time: the leader
         // gather/scatter overhead under hierarchical routing, all-zero
         // for direct (where the single-tier arithmetic below reduces
         // bit-for-bit to the pre-routing formula).
         let intra_times = match route {
             ExchangeAlgo::Direct => vec![SimTime::ZERO; p],
-            ExchangeAlgo::NodeAggregated => self.net.alltoallv_intra_times(&send_bytes),
+            ExchangeAlgo::NodeAggregated => self.net.alltoallv_intra_times(send_bytes),
         };
         let sent_per_rank: Vec<u64> = send_bytes.iter().map(|row| row.iter().sum()).collect();
         // On-node vs off-node split of each rank's sent bytes (physical).
@@ -468,11 +527,11 @@ impl BspWorld {
             .collect();
         // Logical (pre-codec) per-rank volumes; identical to the physical
         // ones unless the caller declared a compressed payload.
-        let logical_sent_per_rank: Vec<u64> = match logical_bytes {
+        let logical_sent_per_rank: Vec<u64> = match &traffic.logical {
             Some(m) => m.iter().map(|row| row.iter().sum()).collect(),
             None => sent_per_rank.clone(),
         };
-        let logical_off_per_rank: Vec<u64> = match logical_bytes {
+        let logical_off_per_rank: Vec<u64> = match &traffic.logical {
             Some(m) => m
                 .iter()
                 .enumerate()
@@ -565,7 +624,7 @@ impl BspWorld {
                     Some(rank),
                     MetricOp::CounterAdd(intra_sent_per_rank[rank]),
                 ));
-                if is_retry {
+                if retry {
                     j.push(JournalEvent::metric(
                         "exchange_retry_bytes_total",
                         Some(rank),
@@ -594,13 +653,14 @@ impl BspWorld {
             elapsed.push(charged);
             wire.push(*wt);
         }
-        let times = StepTimes::from_times(&elapsed);
-        let wire = StepTimes::from_times(&wire);
 
-        if let (true, Some(j)) = (is_retry, &self.journal) {
+        if let (true, Some(j)) = (retry, &self.journal) {
             // "retry buckets" counter lane: cumulative buckets each source
             // rank had to re-offer, sampled at this attempt's finish.
-            let fs = self.fault.as_mut().expect("is_retry implies fault state");
+            let fs = self
+                .fault
+                .as_mut()
+                .expect("retry traffic needs a fault plan");
             for (rank, row) in send_bytes.iter().enumerate() {
                 fs.retry_buckets_cum[rank] += row.iter().filter(|&&b| b > 0).count() as u64;
                 j.push(JournalEvent::Sample {
@@ -611,63 +671,19 @@ impl BspWorld {
                 });
             }
         }
-
-        // Transpose payloads: recv[dst][src] = send[src][dst], applying
-        // this attempt's bucket fates. A failed or corrupt bucket arrives
-        // empty and is handed back in `undelivered[src][dst]` for the
-        // caller's next attempt; corruption is *detected* by the receiver
-        // recomputing the checksum frame, never silently consumed.
-        let mut recv: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-        let mut undelivered: Vec<Vec<Vec<T>>> = (0..p)
-            .map(|_| (0..p).map(|_| Vec::new()).collect())
-            .collect();
-        let mut failed_sends = 0u64;
-        let mut corrupt_buckets = 0u64;
-        for (src, row) in send.into_iter().enumerate() {
-            for (dst, payload) in row.into_iter().enumerate() {
-                // Nothing sent, nothing to fault.
-                let fate = match &fates {
-                    Some(m) if !payload.is_empty() => m[src][dst],
-                    _ => BucketFate::Deliver,
-                };
-                match fate {
-                    BucketFate::Deliver if fates.is_none() => recv[dst].push(payload),
-                    BucketFate::Deliver => {
-                        // Receiver-side verification: recompute the frame
-                        // over the delivered items.
-                        let frame = ChecksumFrame::compute(&payload);
-                        debug_assert!(frame.matches(&payload));
-                        recv[dst].push(payload);
-                    }
-                    BucketFate::FailSend => {
-                        failed_sends += 1;
-                        recv[dst].push(Vec::new());
-                        undelivered[src][dst] = payload;
-                    }
-                    BucketFate::Corrupt => {
-                        // The wire flipped bits; the frame no longer
-                        // matches, so the receiver discards the bucket.
-                        let frame = ChecksumFrame::compute(&payload).corrupted();
-                        assert!(!frame.matches(&payload), "corrupted frame must not verify");
-                        corrupt_buckets += 1;
-                        recv[dst].push(Vec::new());
-                        undelivered[src][dst] = payload;
-                    }
-                }
-            }
-        }
-        self.stats.failed_sends += failed_sends;
-        self.stats.corrupt_buckets += corrupt_buckets;
-
-        ExchangeOutcome {
-            recv,
-            undelivered,
-            failed_sends,
-            corrupt_buckets,
+        Charged {
+            times: StepTimes::from_times(&elapsed),
+            wire: StepTimes::from_times(&wire),
             elapsed,
-            times,
-            wire,
         }
+    }
+}
+
+/// Panics unless `rows` describes a `p × p` send matrix.
+fn assert_square(p: usize, rows: impl ExactSizeIterator<Item = usize>) {
+    assert_eq!(rows.len(), p, "need one send vector per rank");
+    for len in rows {
+        assert_eq!(len, p, "each rank must address every rank");
     }
 }
 
@@ -887,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn faults_need_a_context_to_fire() {
+    fn only_route_applies_fates() {
         use crate::fault::{FaultPlan, FaultSpec};
         let mut w = world(1);
         w.enable_faults(FaultPlan::new(
@@ -895,30 +911,29 @@ mod tests {
             FaultSpec::parse("fail=1.0,straggle=0").unwrap(),
         ));
         let p = w.nranks();
-        // No fault context: even fail=1.0 delivers everything.
+        // A plain Alltoallv delivers everything, even at fail=1.0.
         let out = w.alltoallv(vec![vec![vec![5u64; 4]; p]; p]);
-        assert_eq!(out.failed_sends, 0);
-        assert!(out.undelivered.iter().flatten().all(|b| b.is_empty()));
         for dst in 0..p {
             for src in 0..p {
                 assert_eq!(out.recv[dst][src], vec![5u64; 4]);
             }
         }
-        // Inside a context, every non-empty bucket fails.
-        w.fault_context(0, 0);
-        let out = w.alltoallv(vec![vec![vec![5u64; 4]; p]; p]);
-        assert_eq!(out.failed_sends, (p * p) as u64);
-        assert!(out.recv.iter().flatten().all(|b| b.is_empty()));
-        assert!(out
+        // Routed, every non-empty bucket fails and comes back.
+        let before = w.elapsed();
+        let routed = w.route(0, 0, vec![vec![vec![5u64; 4]; p]; p]);
+        assert_eq!(routed.failed_sends, (p * p) as u64);
+        assert!(routed.recv.iter().flatten().all(|b| b.is_empty()));
+        assert!(routed
             .undelivered
             .iter()
             .flatten()
             .all(|b| b == &vec![5u64; 4]));
         assert_eq!(w.stats().failed_sends, (p * p) as u64);
-        // Clearing the context restores perfect delivery.
-        w.clear_fault_context();
-        let out = w.alltoallv(vec![vec![vec![5u64; 4]; p]; p]);
-        assert_eq!(out.failed_sends, 0);
+        // Routing moves no clock; charging does.
+        assert_eq!(w.elapsed(), before);
+        // Nothing sent, nothing to fault: empty buckets deliver.
+        let empty = w.route(0, 0, vec![vec![Vec::<u64>::new(); p]; p]);
+        assert_eq!(empty.failed_sends, 0);
     }
 
     #[test]
@@ -939,8 +954,8 @@ mod tests {
         let mut attempts = 0u32;
         let mut retried_buckets = 0u64;
         loop {
-            w.fault_context(0, attempts);
-            let out = w.alltoallv(pending);
+            w.charge(&Traffic::flat(&pending, 8), None, attempts > 0);
+            let out = w.route(0, attempts, pending);
             for (dst, row) in out.recv.into_iter().enumerate() {
                 for (src, bucket) in row.into_iter().enumerate() {
                     if !bucket.is_empty() {
@@ -980,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn paired_collectives_share_fates_within_a_context() {
+    fn route_fates_are_pure_in_their_coordinates() {
         use crate::fault::{FaultPlan, FaultSpec};
         let mut w = world(1);
         w.enable_faults(FaultPlan::new(
@@ -988,26 +1003,15 @@ mod tests {
             FaultSpec::parse("fail=0.5,straggle=0").unwrap(),
         ));
         let p = w.nranks();
-        w.fault_context(9, 0);
-        let words = w.alltoallv(vec![vec![vec![1u64; 2]; p]; p]);
-        let lens = w.alltoallv(vec![vec![vec![1u8; 2]; p]; p]);
-        for dst in 0..p {
-            for src in 0..p {
-                assert_eq!(
-                    words.recv[dst][src].is_empty(),
-                    lens.recv[dst][src].is_empty(),
-                    "words and lengths must share a fate ({src}->{dst})"
-                );
-            }
-        }
-        // Re-keying the context redraws fates; with fail=0.5 over 36
-        // buckets the new draw must differ somewhere.
-        w.fault_context(10, 0);
-        let again = w.alltoallv(vec![vec![vec![1u64; 2]; p]; p]);
-        let differs = (0..p).any(|dst| {
-            (0..p).any(|src| words.recv[dst][src].is_empty() != again.recv[dst][src].is_empty())
-        });
-        assert!(differs);
+        let lost = |w: &mut BspWorld, round: u64| -> Vec<bool> {
+            let out = w.route(round, 0, vec![vec![vec![1u64; 2]; p]; p]);
+            out.recv.iter().flatten().map(|b| b.is_empty()).collect()
+        };
+        // The same coordinates draw the same fates, whatever ran between;
+        // with fail=0.5 over 36 buckets a new round differs somewhere.
+        let first = lost(&mut w, 9);
+        assert_ne!(lost(&mut w, 10), first);
+        assert_eq!(lost(&mut w, 9), first);
     }
 
     #[test]

@@ -132,23 +132,21 @@ proptest! {
             vec![round << 32 | (src as u64) << 16 | dst as u64; (src + dst) % 3 + 1]
         };
 
-        // BSP engine: one fault context per (round, attempt), retrying
-        // only the undelivered buckets — the staged driver's loop.
+        // BSP engine: one route per (round, attempt), retrying only the
+        // undelivered buckets — the staged driver's routing.
         let mut bsp_retries = 0u64;
         let mut bsp_delivered: Vec<Vec<Vec<Vec<u64>>>> = Vec::new(); // [round][dst][src]
         for round in 0..nrounds {
             let send: Vec<Vec<Vec<u64>>> = (0..p)
                 .map(|src| (0..p).map(|dst| payload(src, dst, round)).collect())
                 .collect();
-            world.fault_context(round, 0);
-            let mut out = world.alltoallv(send);
+            let mut out = world.route(round, 0, send);
             let mut delivered = out.recv;
             let mut attempt = 1u32;
             while out.failed_sends + out.corrupt_buckets > 0 {
                 bsp_retries += out.failed_sends + out.corrupt_buckets;
                 prop_assert!(attempt < 200, "plan never delivers");
-                world.fault_context(round, attempt);
-                out = world.alltoallv(out.undelivered);
+                out = world.route(round, attempt, out.undelivered);
                 for (dst, row) in out.recv.iter_mut().enumerate() {
                     for (src, bucket) in row.iter_mut().enumerate() {
                         if !bucket.is_empty() {
@@ -161,7 +159,6 @@ proptest! {
             }
             bsp_delivered.push(delivered);
         }
-        world.clear_fault_context();
 
         // Sequential fate walk: each bucket (all are non-empty) is retried
         // once per attempt the plan spends before its first delivery.
