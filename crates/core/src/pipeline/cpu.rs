@@ -8,7 +8,7 @@
 //! (functional results are exact regardless).
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
-//! shared [`driver`](crate::pipeline::driver); this module only supplies
+//! shared staged driver (`pipeline::driver`); this module only supplies
 //! the CPU-specific stages.
 
 use crate::config::RunConfig;

@@ -20,7 +20,7 @@
 //! 3. **Count** — the device CAS/linear-probing table kernel (§III-B3).
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
-//! shared [`driver`](crate::pipeline::driver); this module only supplies
+//! shared staged driver (`pipeline::driver`); this module only supplies
 //! the device-side stages.
 
 use crate::config::RunConfig;

@@ -16,7 +16,7 @@
 //!   counted by the same device table kernel.
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
-//! shared [`driver`](crate::pipeline::driver); this module supplies the
+//! shared staged driver (`pipeline::driver`); this module supplies the
 //! supermer-specific stages, including the two-collective traffic and
 //! the §VII balanced-minimizer pre-pass.
 

@@ -20,6 +20,7 @@ use dedukt_dna::spectrum::Spectrum;
 use dedukt_dna::ReadSet;
 use dedukt_sim::plan::drop_noop;
 use dedukt_sim::{Rate, SimTime};
+use rayon::prelude::*;
 
 /// Everything a pipeline run reports, generic over the packed key width
 /// (`u64` for the paper's k ≤ 31 regime, `u128` for wide k ≤ 63 — only
@@ -267,10 +268,10 @@ pub(crate) fn assemble_counts<K: TableKey>(
     });
     // Tables leave in key order: slot order depends on the table size and
     // its recovery history (regrows, spills), so it is not part of the
-    // result.
+    // result. Each rank sorts its own table.
     let tables = collect_tables.then(|| {
         rank_results
-            .into_iter()
+            .into_par_iter()
             .map(|mut r| {
                 r.entries.sort_unstable_by_key(|&(k, _)| k);
                 r.entries

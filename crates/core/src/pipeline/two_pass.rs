@@ -4,7 +4,7 @@
 //! Pass 1 is the ordinary exchange — retries, rank death, rescale,
 //! checkpoints, overlap, the wire codec, hierarchical routing — except
 //! that each rank *spools* what it receives into its bins
-//! ([`CounterStages::bin_of`]) instead of counting it, and the bins land
+//! (`CounterStages::bin_of`) instead of counting it, and the bins land
 //! on a simulated NVMe tier ([`dedukt_store::BinStore`]) with a manifest.
 //! Bins nest inside owner ranges, so per-rank tables match the in-memory
 //! run's. In pass 2 each rank counts its own bins, rank-parallel, in

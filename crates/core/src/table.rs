@@ -15,16 +15,21 @@
 //!   paper describes ("Both operations are handled atomically to avoid
 //!   race conditions … collisions are addressed using … linear probing").
 //!   A rank owns its device and runs its blocks in order, so the table has
-//!   a single writer and keeps each key and its count in one packed slot;
-//!   the count kernel prices the CAS and `atomicAdd` it stands for.
+//!   a single writer; the count kernel prices the CAS and `atomicAdd` it
+//!   stands for. The device is charged for every slot, but the host keeps
+//!   an image sized by the distinct keys: one occupancy bit per slot plus
+//!   an index of `(key, count, slot)` entries. Slots are never freed, so
+//!   a stored key's probe walk is `((slot − home) & mask) + 1` steps and
+//!   a new key claims the first free slot at or after its home — the
+//!   same outcomes, slot order and device charge as a full slot array,
+//!   full tables included.
 
 use crate::config::CountingConfig;
 use crate::width::PackedKmer;
 use dedukt_dna::spectrum::Spectrum;
 use dedukt_gpu::{Device, OomError, Reservation};
 use dedukt_hash::Murmur3x64;
-use std::cell::{Cell, OnceCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 /// A packed k-mer key a count table can store: `u64` for k ≤ 31 (the
 /// paper's regime) or `u128` for wide k ≤ 63 (this reproduction's long-k
@@ -218,57 +223,194 @@ pub enum InsertOutcome {
     },
 }
 
-/// One device-table slot: a key and its count with no padding between
-/// them (12 B at `u64` keys, 20 B at `u128` keys), so a hit's count
-/// update reads the bytes next to the key it compared, not a second
-/// array.
+/// One stored key of a [`DeviceCountTable`]'s host image: the key, its
+/// count, and the simulated slot it claimed, with no padding between them
+/// (16 B at `u64` keys, 24 B at `u128` keys).
 #[derive(Clone, Copy, Debug)]
 #[repr(C, packed)]
-struct Slot<K> {
+struct Entry<K> {
     key: K,
     count: u32,
+    slot: u32,
 }
 
-/// Where a probe for one key ends.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Probe {
-    /// The key sits in `slot`, reached after `steps` probes.
-    Hit { slot: usize, steps: u32 },
-    /// The key is absent and `slot` is the empty slot it would claim.
-    Vacant { slot: usize, steps: u32 },
-    /// The key is absent and no slot is empty.
-    Full { steps: u32 },
+impl<K: TableKey> Entry<K> {
+    /// An unused index entry.
+    const FREE: Entry<K> = Entry {
+        key: K::EMPTY,
+        count: 0,
+        slot: 0,
+    };
 }
 
 /// How many k-mers [`DeviceCountTable::insert_all`] hashes and loads
 /// ahead of inserting them.
 const GROUP: usize = 16;
 
+/// Entries a fresh host image starts with; it doubles past half full.
+const INITIAL_ENTRIES: usize = 64;
+
+/// Probe steps a linear walk from `home` takes to reach `slot`.
+#[inline]
+fn steps_to(home: usize, slot: usize, mask: usize) -> u32 {
+    ((slot.wrapping_sub(home) & mask) + 1) as u32
+}
+
+/// Where a key's entry probe starts: the hash's high half, so it is
+/// independent of the home slot (the low bits).
+#[inline]
+fn entry_home(hash: u64) -> usize {
+    (hash >> 32) as usize
+}
+
+/// The host's copy of a device table, sized by its distinct keys rather
+/// than its capacity.
+///
+/// Slots are never freed, so a stored key's probe path from its home to
+/// its slot is all occupied slots, and an absent key's path ends at the
+/// first free slot at or after its home. One occupancy bit per simulated
+/// slot plus the slot each key claimed therefore answer every probe
+/// exactly as a walk over the slot array would.
+#[derive(Debug)]
+struct Image<K: TableKey> {
+    mask: usize,
+    hasher: Murmur3x64,
+    /// Bit `s` is set once simulated slot `s` holds a key. A table
+    /// smaller than a word sets its padding bits, so they are never free.
+    occupied: Vec<u64>,
+    /// Open-addressing key index (linear probing, `K::EMPTY` marks a free
+    /// entry), kept at most half full.
+    entries: Vec<Entry<K>>,
+    distinct: usize,
+}
+
+impl<K: TableKey> Image<K> {
+    fn new(capacity: usize, hasher: Murmur3x64) -> Image<K> {
+        let mut occupied = vec![0u64; capacity.div_ceil(64)];
+        if capacity < 64 {
+            occupied[0] = !0 << capacity;
+        }
+        Image {
+            mask: capacity - 1,
+            hasher,
+            occupied,
+            entries: vec![Entry::FREE; INITIAL_ENTRIES],
+            distinct: 0,
+        }
+    }
+
+    #[inline]
+    fn hash(&self, kmer: K) -> u64 {
+        kmer.hash_with(&self.hasher)
+    }
+
+    /// Loads the entry a probe for `hash` starts at, so a group's cache
+    /// misses overlap.
+    #[inline]
+    fn prefetch(&self, hash: u64) {
+        let i = entry_home(hash) & (self.entries.len() - 1);
+        std::hint::black_box(self.entries[i].key);
+    }
+
+    /// The entry holding `kmer` (`Ok`), or the free entry its probe ends
+    /// at (`Err`).
+    #[inline]
+    fn find(&self, kmer: K, hash: u64) -> Result<usize, usize> {
+        let emask = self.entries.len() - 1;
+        let mut i = entry_home(hash) & emask;
+        loop {
+            let key = self.entries[i].key;
+            if key == kmer {
+                return Ok(i);
+            }
+            if key == K::EMPTY {
+                return Err(i);
+            }
+            i = (i + 1) & emask;
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, kmer: K, hash: u64, count: u32) -> InsertOutcome {
+        debug_assert_ne!(kmer, K::EMPTY, "k-mer collides with empty sentinel");
+        debug_assert!(count > 0, "inserting zero occurrences is meaningless");
+        let home = hash as usize & self.mask;
+        match self.find(kmer, hash) {
+            Ok(i) => {
+                let entry = &mut self.entries[i];
+                entry.count += count;
+                let steps = steps_to(home, entry.slot as usize, self.mask);
+                InsertOutcome::Inserted(InsertResult { steps, new: false })
+            }
+            Err(_) if self.distinct > self.mask => InsertOutcome::Full {
+                steps: (self.mask + 1) as u32,
+            },
+            Err(mut i) => {
+                let slot = self.claim(home);
+                if 2 * (self.distinct + 1) > self.entries.len() {
+                    self.grow();
+                    i = self.find(kmer, hash).unwrap_err();
+                }
+                self.entries[i] = Entry {
+                    key: kmer,
+                    count,
+                    slot: slot as u32,
+                };
+                self.distinct += 1;
+                let steps = steps_to(home, slot, self.mask);
+                InsertOutcome::Inserted(InsertResult { steps, new: true })
+            }
+        }
+    }
+
+    /// Marks and returns the first free slot at or after `home`,
+    /// cyclically — where a walk from `home` would stop. The table must
+    /// have a free slot.
+    fn claim(&mut self, home: usize) -> usize {
+        let last = self.occupied.len() - 1;
+        let mut word = home / 64;
+        let mut free = !self.occupied[word] & (!0 << (home % 64));
+        while free == 0 {
+            word = (word + 1) & last;
+            free = !self.occupied[word];
+        }
+        let bit = free.trailing_zeros();
+        self.occupied[word] |= 1 << bit;
+        word * 64 + bit as usize
+    }
+
+    /// Doubles the key index and re-places every entry.
+    fn grow(&mut self) {
+        let doubled = vec![Entry::FREE; 2 * self.entries.len()];
+        for entry in std::mem::replace(&mut self.entries, doubled) {
+            let key = entry.key;
+            if key != K::EMPTY {
+                let i = self.find(key, self.hash(key)).unwrap_err();
+                self.entries[i] = entry;
+            }
+        }
+    }
+}
+
 /// A fixed-capacity count table in device memory — the GPU counting
 /// kernel's data structure (§III-B3). Generic over the packed key width
 /// (`u64` by default; `u128` for wide k).
 ///
 /// The table has one writer, the rank whose kernels insert into it, so
-/// its slots are plain cells: `insert` takes `&self` like the CUDA kernel
-/// it models, with no host atomics behind it.
+/// `insert` takes `&self` like the CUDA kernel it models, with no host
+/// atomics behind it. The device is charged for the full slot array; the
+/// host keeps only an image sized by the distinct keys.
 #[derive(Debug)]
 pub struct DeviceCountTable<K: PackedKmer = u64> {
-    slots: Vec<Cell<Slot<K>>>,
-    mask: usize,
-    occupied: Cell<usize>,
-    /// Key → slot of every stored key, built on the first probe after the
-    /// table fills. A full table takes no new key, so the index never
-    /// goes stale, and it answers each probe without walking every slot.
-    full_index: OnceCell<HashMap<K, usize>>,
-    hasher: Murmur3x64,
+    image: RefCell<Image<K>>,
     /// The device charge: the key array's bytes, then the count array's.
     _charge: (Reservation, Reservation),
 }
 
 impl<K: PackedKmer> DeviceCountTable<K> {
     /// Allocates a table with `capacity` slots (rounded up to a power of
-    /// two) on `device`, keys initialised to the empty sentinel. Charged
-    /// as a key array plus a 4-byte count array, reserved in that order.
+    /// two) on `device`, every slot empty. Charged as a key array plus a
+    /// 4-byte count array, reserved in that order.
     pub fn new(
         device: &Device,
         capacity: usize,
@@ -277,23 +419,15 @@ impl<K: PackedKmer> DeviceCountTable<K> {
         let cap = capacity.next_power_of_two().max(16);
         let keys = device.reserve(cap as u64 * K::KMER_WIRE_BYTES)?;
         let counts = device.reserve(cap as u64 * 4)?;
-        let empty = Slot {
-            key: K::EMPTY,
-            count: 0,
-        };
         Ok(DeviceCountTable {
-            slots: vec![Cell::new(empty); cap],
-            mask: cap - 1,
-            occupied: Cell::new(0),
-            full_index: OnceCell::new(),
-            hasher: Murmur3x64::new(hash_seed),
+            image: RefCell::new(Image::new(cap, Murmur3x64::new(hash_seed))),
             _charge: (keys, counts),
         })
     }
 
     /// Slot capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.image.borrow().mask + 1
     }
 
     /// Inserts one k-mer instance. On success returns the probe-step
@@ -314,128 +448,63 @@ impl<K: PackedKmer> DeviceCountTable<K> {
     /// once — the rehash primitive: a regrow kernel migrates each old
     /// slot's accumulated count with a single probe sequence.
     pub fn insert_counted(&self, kmer: K, count: u32) -> InsertOutcome {
-        self.insert_at(kmer, self.home(kmer), count)
+        let mut image = self.image.borrow_mut();
+        let hash = image.hash(kmer);
+        image.insert(kmer, hash, count)
     }
 
     /// Inserts one instance of each of `kmers` in order, handing every
     /// outcome to `on` — exactly what calling [`DeviceCountTable::insert`]
     /// on each would return. Works in groups: it hashes a group and loads
-    /// each member's home slot before inserting the group in order, so
-    /// the group's cache misses overlap instead of waiting on one another.
+    /// each member's first index entry before inserting the group in
+    /// order, so the group's cache misses overlap instead of waiting on
+    /// one another.
     pub fn insert_all(&self, kmers: &[K], mut on: impl FnMut(K, InsertOutcome)) {
-        let mut homes = [0usize; GROUP];
+        let mut image = self.image.borrow_mut();
+        let mut hashes = [0u64; GROUP];
         for group in kmers.chunks(GROUP) {
-            for (home, &kmer) in homes.iter_mut().zip(group) {
-                *home = self.home(kmer);
-                std::hint::black_box(self.slots[*home].get());
+            for (hash, &kmer) in hashes.iter_mut().zip(group) {
+                *hash = image.hash(kmer);
+                image.prefetch(*hash);
             }
-            for (&home, &kmer) in homes.iter().zip(group) {
-                on(kmer, self.insert_at(kmer, home, 1));
+            for (&hash, &kmer) in hashes.iter().zip(group) {
+                on(kmer, image.insert(kmer, hash, 1));
             }
         }
     }
 
     /// The count of `kmer`, or `None`.
     pub fn get(&self, kmer: K) -> Option<u32> {
-        match self.probe(kmer, self.home(kmer)) {
-            Probe::Hit { slot, .. } => Some(self.slots[slot].get().count),
-            Probe::Vacant { .. } | Probe::Full { .. } => None,
-        }
+        let image = self.image.borrow();
+        let i = image.find(kmer, image.hash(kmer)).ok()?;
+        Some(image.entries[i].count)
     }
 
     /// Copies the table to the host as `(kmer, count)` pairs in slot
     /// order.
     pub fn to_host(&self) -> Vec<(K, u32)> {
-        self.slots
+        let image = self.image.borrow();
+        let mut stored: Vec<Entry<K>> = image
+            .entries
             .iter()
-            .map(|cell| {
-                let s = cell.get();
-                (s.key, s.count)
-            })
-            .filter(|&(key, _)| key != K::EMPTY)
-            .collect()
+            .filter(|e| { e.key } != K::EMPTY)
+            .copied()
+            .collect();
+        stored.sort_unstable_by_key(|e| e.slot);
+        stored.into_iter().map(|e| (e.key, e.count)).collect()
     }
 
     /// Number of distinct keys.
     pub fn distinct(&self) -> usize {
-        self.occupied.get()
+        self.image.borrow().distinct
     }
 
-    fn home(&self, kmer: K) -> usize {
-        (kmer.hash_with(&self.hasher) as usize) & self.mask
-    }
-
-    fn insert_at(&self, kmer: K, home: usize, count: u32) -> InsertOutcome {
-        debug_assert_ne!(kmer, K::EMPTY, "k-mer collides with empty sentinel");
-        debug_assert!(count > 0, "inserting zero occurrences is meaningless");
-        match self.probe(kmer, home) {
-            Probe::Hit { slot, steps } => {
-                let cell = &self.slots[slot];
-                let mut s = cell.get();
-                s.count += count;
-                cell.set(s);
-                InsertOutcome::Inserted(InsertResult { steps, new: false })
-            }
-            Probe::Vacant { slot, steps } => {
-                self.slots[slot].set(Slot { key: kmer, count });
-                self.occupied.set(self.occupied.get() + 1);
-                InsertOutcome::Inserted(InsertResult { steps, new: true })
-            }
-            Probe::Full { steps } => InsertOutcome::Full { steps },
-        }
-    }
-
-    /// Probes for `kmer` from its `home` slot: by walking while the table
-    /// has an empty slot, through the full-table index once it has none.
-    fn probe(&self, kmer: K, home: usize) -> Probe {
-        if self.occupied.get() < self.capacity() {
-            self.walk(kmer, home)
-        } else {
-            self.lookup_full(kmer, home)
-        }
-    }
-
-    /// Linear probing from `home`: stops at the key, at an empty slot, or
-    /// after visiting every slot.
-    fn walk(&self, kmer: K, home: usize) -> Probe {
-        let mut slot = home;
-        let mut steps = 1u32;
-        loop {
-            let key = self.slots[slot].get().key;
-            if key == kmer {
-                return Probe::Hit { slot, steps };
-            }
-            if key == K::EMPTY {
-                return Probe::Vacant { slot, steps };
-            }
-            if steps as usize >= self.capacity() {
-                return Probe::Full { steps };
-            }
-            slot = (slot + 1) & self.mask;
-            steps += 1;
-        }
-    }
-
-    /// What [`DeviceCountTable::walk`] answers on a full table, in O(1):
-    /// a stored key is `((slot − home) & mask) + 1` probes from home, and
-    /// an absent key costs the whole circuit.
-    fn lookup_full(&self, kmer: K, home: usize) -> Probe {
-        let index = self.full_index.get_or_init(|| {
-            self.slots
-                .iter()
-                .enumerate()
-                .map(|(slot, s)| (s.get().key, slot))
-                .collect()
-        });
-        match index.get(&kmer) {
-            Some(&slot) => Probe::Hit {
-                slot,
-                steps: ((slot.wrapping_sub(home) & self.mask) + 1) as u32,
-            },
-            None => Probe::Full {
-                steps: self.capacity() as u32,
-            },
-        }
+    /// Host bytes the table's image holds: occupancy bits plus key index.
+    #[cfg(test)]
+    fn host_bytes(&self) -> usize {
+        let image = self.image.borrow();
+        image.occupied.capacity() * std::mem::size_of::<u64>()
+            + image.entries.capacity() * std::mem::size_of::<Entry<K>>()
     }
 }
 
@@ -699,39 +768,128 @@ mod tests {
         );
     }
 
-    /// Fills a `capacity`-slot table from a pool of twice as many keys,
-    /// then checks that the full-table index answers every pool key —
-    /// stored or bounced — exactly as a walk over all slots does.
-    fn index_matches_walk<K: PackedKmer>(key: fn(u64) -> K, capacity: usize) {
-        let device = Device::v100();
-        let t = DeviceCountTable::<K>::new(&device, capacity, 23).unwrap();
-        let pool = 2 * capacity as u64;
-        for i in 0..pool {
-            t.insert(key(i));
-        }
-        assert_eq!(t.distinct(), t.capacity());
-        let (mut hits, mut misses) = (0, 0);
-        for i in 0..pool {
-            let k = key(i);
-            let home = t.home(k);
-            let walked = t.walk(k, home);
-            assert_eq!(t.lookup_full(k, home), walked, "key {i}");
-            match walked {
-                Probe::Hit { .. } => hits += 1,
-                Probe::Full { steps } => {
-                    assert_eq!(steps as usize, t.capacity());
-                    misses += 1;
-                }
-                Probe::Vacant { .. } => panic!("a full table has no vacant slot"),
+    /// A plain slot array probed by walking it: the device table's
+    /// reference semantics, with every slot resident on the host.
+    struct WalkTable<K> {
+        slots: Vec<Option<(K, u32)>>,
+        hasher: Murmur3x64,
+    }
+
+    impl<K: PackedKmer> WalkTable<K> {
+        fn new(capacity: usize, hash_seed: u64) -> WalkTable<K> {
+            WalkTable {
+                slots: vec![None; capacity],
+                hasher: Murmur3x64::new(hash_seed),
             }
         }
-        assert_eq!((hits, misses), (capacity, capacity));
+
+        fn insert_counted(&mut self, kmer: K, count: u32) -> InsertOutcome {
+            let cap = self.slots.len();
+            let mut slot = (kmer.hash_with(&self.hasher) as usize) & (cap - 1);
+            for steps in 1..=cap as u32 {
+                match &mut self.slots[slot] {
+                    Some((key, c)) if *key == kmer => {
+                        *c += count;
+                        return InsertOutcome::Inserted(InsertResult { steps, new: false });
+                    }
+                    Some(_) => slot = (slot + 1) & (cap - 1),
+                    empty @ None => {
+                        *empty = Some((kmer, count));
+                        return InsertOutcome::Inserted(InsertResult { steps, new: true });
+                    }
+                }
+            }
+            InsertOutcome::Full { steps: cap as u32 }
+        }
+
+        fn get(&self, kmer: K) -> Option<u32> {
+            self.slots
+                .iter()
+                .flatten()
+                .find(|&&(k, _)| k == kmer)
+                .map(|&(_, c)| c)
+        }
+
+        fn to_host(&self) -> Vec<(K, u32)> {
+            self.slots.iter().flatten().copied().collect()
+        }
+    }
+
+    /// Streams `n` seeded draws from a pool of `pool` keys into a device
+    /// table and a [`WalkTable`] of `capacity` slots, checking each insert
+    /// and then every pool key's count against the walk; migrates both
+    /// into 2× tables the way a regrow does and checks again. Returns the
+    /// number of `Full` outcomes.
+    fn image_matches_walk<K: PackedKmer>(
+        key: fn(u64) -> K,
+        capacity: usize,
+        pool: u64,
+        n: usize,
+    ) -> usize {
+        let device = Device::v100();
+        let t = DeviceCountTable::<K>::new(&device, capacity, 29).unwrap();
+        let mut walk = WalkTable::<K>::new(t.capacity(), 29);
+        let mut rng = dedukt_sim::rng::SplitMix64::new(pool);
+        let mut full = 0;
+        for i in 0..n {
+            let k = key(rng.next_below(pool));
+            let outcome = walk.insert_counted(k, 1);
+            assert_eq!(t.insert(k), outcome, "insert {i}");
+            full += usize::from(matches!(outcome, InsertOutcome::Full { .. }));
+        }
+        let check = |t: &DeviceCountTable<K>, walk: &WalkTable<K>| {
+            for i in 0..pool {
+                assert_eq!(t.get(key(i)), walk.get(key(i)), "pool key {i}");
+            }
+            assert_eq!(t.to_host(), walk.to_host());
+            assert_eq!(t.distinct(), walk.to_host().len());
+        };
+        check(&t, &walk);
+        let grown = DeviceCountTable::<K>::new(&device, 2 * t.capacity(), 29).unwrap();
+        let mut grown_walk = WalkTable::<K>::new(grown.capacity(), 29);
+        for (k, c) in t.to_host() {
+            assert_eq!(grown.insert_counted(k, c), grown_walk.insert_counted(k, c));
+        }
+        check(&grown, &grown_walk);
+        full
+    }
+
+    /// A distinct packed 17-mer (34 bits) per `i < 2^34`.
+    fn kmer17(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & ((1 << 34) - 1)
+    }
+
+    /// A distinct packed 41-mer (82 bits) per `i`.
+    fn kmer41(i: u64) -> u128 {
+        u128::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835) & ((1 << 82) - 1)
     }
 
     #[test]
-    fn full_table_index_answers_like_the_walk_at_both_widths() {
-        index_matches_walk(narrow_key, 256);
-        index_matches_walk(wide_key, 256);
+    fn host_image_answers_like_a_walk_at_both_widths() {
+        fn both<K: PackedKmer>(key: fn(u64) -> K) {
+            // Roomy: a tenth full, no `Full`.
+            assert_eq!(image_matches_walk(key, 4096, 400, 3000), 0);
+            // Near full: 250 of 256 slots taken, long probe runs.
+            assert_eq!(image_matches_walk(key, 256, 250, 5000), 0);
+            // Full: the pool is twice the capacity, so keys bounce (and
+            // the 16-slot table's occupancy word has padding bits).
+            assert!(image_matches_walk(key, 256, 512, 5000) > 0);
+            assert!(image_matches_walk(key, 16, 40, 500) > 0);
+        }
+        both(kmer17);
+        both(kmer41);
+    }
+
+    #[test]
+    fn host_image_is_sized_by_distinct_keys() {
+        let device = Device::v100();
+        let t = DeviceCountTable::<u64>::new(&device, 1 << 22, 31).unwrap();
+        for i in 0..1000u64 {
+            t.insert(kmer17(i));
+        }
+        assert_eq!(t.distinct(), 1000);
+        // A full slot array would take 12 B × 2^22 = 48 MiB.
+        assert!(t.host_bytes() < 1 << 20, "{} host bytes", t.host_bytes());
     }
 
     #[test]

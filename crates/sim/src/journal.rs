@@ -8,7 +8,7 @@
 //! - the JSONL journal ([`write_journal`]) for machines: one flat JSON
 //!   object per line, rich enough to reconstruct the superstep DAG
 //!   offline — every charge against a simulated rank clock is journaled,
-//!   so [`crate::analyze`] can re-derive the makespan, walk the critical
+//!   so [`crate::analyze`](mod@crate::analyze) can re-derive the makespan, walk the critical
 //!   path, and reconcile per-phase totals exactly;
 //! - the Chrome trace ([`crate::trace::write_chrome_trace`]) for human
 //!   eyeballs in a timeline viewer;
