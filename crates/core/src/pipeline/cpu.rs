@@ -3,9 +3,12 @@
 //! 42 ranks per node (one per Power9 core, §V-A). Each rank parses its
 //! read partition into k-mers, routes every k-mer to its owner by
 //! MurmurHash3, exchanges with `MPI_Alltoallv`, and counts the received
-//! k-mers in a host open-addressing table. Compute phases are charged with
-//! the calibrated per-core rates of [`crate::config::CpuCoreModel`]
-//! (functional results are exact regardless).
+//! k-mers in a host open-addressing table. The table is sized from the
+//! rank's received instances, but it holds memory only for its distinct
+//! keys: [`HostCountTable`] shares the device table's image (occupancy
+//! bits plus a key index). Compute phases are charged with the calibrated
+//! per-core rates of [`crate::config::CpuCoreModel`] (functional results
+//! are exact regardless).
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
 //! shared staged driver (`pipeline::driver`); this module only supplies

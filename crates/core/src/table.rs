@@ -9,20 +9,22 @@
 //! all-ones:
 //!
 //! * [`HostCountTable`] — single-owner, growable; used by the CPU baseline
-//!   ranks. Keys and counts sit in two arrays.
+//!   ranks.
 //! * [`DeviceCountTable`] — fixed-capacity, charged against the device
 //!   budget; insertion is the probe sequence of the CUDA claim loop the
 //!   paper describes ("Both operations are handled atomically to avoid
 //!   race conditions … collisions are addressed using … linear probing").
 //!   A rank owns its device and runs its blocks in order, so the table has
 //!   a single writer; the count kernel prices the CAS and `atomicAdd` it
-//!   stands for. The device is charged for every slot, but the host keeps
-//!   an image sized by the distinct keys: one occupancy bit per slot plus
-//!   an index of `(key, count, slot)` entries. Slots are never freed, so
-//!   a stored key's probe walk is `((slot − home) & mask) + 1` steps and
-//!   a new key claims the first free slot at or after its home — the
-//!   same outcomes, slot order and device charge as a full slot array,
-//!   full tables included.
+//!   stands for. The device is charged for every slot.
+//!
+//! Neither keeps a slot array on the host. Both hold the same image, sized
+//! by the distinct keys: one occupancy bit per slot plus an index of
+//! `(key, count, slot)` entries, probed by one rule. Slots are never
+//! freed, so a stored key's probe walk is `((slot − home) & mask) + 1`
+//! steps and a new key claims the first free slot at or after its home —
+//! the same outcomes, probe counts, slot order and device charge as a full
+//! slot array, full tables included.
 
 use crate::config::CountingConfig;
 use crate::width::PackedKmer;
@@ -78,15 +80,12 @@ pub fn table_capacity(cfg: &CountingConfig, received_kmers: usize) -> usize {
 
 /// A growable, single-owner open-addressing count table, generic over
 /// the packed key width (`u64` by default; `u128` for the wide-k
-/// extension).
+/// extension). It doubles its slot count before an insert would take it
+/// past `max_load`.
 #[derive(Clone, Debug)]
 pub struct HostCountTable<K: TableKey = u64> {
-    keys: Vec<K>,
-    counts: Vec<u32>,
-    mask: usize,
-    distinct: usize,
+    image: Image<K>,
     max_load: f64,
-    hasher: Murmur3x64,
     probes: u64,
 }
 
@@ -95,29 +94,25 @@ impl<K: TableKey> HostCountTable<K> {
     pub fn with_expected(expected: usize, max_load: f64, hash_seed: u64) -> HostCountTable<K> {
         let cap = capacity_for(expected, max_load).max(16);
         HostCountTable {
-            keys: vec![K::EMPTY; cap],
-            counts: vec![0; cap],
-            mask: cap - 1,
-            distinct: 0,
+            image: Image::new(cap, Murmur3x64::new(hash_seed)),
             max_load,
-            hasher: Murmur3x64::new(hash_seed),
             probes: 0,
         }
     }
 
     /// Current slot capacity.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.image.mask + 1
     }
 
     /// Number of distinct keys stored.
     pub fn distinct(&self) -> usize {
-        self.distinct
+        self.image.distinct
     }
 
     /// Total count mass (sum of all counts).
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(|&c| c as u64).sum()
+        self.image.entries.iter().map(|e| u64::from(e.count)).sum()
     }
 
     /// Total probe steps performed by inserts (collision metric).
@@ -128,50 +123,25 @@ impl<K: TableKey> HostCountTable<K> {
     /// Inserts one k-mer instance: increments its count, creating the
     /// entry if new (Algorithm 1, lines 11-15).
     pub fn insert(&mut self, kmer: K) {
-        debug_assert_ne!(kmer, K::EMPTY, "k-mer collides with empty sentinel");
-        if (self.distinct + 1) as f64 > self.capacity() as f64 * self.max_load {
+        if (self.distinct() + 1) as f64 > self.capacity() as f64 * self.max_load {
             self.grow();
         }
-        let mut slot = (kmer.hash_with(&self.hasher) as usize) & self.mask;
-        loop {
-            let k = self.keys[slot];
-            if k == kmer {
-                self.counts[slot] += 1;
-                return;
-            }
-            if k == K::EMPTY {
-                self.keys[slot] = kmer;
-                self.counts[slot] = 1;
-                self.distinct += 1;
-                return;
-            }
-            slot = (slot + 1) & self.mask;
-            self.probes += 1;
-        }
+        let hash = self.image.hash(kmer);
+        let InsertOutcome::Inserted(r) = self.image.insert(kmer, hash, 1) else {
+            unreachable!("the load bound keeps a slot free");
+        };
+        // A walk steps past `steps − 1` slots before it lands.
+        self.probes += u64::from(r.steps - 1);
     }
 
     /// The count of `kmer`, or `None` if absent.
     pub fn get(&self, kmer: K) -> Option<u32> {
-        let mut slot = (kmer.hash_with(&self.hasher) as usize) & self.mask;
-        loop {
-            let k = self.keys[slot];
-            if k == kmer {
-                return Some(self.counts[slot]);
-            }
-            if k == K::EMPTY {
-                return None;
-            }
-            slot = (slot + 1) & self.mask;
-        }
+        self.image.get(kmer)
     }
 
-    /// Iterates `(kmer, count)` pairs in unspecified order.
+    /// Iterates `(kmer, count)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (K, u32)> + '_ {
-        self.keys
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|(&k, _)| k != K::EMPTY)
-            .map(|(&k, &c)| (k, c))
+        self.image.pairs()
     }
 
     /// Builds this table's k-mer spectrum.
@@ -179,21 +149,18 @@ impl<K: TableKey> HostCountTable<K> {
         Spectrum::from_counts(self.iter().map(|(_, c)| c))
     }
 
+    /// Doubles the slot count. Each key re-claims the first free slot at
+    /// or after its new home, in old slot order — where rehashing a slot
+    /// array into a fresh one puts it. The key index is probed from the
+    /// hash's high half, so it stays put.
     fn grow(&mut self) {
-        let new_cap = self.capacity() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![K::EMPTY; new_cap]);
-        let old_counts = std::mem::replace(&mut self.counts, vec![0; new_cap]);
-        self.mask = new_cap - 1;
-        for (k, c) in old_keys.into_iter().zip(old_counts) {
-            if k == K::EMPTY {
-                continue;
-            }
-            let mut slot = (k.hash_with(&self.hasher) as usize) & self.mask;
-            while self.keys[slot] != K::EMPTY {
-                slot = (slot + 1) & self.mask;
-            }
-            self.keys[slot] = k;
-            self.counts[slot] = c;
+        let image = &mut self.image;
+        let order: Vec<usize> = image.by_slot().collect();
+        image.mask = 2 * image.mask + 1;
+        image.occupied = free_slots(image.mask + 1);
+        for i in order {
+            let home = image.hash(image.entries[i].key) as usize & image.mask;
+            image.entries[i].slot = image.claim(home) as u32;
         }
     }
 }
@@ -223,7 +190,7 @@ pub enum InsertOutcome {
     },
 }
 
-/// One stored key of a [`DeviceCountTable`]'s host image: the key, its
+/// One stored key of a count table's host image: the key, its
 /// count, and the simulated slot it claimed, with no padding between them
 /// (16 B at `u64` keys, 24 B at `u128` keys).
 #[derive(Clone, Copy, Debug)]
@@ -263,7 +230,17 @@ fn entry_home(hash: u64) -> usize {
     (hash >> 32) as usize
 }
 
-/// The host's copy of a device table, sized by its distinct keys rather
+/// An occupancy bitmap of `capacity` free slots. A table smaller than a
+/// word sets its padding bits, so they are never free.
+fn free_slots(capacity: usize) -> Vec<u64> {
+    let mut occupied = vec![0u64; capacity.div_ceil(64)];
+    if capacity < 64 {
+        occupied[0] = !0 << capacity;
+    }
+    occupied
+}
+
+/// The host's copy of a count table, sized by its distinct keys rather
 /// than its capacity.
 ///
 /// Slots are never freed, so a stored key's probe path from its home to
@@ -271,12 +248,12 @@ fn entry_home(hash: u64) -> usize {
 /// first free slot at or after its home. One occupancy bit per simulated
 /// slot plus the slot each key claimed therefore answer every probe
 /// exactly as a walk over the slot array would.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Image<K: TableKey> {
     mask: usize,
     hasher: Murmur3x64,
-    /// Bit `s` is set once simulated slot `s` holds a key. A table
-    /// smaller than a word sets its padding bits, so they are never free.
+    /// Bit `s` is set once simulated slot `s` holds a key (see
+    /// [`free_slots`]).
     occupied: Vec<u64>,
     /// Open-addressing key index (linear probing, `K::EMPTY` marks a free
     /// entry), kept at most half full.
@@ -286,14 +263,10 @@ struct Image<K: TableKey> {
 
 impl<K: TableKey> Image<K> {
     fn new(capacity: usize, hasher: Murmur3x64) -> Image<K> {
-        let mut occupied = vec![0u64; capacity.div_ceil(64)];
-        if capacity < 64 {
-            occupied[0] = !0 << capacity;
-        }
         Image {
             mask: capacity - 1,
             hasher,
-            occupied,
+            occupied: free_slots(capacity),
             entries: vec![Entry::FREE; INITIAL_ENTRIES],
             distinct: 0,
         }
@@ -348,7 +321,7 @@ impl<K: TableKey> Image<K> {
             Err(mut i) => {
                 let slot = self.claim(home);
                 if 2 * (self.distinct + 1) > self.entries.len() {
-                    self.grow();
+                    self.grow_index();
                     i = self.find(kmer, hash).unwrap_err();
                 }
                 self.entries[i] = Entry {
@@ -379,8 +352,37 @@ impl<K: TableKey> Image<K> {
         word * 64 + bit as usize
     }
 
+    /// The count of `kmer`, or `None`.
+    fn get(&self, kmer: K) -> Option<u32> {
+        let i = self.find(kmer, self.hash(kmer)).ok()?;
+        Some(self.entries[i].count)
+    }
+
+    /// The stored entries' indices, in slot order.
+    fn by_slot(&self) -> impl Iterator<Item = usize> {
+        // Slots are distinct, so sorting `slot << 32 | index` words
+        // orders the entries by slot without chasing them.
+        let mut order: Vec<u64> = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| { e.key } != K::EMPTY)
+            .map(|(i, e)| u64::from(e.slot) << 32 | i as u64)
+            .collect();
+        order.sort_unstable();
+        order.into_iter().map(|word| word as u32 as usize)
+    }
+
+    /// The stored `(kmer, count)` pairs, in slot order.
+    fn pairs(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+        self.by_slot().map(|i| {
+            let entry = self.entries[i];
+            (entry.key, entry.count)
+        })
+    }
+
     /// Doubles the key index and re-places every entry.
-    fn grow(&mut self) {
+    fn grow_index(&mut self) {
         let doubled = vec![Entry::FREE; 2 * self.entries.len()];
         for entry in std::mem::replace(&mut self.entries, doubled) {
             let key = entry.key;
@@ -389,6 +391,13 @@ impl<K: TableKey> Image<K> {
                 self.entries[i] = entry;
             }
         }
+    }
+
+    /// Host bytes the image holds: occupancy bits plus key index.
+    #[cfg(test)]
+    fn host_bytes(&self) -> usize {
+        self.occupied.capacity() * std::mem::size_of::<u64>()
+            + self.entries.capacity() * std::mem::size_of::<Entry<K>>()
     }
 }
 
@@ -475,36 +484,18 @@ impl<K: PackedKmer> DeviceCountTable<K> {
 
     /// The count of `kmer`, or `None`.
     pub fn get(&self, kmer: K) -> Option<u32> {
-        let image = self.image.borrow();
-        let i = image.find(kmer, image.hash(kmer)).ok()?;
-        Some(image.entries[i].count)
+        self.image.borrow().get(kmer)
     }
 
     /// Copies the table to the host as `(kmer, count)` pairs in slot
     /// order.
     pub fn to_host(&self) -> Vec<(K, u32)> {
-        let image = self.image.borrow();
-        let mut stored: Vec<Entry<K>> = image
-            .entries
-            .iter()
-            .filter(|e| { e.key } != K::EMPTY)
-            .copied()
-            .collect();
-        stored.sort_unstable_by_key(|e| e.slot);
-        stored.into_iter().map(|e| (e.key, e.count)).collect()
+        self.image.borrow().pairs().collect()
     }
 
     /// Number of distinct keys.
     pub fn distinct(&self) -> usize {
         self.image.borrow().distinct
-    }
-
-    /// Host bytes the table's image holds: occupancy bits plus key index.
-    #[cfg(test)]
-    fn host_bytes(&self) -> usize {
-        let image = self.image.borrow();
-        image.occupied.capacity() * std::mem::size_of::<u64>()
-            + image.entries.capacity() * std::mem::size_of::<Entry<K>>()
     }
 }
 
@@ -889,7 +880,147 @@ mod tests {
         }
         assert_eq!(t.distinct(), 1000);
         // A full slot array would take 12 B × 2^22 = 48 MiB.
-        assert!(t.host_bytes() < 1 << 20, "{} host bytes", t.host_bytes());
+        let bytes = t.image.borrow().host_bytes();
+        assert!(bytes < 1 << 20, "{bytes} host bytes");
+    }
+
+    #[test]
+    fn host_table_is_sized_by_distinct_keys() {
+        let mut t: HostCountTable = HostCountTable::with_expected(1 << 20, 0.7, 31);
+        for i in 0..1000u64 {
+            t.insert(kmer17(i));
+        }
+        assert_eq!(t.distinct(), 1000);
+        // Two slot arrays would take 12 B × 2^21 = 24 MiB.
+        let bytes = t.image.host_bytes();
+        assert!(bytes < 1 << 20, "{bytes} host bytes");
+    }
+
+    /// The host table as two slot arrays, keys and counts, probed by
+    /// walking them: [`HostCountTable`]'s reference semantics.
+    struct TwoArrayTable<K> {
+        keys: Vec<K>,
+        counts: Vec<u32>,
+        distinct: usize,
+        max_load: f64,
+        hasher: Murmur3x64,
+        probes: u64,
+    }
+
+    impl<K: TableKey> TwoArrayTable<K> {
+        fn with_expected(expected: usize, max_load: f64, hash_seed: u64) -> TwoArrayTable<K> {
+            let cap = capacity_for(expected, max_load).max(16);
+            TwoArrayTable {
+                keys: vec![K::EMPTY; cap],
+                counts: vec![0; cap],
+                distinct: 0,
+                max_load,
+                hasher: Murmur3x64::new(hash_seed),
+                probes: 0,
+            }
+        }
+
+        fn home(&self, kmer: K) -> usize {
+            (kmer.hash_with(&self.hasher) as usize) & (self.keys.len() - 1)
+        }
+
+        fn insert(&mut self, kmer: K) {
+            if (self.distinct + 1) as f64 > self.keys.len() as f64 * self.max_load {
+                self.grow();
+            }
+            let mut slot = self.home(kmer);
+            loop {
+                let k = self.keys[slot];
+                if k == kmer {
+                    self.counts[slot] += 1;
+                    return;
+                }
+                if k == K::EMPTY {
+                    self.keys[slot] = kmer;
+                    self.counts[slot] = 1;
+                    self.distinct += 1;
+                    return;
+                }
+                slot = (slot + 1) & (self.keys.len() - 1);
+                self.probes += 1;
+            }
+        }
+
+        fn get(&self, kmer: K) -> Option<u32> {
+            let mut slot = self.home(kmer);
+            loop {
+                let k = self.keys[slot];
+                if k == kmer {
+                    return Some(self.counts[slot]);
+                }
+                if k == K::EMPTY {
+                    return None;
+                }
+                slot = (slot + 1) & (self.keys.len() - 1);
+            }
+        }
+
+        fn iter(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+            self.keys
+                .iter()
+                .zip(&self.counts)
+                .filter(|(&k, _)| k != K::EMPTY)
+                .map(|(&k, &c)| (k, c))
+        }
+
+        fn grow(&mut self) {
+            let new_cap = 2 * self.keys.len();
+            let old_keys = std::mem::replace(&mut self.keys, vec![K::EMPTY; new_cap]);
+            let old_counts = std::mem::replace(&mut self.counts, vec![0; new_cap]);
+            for (k, c) in old_keys.into_iter().zip(old_counts) {
+                if k == K::EMPTY {
+                    continue;
+                }
+                let mut slot = self.home(k);
+                while self.keys[slot] != K::EMPTY {
+                    slot = (slot + 1) & (new_cap - 1);
+                }
+                self.keys[slot] = k;
+                self.counts[slot] = c;
+            }
+        }
+    }
+
+    #[test]
+    fn host_image_answers_like_the_two_array_table_at_both_widths() {
+        fn both<K: PackedKmer>(key: fn(u64) -> K) {
+            // 400 distinct keys at load 0.7 take the table from 16 slots
+            // to 1024: six doublings.
+            let pool = 400;
+            let mut t = HostCountTable::<K>::with_expected(1, 0.7, 37);
+            let mut reference = TwoArrayTable::<K>::with_expected(1, 0.7, 37);
+            assert_eq!(t.capacity(), 16);
+            let mut rng = dedukt_sim::rng::SplitMix64::new(pool);
+            for i in 0..2500 {
+                let k = key(rng.next_below(pool));
+                let (probes, reference_probes) = (t.probe_steps(), reference.probes);
+                t.insert(k);
+                reference.insert(k);
+                assert_eq!(
+                    t.probe_steps() - probes,
+                    reference.probes - reference_probes,
+                    "insert {i}"
+                );
+                for j in 0..pool + 20 {
+                    assert_eq!(t.get(key(j)), reference.get(key(j)), "insert {i}, key {j}");
+                }
+                assert!(t.iter().eq(reference.iter()), "insert {i}");
+                assert_eq!(t.capacity(), reference.keys.len());
+                assert_eq!(t.distinct(), reference.distinct);
+                let reference_total: u64 = reference.counts.iter().map(|&c| u64::from(c)).sum();
+                assert_eq!(t.total(), reference_total);
+                let reference_spectrum = Spectrum::from_counts(reference.iter().map(|(_, c)| c));
+                assert_eq!(t.spectrum(), reference_spectrum);
+            }
+            assert_eq!(t.capacity(), 1024);
+        }
+        both(kmer17);
+        both(kmer41);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! so a kill mid-write leaves no half-complete file a resume could
 //! mistake for a finished bin.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use dedukt_sim::journal::parse_flat_json;
@@ -125,23 +124,49 @@ pub struct BinCounts {
     pub filtered_instances: u64,
 }
 
+/// Appends `n` as lowercase hex without leading zeros, as `{n:x}` does.
+fn push_hex(out: &mut Vec<u8>, n: u128) {
+    let digits = (128 - n.leading_zeros()).div_ceil(4).max(1);
+    for shift in (0..digits).rev().map(|d| 4 * d) {
+        out.push(b"0123456789abcdef"[(n >> shift) as usize & 0xf]);
+    }
+}
+
+/// Appends `n` in decimal, as `{n}` does.
+fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
 /// Persists a completed bin's counts atomically (temp file + rename), so
 /// a kill can never leave a partial file that [`read_bin_counts`] would
 /// take for a finished bin.
 pub fn write_bin_counts(path: &Path, counts: &BinCounts) -> Result<(), String> {
     // One buffer for the whole file: a 63-mer is 32 hex digits, a count
     // at most 10 decimal ones.
-    let mut text = String::with_capacity(80 + counts.entries.len() * 24);
-    let _ = writeln!(
-        text,
-        "# entries={} instances={} filtered={} filtered_instances={}",
+    let mut text = format!(
+        "# entries={} instances={} filtered={} filtered_instances={}\n",
         counts.entries.len(),
         counts.instances,
         counts.filtered,
         counts.filtered_instances
-    );
+    )
+    .into_bytes();
+    text.reserve(counts.entries.len() * 24);
     for &(key, count) in &counts.entries {
-        let _ = writeln!(text, "{key:x}\t{count}");
+        push_hex(&mut text, key);
+        text.push(b'\t');
+        push_decimal(&mut text, count);
+        text.push(b'\n');
     }
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
@@ -181,6 +206,7 @@ pub fn read_bin_counts(path: &Path) -> Option<BinCounts> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     fn sample() -> Manifest {
         Manifest {
@@ -258,30 +284,40 @@ mod tests {
             std::env::temp_dir().join(format!("dedukt-store-test-{}-bytes", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bin-0001.counts.tsv");
+        // Every hex digit count, at both edges.
+        let edges = (1..32).flat_map(|d| [((1u128 << (4 * d)) - 1, 9), (1 << (4 * d), 10)]);
         let counts = BinCounts {
-            entries: vec![
+            entries: [
                 (0, 1),
                 (0xF, 9),
                 (0x10, 10),
                 (u64::MAX as u128, u32::MAX),
                 (u64::MAX as u128 + 1, 2),
                 (0x1234_5678_9ABC_DEF0_0FED_CBA9_8765_4321, 65_536),
+                ((1 << 126) - 1, 10),
+                (1 << 125, 1),
                 (u128::MAX - 1, 3),
-            ],
+            ]
+            .into_iter()
+            .chain(edges)
+            .collect(),
             instances: 1 << 40,
             filtered: 7,
             filtered_instances: u64::MAX,
         };
         write_bin_counts(&path, &counts).unwrap();
-        let mut expect = format!(
-            "# entries={} instances={} filtered={} filtered_instances={}\n",
+        let mut expect = String::new();
+        writeln!(
+            expect,
+            "# entries={} instances={} filtered={} filtered_instances={}",
             counts.entries.len(),
             counts.instances,
             counts.filtered,
             counts.filtered_instances
-        );
+        )
+        .unwrap();
         for &(key, count) in &counts.entries {
-            expect.push_str(&format!("{key:x}\t{count}\n"));
+            writeln!(expect, "{key:x}\t{count}").unwrap();
         }
         assert_eq!(std::fs::read_to_string(&path).unwrap(), expect);
         assert_eq!(read_bin_counts(&path), Some(counts));
