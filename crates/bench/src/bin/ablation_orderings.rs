@@ -70,7 +70,7 @@ fn main() {
         let mut loads = vec![0u64; nranks];
         let mut weights: HashMap<u64, u64> = HashMap::new();
         for read in &reads.reads {
-            for sm in build_supermers_reference(&read.codes, k, &scheme) {
+            for sm in build_supermers_reference::<u64>(&read.codes, k, &scheme) {
                 nsmers += 1;
                 total_len += sm.codes.len() as u64;
                 let kmers = sm.num_kmers(k) as u64;

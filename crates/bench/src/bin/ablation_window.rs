@@ -56,7 +56,7 @@ fn main() {
     let mut n = 0u64;
     let mut len = 0u64;
     for read in &reads.reads {
-        for sm in build_supermers_reference(&read.codes, cfg.k, &scheme) {
+        for sm in build_supermers_reference::<u64>(&read.codes, cfg.k, &scheme) {
             n += 1;
             len += sm.codes.len() as u64;
         }

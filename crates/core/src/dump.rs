@@ -6,7 +6,6 @@
 //! spectra, and heavy-hitter lists. This module implements those over the
 //! pipelines' per-rank tables.
 
-use dedukt_dna::base::Base;
 use dedukt_dna::kmer::KmerWord;
 use dedukt_dna::spectrum::Spectrum;
 use dedukt_dna::Encoding;
@@ -25,20 +24,6 @@ pub fn merge_tables<K: Ord + Copy>(per_rank: &[Vec<(K, u32)>]) -> Vec<(K, u32)> 
     all
 }
 
-/// Appends the `k` bases of a packed k-mer word (either width) to `out`
-/// as ASCII: 32 bases per extracted `u64`, one lookup in the encoding's
-/// symbol table per base.
-fn push_kmer_ascii<K: KmerWord>(out: &mut Vec<u8>, kmer: K, k: usize, encoding: Encoding) {
-    let ascii = encoding.ascii_table();
-    let mut pos = 0;
-    while pos < k {
-        let m = (k - pos).min(32);
-        let chunk = kmer.submer_of(k, pos, m);
-        out.extend((0..m).rev().map(|i| ascii[(chunk >> (2 * i)) as usize & 3]));
-        pos += m;
-    }
-}
-
 /// Appends the decimal digits of `n` to `out`.
 fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
     let mut digits = [0u8; 10];
@@ -54,13 +39,6 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
     out.extend_from_slice(&digits[start..]);
 }
 
-/// Renders a packed k-mer word (either width) as an ASCII sequence.
-pub fn kmer_ascii<K: KmerWord>(kmer: K, k: usize, encoding: Encoding) -> String {
-    let mut out = Vec::with_capacity(k);
-    push_kmer_ascii(&mut out, kmer, k, encoding);
-    String::from_utf8(out).expect("bases are ASCII")
-}
-
 /// Writes a KMC-style dump: one `SEQUENCE\tCOUNT` line per distinct
 /// k-mer, sorted by packed word. Width-generic: k up to `K::MAX_K`. Each
 /// line is built in one reused buffer.
@@ -73,7 +51,7 @@ pub fn write_dump<W: Write, K: KmerWord>(
     let mut line = Vec::with_capacity(k + 12);
     for &(kmer, count) in entries {
         line.clear();
-        push_kmer_ascii(&mut line, kmer, k, encoding);
+        kmer.push_ascii(k, encoding, &mut line);
         line.push(b'\t');
         push_decimal(&mut line, count);
         line.push(b'\n');
@@ -82,15 +60,11 @@ pub fn write_dump<W: Write, K: KmerWord>(
     Ok(())
 }
 
-/// Parses a KMC-style dump back into `(kmer, count)` pairs (narrow,
-/// k ≤ 32).
-pub fn read_dump<R: BufRead>(r: R, encoding: Encoding) -> io::Result<Vec<(u64, u32)>> {
-    read_dump_w::<R, u64>(r, encoding)
-}
-
-/// Width-generic dump parser: sequences up to `K::MAX_K` bases.
-pub fn read_dump_w<R: BufRead, K: KmerWord>(r: R, encoding: Encoding) -> io::Result<Vec<(K, u32)>> {
+/// Parses a KMC-style dump back into `(kmer, count)` pairs, sequences up
+/// to `K::MAX_K` bases. Every line must hold a k-mer of the same length.
+pub fn read_dump<R: BufRead, K: KmerWord>(r: R, encoding: Encoding) -> io::Result<Vec<(K, u32)>> {
     let mut out = Vec::new();
+    let mut k = None;
     for (lineno, line) in r.lines().enumerate() {
         let line = line?;
         if line.is_empty() {
@@ -103,16 +77,12 @@ pub fn read_dump_w<R: BufRead, K: KmerWord>(r: R, encoding: Encoding) -> io::Res
             )
         };
         let (seq, count) = line.split_once('\t').ok_or_else(bad)?;
-        if seq.is_empty() || seq.len() > K::MAX_K {
+        if *k.get_or_insert(seq.len()) != seq.len() {
             return Err(bad());
         }
-        let codes = seq
-            .bytes()
-            .map(|b| Base::from_ascii(b).map(|base| base.code()))
-            .collect::<Option<Vec<u8>>>()
-            .ok_or_else(bad)?;
+        let kmer = K::pack_ascii(seq.as_bytes(), encoding).ok_or_else(bad)?;
         let count: u32 = count.parse().map_err(|_| bad())?;
-        out.push((K::pack_codes(&codes, encoding), count));
+        out.push((kmer, count));
     }
     Ok(out)
 }
@@ -141,6 +111,7 @@ pub fn write_spectrum<W: Write>(w: &mut W, spectrum: &Spectrum) -> io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dedukt_dna::base::Base;
     use std::io::BufReader;
 
     fn sample() -> Vec<(u64, u32)> {
@@ -167,7 +138,7 @@ mod tests {
         let text = String::from_utf8(buf.clone()).unwrap();
         assert_eq!(text.lines().count(), 3);
         assert!(text.lines().all(|l| l.contains('\t')));
-        let back = read_dump(BufReader::new(&buf[..]), enc).unwrap();
+        let back: Vec<(u64, u32)> = read_dump(BufReader::new(&buf[..]), enc).unwrap();
         assert_eq!(back, entries);
     }
 
@@ -190,7 +161,7 @@ mod tests {
     /// Words with every symbol, both ends set, and the all-zero and
     /// all-one patterns, masked to `k` bases.
     fn words(k: usize) -> Vec<u128> {
-        let mask = dedukt_dna::kmer::Kmer128::mask(k);
+        let mask = u128::kmer_mask(k);
         [
             0,
             u128::MAX,
@@ -220,7 +191,7 @@ mod tests {
                     "u64 k={k} {encoding:?}"
                 );
                 for &(w, _) in &entries {
-                    assert_eq!(kmer_ascii(w, k, encoding), kmer_ascii_old(w, k, encoding));
+                    assert_eq!(w.to_ascii(k, encoding), kmer_ascii_old(w, k, encoding));
                 }
             }
             for k in [32, 41, 63] {
@@ -236,7 +207,7 @@ mod tests {
                     "u128 k={k} {encoding:?}"
                 );
                 for &(w, _) in &entries {
-                    assert_eq!(kmer_ascii(w, k, encoding), kmer_ascii_old(w, k, encoding));
+                    assert_eq!(w.to_ascii(k, encoding), kmer_ascii_old(w, k, encoding));
                 }
             }
         }
@@ -245,9 +216,17 @@ mod tests {
     #[test]
     fn read_dump_rejects_garbage() {
         let enc = Encoding::Alphabetical;
-        assert!(read_dump(BufReader::new(&b"ACGT notanumber\n"[..]), enc).is_err());
-        assert!(read_dump(BufReader::new(&b"ACGN\t3\n"[..]), enc).is_err());
-        assert!(read_dump(BufReader::new(&b"no-tab-here\n"[..]), enc).is_err());
+        let parse = |text: &[u8]| read_dump::<_, u64>(BufReader::new(text), enc);
+        assert!(parse(b"ACGT notanumber\n").is_err());
+        assert!(parse(b"ACGN\t3\n").is_err());
+        assert!(parse(b"no-tab-here\n").is_err());
+        // One dump holds one k.
+        assert!(parse(b"ACGT\t3\nACG\t1\n").is_err());
+        // Longer than the word holds: rejected narrow, read wide.
+        let wide = format!("{}\t2\n", "ACGT".repeat(10));
+        assert!(parse(wide.as_bytes()).is_err());
+        let back: Vec<(u128, u32)> = read_dump(BufReader::new(wide.as_bytes()), enc).unwrap();
+        assert_eq!(back[0].0.to_ascii(40, enc), "ACGT".repeat(10));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod width;
 pub mod wire;
 
 pub use config::{ConfigError, CountingConfig, CpuCoreModel, GpuTuning, Mode, RunConfig};
-pub use minimizer::{minimizer_of_kmer, MinimizerScheme, OrderingKind};
+pub use minimizer::{MinimizerScheme, OrderingKind};
 pub use pipeline::{run, run_typed, RunError, RunReport};
 pub use stats::PhaseBreakdown;
 pub use supermer::Supermer;

@@ -83,17 +83,11 @@ impl MinimizerScheme {
         b0 == 0 && b2 == 0 && (b1 == 0 || b1 == 1) // A?A with ? ∈ {A, C}
     }
 
-    /// Scans all `k - m + 1` windows of a packed k-mer and returns the
-    /// minimizer (leftmost on ties — the conventional tie-break).
-    pub fn minimizer_of(&self, kmer_word: u64, k: usize) -> MinimizerAt {
-        self.minimizer_of_w(kmer_word, k)
-    }
-
-    /// Width-generic minimizer scan: same algorithm as
-    /// [`MinimizerScheme::minimizer_of`] over a `u64` or `u128` packed
-    /// k-mer word. The minimizer word itself is always a `u64` (m ≤ 31 at
+    /// Scans all `k - m + 1` windows of a packed k-mer (`u64` or `u128`)
+    /// and returns the minimizer (leftmost on ties — the conventional
+    /// tie-break). The minimizer word itself is always a `u64` (m ≤ 31 at
     /// either width), so routing is width-independent.
-    pub fn minimizer_of_w<W: KmerWord>(&self, kmer_word: W, k: usize) -> MinimizerAt {
+    pub fn minimizer_of<W: KmerWord>(&self, kmer_word: W, k: usize) -> MinimizerAt {
         debug_assert!(self.m < k && k <= W::MAX_K);
         let mut best = MinimizerAt {
             pos: 0,
@@ -112,18 +106,12 @@ impl MinimizerScheme {
     }
 }
 
-/// Convenience: the minimizer word of `kmer_word` under `scheme`.
-pub fn minimizer_of_kmer(scheme: &MinimizerScheme, kmer_word: u64, k: usize) -> u64 {
-    scheme.minimizer_of(kmer_word, k).word
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dedukt_dna::kmer::Kmer;
 
     fn kmer_word(s: &[u8], enc: Encoding) -> u64 {
-        Kmer::from_ascii(s, enc).unwrap().word()
+        u64::pack_ascii(s, enc).unwrap()
     }
 
     fn scheme(enc: Encoding, ord: OrderingKind, m: usize) -> MinimizerScheme {

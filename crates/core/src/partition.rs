@@ -13,14 +13,9 @@ use crate::table::TableKey;
 use dedukt_hash::{owner_rank_mult_shift, Murmur3x64};
 use std::collections::HashMap;
 
-/// Owner rank of a packed k-mer (Algorithm 1, line 5).
-#[inline]
-pub fn kmer_owner(hasher: &Murmur3x64, kmer_word: u64, nranks: usize) -> usize {
-    owner_rank_mult_shift(hasher.hash_u64(kmer_word), nranks)
-}
-
-/// Owner rank of a packed k-mer key at either width — identical to
-/// [`kmer_owner`] for `u64` keys, MurmurHash3-128-derived for `u128`.
+/// Owner rank of a packed k-mer key (Algorithm 1, line 5) at either
+/// width: MurmurHash3 of the word for `u64` keys, MurmurHash3-128-derived
+/// for `u128`.
 #[inline]
 pub fn key_owner<K: TableKey>(hasher: &Murmur3x64, key: K, nranks: usize) -> usize {
     owner_rank_mult_shift(key.hash_with(hasher), nranks)
@@ -118,9 +113,9 @@ mod tests {
         let h = Murmur3x64::new(42);
         for n in [1usize, 6, 96, 384] {
             for w in [0u64, 1, 12345, u64::MAX / 2] {
-                let a = kmer_owner(&h, w, n);
+                let a = key_owner(&h, w, n);
                 assert!(a < n);
-                assert_eq!(a, kmer_owner(&h, w, n));
+                assert_eq!(a, key_owner(&h, w, n));
                 let b = minimizer_owner(&h, w, n);
                 assert!(b < n);
             }

@@ -16,13 +16,12 @@
 
 use crate::config::RunConfig;
 use crate::partition::key_owner;
-use crate::pipeline::driver::{run_staged, BucketOut, CounterOom, CounterStages, DriverCtx};
+use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx};
 use crate::pipeline::gpu_common::scaled_estimate;
 use crate::pipeline::gpu_kmer::{read_ends, route_kmers_in_range};
-use crate::pipeline::{RankCountResult, RunError, RunReport};
+use crate::pipeline::RankCountResult;
 use crate::table::HostCountTable;
 use crate::width::PackedKmer;
-use dedukt_dna::ReadSet;
 use dedukt_net::cost::Network;
 use dedukt_sim::{MetricOp, SimTime};
 use std::marker::PhantomData;
@@ -136,28 +135,13 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
     }
 }
 
-/// Runs the CPU baseline counter at the narrow (`u64`) key width.
-///
-/// Panics on an invalid configuration or an unsurvivable fault plan; use
-/// [`crate::pipeline::run`] for the fallible entry point.
-pub fn run_cpu(reads: &ReadSet, rc: &RunConfig) -> RunReport {
-    run_cpu_typed::<u64>(reads, rc).expect("run failed")
-}
-
-/// Runs the CPU baseline counter at an explicit key width.
-pub fn run_cpu_typed<K: PackedKmer>(
-    reads: &ReadSet,
-    rc: &RunConfig,
-) -> Result<RunReport<K>, RunError> {
-    run_staged(&mut CpuStages::<K>(PhantomData), reads, rc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Mode;
+    use crate::pipeline::run;
     use crate::verify::{check_against_reference, reference_total};
-    use dedukt_dna::{Dataset, DatasetId, ScalePreset};
+    use dedukt_dna::{Dataset, DatasetId, ReadSet, ScalePreset};
     use dedukt_sim::SimTime;
 
     fn tiny_run(nodes: usize) -> (ReadSet, RunConfig) {
@@ -170,7 +154,7 @@ mod tests {
     #[test]
     fn counts_match_oracle_exactly() {
         let (reads, rc) = tiny_run(1);
-        let report = run_cpu(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         assert_eq!(report.total_kmers, reference_total(&reads, rc.counting.k));
         check_against_reference(&reads, &rc.counting, report.tables.as_ref().unwrap())
             .expect("distributed result must equal the oracle");
@@ -179,9 +163,9 @@ mod tests {
     #[test]
     fn counts_match_oracle_across_node_counts() {
         let (reads, mut rc) = tiny_run(1);
-        let one = run_cpu(&reads, &rc);
+        let one = run(&reads, &rc).unwrap();
         rc.nodes = 2;
-        let two = run_cpu(&reads, &rc);
+        let two = run(&reads, &rc).unwrap();
         assert_eq!(one.total_kmers, two.total_kmers);
         assert_eq!(one.distinct_kmers, two.distinct_kmers);
         check_against_reference(&reads, &rc.counting, two.tables.as_ref().unwrap()).unwrap();
@@ -191,11 +175,11 @@ mod tests {
     fn canonical_mode_counts_canonical_kmers() {
         let (reads, mut rc) = tiny_run(1);
         rc.counting.canonical = true;
-        let report = run_cpu(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         check_against_reference(&reads, &rc.counting, report.tables.as_ref().unwrap()).unwrap();
         let plain = {
             rc.counting.canonical = false;
-            run_cpu(&reads, &rc)
+            run(&reads, &rc).unwrap()
         };
         // Canonicalization can only merge keys.
         assert!(report.distinct_kmers <= plain.distinct_kmers);
@@ -205,7 +189,7 @@ mod tests {
     #[test]
     fn phases_have_positive_simulated_times() {
         let (reads, rc) = tiny_run(1);
-        let report = run_cpu(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         assert!(report.phases.parse > SimTime::ZERO);
         assert!(report.phases.exchange > SimTime::ZERO);
         assert!(report.phases.count > SimTime::ZERO);
@@ -220,7 +204,7 @@ mod tests {
         // Algorithm 1's uniform hash should give low imbalance (the paper's
         // Table III measures 1.16 at 384 ranks; at tiny scale allow more).
         let (reads, rc) = tiny_run(1); // 42 ranks
-        let report = run_cpu(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         let imb = report.load.imbalance();
         assert!(imb < 1.6, "k-mer imbalance too high: {imb}");
     }
@@ -228,7 +212,7 @@ mod tests {
     #[test]
     fn exchange_units_equal_total_kmers() {
         let (reads, rc) = tiny_run(1);
-        let report = run_cpu(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         assert_eq!(report.exchange.units, report.total_kmers);
         // Packed k-mers are 8 bytes each on the wire.
         assert_eq!(report.exchange.bytes, report.total_kmers * 8);

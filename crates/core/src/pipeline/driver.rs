@@ -23,10 +23,10 @@
 //! With `overlap_rounds` additionally set, round `r`'s exchange is issued
 //! non-blocking while round `r-1`'s count kernel runs on the rank's
 //! device stream: the rank is charged `max(wire, count)` per round
-//! instead of their sum ([`BspWorld::alltoallv_overlapped`]), and only the
-//! final round's count remains exposed as the count phase. Payloads,
-//! counts, and volumes are unaffected — overlap changes *when* simulated
-//! work happens, never *what* is computed.
+//! instead of their sum ([`BspWorld::charge`] hides the count behind the
+//! wire), and only the final round's count remains exposed as the count
+//! phase. Payloads, counts, and volumes are unaffected — overlap changes
+//! *when* simulated work happens, never *what* is computed.
 //!
 //! ## Route, count, fold
 //!

@@ -25,14 +25,12 @@
 
 use crate::config::RunConfig;
 use crate::partition::key_owner;
-use crate::pipeline::driver::{
-    run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats,
-};
+use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats};
 use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
-use crate::pipeline::{RankCountResult, RunError, RunReport};
+use crate::pipeline::RankCountResult;
 use crate::width::PackedKmer;
 use dedukt_dna::kmer::{kmer_words_w, KmerWord};
-use dedukt_dna::{Encoding, Read, ReadSet};
+use dedukt_dna::{Encoding, Read};
 use dedukt_net::cost::Network;
 use dedukt_sim::{DataVolume, MetricOp, SimTime};
 use std::marker::PhantomData;
@@ -111,7 +109,7 @@ pub(crate) fn route_kmers_in_range<K: PackedKmer>(
     })
 }
 
-struct GpuKmerStages<K: PackedKmer>(PhantomData<K>);
+pub(crate) struct GpuKmerStages<K: PackedKmer>(pub(crate) PhantomData<K>);
 
 impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
     type Key = K;
@@ -233,29 +231,14 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
     }
 }
 
-/// Runs the GPU k-mer counter at the narrow (`u64`) key width.
-///
-/// Panics on an invalid configuration or an unsurvivable fault plan; use
-/// [`crate::pipeline::run`] for the fallible entry point.
-pub fn run_gpu_kmer(reads: &ReadSet, rc: &RunConfig) -> RunReport {
-    run_gpu_kmer_typed::<u64>(reads, rc).expect("run failed")
-}
-
-/// Runs the GPU k-mer counter at an explicit key width.
-pub fn run_gpu_kmer_typed<K: PackedKmer>(
-    reads: &ReadSet,
-    rc: &RunConfig,
-) -> Result<RunReport<K>, RunError> {
-    run_staged(&mut GpuKmerStages::<K>(PhantomData), reads, rc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Mode;
     use crate::pipeline::cpu::CpuStages;
+    use crate::pipeline::run;
     use crate::verify::{check_against_reference, reference_total};
-    use dedukt_dna::{Dataset, DatasetId, ScalePreset};
+    use dedukt_dna::{Dataset, DatasetId, ReadSet, ScalePreset};
 
     fn tiny(nodes: usize) -> (ReadSet, RunConfig) {
         let reads = Dataset::new(DatasetId::VVulnificus30x, ScalePreset::Tiny).generate();
@@ -406,7 +389,7 @@ mod tests {
     #[test]
     fn counts_match_oracle() {
         let (reads, rc) = tiny(1);
-        let report = run_gpu_kmer(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         assert_eq!(report.total_kmers, reference_total(&reads, rc.counting.k));
         check_against_reference(&reads, &rc.counting, report.tables.as_ref().unwrap()).unwrap();
     }
@@ -414,10 +397,10 @@ mod tests {
     #[test]
     fn gpu_and_cpu_agree_on_counts() {
         let (reads, rc) = tiny(2);
-        let gpu = run_gpu_kmer(&reads, &rc);
+        let gpu = run(&reads, &rc).unwrap();
         let mut rc_cpu = rc.clone();
         rc_cpu.mode = Mode::CpuBaseline;
-        let cpu = crate::pipeline::cpu::run_cpu(&reads, &rc_cpu);
+        let cpu = run(&reads, &rc_cpu).unwrap();
         assert_eq!(gpu.total_kmers, cpu.total_kmers);
         assert_eq!(gpu.distinct_kmers, cpu.distinct_kmers);
     }
@@ -427,10 +410,10 @@ mod tests {
         // The paper's headline (Fig. 3): GPU parse+count is orders of
         // magnitude faster than the CPU baseline on the same node count.
         let (reads, rc) = tiny(1);
-        let gpu = run_gpu_kmer(&reads, &rc);
+        let gpu = run(&reads, &rc).unwrap();
         let mut rc_cpu = rc.clone();
         rc_cpu.mode = Mode::CpuBaseline;
-        let cpu = crate::pipeline::cpu::run_cpu(&reads, &rc_cpu);
+        let cpu = run(&reads, &rc_cpu).unwrap();
         let cpu_compute = cpu.phases.parse + cpu.phases.count;
         let gpu_compute = gpu.phases.parse + gpu.phases.count;
         let ratio = cpu_compute / gpu_compute;
@@ -440,9 +423,9 @@ mod tests {
     #[test]
     fn gpu_direct_reduces_exchange_time() {
         let (reads, mut rc) = tiny(1);
-        let staged = run_gpu_kmer(&reads, &rc);
+        let staged = run(&reads, &rc).unwrap();
         rc.gpu_direct = true;
-        let direct = run_gpu_kmer(&reads, &rc);
+        let direct = run(&reads, &rc).unwrap();
         assert!(direct.phases.exchange < staged.phases.exchange);
         // Functional results identical.
         assert_eq!(direct.total_kmers, staged.total_kmers);
@@ -452,7 +435,7 @@ mod tests {
     #[test]
     fn wire_bytes_are_eight_per_kmer() {
         let (reads, rc) = tiny(1);
-        let report = run_gpu_kmer(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         assert_eq!(report.exchange.bytes, report.exchange.units * 8);
         assert_eq!(report.exchange.units, report.total_kmers);
     }

@@ -22,15 +22,11 @@
 
 use crate::config::RunConfig;
 use crate::partition::{minimizer_owner, BalancedAssignment};
-use crate::pipeline::driver::{
-    run_staged, BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats,
-};
+use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats};
 use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
-use crate::pipeline::{RankCountResult, RunError, RunReport};
-use crate::supermer::build_supermers_reference_w;
-use crate::supermer::{num_windows, supermers_of_window_w, SupermerW};
+use crate::pipeline::RankCountResult;
+use crate::supermer::{build_supermers_reference, num_windows, supermers_of_window, SupermerW};
 use crate::width::PackedKmer;
-use dedukt_dna::ReadSet;
 use dedukt_net::bsp::Traffic;
 use dedukt_net::cost::Network;
 use dedukt_net::{BspWorld, WireHash};
@@ -56,7 +52,7 @@ impl<K: Copy + WireHash> WireHash for PackedSupermer<K> {
     }
 }
 
-struct SupermerStages<K: PackedKmer> {
+pub(crate) struct SupermerStages<K: PackedKmer> {
     assignment: Option<BalancedAssignment>,
     /// Ship buckets through the [`crate::wire`] codec (`--wire-compress`)
     /// instead of the flat word + length-byte records.
@@ -65,6 +61,14 @@ struct SupermerStages<K: PackedKmer> {
 }
 
 impl<K: PackedKmer> SupermerStages<K> {
+    pub(crate) fn new(rc: &RunConfig) -> Self {
+        SupermerStages {
+            assignment: None,
+            compress: rc.wire_compress,
+            _key: PhantomData,
+        }
+    }
+
     fn owner(&self, ctx: &DriverCtx, mz: u64) -> usize {
         match &self.assignment {
             Some(a) => a.owner(mz),
@@ -103,7 +107,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             let mut weights: HashMap<u64, u64> = HashMap::new();
             let mut sampled_kmers = 0u64;
             for read in ctx.parts[rank].iter().step_by(stride.max(1)) {
-                for sm in build_supermers_reference_w::<K>(&read.codes, cfg.k, &scheme) {
+                for sm in build_supermers_reference::<K>(&read.codes, cfg.k, &scheme) {
                     let nk = sm.num_kmers(cfg.k) as u64;
                     *weights.entry(sm.minimizer).or_insert(0) += nk;
                     sampled_kmers += nk;
@@ -167,7 +171,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
                 let wstart = (wi - win_offsets[ri]) * cfg.window;
                 let codes = &part[ri].codes;
                 smers.clear();
-                supermers_of_window_w(codes, wstart, cfg.k, cfg.window, &scheme, &mut smers);
+                supermers_of_window(codes, wstart, cfg.k, cfg.window, &scheme, &mut smers);
                 for sm in &smers {
                     let dst = self.owner(ctx, sm.minimizer);
                     buckets[dst].push(PackedSupermer {
@@ -259,7 +263,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         let mz = ctx
             .cfg
             .minimizer_scheme()
-            .minimizer_of_w(word.subword(len as usize, 0, k), k)
+            .minimizer_of(word.subword(len as usize, 0, k), k)
             .word;
         let per_rank = nbins / ctx.nranks;
         self.owner(ctx, mz) * per_rank + minimizer_owner(&ctx.hasher, mz, nbins) % per_rank
@@ -363,40 +367,14 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     }
 }
 
-/// Runs the GPU supermer counter at the narrow (`u64`) key width.
-/// Panics on an invalid configuration or an unsurvivable fault plan;
-/// use [`crate::pipeline::run`] for the fallible entry point.
-pub fn run_gpu_supermer(reads: &ReadSet, rc: &RunConfig) -> RunReport {
-    run_gpu_supermer_typed::<u64>(reads, rc).expect("run failed")
-}
-
-/// Runs the GPU supermer counter at an explicit key width.
-pub fn run_gpu_supermer_typed<K: PackedKmer>(
-    reads: &ReadSet,
-    rc: &RunConfig,
-) -> Result<RunReport<K>, RunError> {
-    assert!(
-        !rc.counting.canonical,
-        "canonical counting is incompatible with minimizer routing of raw supermers; \
-         use the k-mer pipelines for canonical mode"
-    );
-    run_staged(
-        &mut SupermerStages::<K> {
-            assignment: None,
-            compress: rc.wire_compress,
-            _key: PhantomData,
-        },
-        reads,
-        rc,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConfigError;
     use crate::config::Mode;
+    use crate::pipeline::{run, RunError};
     use crate::verify::{check_against_reference, reference_total};
-    use dedukt_dna::{Dataset, DatasetId, ScalePreset};
+    use dedukt_dna::{Dataset, DatasetId, ReadSet, ScalePreset};
 
     fn tiny(nodes: usize) -> (ReadSet, RunConfig) {
         let reads = Dataset::new(DatasetId::ABaumannii30x, ScalePreset::Tiny).generate();
@@ -409,11 +387,7 @@ mod tests {
     /// windowed supermers in read order, each routed to its minimizer's
     /// owner.
     fn assert_buckets_match_windowed<K: PackedKmer>(ctx: &DriverCtx) {
-        let stages = SupermerStages::<K> {
-            assignment: None,
-            compress: false,
-            _key: PhantomData,
-        };
+        let stages = SupermerStages::<K>::new(ctx.rc);
         let cfg = &ctx.cfg;
         let scheme = cfg.minimizer_scheme();
         for rank in 0..ctx.nranks {
@@ -456,7 +430,7 @@ mod tests {
     #[test]
     fn counts_match_oracle() {
         let (reads, rc) = tiny(1);
-        let report = run_gpu_supermer(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         assert_eq!(report.total_kmers, reference_total(&reads, rc.counting.k));
         check_against_reference(&reads, &rc.counting, report.tables.as_ref().unwrap()).unwrap();
     }
@@ -464,17 +438,17 @@ mod tests {
     #[test]
     fn counts_match_oracle_multi_node() {
         let (reads, rc) = tiny(2);
-        let report = run_gpu_supermer(&reads, &rc);
+        let report = run(&reads, &rc).unwrap();
         check_against_reference(&reads, &rc.counting, report.tables.as_ref().unwrap()).unwrap();
     }
 
     #[test]
     fn agrees_with_kmer_pipeline() {
         let (reads, rc) = tiny(1);
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
-        let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
+        let km = run(&reads, &rck).unwrap();
         assert_eq!(sm.total_kmers, km.total_kmers);
         assert_eq!(sm.distinct_kmers, km.distinct_kmers);
     }
@@ -484,10 +458,10 @@ mod tests {
         // Table II's claim: supermers cut exchanged units ~3-4× and bytes
         // accordingly (9 B per supermer vs 8 B per k-mer).
         let (reads, rc) = tiny(1);
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
-        let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
+        let km = run(&reads, &rck).unwrap();
         assert!(
             sm.exchange.units * 2 < km.exchange.units,
             "supermers {} vs k-mers {}",
@@ -502,10 +476,10 @@ mod tests {
     fn supermer_compute_is_slower_but_exchange_faster() {
         // §V-C's trade-off, at matched node count.
         let (reads, rc) = tiny(1);
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
-        let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
+        let km = run(&reads, &rck).unwrap();
         assert!(
             sm.phases.parse > km.phases.parse,
             "supermer parse must cost more"
@@ -526,10 +500,10 @@ mod tests {
     fn supermer_load_is_more_imbalanced_than_kmer_load() {
         // Table III: minimizer-based routing skews per-rank loads.
         let (reads, rc) = tiny(2); // 12 ranks
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
-        let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
+        let km = run(&reads, &rck).unwrap();
         assert!(
             sm.load.imbalance() > km.load.imbalance(),
             "supermer imbalance {} must exceed k-mer imbalance {}",
@@ -541,10 +515,10 @@ mod tests {
     #[test]
     fn wire_compression_preserves_counts_and_shrinks_the_wire() {
         let (reads, rc) = tiny(2);
-        let flat = run_gpu_supermer(&reads, &rc);
+        let flat = run(&reads, &rc).unwrap();
         let mut rcc = rc.clone();
         rcc.wire_compress = true;
-        let packed = run_gpu_supermer(&reads, &rcc);
+        let packed = run(&reads, &rcc).unwrap();
         // Bit-identical functional results: the codec only changes what
         // the wire carries, never what arrives.
         assert_eq!(packed.total_kmers, flat.total_kmers);
@@ -568,11 +542,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "canonical")]
     fn canonical_mode_is_rejected() {
         let (reads, mut rc) = tiny(1);
         rc.counting.canonical = true;
-        run_gpu_supermer(&reads, &rc);
+        assert!(matches!(
+            run(&reads, &rc),
+            Err(RunError::Config(ConfigError::CanonicalSupermer))
+        ));
     }
 
     #[test]
@@ -582,10 +558,10 @@ mod tests {
         let reads = Dataset::new(DatasetId::CElegans40x, ScalePreset::Tiny).generate();
         let mut rc = RunConfig::new(Mode::GpuSupermer, 4);
         rc.collect_tables = true;
-        let hashed = run_gpu_supermer(&reads, &rc);
+        let hashed = run(&reads, &rc).unwrap();
         rc.balanced_minimizers = true;
         rc.balance_sample_fraction = 0.25;
-        let balanced = run_gpu_supermer(&reads, &rc);
+        let balanced = run(&reads, &rc).unwrap();
         assert_eq!(balanced.total_kmers, hashed.total_kmers);
         assert_eq!(balanced.distinct_kmers, hashed.distinct_kmers);
         crate::verify::check_against_reference(

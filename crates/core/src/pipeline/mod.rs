@@ -13,6 +13,7 @@ pub mod gpu_supermer;
 pub mod two_pass;
 
 use crate::config::{ConfigError, Mode, RunConfig};
+use crate::pipeline::driver::run_staged;
 use crate::stats::{ExchangeSummary, LoadSummary, PhaseBreakdown, StorageSummary};
 use crate::table::TableKey;
 use crate::width::PackedKmer;
@@ -21,6 +22,7 @@ use dedukt_dna::ReadSet;
 use dedukt_sim::plan::drop_noop;
 use dedukt_sim::{Rate, SimTime};
 use rayon::prelude::*;
+use std::marker::PhantomData;
 
 /// Everything a pipeline run reports, generic over the packed key width
 /// (`u64` for the paper's k ≤ 31 regime, `u128` for wide k ≤ 63 — only
@@ -195,8 +197,7 @@ impl From<ConfigError> for RunError {
 /// Validates the whole run configuration first and returns a
 /// [`RunError`] instead of panicking on a bad configuration or an
 /// unsurvivable fault plan — CLI and library callers can surface the
-/// message cleanly. The per-mode `run_*` functions remain panicking
-/// entry points for callers that have already validated.
+/// message cleanly.
 pub fn run(reads: &ReadSet, rc: &RunConfig) -> Result<RunReport, RunError> {
     run_typed::<u64>(reads, rc)
 }
@@ -224,9 +225,9 @@ pub fn run_typed<K: PackedKmer>(reads: &ReadSet, rc: &RunConfig) -> Result<RunRe
     drop_noop(&mut rc.io);
     let rc = &rc;
     match rc.mode {
-        Mode::CpuBaseline => cpu::run_cpu_typed::<K>(reads, rc),
-        Mode::GpuKmer => gpu_kmer::run_gpu_kmer_typed::<K>(reads, rc),
-        Mode::GpuSupermer => gpu_supermer::run_gpu_supermer_typed::<K>(reads, rc),
+        Mode::CpuBaseline => run_staged(&mut cpu::CpuStages::<K>(PhantomData), reads, rc),
+        Mode::GpuKmer => run_staged(&mut gpu_kmer::GpuKmerStages::<K>(PhantomData), reads, rc),
+        Mode::GpuSupermer => run_staged(&mut gpu_supermer::SupermerStages::<K>::new(rc), reads, rc),
     }
 }
 

@@ -1,16 +1,18 @@
 //! Supermers (§IV): maximal runs of consecutive k-mers sharing a minimizer.
 //!
-//! Two builders are provided:
+//! Two builders are provided, each generic over the packed word width
+//! ([`KmerWord`]: `u64` for k ≤ 32, `u128` for k ≤ 64):
 //!
 //! * [`build_supermers_reference`] — the unbounded sequential scan: extend
 //!   the window while the minimizer is unchanged. This is the textbook
 //!   definition and the oracle the windowed builder is tested against.
-//! * [`supermers_of_window`] / [`build_supermers_windowed`] — Algorithm 2:
-//!   reads are cut into windows of `window` k-mer *positions*, one GPU
+//! * [`supermers_of_window`] / [`build_supermers_windowed_w`] — Algorithm
+//!   2: reads are cut into windows of `window` k-mer *positions*, one GPU
 //!   thread per window, so supermers never span window boundaries and
 //!   their length is bounded by `window + k - 1` bases — 31 bases for the
 //!   paper's `k = 17, window = 15`, so every supermer packs into one
-//!   64-bit word (§IV-C).
+//!   64-bit word (§IV-C). [`build_supermers_windowed`] is its `u64`
+//!   instance.
 //!
 //! Both builders preserve the defining invariant, enforced by property
 //! tests: *the multiset of k-mers extracted from the supermers equals the
@@ -18,13 +20,12 @@
 //! the supermer's minimizer.
 
 use crate::minimizer::MinimizerScheme;
-use dedukt_dna::kmer::{Kmer, KmerWord};
+use dedukt_dna::kmer::KmerWord;
 use dedukt_dna::Encoding;
 
 /// A packed supermer, generic over its word width: at most
-/// [`KmerWord::MAX_K`] bases in one word (MSB-first, like
-/// [`dedukt_dna::kmer::Kmer`]) plus its base length and the shared
-/// minimizer.
+/// [`KmerWord::MAX_K`] bases in one word (MSB-first, packed like a k-mer)
+/// plus its base length and the shared minimizer.
 ///
 /// On the wire a supermer costs `WORD_BYTES + 1` bytes — 9 for the
 /// narrow `u64` width, 17 for wide `u128` — the packed word and one
@@ -95,30 +96,13 @@ impl RefSupermer {
     }
 }
 
-/// Packs `codes[start..start+len]` into a word under `encoding`
-/// (MSB-first). `len` must be ≤ `W::MAX_K`.
-#[inline]
-fn pack_span<W: KmerWord>(codes: &[u8], start: usize, len: usize, encoding: Encoding) -> W {
-    W::pack_codes(&codes[start..start + len], encoding)
-}
-
 /// Reference builder: one sequential scan, unbounded supermer length.
 ///
-/// Returns the supermers in read order. Yields nothing for reads shorter
-/// than k. Narrow (k ≤ 32) shorthand for [`build_supermers_reference_w`].
-pub fn build_supermers_reference(
-    codes: &[u8],
-    k: usize,
-    scheme: &MinimizerScheme,
-) -> Vec<RefSupermer> {
-    build_supermers_reference_w::<u64>(codes, k, scheme)
-}
-
-/// Width-generic reference builder: the same sequential scan with
-/// minimizers computed over `W`-packed k-mer words, so it serves k up to
-/// `W::MAX_K`. [`RefSupermer`] itself is width-independent (it carries
+/// Returns the supermers in read order; nothing for reads shorter than k.
+/// Minimizers are computed over `W`-packed k-mer words, so it serves k up
+/// to `W::MAX_K`. [`RefSupermer`] itself is width-independent (it carries
 /// codes, not a packed word).
-pub fn build_supermers_reference_w<W: KmerWord>(
+pub fn build_supermers_reference<W: KmerWord>(
     codes: &[u8],
     k: usize,
     scheme: &MinimizerScheme,
@@ -131,12 +115,10 @@ pub fn build_supermers_reference_w<W: KmerWord>(
     let nkmers = codes.len() - k + 1;
     let mut out = Vec::new();
     let mut smer_start = 0usize;
-    let mut prev_min = scheme
-        .minimizer_of_w(pack_span::<W>(codes, 0, k, enc), k)
-        .word;
+    let kmer_at = |pos: usize| W::pack_codes(&codes[pos..pos + k], enc);
+    let mut prev_min = scheme.minimizer_of(kmer_at(0), k).word;
     for pos in 1..nkmers {
-        let kw = pack_span::<W>(codes, pos, k, enc);
-        let mz = scheme.minimizer_of_w(kw, k).word;
+        let mz = scheme.minimizer_of(kmer_at(pos), k).word;
         if mz != prev_min {
             out.push(RefSupermer {
                 codes: codes[smer_start..pos + k - 1].to_vec(),
@@ -164,28 +146,15 @@ pub fn num_windows(len: usize, k: usize, window: usize) -> usize {
 
 /// Algorithm 2, one window: builds the supermers of k-mer positions
 /// `[wstart, min(wstart + window, nkmers))` of the read. This is exactly
-/// the work of one GPU thread in the windowed kernel (§IV-B). Narrow
-/// shorthand for [`supermers_of_window_w`].
-pub fn supermers_of_window(
-    codes: &[u8],
-    wstart: usize,
-    k: usize,
-    window: usize,
-    scheme: &MinimizerScheme,
-    out: &mut Vec<Supermer>,
-) {
-    supermers_of_window_w::<u64>(codes, wstart, k, window, scheme, out)
-}
-
-/// Width-generic Algorithm 2 window builder: identical control flow at
-/// either word width; supermers are bounded by `window + k - 1 ≤
-/// W::MAX_K` bases so each packs into one `W` word.
+/// the work of one GPU thread in the windowed kernel (§IV-B). Supermers
+/// are bounded by `window + k - 1 ≤ W::MAX_K` bases, so each packs into
+/// one `W` word.
 ///
 /// Minimizers roll: the rank keys of the window's m-mers are computed
 /// once, and each k-mer's minimum is rescanned only when the previous
 /// one slides out (leftmost on ties, as in
-/// [`MinimizerScheme::minimizer_of_w`]).
-pub fn supermers_of_window_w<W: KmerWord>(
+/// [`MinimizerScheme::minimizer_of`]).
+pub fn supermers_of_window<W: KmerWord>(
     codes: &[u8],
     wstart: usize,
     k: usize,
@@ -205,11 +174,11 @@ pub fn supermers_of_window_w<W: KmerWord>(
     // Every m-mer of the window's bases (at most W::MAX_K of them): its
     // packed word and rank key, by offset from `wstart`.
     let m = scheme.m;
-    let mmask = Kmer::mask(m);
+    let mmask = u64::kmer_mask(m);
     let (mut mwords, mut keys) = ([0u64; 64], [0u64; 64]);
     let mut acc = 0u64;
     for (i, &c) in codes[wstart..wend + k - 1].iter().enumerate() {
-        acc = ((acc << 2) | enc.encode(c) as u64) & mmask;
+        acc = acc.roll_sym(enc.encode(c), mmask);
         if i + 1 >= m {
             mwords[i + 1 - m] = acc;
             keys[i + 1 - m] = scheme.rank_key(acc);
@@ -222,7 +191,7 @@ pub fn supermers_of_window_w<W: KmerWord>(
     };
 
     // First k-mer of the window starts a fresh supermer (Line 4-10).
-    let mut kw = pack_span::<W>(codes, wstart, k, enc);
+    let mut kw = W::pack_codes(&codes[wstart..wstart + k], enc);
     let mut best = leftmost_min(0);
     let mut prev = mwords[best];
     let mut smer_word = kw;
@@ -266,18 +235,7 @@ pub fn supermers_of_window_w<W: KmerWord>(
     });
 }
 
-/// Algorithm 2 over a whole read: all windows in order. Narrow shorthand
-/// for [`build_supermers_windowed_w`].
-pub fn build_supermers_windowed(
-    codes: &[u8],
-    k: usize,
-    window: usize,
-    scheme: &MinimizerScheme,
-) -> Vec<Supermer> {
-    build_supermers_windowed_w::<u64>(codes, k, window, scheme)
-}
-
-/// Width-generic Algorithm 2 over a whole read.
+/// Algorithm 2 over a whole read: all windows in order.
 pub fn build_supermers_windowed_w<W: KmerWord>(
     codes: &[u8],
     k: usize,
@@ -288,10 +246,20 @@ pub fn build_supermers_windowed_w<W: KmerWord>(
     let nkmers = codes.len().saturating_sub(k - 1);
     let mut w = 0;
     while w < nkmers {
-        supermers_of_window_w(codes, w, k, window, scheme, &mut out);
+        supermers_of_window(codes, w, k, window, scheme, &mut out);
         w += window;
     }
     out
+}
+
+/// [`build_supermers_windowed_w`] at the `u64` width.
+pub fn build_supermers_windowed(
+    codes: &[u8],
+    k: usize,
+    window: usize,
+    scheme: &MinimizerScheme,
+) -> Vec<Supermer> {
+    build_supermers_windowed_w::<u64>(codes, k, window, scheme)
 }
 
 #[cfg(test)]
@@ -329,7 +297,7 @@ mod tests {
         let read = codes(b"GTCATCGCACTTACTGATG");
         assert_eq!(read.len(), 19);
         let s = lex_scheme(4);
-        let smers = build_supermers_reference(&read, 8, &s);
+        let smers = build_supermers_reference::<u64>(&read, 8, &s);
         assert_eq!(smers.len(), 3, "paper: three supermers");
         let total: usize = smers.iter().map(|s| s.codes.len()).sum();
         assert_eq!(total, 33, "paper: total length 33");
@@ -347,7 +315,7 @@ mod tests {
         let read = codes(b"GTCATCGCACTTACTGATGCCAGTTGCAACGGTA");
         let k = 8;
         let s = lex_scheme(4);
-        let smers = build_supermers_reference(&read, k, &s);
+        let smers = build_supermers_reference::<u64>(&read, k, &s);
         let mut got: Vec<u64> = Vec::new();
         for sm in &smers {
             got.extend(dedukt_dna::kmer::kmer_words(&sm.codes, k, s.encoding));
@@ -401,7 +369,7 @@ mod tests {
                 );
             }
         }
-        for sm in build_supermers_reference(&read, k, &s) {
+        for sm in build_supermers_reference::<u64>(&read, k, &s) {
             for kw in dedukt_dna::kmer::kmer_words(&sm.codes, k, s.encoding) {
                 assert_eq!(s.minimizer_of(kw, k).word, sm.minimizer);
             }
@@ -411,7 +379,7 @@ mod tests {
     #[test]
     fn short_reads_produce_nothing() {
         let read = codes(b"ACGT");
-        assert!(build_supermers_reference(&read, 8, &lex_scheme(4)).is_empty());
+        assert!(build_supermers_reference::<u64>(&read, 8, &lex_scheme(4)).is_empty());
         assert!(build_supermers_windowed(&read, 8, 5, &lex_scheme(4)).is_empty());
         assert_eq!(num_windows(4, 8, 5), 0);
     }
@@ -431,7 +399,7 @@ mod tests {
         let read = codes(b"GTCATCGCACTTACTGATGCCAGTTGCAACGG"); // 32 bases
         let k = 8;
         let s = lex_scheme(4);
-        let refr = build_supermers_reference(&read, k, &s);
+        let refr = build_supermers_reference::<u64>(&read, k, &s);
         let win = build_supermers_windowed(&read, k, 25, &s);
         assert_eq!(refr.len(), win.len());
         for (r, w) in refr.iter().zip(&win) {
@@ -481,11 +449,11 @@ mod tests {
             got.extend(sm.kmers(k));
             // Every constituent k-mer shares the supermer's minimizer.
             for kw in sm.kmers(k) {
-                assert_eq!(s.minimizer_of_w(kw, k).word, sm.minimizer);
+                assert_eq!(s.minimizer_of(kw, k).word, sm.minimizer);
             }
         }
         got.sort_unstable();
-        let mut expect: Vec<u128> = dedukt_dna::kmer::kmer_words128(&read, k, s.encoding).collect();
+        let mut expect: Vec<u128> = dedukt_dna::kmer::kmer_words_w(&read, k, s.encoding).collect();
         expect.sort_unstable();
         assert_eq!(got, expect);
     }
@@ -495,8 +463,8 @@ mod tests {
         // At k ≤ 32 the width parameter must be invisible.
         let read = codes(b"GTCATCGCACTTACTGATGCCAGTTGCAACGGTA");
         let s = lex_scheme(4);
-        let narrow = build_supermers_reference(&read, 8, &s);
-        let wide = build_supermers_reference_w::<u128>(&read, 8, &s);
+        let narrow = build_supermers_reference::<u64>(&read, 8, &s);
+        let wide = build_supermers_reference::<u128>(&read, 8, &s);
         assert_eq!(narrow, wide);
     }
 
@@ -520,8 +488,8 @@ mod tests {
         let wend = (wstart + window).min(nkmers);
 
         // First k-mer of the window starts a fresh supermer (Line 4-10).
-        let mut kw = pack_span::<W>(codes, wstart, k, enc);
-        let mut prev = scheme.minimizer_of_w(kw, k).word;
+        let mut kw = W::pack_codes(&codes[wstart..wstart + k], enc);
+        let mut prev = scheme.minimizer_of(kw, k).word;
         let mut smer_word = kw;
         let mut smer_len = k;
         let mut smer_min = prev;
@@ -531,7 +499,7 @@ mod tests {
             // Roll the k-mer window by one base.
             let next_sym = enc.encode(codes[pos + k - 1]);
             kw = kw.roll_sym(next_sym, kmask);
-            let mz = scheme.minimizer_of_w(kw, k).word;
+            let mz = scheme.minimizer_of(kw, k).word;
             if mz != prev {
                 out.push(SupermerW {
                     word: smer_word,
@@ -583,7 +551,7 @@ mod tests {
         let (mut rolled, mut rescanned) = (Vec::new(), Vec::new());
         let mut w = 0;
         while w < codes.len().saturating_sub(k - 1) {
-            supermers_of_window_w(codes, w, k, window, scheme, &mut rolled);
+            supermers_of_window(codes, w, k, window, scheme, &mut rolled);
             supermers_of_window_rescan(codes, w, k, window, scheme, &mut rescanned);
             w += window;
         }

@@ -12,7 +12,7 @@ use dedukt_dna::kmer::kmer_words_w;
 use dedukt_dna::{Read, ReadSet};
 use std::collections::HashMap;
 
-/// Counts all k-mers of `reads` under `cfg` in one map (narrow, k ≤ 31).
+/// [`reference_counts_w`] at the `u64` width (k ≤ 31).
 pub fn reference_counts(reads: &ReadSet, cfg: &CountingConfig) -> HashMap<u64, u64> {
     reference_counts_w::<u64>(reads, cfg)
 }

@@ -10,22 +10,35 @@
 //! the generic oracle in [`crate::verify`]) at the wide width.
 
 use crate::config::CountingConfig;
-use dedukt_dna::kmer::{kmer_words128, Kmer128};
-use dedukt_dna::ReadSet;
+use dedukt_dna::base::Base;
+use dedukt_dna::{Encoding, ReadSet};
 use std::collections::HashMap;
 
+/// Packs base codes MSB-first, 2 bits each, into a `u128`.
+fn pack(codes: impl Iterator<Item = u8>, encoding: Encoding) -> u128 {
+    codes.fold(0, |w, c| (w << 2) | encoding.encode(c) as u128)
+}
+
 /// Single-threaded wide oracle: counts all k-mers of `reads` at the
-/// `u128` key width (k in 32..=63; also valid for smaller k). Built
-/// directly on [`Kmer128`] packing, independent of the width-generic
-/// counting stack it verifies.
+/// `u128` key width (k in 32..=63; also valid for smaller k). Each k-mer
+/// is packed afresh from its window of codes, and its reverse complement
+/// is packed from the complemented codes in reverse order, so the oracle
+/// shares no packing code with the [`dedukt_dna::kmer::KmerWord`] stack
+/// it verifies.
 pub fn wide_reference_counts(reads: &ReadSet, cfg: &CountingConfig) -> HashMap<u128, u64> {
+    assert!((1..=64).contains(&cfg.k));
     let mut map = HashMap::new();
     for read in &reads.reads {
-        for w in kmer_words128(&read.codes, cfg.k, cfg.encoding) {
+        for window in read.codes.windows(cfg.k) {
+            let forward = pack(window.iter().copied(), cfg.encoding);
             let key = if cfg.canonical {
-                Kmer128::from_word(w, cfg.k).canonical().word()
+                let rc = window
+                    .iter()
+                    .rev()
+                    .map(|&c| Base::from_code(c).complement().code());
+                forward.min(pack(rc, cfg.encoding))
             } else {
-                w
+                forward
             };
             *map.entry(key).or_insert(0) += 1;
         }
@@ -55,11 +68,20 @@ mod tests {
     #[test]
     fn wide_oracle_agrees_with_generic_oracle() {
         let rs = reads();
-        for k in [33usize, 41, 63] {
-            let cfg = wide_cfg(k);
+        for (k, canonical) in [
+            (33usize, false),
+            (41, false),
+            (63, false),
+            (41, true),
+            (64, true),
+        ] {
+            let cfg = CountingConfig {
+                canonical,
+                ..wide_cfg(k)
+            };
             let independent = wide_reference_counts(&rs, &cfg);
             let generic = reference_counts_w::<u128>(&rs, &cfg);
-            assert_eq!(independent, generic, "k = {k}");
+            assert_eq!(independent, generic, "k = {k} canonical = {canonical}");
             assert_eq!(
                 independent.values().sum::<u64>(),
                 rs.total_kmers(k) as u64,

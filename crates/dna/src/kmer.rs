@@ -1,10 +1,16 @@
 //! Packed k-mers.
 //!
 //! A k-mer is stored as 2 bits per base, most-significant-first, right
-//! aligned in a machine word: `u64` for k ≤ 32 ([`Kmer`]) or `u128` for
-//! k ≤ 64 ([`Kmer128`]). The paper packs k-mers the same way ("a 11-mer can
-//! fit into a 32 bit data type", §III-B1); with the paper's default k = 17 a
-//! k-mer occupies 34 bits of a single 64-bit word.
+//! aligned in a machine word: `u64` for k ≤ 32 or `u128` for k ≤ 64. The
+//! paper packs k-mers the same way ("a 11-mer can fit into a 32 bit data
+//! type", §III-B1); with the paper's default k = 17 a k-mer occupies 34
+//! bits of a single 64-bit word.
+//!
+//! [`KmerWord`] is the one place that knows this layout. Each operation —
+//! mask, roll, pack, submer and subword extraction, reverse complement and
+//! canonical form, decoding and ASCII rendering — is written once over two
+//! per-width primitives (truncation to the low 64 bits and 2-bit group
+//! reversal), so both widths compute the same values by construction.
 //!
 //! MSB-first packing gives the property the minimizer machinery relies on:
 //! numeric comparison of equal-length packed words equals lexicographic
@@ -17,407 +23,199 @@
 
 use crate::base::{Base, Encoding};
 use std::fmt;
-
-/// A packed k-mer with k ≤ 32 (2 bits/base in a `u64`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Kmer {
-    word: u64,
-    k: u8,
-}
-
-impl Kmer {
-    /// Maximum supported k.
-    pub const MAX_K: usize = 32;
-
-    /// Builds a k-mer from base codes under `encoding`. Panics if
-    /// `codes.len()` is 0 or exceeds [`Kmer::MAX_K`].
-    pub fn from_codes(codes: &[u8], encoding: Encoding) -> Kmer {
-        assert!(
-            (1..=Self::MAX_K).contains(&codes.len()),
-            "k = {} out of range 1..=32",
-            codes.len()
-        );
-        let mut word = 0u64;
-        for &c in codes {
-            word = (word << 2) | encoding.encode(c) as u64;
-        }
-        Kmer {
-            word,
-            k: codes.len() as u8,
-        }
-    }
-
-    /// Builds a k-mer from an ASCII sequence (must be clean ACGT).
-    pub fn from_ascii(seq: &[u8], encoding: Encoding) -> Option<Kmer> {
-        if seq.is_empty() || seq.len() > Self::MAX_K {
-            return None;
-        }
-        let mut word = 0u64;
-        for &ch in seq {
-            let b = Base::from_ascii(ch)?;
-            word = (word << 2) | encoding.encode_base(b) as u64;
-        }
-        Some(Kmer {
-            word,
-            k: seq.len() as u8,
-        })
-    }
-
-    /// Wraps a raw packed word. The low `2k` bits must hold the symbols and
-    /// all higher bits must be zero (debug-asserted).
-    #[inline]
-    pub fn from_word(word: u64, k: usize) -> Kmer {
-        debug_assert!((1..=Self::MAX_K).contains(&k));
-        debug_assert!(k == 32 || word < (1u64 << (2 * k)), "stray high bits");
-        Kmer { word, k: k as u8 }
-    }
-
-    /// The raw packed word (low `2k` bits).
-    #[inline]
-    pub fn word(self) -> u64 {
-        self.word
-    }
-
-    /// The k-mer length.
-    #[inline]
-    pub fn k(self) -> usize {
-        self.k as usize
-    }
-
-    /// Bit mask covering the low `2k` bits.
-    #[inline]
-    pub fn mask(k: usize) -> u64 {
-        debug_assert!((1..=Self::MAX_K).contains(&k));
-        if k == 32 {
-            u64::MAX
-        } else {
-            (1u64 << (2 * k)) - 1
-        }
-    }
-
-    /// Rolls the window one base to the right: drops the leftmost base and
-    /// appends `code` (already in base-code space) on the right.
-    #[inline]
-    pub fn rolled(self, code: u8, encoding: Encoding) -> Kmer {
-        let word = ((self.word << 2) | encoding.encode(code) as u64) & Self::mask(self.k());
-        Kmer { word, k: self.k }
-    }
-
-    /// Decodes back to base codes.
-    pub fn codes(self, encoding: Encoding) -> Vec<u8> {
-        let k = self.k();
-        let mut out = vec![0u8; k];
-        for (i, slot) in out.iter_mut().enumerate() {
-            let shift = 2 * (k - 1 - i);
-            *slot = encoding.decode(((self.word >> shift) & 3) as u8);
-        }
-        out
-    }
-
-    /// Renders as an ASCII string.
-    pub fn to_ascii(self, encoding: Encoding) -> String {
-        self.codes(encoding)
-            .into_iter()
-            .map(|c| Base::from_code(c).to_ascii() as char)
-            .collect()
-    }
-
-    /// Extracts the `m`-mer starting at base offset `pos` (0-based from the
-    /// left / most significant end) as a packed word, preserving symbol
-    /// order. Used by the minimizer scan. Requires `pos + m <= k`.
-    #[inline]
-    pub fn submer(self, pos: usize, m: usize) -> u64 {
-        let k = self.k();
-        debug_assert!(m >= 1 && pos + m <= k);
-        let shift = 2 * (k - pos - m);
-        (self.word >> shift) & Kmer::mask(m)
-    }
-
-    /// Reverse complement. Works in symbol space; valid for both supported
-    /// encodings because each maps complement pairs to symbols summing to 3.
-    pub fn reverse_complement(self) -> Kmer {
-        let k = self.k();
-        // Complement every symbol, then reverse the 2-bit groups.
-        let comp = !self.word;
-        let rev = reverse_2bit_groups(comp);
-        // After a full 64-bit group reversal the k meaningful groups sit in
-        // the high bits; shift them back down.
-        let word = (rev >> (2 * (32 - k))) & Self::mask(k);
-        Kmer { word, k: self.k }
-    }
-
-    /// Canonical form: the numerically smaller of the k-mer and its reverse
-    /// complement. The paper does *not* canonicalize (Fig. 4); canonical
-    /// mode is an extension of this reproduction.
-    pub fn canonical(self) -> Kmer {
-        let rc = self.reverse_complement();
-        if rc.word < self.word {
-            rc
-        } else {
-            self
-        }
-    }
-}
-
-impl fmt::Debug for Kmer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Kmer(k={}, word={:#x})", self.k, self.word)
-    }
-}
-
-/// Reverses the 32 2-bit groups of a `u64` (group 0 swaps with group 31).
-#[inline]
-pub fn reverse_2bit_groups(mut v: u64) -> u64 {
-    // Swap adjacent 2-bit groups, then nibbles, bytes, and wider lanes.
-    v = ((v & 0x3333_3333_3333_3333) << 2) | ((v >> 2) & 0x3333_3333_3333_3333);
-    v = ((v & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((v >> 4) & 0x0F0F_0F0F_0F0F_0F0F);
-    v.swap_bytes()
-}
-
-/// A packed k-mer with k ≤ 64 (2 bits/base in a `u128`), for long-k
-/// workloads (third-generation analyses sometimes use k up to 63).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Kmer128 {
-    word: u128,
-    k: u8,
-}
-
-impl Kmer128 {
-    /// Maximum supported k.
-    pub const MAX_K: usize = 64;
-
-    /// Builds from base codes under `encoding`.
-    pub fn from_codes(codes: &[u8], encoding: Encoding) -> Kmer128 {
-        assert!(
-            (1..=Self::MAX_K).contains(&codes.len()),
-            "k = {} out of range 1..=64",
-            codes.len()
-        );
-        let mut word = 0u128;
-        for &c in codes {
-            word = (word << 2) | encoding.encode(c) as u128;
-        }
-        Kmer128 {
-            word,
-            k: codes.len() as u8,
-        }
-    }
-
-    /// Wraps a raw packed word (low `2k` bits hold the symbols).
-    #[inline]
-    pub fn from_word(word: u128, k: usize) -> Kmer128 {
-        debug_assert!((1..=Self::MAX_K).contains(&k));
-        debug_assert!(k == 64 || word < (1u128 << (2 * k)), "stray high bits");
-        Kmer128 { word, k: k as u8 }
-    }
-
-    /// The raw packed word.
-    #[inline]
-    pub fn word(self) -> u128 {
-        self.word
-    }
-
-    /// The k-mer length.
-    #[inline]
-    pub fn k(self) -> usize {
-        self.k as usize
-    }
-
-    /// Mask over the low `2k` bits.
-    #[inline]
-    pub fn mask(k: usize) -> u128 {
-        debug_assert!((1..=Self::MAX_K).contains(&k));
-        if k == 64 {
-            u128::MAX
-        } else {
-            (1u128 << (2 * k)) - 1
-        }
-    }
-
-    /// Rolls the window one base to the right.
-    #[inline]
-    pub fn rolled(self, code: u8, encoding: Encoding) -> Kmer128 {
-        let word = ((self.word << 2) | encoding.encode(code) as u128) & Self::mask(self.k());
-        Kmer128 { word, k: self.k }
-    }
-
-    /// Decodes back to base codes.
-    pub fn codes(self, encoding: Encoding) -> Vec<u8> {
-        let k = self.k();
-        let mut out = vec![0u8; k];
-        for (i, slot) in out.iter_mut().enumerate() {
-            let shift = 2 * (k - 1 - i);
-            *slot = encoding.decode(((self.word >> shift) & 3) as u8);
-        }
-        out
-    }
-
-    /// Extracts the `m`-mer starting at base offset `pos` as a packed
-    /// `u64` word (m ≤ 32), preserving symbol order — the wide-k
-    /// minimizer scan's primitive.
-    #[inline]
-    pub fn submer(self, pos: usize, m: usize) -> u64 {
-        let k = self.k();
-        debug_assert!((1..=32).contains(&m) && pos + m <= k);
-        let shift = 2 * (k - pos - m);
-        ((self.word >> shift) as u64) & Kmer::mask(m)
-    }
-
-    /// Reverse complement (same symbol-space trick as [`Kmer`]).
-    pub fn reverse_complement(self) -> Kmer128 {
-        let k = self.k();
-        let comp = !self.word;
-        let lo = reverse_2bit_groups(comp as u64);
-        let hi = reverse_2bit_groups((comp >> 64) as u64);
-        let rev = ((lo as u128) << 64) | hi as u128;
-        let word = (rev >> (2 * (64 - k))) & Self::mask(k);
-        Kmer128 { word, k: self.k }
-    }
-
-    /// Canonical form (min of self and reverse complement).
-    pub fn canonical(self) -> Kmer128 {
-        let rc = self.reverse_complement();
-        if rc.word < self.word {
-            rc
-        } else {
-            self
-        }
-    }
-}
-
-impl fmt::Debug for Kmer128 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Kmer128(k={}, word={:#x})", self.k, self.word)
-    }
-}
+use std::hash::Hash;
+use std::ops::{BitAnd, BitOr, Not, Shl, Shr};
 
 /// A machine word wide enough to hold a 2-bit-packed k-mer: `u64` for
 /// k ≤ 32 or `u128` for k ≤ 64.
 ///
-/// This is the width abstraction the generic counting stack is built on:
-/// packing, rolling, minimizer extraction ([`KmerWord::submer_of`] always
-/// yields a `u64` because m ≤ 32 at either width), canonicalization, and
-/// the exact wire size of one packed word. All methods delegate to
-/// [`Kmer`] / [`Kmer128`], so narrow behaviour is bit-identical to the
-/// concrete types.
-pub trait KmerWord: Copy + Eq + Ord + std::hash::Hash + fmt::Debug + Send + Sync + 'static {
-    /// Maximum k this width can pack (32 or 64).
-    const MAX_K: usize;
-    /// The all-zero word.
-    const ZERO: Self;
+/// The width abstraction the counting stack is built on. A k-mer is a
+/// bare word plus the `k` its caller carries; every method takes that `k`
+/// explicitly. Minimizer extraction ([`KmerWord::submer_of`]) always
+/// yields a `u64`, because m ≤ 32 at either width.
+pub trait KmerWord:
+    Copy
+    + Eq
+    + Ord
+    + Hash
+    + fmt::Debug
+    + Send
+    + Sync
+    + 'static
+    + From<u8>
+    + Shl<usize, Output = Self>
+    + Shr<usize, Output = Self>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + Not<Output = Self>
+{
     /// Bytes one packed word occupies on the wire (8 or 16).
     const WORD_BYTES: usize;
+    /// Maximum k this width can pack (32 or 64).
+    const MAX_K: usize = 4 * Self::WORD_BYTES;
+    /// The all-zero word.
+    const ZERO: Self;
+
+    /// The low 64 bits of the word (truncating).
+    fn low_u64(self) -> u64;
+
+    /// Reverses the order of the word's [`KmerWord::MAX_K`] 2-bit groups
+    /// (group 0 swaps with the last).
+    fn reverse_groups(self) -> Self;
 
     /// Bit mask covering the low `2k` bits.
-    fn kmer_mask(k: usize) -> Self;
+    #[inline]
+    fn kmer_mask(k: usize) -> Self {
+        debug_assert!((1..=Self::MAX_K).contains(&k));
+        !Self::ZERO >> (2 * (Self::MAX_K - k))
+    }
 
     /// Rolls the window one base right: shifts in the 2-bit `sym` and
     /// masks back to `2k` bits. `mask` must be `Self::kmer_mask(k)`.
-    fn roll_sym(self, sym: u8, mask: Self) -> Self;
+    #[inline]
+    fn roll_sym(self, sym: u8, mask: Self) -> Self {
+        ((self << 2) | Self::from(sym)) & mask
+    }
 
-    /// Packs a slice of base codes under `encoding` (MSB-first).
-    fn pack_codes(codes: &[u8], encoding: Encoding) -> Self;
+    /// Packs a slice of base codes under `encoding` (MSB-first). Panics if
+    /// `codes.len()` is 0 or exceeds [`KmerWord::MAX_K`].
+    fn pack_codes(codes: &[u8], encoding: Encoding) -> Self {
+        assert!(
+            (1..=Self::MAX_K).contains(&codes.len()),
+            "k = {} out of range 1..={}",
+            codes.len(),
+            Self::MAX_K
+        );
+        codes.iter().fold(Self::ZERO, |w, &c| {
+            (w << 2) | Self::from(encoding.encode(c))
+        })
+    }
 
-    /// Extracts the `m`-mer (m ≤ 32) starting at base offset `pos` of a
-    /// `k`-long word as a packed `u64`, preserving symbol order.
-    fn submer_of(self, k: usize, pos: usize, m: usize) -> u64;
+    /// Packs an ASCII sequence (clean ACGT, 1 to [`KmerWord::MAX_K`]
+    /// bases); `None` otherwise.
+    fn pack_ascii(seq: &[u8], encoding: Encoding) -> Option<Self> {
+        if seq.is_empty() || seq.len() > Self::MAX_K {
+            return None;
+        }
+        seq.iter().try_fold(Self::ZERO, |w, &ch| {
+            let sym = encoding.encode_base(Base::from_ascii(ch)?);
+            Some((w << 2) | Self::from(sym))
+        })
+    }
+
+    /// Extracts the `m`-mer (m ≤ 32) starting at base offset `pos` (0 =
+    /// leftmost) of a `k`-long word as a packed `u64`, preserving symbol
+    /// order. The minimizer scan's primitive.
+    #[inline]
+    fn submer_of(self, k: usize, pos: usize, m: usize) -> u64 {
+        debug_assert!((1..=32).contains(&m) && pos + m <= k);
+        (self >> (2 * (k - pos - m))).low_u64() & u64::kmer_mask(m)
+    }
 
     /// Extracts the `sub_len`-base window starting at base offset `pos`
     /// of a `total_len`-long word as a full-width packed word (the k-mer
     /// extraction primitive of supermer unpacking, where `sub_len` may
     /// exceed 32 at the wide width).
-    fn subword(self, total_len: usize, pos: usize, sub_len: usize) -> Self;
+    #[inline]
+    fn subword(self, total_len: usize, pos: usize, sub_len: usize) -> Self {
+        debug_assert!(sub_len >= 1 && pos + sub_len <= total_len);
+        (self >> (2 * (total_len - pos - sub_len))) & Self::kmer_mask(sub_len)
+    }
 
-    /// Canonical form: numeric min of the word and its reverse complement.
-    fn canonical_word(self, k: usize) -> Self;
+    /// Reverse complement of a `k`-long word. Works in symbol space: valid
+    /// for both supported encodings because each maps complement pairs to
+    /// symbols summing to 3.
+    #[inline]
+    fn reverse_complement(self, k: usize) -> Self {
+        debug_assert!((1..=Self::MAX_K).contains(&k));
+        // After the full-width reversal the k complemented groups sit in
+        // the high bits; the shift brings them back down.
+        (!self).reverse_groups() >> (2 * (Self::MAX_K - k))
+    }
+
+    /// Canonical form: the numerically smaller of the word and its reverse
+    /// complement. The paper does *not* canonicalize (Fig. 4); canonical
+    /// mode is an extension of this reproduction.
+    #[inline]
+    fn canonical_word(self, k: usize) -> Self {
+        self.min(self.reverse_complement(k))
+    }
 
     /// Decodes the `k`-long word back to base codes.
-    fn word_codes(self, k: usize, encoding: Encoding) -> Vec<u8>;
+    fn word_codes(self, k: usize, encoding: Encoding) -> Vec<u8> {
+        debug_assert!(
+            k == Self::MAX_K || self >> (2 * k) == Self::ZERO,
+            "stray high bits"
+        );
+        (0..k)
+            .map(|i| encoding.decode(self.submer_of(k, i, 1) as u8))
+            .collect()
+    }
+
+    /// Appends the `k` bases of the word to `out` as ASCII: 32 bases per
+    /// extracted `u64`, one lookup in the encoding's symbol table per base.
+    fn push_ascii(self, k: usize, encoding: Encoding, out: &mut Vec<u8>) {
+        debug_assert!(
+            k == Self::MAX_K || self >> (2 * k) == Self::ZERO,
+            "stray high bits"
+        );
+        let ascii = encoding.ascii_table();
+        let mut pos = 0;
+        while pos < k {
+            let m = (k - pos).min(32);
+            let chunk = self.submer_of(k, pos, m);
+            out.extend((0..m).rev().map(|i| ascii[(chunk >> (2 * i)) as usize & 3]));
+            pos += m;
+        }
+    }
+
+    /// Renders the `k`-long word as an ASCII sequence.
+    fn to_ascii(self, k: usize, encoding: Encoding) -> String {
+        let mut out = Vec::with_capacity(k);
+        self.push_ascii(k, encoding, &mut out);
+        String::from_utf8(out).expect("bases are ASCII")
+    }
 }
 
 impl KmerWord for u64 {
-    const MAX_K: usize = Kmer::MAX_K;
-    const ZERO: Self = 0;
     const WORD_BYTES: usize = 8;
+    const ZERO: Self = 0;
 
     #[inline]
-    fn kmer_mask(k: usize) -> u64 {
-        Kmer::mask(k)
-    }
-
-    #[inline]
-    fn roll_sym(self, sym: u8, mask: u64) -> u64 {
-        ((self << 2) | sym as u64) & mask
-    }
-
-    fn pack_codes(codes: &[u8], encoding: Encoding) -> u64 {
-        Kmer::from_codes(codes, encoding).word()
+    fn low_u64(self) -> u64 {
+        self
     }
 
     #[inline]
-    fn submer_of(self, k: usize, pos: usize, m: usize) -> u64 {
-        Kmer::from_word(self, k).submer(pos, m)
-    }
-
-    #[inline]
-    fn subword(self, total_len: usize, pos: usize, sub_len: usize) -> u64 {
-        debug_assert!(sub_len >= 1 && pos + sub_len <= total_len);
-        (self >> (2 * (total_len - pos - sub_len))) & Kmer::mask(sub_len)
-    }
-
-    #[inline]
-    fn canonical_word(self, k: usize) -> u64 {
-        Kmer::from_word(self, k).canonical().word()
-    }
-
-    fn word_codes(self, k: usize, encoding: Encoding) -> Vec<u8> {
-        Kmer::from_word(self, k).codes(encoding)
+    fn reverse_groups(self) -> u64 {
+        // Swap adjacent 2-bit groups, then nibbles, then bytes.
+        let v = ((self & 0x3333_3333_3333_3333) << 2) | ((self >> 2) & 0x3333_3333_3333_3333);
+        let v = ((v & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((v >> 4) & 0x0F0F_0F0F_0F0F_0F0F);
+        v.swap_bytes()
     }
 }
 
 impl KmerWord for u128 {
-    const MAX_K: usize = Kmer128::MAX_K;
-    const ZERO: Self = 0;
     const WORD_BYTES: usize = 16;
+    const ZERO: Self = 0;
 
     #[inline]
-    fn kmer_mask(k: usize) -> u128 {
-        Kmer128::mask(k)
-    }
-
-    #[inline]
-    fn roll_sym(self, sym: u8, mask: u128) -> u128 {
-        ((self << 2) | sym as u128) & mask
-    }
-
-    fn pack_codes(codes: &[u8], encoding: Encoding) -> u128 {
-        Kmer128::from_codes(codes, encoding).word()
+    fn low_u64(self) -> u64 {
+        self as u64
     }
 
     #[inline]
-    fn submer_of(self, k: usize, pos: usize, m: usize) -> u64 {
-        Kmer128::from_word(self, k).submer(pos, m)
-    }
-
-    #[inline]
-    fn subword(self, total_len: usize, pos: usize, sub_len: usize) -> u128 {
-        debug_assert!(sub_len >= 1 && pos + sub_len <= total_len);
-        (self >> (2 * (total_len - pos - sub_len))) & Kmer128::mask(sub_len)
-    }
-
-    #[inline]
-    fn canonical_word(self, k: usize) -> u128 {
-        Kmer128::from_word(self, k).canonical().word()
-    }
-
-    fn word_codes(self, k: usize, encoding: Encoding) -> Vec<u8> {
-        Kmer128::from_word(self, k).codes(encoding)
+    fn reverse_groups(self) -> u128 {
+        // Each half reverses in place, then the halves swap.
+        let lo = self.low_u64().reverse_groups() as u128;
+        let hi = (self >> 64).low_u64().reverse_groups() as u128;
+        (lo << 64) | hi
     }
 }
 
 /// Iterates all packed k-mer words of a base-code slice with a rolling
-/// window, at either word width. Yields nothing if the slice is shorter
-/// than k. Width-generic twin of [`kmer_words`] / [`kmer_words128`].
+/// window (O(1) per k-mer), at either word width. Yields nothing if the
+/// slice is shorter than k.
 pub fn kmer_words_w<W: KmerWord>(
     codes: &[u8],
     k: usize,
@@ -438,288 +236,289 @@ pub fn kmer_words_w<W: KmerWord>(
     })
 }
 
-/// Iterates all packed wide k-mer words (k ≤ 64) of a base-code slice
-/// with a rolling window. Yields nothing if the slice is shorter than k.
-pub fn kmer_words128<'a>(
-    codes: &'a [u8],
-    k: usize,
-    encoding: Encoding,
-) -> impl Iterator<Item = u128> + 'a {
-    assert!((1..=Kmer128::MAX_K).contains(&k));
-    let mask = Kmer128::mask(k);
-    let mut acc = 0u128;
-    let mut filled = 0usize;
-    codes.iter().filter_map(move |&c| {
-        acc = ((acc << 2) | encoding.encode(c) as u128) & mask;
-        filled += 1;
-        if filled >= k {
-            Some(acc)
-        } else {
-            None
-        }
-    })
-}
-
-/// Iterates all packed k-mer words of a base-code slice with a rolling
-/// window (O(1) per k-mer). Yields nothing if the slice is shorter than k.
-pub fn kmer_words<'a>(
-    codes: &'a [u8],
-    k: usize,
-    encoding: Encoding,
-) -> impl Iterator<Item = u64> + 'a {
-    assert!((1..=Kmer::MAX_K).contains(&k));
-    let mask = Kmer::mask(k);
-    let mut acc = 0u64;
-    let mut filled = 0usize;
-    codes.iter().filter_map(move |&c| {
-        acc = ((acc << 2) | encoding.encode(c) as u64) & mask;
-        filled += 1;
-        if filled >= k {
-            Some(acc)
-        } else {
-            None
-        }
-    })
+/// [`kmer_words_w`] at the `u64` width.
+pub fn kmer_words(codes: &[u8], k: usize, encoding: Encoding) -> impl Iterator<Item = u64> + '_ {
+    kmer_words_w::<u64>(codes, k, encoding)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const ENC: Encoding = Encoding::Alphabetical;
+
+    fn codes_of(s: &[u8]) -> Vec<u8> {
+        s.iter()
+            .map(|&c| Base::from_ascii(c).unwrap().code())
+            .collect()
+    }
+
+    fn ascii<W: KmerWord>(s: &[u8]) -> W {
+        W::pack_ascii(s, ENC).unwrap()
+    }
 
     #[test]
     fn packs_msb_first() {
         // "ACGT" under alphabetical encoding: 00 01 10 11 = 0b00011011.
-        let k = Kmer::from_ascii(b"ACGT", ENC).unwrap();
-        assert_eq!(k.word(), 0b00_01_10_11);
-        assert_eq!(k.k(), 4);
+        assert_eq!(ascii::<u64>(b"ACGT"), 0b00_01_10_11);
+        assert_eq!(ascii::<u128>(b"ACGT"), 0b00_01_10_11);
     }
 
     #[test]
     fn numeric_order_equals_lexicographic() {
-        let words: Vec<&[u8]> = vec![b"AAAA", b"AAAC", b"ACGT", b"CAAA", b"TTTT"];
-        let mut packed: Vec<u64> = words
-            .iter()
-            .map(|w| Kmer::from_ascii(w, ENC).unwrap().word())
-            .collect();
-        let sorted = {
-            let mut s = packed.clone();
-            s.sort_unstable();
-            s
-        };
-        packed.sort_unstable();
-        assert_eq!(packed, sorted);
-        // And the lexicographically smallest string gives smallest word.
-        assert_eq!(packed[0], Kmer::from_ascii(b"AAAA", ENC).unwrap().word());
+        fn check<W: KmerWord>(_: usize) {
+            // Listed in lexicographic order: packing must preserve it.
+            let words: [&[u8]; 5] = [b"AAAA", b"AAAC", b"ACGT", b"CAAA", b"TTTT"];
+            let packed: Vec<W> = words.iter().map(|w| ascii::<W>(w)).collect();
+            assert!(packed.windows(2).all(|p| p[0] < p[1]), "{packed:?}");
+        }
+        check::<u64>(u64::MAX_K);
+        check::<u128>(u128::MAX_K);
     }
 
     #[test]
     fn ascii_roundtrip() {
-        for s in [&b"GATTACA"[..], b"A", b"ACGTACGTACGTACGTACGTACGTACGTACGT"] {
-            let k = Kmer::from_ascii(s, ENC).unwrap();
-            assert_eq!(k.to_ascii(ENC).as_bytes(), s);
+        fn check<W: KmerWord>(max_k: usize) {
+            let long = b"ACGT".repeat(max_k / 4);
+            for s in [&b"GATTACA"[..], b"A", &long] {
+                let w = ascii::<W>(s);
+                assert_eq!(w.to_ascii(s.len(), ENC).as_bytes(), s);
+            }
+            // Same under the paper encoding.
+            let w = W::pack_ascii(b"GATTACA", Encoding::PaperRandom).unwrap();
+            assert_eq!(w.to_ascii(7, Encoding::PaperRandom), "GATTACA");
         }
-        // Same under the paper encoding.
-        let k = Kmer::from_ascii(b"GATTACA", Encoding::PaperRandom).unwrap();
-        assert_eq!(k.to_ascii(Encoding::PaperRandom), "GATTACA");
+        check::<u64>(u64::MAX_K);
+        check::<u128>(u128::MAX_K);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Kmer::from_ascii(b"", ENC).is_none());
-        assert!(Kmer::from_ascii(b"ACGN", ENC).is_none());
-        assert!(Kmer::from_ascii(&[b'A'; 33], ENC).is_none());
+        fn check<W: KmerWord>(max_k: usize) {
+            assert!(W::pack_ascii(b"", ENC).is_none());
+            assert!(W::pack_ascii(b"ACGN", ENC).is_none());
+            assert!(W::pack_ascii(&vec![b'A'; max_k + 1], ENC).is_none());
+            assert!(W::pack_ascii(&vec![b'A'; max_k], ENC).is_some());
+        }
+        check::<u64>(u64::MAX_K);
+        check::<u128>(u128::MAX_K);
     }
 
     #[test]
     fn rolling_matches_fresh_construction() {
-        let seq = b"GATTACAGATTACAGA";
-        let k = 5;
-        let mut rolled = Kmer::from_ascii(&seq[..k], ENC).unwrap();
-        for i in 1..=(seq.len() - k) {
-            let code = Base::from_ascii(seq[i + k - 1]).unwrap().code();
-            rolled = rolled.rolled(code, ENC);
-            let fresh = Kmer::from_ascii(&seq[i..i + k], ENC).unwrap();
-            assert_eq!(rolled, fresh, "window {i}");
+        fn check<W: KmerWord>(k: usize) {
+            let seq = b"GATTACA".repeat(7);
+            let mask = W::kmer_mask(k);
+            let mut rolled = ascii::<W>(&seq[..k]);
+            for i in 1..=(seq.len() - k) {
+                let sym = ENC.encode_base(Base::from_ascii(seq[i + k - 1]).unwrap());
+                rolled = rolled.roll_sym(sym, mask);
+                assert_eq!(rolled, ascii::<W>(&seq[i..i + k]), "k {k} window {i}");
+            }
+        }
+        for k in [5, 31, 32] {
+            check::<u64>(k);
+        }
+        for k in [5, 35, 41, 48] {
+            check::<u128>(k);
         }
     }
 
     #[test]
     fn kmer_words_iterator_matches_windows() {
-        let seq = b"ACGTTGCAACGT";
-        let codes: Vec<u8> = seq
-            .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
-            .collect();
-        let k = 4;
-        let got: Vec<u64> = kmer_words(&codes, k, ENC).collect();
-        let expect: Vec<u64> = (0..=seq.len() - k)
-            .map(|i| Kmer::from_ascii(&seq[i..i + k], ENC).unwrap().word())
-            .collect();
-        assert_eq!(got, expect);
-        assert_eq!(got.len(), seq.len() - k + 1); // L - k + 1 k-mers
+        fn check<W: KmerWord>(k: usize) {
+            let seq = b"ACGTTGCAACGT".repeat(4); // 48 bases
+            let codes = codes_of(&seq);
+            let got: Vec<W> = kmer_words_w(&codes, k, ENC).collect();
+            let expect: Vec<W> = (0..=seq.len() - k)
+                .map(|i| ascii::<W>(&seq[i..i + k]))
+                .collect();
+            assert_eq!(got, expect);
+            assert_eq!(got.len(), seq.len() - k + 1); // L - k + 1 k-mers
+        }
+        check::<u64>(4);
+        check::<u128>(4);
+        check::<u128>(41);
+        let codes = codes_of(b"ACGTTGCAACGT");
+        assert!(kmer_words(&codes, 4, ENC).eq(kmer_words_w::<u64>(&codes, 4, ENC)));
     }
 
     #[test]
     fn kmer_words_short_input_yields_nothing() {
         let codes = [0u8, 1, 2];
         assert_eq!(kmer_words(&codes, 4, ENC).count(), 0);
+        assert_eq!(kmer_words_w::<u128>(&codes, 4, ENC).count(), 0);
     }
 
     #[test]
     fn submer_extracts_mmers() {
-        // GATTACA, m=3: windows GAT, ATT, TTA, TAC, ACA.
-        let k = Kmer::from_ascii(b"GATTACA", ENC).unwrap();
-        for (pos, expect) in [b"GAT", b"ATT", b"TTA", b"TAC", b"ACA"].iter().enumerate() {
-            let want = Kmer::from_ascii(*expect, ENC).unwrap().word();
-            assert_eq!(k.submer(pos, 3), want, "pos {pos}");
+        fn check<W: KmerWord>(_: usize) {
+            // GATTACA, m=3: windows GAT, ATT, TTA, TAC, ACA.
+            let w = ascii::<W>(b"GATTACA");
+            for (pos, expect) in [b"GAT", b"ATT", b"TTA", b"TAC", b"ACA"].iter().enumerate() {
+                assert_eq!(w.submer_of(7, pos, 3), ascii::<u64>(*expect), "pos {pos}");
+            }
+        }
+        check::<u64>(u64::MAX_K);
+        check::<u128>(u128::MAX_K);
+    }
+
+    #[test]
+    fn wide_submer_matches_narrow_packing() {
+        let codes = codes_of(b"GATTACAGATTACAGATTACAGATTACAGATTACAGATT"); // 39 bases
+        let wide = u128::pack_codes(&codes, ENC);
+        for m in [3usize, 7, 15, 32] {
+            for pos in [0usize, 5, 39 - m] {
+                let expect = u64::pack_codes(&codes[pos..pos + m], ENC);
+                assert_eq!(wide.submer_of(39, pos, m), expect, "m {m} pos {pos}");
+                assert_eq!(wide.subword(39, pos, m), expect as u128, "m {m} pos {pos}");
+            }
         }
     }
 
     #[test]
     fn reverse_complement_known_answer() {
-        let k = Kmer::from_ascii(b"AACGTT", ENC).unwrap();
-        assert_eq!(k.reverse_complement().to_ascii(ENC), "AACGTT"); // palindrome
-        let k = Kmer::from_ascii(b"GATTACA", ENC).unwrap();
-        assert_eq!(k.reverse_complement().to_ascii(ENC), "TGTAATC");
+        fn check<W: KmerWord>(_: usize) {
+            let w = ascii::<W>(b"AACGTT");
+            assert_eq!(w.reverse_complement(6).to_ascii(6, ENC), "AACGTT"); // palindrome
+            let w = ascii::<W>(b"GATTACA");
+            assert_eq!(w.reverse_complement(7).to_ascii(7, ENC), "TGTAATC");
+        }
+        check::<u64>(u64::MAX_K);
+        check::<u128>(u128::MAX_K);
+        // Past the narrow width: k = 41 and the full 64-base word.
+        let s = b"ACCGGGTTTTACGTAACCGGTTAGCTAGCTTTGACCAGTCA";
+        let w = ascii::<u128>(s);
+        assert_eq!(
+            w.reverse_complement(41).to_ascii(41, ENC),
+            "TGACTGGTCAAAGCTAGCTAACCGGTTACGTAAAACCCGGT"
+        );
+        let w = ascii::<u128>(b"AAAACCCCGGGGTTTTACGTACGTGATTACAGATTACATTTTGGGGCCCCAAAATGCATGCAGT");
+        assert_eq!(
+            w.reverse_complement(64).to_ascii(64, ENC),
+            "ACTGCATGCATTTTGGGGCCCCAAAATGTAATCTGTAATCACGTACGTAAAACCCCGGGGTTTT"
+        );
     }
 
     #[test]
     fn reverse_complement_is_involution_both_encodings() {
-        for enc in [Encoding::Alphabetical, Encoding::PaperRandom] {
-            for s in [&b"A"[..], b"ACGT", b"GGGATCCTTAAAGCGC", &[b'T'; 32]] {
-                let k = Kmer::from_ascii(s, enc).unwrap();
-                assert_eq!(k.reverse_complement().reverse_complement(), k);
-                // Sequence-level check: rc in symbol space equals rc computed
-                // on the ASCII string.
-                let rc_ascii: Vec<u8> = s
-                    .iter()
-                    .rev()
-                    .map(|&c| Base::from_ascii(c).unwrap().complement().to_ascii())
-                    .collect();
-                assert_eq!(
-                    k.reverse_complement().to_ascii(enc).as_bytes(),
-                    &rc_ascii[..],
-                    "enc {enc:?} seq {}",
-                    std::str::from_utf8(s).unwrap()
-                );
+        fn check<W: KmerWord>(max_k: usize) {
+            let full = vec![b'T'; max_k];
+            for enc in [Encoding::Alphabetical, Encoding::PaperRandom] {
+                for s in [&b"A"[..], b"ACGT", b"GGGATCCTTAAAGCGC", &full] {
+                    let k = s.len();
+                    let w = W::pack_ascii(s, enc).unwrap();
+                    assert_eq!(w.reverse_complement(k).reverse_complement(k), w);
+                    // Sequence-level check: rc in symbol space equals rc
+                    // computed on the ASCII string.
+                    let rc_ascii: Vec<u8> = s
+                        .iter()
+                        .rev()
+                        .map(|&c| Base::from_ascii(c).unwrap().complement().to_ascii())
+                        .collect();
+                    assert_eq!(
+                        w.reverse_complement(k).to_ascii(k, enc).as_bytes(),
+                        &rc_ascii[..],
+                        "enc {enc:?} seq {}",
+                        std::str::from_utf8(s).unwrap()
+                    );
+                }
             }
         }
+        check::<u64>(u64::MAX_K);
+        check::<u128>(u128::MAX_K);
     }
 
     #[test]
     fn canonical_is_stable() {
-        let k = Kmer::from_ascii(b"GATTACA", ENC).unwrap();
-        let c = k.canonical();
-        assert_eq!(c, c.canonical());
-        assert_eq!(c, k.reverse_complement().canonical());
-        assert!(c.word() <= k.word());
+        fn check<W: KmerWord>(k: usize) {
+            let seq = b"GATTACAGATTACAGATTACAGATTACAGATTACAGATTACA";
+            let w = ascii::<W>(&seq[..k]);
+            let c = w.canonical_word(k);
+            assert_eq!(c, c.canonical_word(k));
+            assert_eq!(c, w.reverse_complement(k).canonical_word(k));
+            assert!(c <= w);
+        }
+        check::<u64>(7);
+        check::<u128>(7);
+        check::<u128>(41);
     }
 
     #[test]
-    fn kmer128_roundtrip_and_rc() {
-        let s = b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"; // 44 bases
-        let codes: Vec<u8> = s
-            .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
-            .collect();
-        let k = Kmer128::from_codes(&codes, ENC);
-        assert_eq!(k.k(), 44);
-        assert_eq!(k.codes(ENC), codes);
-        assert_eq!(k.reverse_complement().reverse_complement(), k);
-        assert_eq!(k.canonical(), k.canonical().canonical());
+    fn wide_roundtrip_and_rc() {
+        let codes = codes_of(b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"); // 44 bases
+        let w = u128::pack_codes(&codes, ENC);
+        assert_eq!(w.word_codes(44, ENC), codes);
+        assert_eq!(w.reverse_complement(44).reverse_complement(44), w);
+        assert_eq!(
+            w.canonical_word(44),
+            w.canonical_word(44).canonical_word(44)
+        );
     }
 
     #[test]
-    fn kmer128_submer_matches_narrow_submer() {
-        let s = b"GATTACAGATTACAGATTACAGATTACAGATTACAGATT"; // 39 bases
-        let codes: Vec<u8> = s
-            .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
-            .collect();
-        let wide = Kmer128::from_codes(&codes, ENC);
-        for m in [3usize, 7, 15] {
-            for pos in [0usize, 5, 39 - m] {
-                let expect = Kmer::from_codes(&codes[pos..pos + m], ENC).word();
-                assert_eq!(wide.submer(pos, m), expect, "m {m} pos {pos}");
+    fn full_width_mask() {
+        // Below the full width the mask is 2k low ones.
+        for k in 1..32 {
+            assert_eq!(u64::kmer_mask(k), (1u64 << (2 * k)) - 1, "k {k}");
+        }
+        for k in 1..64 {
+            assert_eq!(u128::kmer_mask(k), (1u128 << (2 * k)) - 1, "k {k}");
+        }
+        // T = 3 everywhere fills the whole word.
+        assert_eq!(ascii::<u64>(&[b'T'; 32]), u64::MAX);
+        assert_eq!(u64::kmer_mask(32), u64::MAX);
+        assert_eq!(
+            ascii::<u64>(&[b'T'; 32])
+                .reverse_complement(32)
+                .to_ascii(32, ENC),
+            "A".repeat(32)
+        );
+        assert_eq!(ascii::<u128>(&[b'T'; 64]), u128::MAX);
+        assert_eq!(u128::kmer_mask(64), u128::MAX);
+        assert_eq!(
+            ascii::<u128>(&[b'T'; 64])
+                .reverse_complement(64)
+                .to_ascii(64, ENC),
+            "A".repeat(64)
+        );
+    }
+
+    fn encoding() -> impl Strategy<Value = Encoding> {
+        prop_oneof![Just(Encoding::Alphabetical), Just(Encoding::PaperRandom)]
+    }
+
+    proptest! {
+        /// For k ≤ 31 every operation gives the same value at `u64` and,
+        /// widened, at `u128`.
+        #[test]
+        fn widths_agree_below_32(
+            codes in prop::collection::vec(0u8..4, 1..96),
+            k in 1usize..32,
+            enc in encoding(),
+            mpick in 0usize..64,
+            ppick in 0usize..64,
+        ) {
+            let narrow: Vec<u64> = kmer_words_w(&codes, k, enc).collect();
+            let wide: Vec<u128> = kmer_words_w(&codes, k, enc).collect();
+            prop_assert_eq!(narrow.len(), wide.len());
+            for (i, (&n, &w)) in narrow.iter().zip(&wide).enumerate() {
+                prop_assert_eq!(n as u128, w);
+                let span = &codes[i..i + k];
+                prop_assert_eq!(u64::pack_codes(span, enc), n);
+                prop_assert_eq!(u128::pack_codes(span, enc), w);
+                prop_assert_eq!(n.canonical_word(k) as u128, w.canonical_word(k));
+                prop_assert_eq!(n.reverse_complement(k) as u128, w.reverse_complement(k));
+                prop_assert_eq!(n.word_codes(k, enc), w.word_codes(k, enc));
+                prop_assert_eq!(n.to_ascii(k, enc), w.to_ascii(k, enc));
+                // Any sub-window of the k-mer.
+                let m = 1 + mpick % k;
+                let pos = ppick % (k - m + 1);
+                prop_assert_eq!(n.submer_of(k, pos, m), w.submer_of(k, pos, m));
+                prop_assert_eq!(n.subword(k, pos, m) as u128, w.subword(k, pos, m));
+                prop_assert_eq!(u64::kmer_mask(k) as u128, u128::kmer_mask(k));
             }
         }
-    }
-
-    #[test]
-    fn kmer_words128_matches_fresh_packing() {
-        let s = b"ACGTTGCAACGTACGTTGCAACGTACGTTGCAACGTACGTTGCAACGT"; // 48 bases
-        let codes: Vec<u8> = s
-            .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
-            .collect();
-        let k = 41;
-        let got: Vec<u128> = kmer_words128(&codes, k, ENC).collect();
-        let expect: Vec<u128> = (0..=codes.len() - k)
-            .map(|i| Kmer128::from_codes(&codes[i..i + k], ENC).word())
-            .collect();
-        assert_eq!(got, expect);
-        assert_eq!(got.len(), codes.len() - k + 1);
-    }
-
-    #[test]
-    fn kmer128_rolling() {
-        let s = b"GATTACAGATTACAGATTACAGATTACAGATTACAG"; // 36 bases
-        let codes: Vec<u8> = s
-            .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
-            .collect();
-        let k = 35;
-        let mut rolled = Kmer128::from_codes(&codes[..k], ENC);
-        rolled = rolled.rolled(codes[k], ENC);
-        let fresh = Kmer128::from_codes(&codes[1..k + 1], ENC);
-        assert_eq!(rolled, fresh);
-    }
-
-    #[test]
-    fn kmer_word_trait_matches_concrete_types() {
-        let s = b"GATTACAGATTACAGATTACAGATTACAGATTACAGATT"; // 39 bases
-        let codes: Vec<u8> = s
-            .iter()
-            .map(|&c| Base::from_ascii(c).unwrap().code())
-            .collect();
-        // Narrow parity at k = 17.
-        let k = 17;
-        let narrow: Vec<u64> = kmer_words_w(&codes, k, ENC).collect();
-        let expect: Vec<u64> = kmer_words(&codes, k, ENC).collect();
-        assert_eq!(narrow, expect);
-        let w0 = narrow[0];
-        assert_eq!(
-            w0.canonical_word(k),
-            Kmer::from_word(w0, k).canonical().word()
-        );
-        assert_eq!(w0.submer_of(k, 3, 7), Kmer::from_word(w0, k).submer(3, 7));
-        assert_eq!(w0.word_codes(k, ENC), Kmer::from_word(w0, k).codes(ENC));
-        assert_eq!(<u64 as KmerWord>::pack_codes(&codes[..k], ENC), w0);
-        // Wide parity at k = 35.
-        let k = 35;
-        let wide: Vec<u128> = kmer_words_w(&codes, k, ENC).collect();
-        let expect: Vec<u128> = kmer_words128(&codes, k, ENC).collect();
-        assert_eq!(wide, expect);
-        let w0 = wide[0];
-        assert_eq!(
-            w0.canonical_word(k),
-            Kmer128::from_word(w0, k).canonical().word()
-        );
-        assert_eq!(
-            w0.submer_of(k, 4, 11),
-            Kmer128::from_word(w0, k).submer(4, 11)
-        );
-        assert_eq!(w0.word_codes(k, ENC), Kmer128::from_word(w0, k).codes(ENC));
-        assert_eq!(<u128 as KmerWord>::pack_codes(&codes[..k], ENC), w0);
-    }
-
-    #[test]
-    fn full_width_k32_mask() {
-        let s = [b'T'; 32];
-        let k = Kmer::from_ascii(&s, ENC).unwrap();
-        assert_eq!(k.word(), u64::MAX); // T=3 everywhere
-        assert_eq!(k.reverse_complement().to_ascii(ENC), "A".repeat(32));
     }
 }

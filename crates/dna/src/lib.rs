@@ -25,5 +25,4 @@ pub mod spectrum;
 
 pub use base::{Base, Encoding};
 pub use datasets::{Dataset, DatasetId, ScalePreset};
-pub use kmer::{Kmer, Kmer128};
 pub use read::{Read, ReadSet};

@@ -2,7 +2,7 @@
 
 use dedukt_dna::base::{ascii_to_fragments, Base};
 use dedukt_dna::fastq::{parse_fastq, write_fastq};
-use dedukt_dna::kmer::{kmer_words, Kmer};
+use dedukt_dna::kmer::{kmer_words, KmerWord};
 use dedukt_dna::{Encoding, Read, ReadSet};
 use proptest::prelude::*;
 use std::io::BufReader;
@@ -31,7 +31,7 @@ proptest! {
         let rc: Vec<u8> = codes.iter().rev().map(|&c| 3 - c).collect();
         let canon = |cs: &[u8]| {
             let mut v: Vec<u64> = kmer_words(cs, k, enc)
-                .map(|w| Kmer::from_word(w, k).canonical().word())
+                .map(|w| w.canonical_word(k))
                 .collect();
             v.sort_unstable();
             v

@@ -69,8 +69,8 @@ pub struct ExchangeOutcome<T> {
     /// synchronized start (straggler waits are reflected in the clocks,
     /// not here — phases are reported barrier-to-barrier, as the paper's
     /// breakdowns are). Equals the wire time for a blocking
-    /// [`BspWorld::alltoallv`]; for
-    /// [`BspWorld::alltoallv_overlapped`] it is max(wire, hidden compute).
+    /// [`BspWorld::alltoallv`]; when [`BspWorld::charge`] hides compute
+    /// behind the exchange it is max(wire, hidden compute).
     pub elapsed: Vec<SimTime>,
     /// Aggregated charged times.
     pub times: StepTimes,
@@ -320,33 +320,8 @@ impl BspWorld {
     /// rank its simulated exchange time. Every bucket delivers: fault
     /// fates fire only in [`BspWorld::route`].
     pub fn alltoallv<T: Send + WireHash>(&mut self, send: Vec<Vec<Vec<T>>>) -> ExchangeOutcome<T> {
-        self.exchange(send, None)
-    }
-
-    /// Non-blocking-style Alltoallv for the double-buffered round
-    /// pipeline: rank `r` starts the collective and keeps computing
-    /// `hidden[r]` worth of work (typically the previous round's count
-    /// kernel on its own stream) while the wire is busy. The rank is
-    /// charged `max(wire, hidden)` — whichever finishes last gates the
-    /// superstep — instead of their sum. Volumes, statistics, and payload
-    /// routing are identical to [`BspWorld::alltoallv`].
-    pub fn alltoallv_overlapped<T: Send + WireHash>(
-        &mut self,
-        send: Vec<Vec<Vec<T>>>,
-        hidden: &[SimTime],
-    ) -> ExchangeOutcome<T> {
-        self.exchange(send, Some(hidden))
-    }
-
-    /// One fault-free Alltoallv: the charging half over the payloads'
-    /// in-memory sizes, then the routing half.
-    fn exchange<T: Send + WireHash>(
-        &mut self,
-        send: Vec<Vec<Vec<T>>>,
-        hidden: Option<&[SimTime]>,
-    ) -> ExchangeOutcome<T> {
         let traffic = Traffic::flat(&send, std::mem::size_of::<T>() as u64);
-        let charged = self.charge(&traffic, hidden, false);
+        let charged = self.charge(&traffic, None, false);
         ExchangeOutcome {
             recv: self.deliver(send, None).recv,
             elapsed: charged.elapsed,
@@ -836,6 +811,7 @@ mod tests {
     #[test]
     fn overlapped_exchange_charges_max_of_wire_and_hidden() {
         let send = |p: usize| -> Vec<Vec<Vec<u64>>> { vec![vec![vec![7u64; 50]; p]; p] };
+        let traffic = |p: usize| Traffic::flat(&send(p), 8);
         // Reference: the blocking wire time for this matrix.
         let mut plain = world(1);
         let p = plain.nranks();
@@ -847,7 +823,7 @@ mod tests {
         // Hidden compute much longer than the wire: charged = hidden.
         let (mut w, j) = journaled(1);
         let big = SimTime::from_secs(wire.as_secs() * 10.0);
-        let out = w.alltoallv_overlapped(send(p), &vec![big; p]);
+        let out = w.charge(&traffic(p), Some(&vec![big; p]), false);
         assert_eq!(out.times.max, big);
         assert_eq!(out.wire.max, wire); // pure wire unchanged
         assert_eq!(w.elapsed(), big);
@@ -859,15 +835,16 @@ mod tests {
         // wire — identical clocks to the blocking exchange.
         let mut w = world(1);
         let small = SimTime::from_secs(wire.as_secs() * 0.1);
-        let out = w.alltoallv_overlapped(send(p), &vec![small; p]);
+        let out = w.charge(&traffic(p), Some(&vec![small; p]), false);
         assert_eq!(out.times.max, wire);
         assert_eq!(w.elapsed(), plain.elapsed());
 
         // Payload routing and byte accounting are those of a blocking
         // exchange; only the overlap counter differs.
+        let routed = w.route(0, 0, send(p));
         for dst in 0..p {
             for src in 0..p {
-                assert_eq!(out.recv[dst][src], vec![7u64; 50]);
+                assert_eq!(routed.recv[dst][src], vec![7u64; 50]);
             }
         }
         assert_eq!(w.stats().total_bytes, plain.stats().total_bytes);
@@ -882,7 +859,7 @@ mod tests {
         let p = w.nranks();
         let send: Vec<Vec<Vec<u64>>> = vec![vec![vec![1u64; 40]; p]; p];
         let hidden = vec![SimTime::from_secs(100.0); p]; // dwarfs the wire
-        let out = w.alltoallv_overlapped(send, &hidden);
+        let out = w.charge(&Traffic::flat(&send, 8), Some(&hidden), false);
         let snap = MetricsSnapshot::from_events(&j.take());
         // The absorbed portion is the wire time (hidden > wire here).
         match snap.get("overlap_hidden_seconds_total", Some(0)) {
@@ -899,7 +876,7 @@ mod tests {
         let mut w = world(1);
         let p = w.nranks();
         let send: Vec<Vec<Vec<u64>>> = vec![vec![vec![1u64]; p]; p];
-        w.alltoallv_overlapped(send, &[SimTime::ZERO]);
+        w.charge(&Traffic::flat(&send, 8), Some(&[SimTime::ZERO]), false);
     }
 
     #[test]

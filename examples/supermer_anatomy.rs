@@ -8,7 +8,7 @@ use dedukt::core::minimizer::{MinimizerScheme, OrderingKind};
 use dedukt::core::supermer::{build_supermers_reference, build_supermers_windowed};
 use dedukt::core::CountingConfig;
 use dedukt::dna::base::Base;
-use dedukt::dna::kmer::Kmer;
+use dedukt::dna::kmer::KmerWord;
 use dedukt::dna::Encoding;
 
 fn codes_of(s: &str) -> Vec<u8> {
@@ -41,17 +41,17 @@ fn main() {
 
     println!("\nk-mers and their minimizers:");
     for i in 0..=read.len() - k {
-        let kw = Kmer::from_ascii(&read.as_bytes()[i..i + k], scheme.encoding).unwrap();
-        let mz = scheme.minimizer_of(kw.word(), k);
+        let kw = u64::pack_ascii(&read.as_bytes()[i..i + k], scheme.encoding).unwrap();
+        let mz = scheme.minimizer_of(kw, k);
         println!(
             "  pos {i:>2}: {}  minimizer {} @ {}",
-            kw.to_ascii(scheme.encoding),
-            Kmer::from_word(mz.word, m).to_ascii(scheme.encoding),
+            kw.to_ascii(k, scheme.encoding),
+            mz.word.to_ascii(m, scheme.encoding),
             i + mz.pos
         );
     }
 
-    let supermers = build_supermers_reference(&codes, k, &scheme);
+    let supermers = build_supermers_reference::<u64>(&codes, k, &scheme);
     let total: usize = supermers.iter().map(|s| s.codes.len()).sum();
     println!("\nsupermers:");
     for (i, sm) in supermers.iter().enumerate() {
@@ -60,7 +60,7 @@ fn main() {
             ascii_of(&sm.codes),
             sm.codes.len(),
             sm.num_kmers(k),
-            Kmer::from_word(sm.minimizer, m).to_ascii(scheme.encoding),
+            sm.minimizer.to_ascii(m, scheme.encoding),
         );
     }
     let kmer_bases = (read.len() - k + 1) * k;
@@ -81,7 +81,7 @@ fn main() {
         (0..300).map(|_| rng.next_below(4) as u8).collect()
     };
     let windowed = build_supermers_windowed(&long_read, cfg.k, cfg.window, &scheme);
-    let unbounded = build_supermers_reference(&long_read, cfg.k, &scheme);
+    let unbounded = build_supermers_reference::<u64>(&long_read, cfg.k, &scheme);
     let nkmers = long_read.len() - cfg.k + 1;
     println!(
         "\nproduction parameters (k={}, m={}, window={}), 300-base read:",

@@ -24,6 +24,9 @@
 //!   imbalance attribution, hidden-vs-exposed exchange time, and
 //!   recovery costs. `analyze --diff a.jsonl b.jsonl` prints a
 //!   regression triage report between two runs.
+//! * `compare <a.tsv> <b.tsv>` — compare two count dumps k-mer by k-mer;
+//!   exits 0 only if they are identical. Any k up to 64 works, read from
+//!   the dumps themselves; dumps of different k are an error.
 //! * `info` — print the simulated hardware presets.
 //!
 //! Examples:
@@ -38,6 +41,7 @@
 use dedukt::core::config::RUN_FLAGS_USAGE;
 use dedukt::core::{dump, pipeline, Mode, PackedKmer, RunConfig};
 use dedukt::dna::fastq::parse_fastq;
+use dedukt::dna::kmer::KmerWord;
 use dedukt::dna::{Dataset, DatasetId, ScalePreset};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -80,7 +84,7 @@ fn print_usage() {
          \x20        [--io-seed N] [--io-spec torn=T,rot=R,readerr=E,retries=N,rederive=M,kill=K]\n\
          {RUN_FLAGS_USAGE}\n\
          \x20 dedukt analyze <run.jsonl> | dedukt analyze --diff <a.jsonl> <b.jsonl>\n\
-         \x20 dedukt compare <a.tsv> <b.tsv> [--k K]\n\
+         \x20 dedukt compare <a.tsv> <b.tsv>\n\
          \x20 dedukt info"
     );
 }
@@ -127,26 +131,36 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let mut it = args.iter();
-    let path_a = it.next().ok_or("compare needs two dump paths")?;
-    let path_b = it.next().ok_or("compare needs two dump paths")?;
-    let mut k = 17usize;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--k" => k = take_value(&mut it, "--k")?.parse().map_err(|_| "bad k")?,
-            other => return Err(format!("unknown flag {other:?}")),
+    let (path_a, path_b) = match args {
+        [a, b] => (a, b),
+        [_, _, extra, ..] => return Err(format!("unknown argument {extra:?}")),
+        _ => return Err("compare needs two dump paths".into()),
+    };
+    let enc = dedukt::dna::Encoding::PaperRandom;
+    // Dumps are read at the wide width, so any k ≤ 64 parses; a dump's k
+    // is the length of its sequences. Ordered maps make the printed
+    // differences come out in dump order on every run.
+    type Loaded = (Option<usize>, std::collections::BTreeMap<u128, u32>);
+    let load = |p: &str| -> Result<Loaded, String> {
+        let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
+        let k = text
+            .lines()
+            .find_map(|l| l.split_once('\t'))
+            .map(|(seq, _)| seq.len());
+        let entries = dump::read_dump(BufReader::new(text.as_bytes()), enc)
+            .map_err(|e| format!("{p}: {e}"))?;
+        Ok((k, entries.into_iter().collect()))
+    };
+    let (k_a, a) = load(path_a)?;
+    let (k_b, b) = load(path_b)?;
+    if let (Some(ka), Some(kb)) = (k_a, k_b) {
+        if ka != kb {
+            return Err(format!(
+                "{path_a} holds {ka}-mers but {path_b} holds {kb}-mers"
+            ));
         }
     }
-    let enc = dedukt::dna::Encoding::PaperRandom;
-    let load = |p: &str| -> Result<std::collections::HashMap<u64, u32>, String> {
-        let f = File::open(p).map_err(|e| format!("{p}: {e}"))?;
-        Ok(dump::read_dump(BufReader::new(f), enc)
-            .map_err(|e| format!("{p}: {e}"))?
-            .into_iter()
-            .collect())
-    };
-    let a = load(path_a)?;
-    let b = load(path_b)?;
+    let k = k_a.or(k_b).unwrap_or(0);
     let mut only_a = 0u64;
     let mut only_b = 0u64;
     let mut differing = 0u64;
@@ -157,10 +171,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             Some(cb) if cb != ca => {
                 differing += 1;
                 if shown < 10 {
-                    println!(
-                        "  {} : {ca} vs {cb}",
-                        dedukt::dna::kmer::Kmer::from_word(*kmer, k).to_ascii(enc)
-                    );
+                    println!("  {} : {ca} vs {cb}", kmer.to_ascii(k, enc));
                     shown += 1;
                 }
             }
@@ -516,7 +527,7 @@ fn count_with_width<K: PackedKmer>(
     for (kmer, count) in dump::heavy_hitters(&merged, 5) {
         eprintln!(
             "  {}  x{count}",
-            dump::kmer_ascii(kmer, rc.counting.k, rc.counting.encoding)
+            kmer.to_ascii(rc.counting.k, rc.counting.encoding)
         );
     }
     Ok(())

@@ -82,7 +82,7 @@ fn count_produces_correct_dump_and_spectrum() {
     .unwrap();
     let cfg = dedukt::core::RunConfig::new(dedukt::core::Mode::GpuSupermer, 2).counting;
     let oracle = dedukt::core::verify::reference_counts(&reads, &cfg);
-    let dumped = dedukt::core::dump::read_dump(
+    let dumped = dedukt::core::dump::read_dump::<_, u64>(
         std::io::BufReader::new(std::fs::File::open(&dump).unwrap()),
         cfg.encoding,
     )
@@ -134,13 +134,78 @@ fn compare_detects_identity_and_difference() {
     assert!(String::from_utf8_lossy(&same.stdout).contains("identical"));
 
     // Corrupt one count; compare must fail.
-    let text = std::fs::read_to_string(&b).unwrap();
-    let mut lines: Vec<String> = text.lines().map(String::from).collect();
-    let (seq, count) = lines[0].split_once('\t').unwrap();
-    lines[0] = format!("{seq}\t{}", count.parse::<u32>().unwrap() + 1);
-    std::fs::write(&b, lines.join("\n")).unwrap();
+    bump_first_count(&b);
     let diff = dedukt().args(["compare"]).arg(&a).arg(&b).output().unwrap();
     assert!(!diff.status.success());
+}
+
+/// Adds one to the first count of a dump; returns that line's k-mer.
+fn bump_first_count(dump: &Path) -> String {
+    let text = std::fs::read_to_string(dump).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let (seq, count) = lines[0].split_once('\t').unwrap();
+    let seq = seq.to_string();
+    lines[0] = format!("{seq}\t{}", count.parse::<u32>().unwrap() + 1);
+    std::fs::write(dump, lines.join("\n")).unwrap();
+    seq
+}
+
+#[test]
+fn compare_takes_k_from_the_dumps() {
+    let dir = tmpdir("compare-k");
+    let fastq = dir.join("reads.fastq");
+    simulate_tiny(&fastq);
+    let count = |mode: &str, k: &str, out: &Path| {
+        let out = dedukt()
+            .args(["count"])
+            .arg(&fastq)
+            .args(["--mode", mode, "--k", k, "--m", "11", "--out"])
+            .arg(out)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let compare = |a: &Path, b: &Path| dedukt().arg("compare").arg(a).arg(b).output().unwrap();
+
+    // k = 41: two engines' dumps are identical; one corrupted count is not.
+    let (a41, b41) = (dir.join("a41.tsv"), dir.join("b41.tsv"));
+    count("cpu", "41", &a41);
+    count("supermer", "41", &b41);
+    let same = compare(&a41, &b41);
+    assert!(
+        same.status.success(),
+        "{}",
+        String::from_utf8_lossy(&same.stderr)
+    );
+    assert!(String::from_utf8_lossy(&same.stdout).contains("identical"));
+    let seq = bump_first_count(&b41);
+    let diff = compare(&a41, &b41);
+    assert_eq!(diff.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&diff.stdout).contains(&format!("  {seq} : ")));
+
+    // k = 21: the differing k-mer prints as the full 21-mer.
+    let (a21, b21) = (dir.join("a21.tsv"), dir.join("b21.tsv"));
+    count("cpu", "21", &a21);
+    count("gpu", "21", &b21);
+    let seq = bump_first_count(&b21);
+    assert_eq!(seq.len(), 21);
+    let diff = compare(&a21, &b21);
+    assert_eq!(diff.status.code(), Some(2));
+    let stdout = String::from_utf8_lossy(&diff.stdout);
+    assert!(stdout.contains(&format!("  {seq} : ")), "{stdout}");
+    assert!(stdout.contains("1 counts differ"), "{stdout}");
+
+    // Dumps of different k are an error naming both files.
+    let mixed = compare(&a21, &a41);
+    assert_eq!(mixed.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&mixed.stderr);
+    for path in [&a21, &a41] {
+        assert!(stderr.contains(&*path.to_string_lossy()), "{stderr}");
+    }
 }
 
 #[test]

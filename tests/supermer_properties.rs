@@ -3,7 +3,7 @@
 
 use dedukt::core::minimizer::{MinimizerScheme, OrderingKind};
 use dedukt::core::supermer::{build_supermers_reference, build_supermers_windowed};
-use dedukt::dna::kmer::{kmer_words, Kmer};
+use dedukt::dna::kmer::{kmer_words, KmerWord};
 use dedukt::dna::Encoding;
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ proptest! {
     ) {
         prop_assume!(m < k);
         let scheme = MinimizerScheme { encoding: enc, ordering: OrderingKind::EncodedLexicographic, m };
-        let supermers = build_supermers_reference(&codes, k, &scheme);
+        let supermers = build_supermers_reference::<u64>(&codes, k, &scheme);
         let mut extracted: Vec<u64> = supermers
             .iter()
             .flat_map(|s| kmer_words(&s.codes, k, enc).collect::<Vec<_>>())
@@ -99,26 +99,34 @@ proptest! {
             ordering: OrderingKind::EncodedLexicographic,
             m,
         };
-        let supermers = build_supermers_reference(&codes, k, &scheme);
+        let supermers = build_supermers_reference::<u64>(&codes, k, &scheme);
         for pair in supermers.windows(2) {
             prop_assert_ne!(pair[0].minimizer, pair[1].minimizer);
         }
     }
 
     /// Packed k-mer roundtrip and reverse-complement involution under
-    /// random sequences.
+    /// random sequences, at every width that holds them.
     #[test]
     fn kmer_roundtrip_and_rc(
-        codes in prop::collection::vec(0u8..4, 1..33),
+        codes in prop::collection::vec(0u8..4, 1..65),
         enc in encoding_strategy(),
     ) {
-        let kmer = Kmer::from_codes(&codes, enc);
-        prop_assert_eq!(kmer.codes(enc), codes.clone());
-        prop_assert_eq!(kmer.reverse_complement().reverse_complement(), kmer);
-        // Canonical is idempotent and strand-invariant.
-        let canon = kmer.canonical();
-        prop_assert_eq!(canon.canonical(), canon);
-        prop_assert_eq!(kmer.reverse_complement().canonical(), canon);
+        fn check<W: KmerWord>(codes: &[u8], enc: Encoding) -> Result<(), proptest::test_runner::TestCaseError> {
+            let k = codes.len();
+            let kmer = W::pack_codes(codes, enc);
+            prop_assert_eq!(kmer.word_codes(k, enc), codes.to_vec());
+            prop_assert_eq!(kmer.reverse_complement(k).reverse_complement(k), kmer);
+            // Canonical is idempotent and strand-invariant.
+            let canon = kmer.canonical_word(k);
+            prop_assert_eq!(canon.canonical_word(k), canon);
+            prop_assert_eq!(kmer.reverse_complement(k).canonical_word(k), canon);
+            Ok(())
+        }
+        if codes.len() <= u64::MAX_K {
+            check::<u64>(&codes, enc)?;
+        }
+        check::<u128>(&codes, enc)?;
     }
 
     /// Rolling extraction equals window-by-window packing.
@@ -131,7 +139,7 @@ proptest! {
         prop_assume!(k <= codes.len());
         let rolled: Vec<u64> = kmer_words(&codes, k, enc).collect();
         let fresh: Vec<u64> = (0..=codes.len() - k)
-            .map(|i| Kmer::from_codes(&codes[i..i + k], enc).word())
+            .map(|i| u64::pack_codes(&codes[i..i + k], enc))
             .collect();
         prop_assert_eq!(rolled, fresh);
     }

@@ -6,7 +6,7 @@ use dedukt::core::minimizer::{MinimizerScheme, OrderingKind};
 use dedukt::core::supermer::build_supermers_windowed_w;
 use dedukt::core::wide::wide_reference_counts;
 use dedukt::core::{pipeline, CountingConfig, Mode, RunConfig};
-use dedukt::dna::kmer::kmer_words128;
+use dedukt::dna::kmer::kmer_words_w;
 use dedukt::dna::{Encoding, Read, ReadSet};
 use proptest::prelude::*;
 
@@ -44,7 +44,7 @@ proptest! {
                 .flat_map(|s| s.kmers(cfg.k).collect::<Vec<_>>())
                 .collect();
         extracted.sort_unstable();
-        let mut direct: Vec<u128> = kmer_words128(&codes, cfg.k, cfg.encoding).collect();
+        let mut direct: Vec<u128> = kmer_words_w(&codes, cfg.k, cfg.encoding).collect();
         direct.sort_unstable();
         prop_assert_eq!(extracted, direct);
     }
@@ -60,7 +60,7 @@ proptest! {
         for sm in build_supermers_windowed_w::<u128>(&codes, cfg.k, cfg.window, &scheme) {
             prop_assert!((cfg.k..=64).contains(&(sm.len as usize)));
             for kw in sm.kmers(cfg.k) {
-                prop_assert_eq!(scheme.minimizer_of_w(kw, cfg.k).word, sm.minimizer);
+                prop_assert_eq!(scheme.minimizer_of(kw, cfg.k).word, sm.minimizer);
             }
         }
     }
