@@ -180,7 +180,7 @@ pub(crate) struct CounterOom {
 /// Memory-pressure telemetry one rank's counter accumulated; all zero
 /// on an unconstrained run (and always zero on the CPU pipeline, which
 /// has no device budget — its tables grow transparently on the host).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct PressureStats {
     /// k-mer instances parked on the host spill list (feeds the
     /// "spill k-mers" trace lane).

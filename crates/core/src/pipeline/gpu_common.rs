@@ -62,6 +62,28 @@ fn pieces<T>(buckets: &[Vec<T>], lo: usize, hi: usize) -> impl Iterator<Item = &
     })
 }
 
+/// Where a count launch reads its k-mers from: the round's k-mers in
+/// arrival order, handed out block by block. Blocks run in block order,
+/// so block `b` asks for its range `[lo, hi)` right after block `b - 1`.
+pub(crate) trait KmerSource<K> {
+    /// Number of k-mers in the round.
+    fn total(&self) -> usize;
+
+    /// Passes k-mers `lo..hi`, in order, to `f` as one or more slices.
+    fn read(&mut self, lo: usize, hi: usize, f: impl FnMut(&[K]));
+}
+
+/// K-mer buckets as they arrived, read in place.
+impl<K> KmerSource<K> for &[Vec<K>] {
+    fn total(&self) -> usize {
+        self.iter().map(Vec::len).sum()
+    }
+
+    fn read(&mut self, lo: usize, hi: usize, f: impl FnMut(&[K])) {
+        pieces(self, lo, hi).for_each(f);
+    }
+}
+
 /// Staging cost for moving `volume` between host and device, zero when
 /// GPUDirect is enabled (§III-B2).
 pub fn staging(rc: &RunConfig, volume: DataVolume) -> SimTime {
@@ -158,26 +180,26 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         })
     }
 
-    /// Inserts one round's k-mers — the concatenation of `buckets`, the
-    /// received buffer as it arrived — and returns the round's simulated
-    /// device time (count kernel plus any regrow kernels and spill
-    /// staging). Errs only when the table filled, no grow allocation was
-    /// granted, and the host spill budget is exhausted.
+    /// Inserts one round's k-mers — everything `source` holds, in its
+    /// order — and returns the round's simulated device time (count
+    /// kernel plus any regrow kernels and spill staging). Errs only when
+    /// the table filled, no grow allocation was granted, and the host
+    /// spill budget is exhausted.
     pub(crate) fn count(
         &mut self,
-        buckets: &[Vec<K>],
+        mut source: impl KmerSource<K>,
         cycles_per_kmer: f64,
     ) -> Result<SimTime, CounterOom> {
-        self.instances += buckets.iter().map(|b| b.len() as u64).sum::<u64>();
+        self.instances += source.total() as u64;
         let mut dt = SimTime::ZERO;
-        let mut pending = self.launch_count(buckets, cycles_per_kmer, &mut dt);
+        let mut pending = self.launch_count(&mut source, cycles_per_kmer, &mut dt);
         // Two-tier recovery: regrow on device while allocations are
         // granted, then spill to the host. Each regrow doubles capacity,
         // so the loop strictly shrinks `pending` or exits via spill.
         while !pending.is_empty() {
             if self.try_regrow(cycles_per_kmer, &mut dt) {
-                pending =
-                    self.launch_count(std::slice::from_ref(&pending), cycles_per_kmer, &mut dt);
+                let mut bounced = std::slice::from_ref(&pending);
+                pending = self.launch_count(&mut bounced, cycles_per_kmer, &mut dt);
             } else {
                 self.spill_pending(pending, &mut dt)?;
                 pending = Vec::new();
@@ -199,20 +221,20 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
     /// finally lands.
     fn launch_count(
         &mut self,
-        buckets: &[Vec<K>],
+        source: &mut impl KmerSource<K>,
         cycles_per_kmer: f64,
         dt: &mut SimTime,
     ) -> Vec<K> {
         let (table, probe_hist, probe_steps) =
             (&self.table, &mut self.probe_hist, &mut self.probe_steps);
         let mut overflow = Vec::new();
-        let total = buckets.iter().map(Vec::len).sum::<usize>();
+        let total = source.total();
         let launch = chunked_launch(total.max(1));
         let report = self.device.launch_map("count_kmers", launch, |b| {
             let (lo, hi) = block_range(total, b.cfg.grid_blocks, b.block);
             let mut probes = 0u64;
             let mut fresh = 0u64;
-            for kmers in pieces(buckets, lo, hi) {
+            source.read(lo, hi, |kmers| {
                 table.insert_all(kmers, |k, outcome| match outcome {
                     InsertOutcome::Inserted(r) => {
                         probes += r.steps as u64;
@@ -223,8 +245,8 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
                         probes += steps as u64;
                         overflow.push(k);
                     }
-                });
-            }
+                })
+            });
             *probe_steps += probes;
             let n = (hi - lo) as u64;
             // Effective compute (calibrated) + real memory/atomic traffic:
@@ -501,6 +523,9 @@ pub fn split_rounds_weighted<T: Send>(
 mod tests {
     use super::*;
     use crate::config::Mode;
+    use crate::pipeline::gpu_supermer::{supermer_kmers, PackedSupermer};
+    use dedukt_dna::{Dataset, DatasetId, ScalePreset};
+    use dedukt_gpu::mem_plan::MemSpec;
 
     #[test]
     fn pieces_cover_exactly_the_requested_range() {
@@ -625,7 +650,9 @@ mod tests {
         }
         let mut counter = DeviceRoundCounter::<K>::new(&rc, &rc.counting, 0, kmers.len() as u64)
             .unwrap_or_else(oom);
-        let dt = counter.count(&[kmers.to_vec()], 1000.0).unwrap_or_else(oom);
+        let dt = counter
+            .count(&[kmers.to_vec()][..], 1000.0)
+            .unwrap_or_else(oom);
         assert!(
             counter.regrows + counter.spilled == 0,
             "a table sized for the batch cannot overflow"
@@ -690,5 +717,121 @@ mod tests {
         assert_eq!(total, kmers.len() as u64);
         assert!(dt > SimTime::ZERO);
         assert_eq!(counter.probe_hist.count(), kmers.len() as u64);
+    }
+
+    /// Two rounds of supermer buckets built from the tiny A. baumannii
+    /// reads at `W`: each round's buckets are the reads' windowed
+    /// supermers spread by minimizer over four of six buckets, so two
+    /// stay empty.
+    fn supermer_rounds<W: PackedKmer>(
+        reads: &dedukt_dna::ReadSet,
+        cfg: &CountingConfig,
+    ) -> Vec<Vec<Vec<PackedSupermer<W>>>> {
+        let scheme = cfg.minimizer_scheme();
+        let mut rounds = vec![vec![Vec::new(); 6]; 2];
+        for (i, read) in reads.reads.iter().enumerate() {
+            let smers = crate::supermer::build_supermers_windowed_w::<W>(
+                &read.codes,
+                cfg.k,
+                cfg.window,
+                &scheme,
+            );
+            for sm in smers {
+                let bucket = [0, 1, 3, 5][(sm.minimizer % 4) as usize];
+                rounds[i % 2][bucket].push(PackedSupermer {
+                    word: sm.word,
+                    len: sm.len,
+                });
+            }
+        }
+        rounds
+    }
+
+    /// Counts `rounds` twice on fresh counters — through the supermer
+    /// cursor and through the flat-expanded k-mers — and requires the
+    /// same device time, pressure, probe telemetry and entries.
+    fn assert_extraction_parity<W: PackedKmer>(rc: &RunConfig) -> PressureStats {
+        let reads = Dataset::new(DatasetId::ABaumannii30x, ScalePreset::Tiny).generate();
+        let cfg = &rc.counting;
+        let rounds = supermer_rounds::<W>(&reads, cfg);
+        let flat: Vec<Vec<W>> = rounds
+            .iter()
+            .map(|round| {
+                round
+                    .iter()
+                    .flatten()
+                    .flat_map(|s| s.kmers(cfg.k))
+                    .collect()
+            })
+            .collect();
+        let instances: u64 = flat.iter().map(|f| f.len() as u64).sum();
+        // Some block of the first round starts inside a supermer.
+        let starts: Vec<usize> = rounds[0]
+            .iter()
+            .flatten()
+            .scan(0, |at, s| {
+                let start = *at;
+                *at += s.num_kmers(cfg.k);
+                Some(start)
+            })
+            .collect();
+        let grid = chunked_launch(flat[0].len()).grid_blocks;
+        assert!((0..grid).any(|b| {
+            let lo = block_range(flat[0].len(), grid, b).0;
+            starts.binary_search(&lo).is_err()
+        }));
+        let cycles = rc.gpu_tuning.count_cycles_per_kmer + rc.gpu_tuning.extract_cycles_per_kmer;
+        let fresh = || {
+            DeviceRoundCounter::<W>::new(rc, cfg, 0, instances)
+                .unwrap_or_else(|e| panic!("{}", e.detail))
+        };
+        let (mut streamed, mut expanded) = (fresh(), fresh());
+        for (round, kmers) in rounds.iter().zip(&flat) {
+            let a = streamed.count(supermer_kmers(round.clone(), cfg.k), cycles);
+            let b = expanded.count(std::slice::from_ref(kmers), cycles);
+            assert_eq!(a.map_err(|e| e.detail), b.map_err(|e| e.detail));
+        }
+        let pressure = streamed.pressure();
+        assert_eq!(pressure, expanded.pressure());
+        assert_eq!(streamed.probe_steps, expanded.probe_steps);
+        assert_eq!(streamed.probe_hist, expanded.probe_hist);
+        assert_eq!(streamed.probe_hist.count() + pressure.spilled, instances);
+        let ctx = DriverCtx::new(rc, &reads, None);
+        let (a, b) = (streamed.finish(&ctx, 0), expanded.finish(&ctx, 0));
+        assert_eq!(a.instances, instances);
+        assert_eq!(a.instances, b.instances);
+        assert_eq!(a.entries, b.entries);
+        pressure
+    }
+
+    #[test]
+    fn supermer_cursor_counts_like_the_expanded_kmers() {
+        for k in [17, 41] {
+            let mut rc = RunConfig::new(Mode::GpuSupermer, 1);
+            rc.counting.k = k;
+            if k > 32 {
+                rc.counting.m = 11;
+            }
+            let check = |rc: &RunConfig| {
+                if k > 32 {
+                    assert_extraction_parity::<u128>(rc)
+                } else {
+                    assert_extraction_parity::<u64>(rc)
+                }
+            };
+            // A table sized for the load: no bounce.
+            let roomy = check(&rc);
+            assert_eq!(roomy.regrows + roomy.spilled, 0);
+            // A 1% table with half its regrows denied: bounces, regrows
+            // and spills.
+            rc.table_safety = 0.01;
+            rc.mem = Some(MemPlan::new(
+                7,
+                MemSpec::parse("under=0,afail=0.5,spill=100000000").unwrap(),
+            ));
+            let pressure = check(&rc);
+            assert!(pressure.regrows > 0, "k = {k}: no regrow");
+            assert!(pressure.spilled > 0, "k = {k}: no spill");
+        }
     }
 }

@@ -210,7 +210,7 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
         counter: &mut DeviceRoundCounter<K>,
         buckets: Vec<Vec<K>>,
     ) -> Result<SimTime, CounterOom> {
-        counter.count(&buckets, ctx.rc.gpu_tuning.count_cycles_per_kmer)
+        counter.count(&buckets[..], ctx.rc.gpu_tuning.count_cycles_per_kmer)
     }
 
     fn pressure(&self, counter: &DeviceRoundCounter<K>) -> PressureStats {

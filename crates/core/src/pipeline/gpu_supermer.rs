@@ -11,9 +11,11 @@
 //! * **Exchange** — two `MPI_Alltoallv`s (Algorithm 2): the supermer
 //!   words and their lengths. 9 bytes per supermer instead of 8 bytes per
 //!   k-mer — the up-to-4× volume reduction of Table II.
-//! * **Count** — received supermers are first re-parsed into k-mers
-//!   (charged as the paper's measured +23-27% counting overhead), then
-//!   counted by the same device table kernel.
+//! * **Count** — the same device table kernel as the k-mer pipeline,
+//!   reading each block's k-mers straight out of the received supermers
+//!   (`SupermerKmers`): the re-parse happens inside the kernel (charged
+//!   as the paper's measured +23-27% counting overhead), so no rank ever
+//!   holds an expanded k-mer array.
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
 //! shared staged driver (`pipeline::driver`); this module supplies the
@@ -23,9 +25,11 @@
 use crate::config::RunConfig;
 use crate::partition::{minimizer_owner, BalancedAssignment};
 use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats};
-use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
+use crate::pipeline::gpu_common::{
+    block_range, chunked_launch, staging, DeviceRoundCounter, KmerSource,
+};
 use crate::pipeline::RankCountResult;
-use crate::supermer::{build_supermers_reference, num_windows, supermers_of_window, SupermerW};
+use crate::supermer::{build_supermers_reference, num_windows, supermers_of_windows};
 use crate::width::PackedKmer;
 use dedukt_net::bsp::Traffic;
 use dedukt_net::cost::Network;
@@ -49,6 +53,61 @@ pub(crate) struct PackedSupermer<K: Copy> {
 impl<K: Copy + WireHash> WireHash for PackedSupermer<K> {
     fn wire_hash(&self) -> u64 {
         (self.word, self.len).wire_hash()
+    }
+}
+
+impl<K: PackedKmer> PackedSupermer<K> {
+    /// Number of k-mers packed inside, for k-mer length `k`: a supermer
+    /// of `len` bases yields `len - k + 1` (zero if shorter than k).
+    pub fn num_kmers(&self, k: usize) -> usize {
+        (self.len as usize).saturating_sub(k - 1)
+    }
+
+    /// Its k-mers, left to right.
+    pub fn kmers(self, k: usize) -> impl Iterator<Item = K> {
+        let (word, len) = (self.word, self.len as usize);
+        (0..self.num_kmers(k)).map(move |i| word.subword(len, i, k))
+    }
+}
+
+/// The count kernel's view of a round's received supermers: the k-mers
+/// of the concatenated buckets, extracted block by block into one buffer
+/// reused from block to block, so no rank holds the round's k-mers as an
+/// array (§IV-C: the receiver re-parses supermers inside the count
+/// kernel). Each bucket is freed once its last k-mer is read.
+pub(crate) struct SupermerKmers<K, I> {
+    kmers: I,
+    total: usize,
+    /// The first k-mer of the next block.
+    next: usize,
+    buf: Vec<K>,
+}
+
+/// The k-mers of `buckets`, in bucket order, as a count-kernel source.
+pub(crate) fn supermer_kmers<K: PackedKmer>(
+    buckets: Vec<Vec<PackedSupermer<K>>>,
+    k: usize,
+) -> SupermerKmers<K, impl Iterator<Item = K>> {
+    SupermerKmers {
+        total: buckets.iter().flatten().map(|s| s.num_kmers(k)).sum(),
+        kmers: buckets.into_iter().flatten().flat_map(move |s| s.kmers(k)),
+        next: 0,
+        buf: Vec::new(),
+    }
+}
+
+impl<K, I: Iterator<Item = K>> KmerSource<K> for SupermerKmers<K, I> {
+    fn total(&self) -> usize {
+        self.total
+    }
+
+    fn read(&mut self, lo: usize, hi: usize, mut f: impl FnMut(&[K])) {
+        assert_eq!(lo, self.next, "blocks read their k-mers in order");
+        self.buf.clear();
+        self.buf.extend(self.kmers.by_ref().take(hi - lo));
+        assert_eq!(self.buf.len(), hi - lo, "k-mer range past the round");
+        self.next = hi;
+        f(&self.buf);
     }
 }
 
@@ -162,25 +221,24 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         let launch = chunked_launch(total_windows.max(1));
         let report = device.launch_map("build_supermers", launch, |b| {
             let (lo, hi) = block_range(total_windows, b.cfg.grid_blocks, b.block);
-            let mut smers: Vec<SupermerW<K>> = Vec::new();
             let mut kmers_scanned = 0u64;
             let mut smers_built = 0u64;
-            for wi in lo..hi {
-                // Which read owns window `wi`?
-                let ri = win_offsets.partition_point(|&o| o <= wi) - 1;
-                let wstart = (wi - win_offsets[ri]) * cfg.window;
+            // The block's windows, read by read: the first read is the
+            // one owning window `lo`.
+            let mut ri = win_offsets.partition_point(|&o| o <= lo) - 1;
+            while ri < part.len() && win_offsets[ri] < hi {
+                let first = win_offsets[ri];
+                let windows = lo.max(first) - first..hi.min(win_offsets[ri + 1]) - first;
                 let codes = &part[ri].codes;
-                smers.clear();
-                supermers_of_window(codes, wstart, cfg.k, cfg.window, &scheme, &mut smers);
-                for sm in &smers {
-                    let dst = self.owner(ctx, sm.minimizer);
-                    buckets[dst].push(PackedSupermer {
+                supermers_of_windows(codes, windows, cfg.k, cfg.window, &scheme, |sm| {
+                    buckets[self.owner(ctx, sm.minimizer)].push(PackedSupermer {
                         word: sm.word,
                         len: sm.len,
                     });
                     kmers_scanned += sm.num_kmers(cfg.k) as u64;
-                }
-                smers_built += smers.len() as u64;
+                    smers_built += 1;
+                });
+                ri += 1;
             }
             // Calibrated compute per k-mer scanned (includes the rolling
             // minimizer search — the paper's +27-33% parse overhead), plus
@@ -208,7 +266,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
             let mut kmer_count = 0u64;
             for s in buckets.iter().flatten() {
                 length_hist.observe(s.len as u64);
-                kmer_count += (s.len as u64).saturating_sub(cfg.k as u64 - 1);
+                kmer_count += s.num_kmers(cfg.k) as u64;
             }
             let supermer_count = length_hist.count();
             let mut observed = vec![
@@ -248,9 +306,8 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     }
 
     fn item_instances(&self, ctx: &DriverCtx, item: &PackedSupermer<K>) -> u64 {
-        // Exactly the extraction formula below: a supermer of `len` bases
-        // yields `len - k + 1` k-mers (zero if shorter than k).
-        (item.len as u64).saturating_sub(ctx.cfg.k as u64 - 1)
+        // Exactly what `SupermerKmers` extracts.
+        item.num_kmers(ctx.cfg.k) as u64
     }
 
     // The wire carries no minimizer, so it is recomputed from the
@@ -330,21 +387,11 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         counter: &mut DeviceRoundCounter<K>,
         buckets: Vec<Vec<PackedSupermer<K>>>,
     ) -> Result<SimTime, CounterOom> {
-        let cfg = &ctx.cfg;
-        // Device-side extraction, represented functionally by this flatten;
-        // its cost is the extract surcharge added to the count kernel.
-        let items = buckets.iter().flatten();
-        let instances: u64 = items.clone().map(|s| self.item_instances(ctx, s)).sum();
-        let mut kmers = Vec::with_capacity(instances as usize);
-        for &PackedSupermer { word, len } in items {
-            let n = (len as usize).saturating_sub(cfg.k - 1);
-            for i in 0..n {
-                kmers.push(word.subword(len as usize, i, cfg.k));
-            }
-        }
+        // The count kernel extracts each block's k-mers itself; the
+        // extraction's cost is the surcharge on the count kernel.
         let tuning = ctx.rc.gpu_tuning;
         counter.count(
-            std::slice::from_ref(&kmers),
+            supermer_kmers(buckets, ctx.cfg.k),
             tuning.count_cycles_per_kmer + tuning.extract_cycles_per_kmer,
         )
     }

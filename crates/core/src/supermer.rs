@@ -6,12 +6,16 @@
 //! * [`build_supermers_reference`] — the unbounded sequential scan: extend
 //!   the window while the minimizer is unchanged. This is the textbook
 //!   definition and the oracle the windowed builder is tested against.
-//! * [`supermers_of_window`] / [`build_supermers_windowed_w`] — Algorithm
+//! * [`supermers_of_windows`] / [`build_supermers_windowed_w`] — Algorithm
 //!   2: reads are cut into windows of `window` k-mer *positions*, one GPU
 //!   thread per window, so supermers never span window boundaries and
 //!   their length is bounded by `window + k - 1` bases — 31 bases for the
 //!   paper's `k = 17, window = 15`, so every supermer packs into one
-//!   64-bit word (§IV-C). [`build_supermers_windowed`] is its `u64`
+//!   64-bit word (§IV-C). One run builder serves any run of a read's
+//!   windows in a single pass: it rolls each base once, tracks the
+//!   minimizer across window boundaries, and flushes the open supermer
+//!   at every window start. [`build_supermers_windowed_w`] runs it over
+//!   all of a read's windows; [`build_supermers_windowed`] is its `u64`
 //!   instance.
 //!
 //! Both builders preserve the defining invariant, enforced by property
@@ -22,6 +26,7 @@
 use crate::minimizer::MinimizerScheme;
 use dedukt_dna::kmer::KmerWord;
 use dedukt_dna::Encoding;
+use std::ops::Range;
 
 /// A packed supermer, generic over its word width: at most
 /// [`KmerWord::MAX_K`] bases in one word (MSB-first, packed like a k-mer)
@@ -144,95 +149,102 @@ pub fn num_windows(len: usize, k: usize, window: usize) -> usize {
     }
 }
 
-/// Algorithm 2, one window: builds the supermers of k-mer positions
-/// `[wstart, min(wstart + window, nkmers))` of the read. This is exactly
-/// the work of one GPU thread in the windowed kernel (§IV-B). Supermers
-/// are bounded by `window + k - 1 ≤ W::MAX_K` bases, so each packs into
-/// one `W` word.
+/// Algorithm 2 over the run `windows` of one read's windows: builds the
+/// supermers of k-mer positions `[windows.start × window, min(windows.end
+/// × window, nkmers))` and hands each to `emit` in read order. Window `w`
+/// is the work of one GPU thread in the paper's kernel (§IV-B); one call
+/// does a run of them in a single pass. Supermers are bounded by
+/// `window + k - 1 ≤ W::MAX_K` bases, so each packs into one `W` word.
 ///
-/// Minimizers roll: the rank keys of the window's m-mers are computed
-/// once, and each k-mer's minimum is rescanned only when the previous
-/// one slides out (leftmost on ties, as in
-/// [`MinimizerScheme::minimizer_of`]).
-pub fn supermers_of_window<W: KmerWord>(
+/// Each base is rolled once into the k-mer word and the m-mer rank key.
+/// The leftmost smallest key ([`MinimizerScheme::minimizer_of`]'s
+/// tie-break) is tracked across window boundaries, since a k-mer's
+/// minimizer depends only on that k-mer, and rescanned only when it
+/// slides out. Every window start still flushes the open supermer, so
+/// no supermer spans two windows. The last `64 ≥ k - m + 1` m-mers sit
+/// in a ring, so a call allocates nothing.
+pub fn supermers_of_windows<W: KmerWord>(
     codes: &[u8],
-    wstart: usize,
+    windows: Range<usize>,
     k: usize,
     window: usize,
     scheme: &MinimizerScheme,
-    out: &mut Vec<SupermerW<W>>,
+    mut emit: impl FnMut(SupermerW<W>),
 ) {
     debug_assert!(scheme.m < k && k <= W::MAX_K);
     debug_assert!(window + k - 1 <= W::MAX_K, "supermer must fit one word");
-    let enc = scheme.encoding;
-    let kmask = W::kmer_mask(k);
-    let full = W::kmer_mask(W::MAX_K);
     let nkmers = codes.len().saturating_sub(k - 1);
-    debug_assert!(wstart < nkmers);
-    let wend = (wstart + window).min(nkmers);
-
-    // Every m-mer of the window's bases (at most W::MAX_K of them): its
-    // packed word and rank key, by offset from `wstart`.
-    let m = scheme.m;
-    let mmask = u64::kmer_mask(m);
-    let (mut mwords, mut keys) = ([0u64; 64], [0u64; 64]);
-    let mut acc = 0u64;
-    for (i, &c) in codes[wstart..wend + k - 1].iter().enumerate() {
-        acc = acc.roll_sym(enc.encode(c), mmask);
-        if i + 1 >= m {
-            mwords[i + 1 - m] = acc;
-            keys[i + 1 - m] = scheme.rank_key(acc);
-        }
+    let first = windows.start * window;
+    let end = (windows.end * window).min(nkmers);
+    if first >= end {
+        return;
     }
-    // The leftmost smallest key among the `span` m-mers from `from`.
-    let span = k - m + 1;
-    let leftmost_min = |from: usize| {
-        (from + 1..from + span).fold(from, |best, j| if keys[j] < keys[best] { j } else { best })
+    let enc = scheme.encoding;
+    let (m, span) = (scheme.m, k - scheme.m + 1);
+    let (kmask, full, mmask) = (W::kmer_mask(k), W::kmer_mask(W::MAX_K), u64::kmer_mask(m));
+    // The m-mer at read position `j`: packed word and rank key at `j % 64`.
+    let (mut mwords, mut keys) = ([0u64; 64], [0u64; 64]);
+    let leftmost_min = |keys: &[u64; 64], from: usize| {
+        (from + 1..from + span).fold(from, |best, j| {
+            if keys[j % 64] < keys[best % 64] {
+                j
+            } else {
+                best
+            }
+        })
     };
-
-    // First k-mer of the window starts a fresh supermer (Line 4-10).
-    let mut kw = W::pack_codes(&codes[wstart..wstart + k], enc);
-    let mut best = leftmost_min(0);
-    let mut prev = mwords[best];
-    let mut smer_word = kw;
-    let mut smer_len = k;
-    let mut smer_min = prev;
-
-    // Remaining k-mers extend or flush (Line 11-22).
-    for pos in wstart + 1..wend {
-        // Roll the k-mer window by one base.
-        let next_sym = enc.encode(codes[pos + k - 1]);
-        kw = kw.roll_sym(next_sym, kmask);
-        let first = pos - wstart;
-        let last = first + span - 1;
-        if best < first {
-            best = leftmost_min(first);
-        } else if keys[last] < keys[best] {
-            best = last;
+    let (mut kw, mut acc) = (W::ZERO, 0u64);
+    let mut best = first;
+    let mut next_window = first;
+    let mut smer = SupermerW {
+        word: W::ZERO,
+        len: 0,
+        minimizer: 0,
+    };
+    for (base, &c) in codes.iter().enumerate().take(end + k - 1).skip(first) {
+        let sym = enc.encode(c);
+        kw = kw.roll_sym(sym, kmask);
+        acc = acc.roll_sym(sym, mmask);
+        let rolled = base + 1 - first;
+        if rolled < m {
+            continue;
         }
-        let mz = mwords[best];
-        if mz != prev {
-            out.push(SupermerW {
-                word: smer_word,
-                len: smer_len as u8,
-                minimizer: smer_min,
-            });
-            smer_word = kw;
-            smer_len = k;
-            smer_min = mz;
+        let j = base + 1 - m;
+        mwords[j % 64] = acc;
+        keys[j % 64] = scheme.rank_key(acc);
+        if rolled < k {
+            continue;
+        }
+        // K-mer `pos` covers m-mers `pos..=j`.
+        let pos = base + 1 - k;
+        if pos == first || best < pos {
+            best = leftmost_min(&keys, pos);
+        } else if keys[j % 64] < keys[best % 64] {
+            best = j;
+        }
+        let mz = mwords[best % 64];
+        if pos == next_window || mz != smer.minimizer {
+            // A window's first k-mer (Line 4-10) or a new minimizer
+            // (Line 13-18) starts a fresh supermer.
+            if pos > first {
+                emit(smer);
+            }
+            if pos == next_window {
+                next_window += window;
+            }
+            smer = SupermerW {
+                word: kw,
+                len: k as u8,
+                minimizer: mz,
+            };
         } else {
             // ADDCHAR: append the new base to the supermer (Line 20-21).
             // The full-width mask never clips: len ≤ window + k - 1.
-            smer_word = smer_word.roll_sym(next_sym, full);
-            smer_len += 1;
+            smer.word = smer.word.roll_sym(sym, full);
+            smer.len += 1;
         }
-        prev = mz;
     }
-    out.push(SupermerW {
-        word: smer_word,
-        len: smer_len as u8,
-        minimizer: smer_min,
-    });
+    emit(smer);
 }
 
 /// Algorithm 2 over a whole read: all windows in order.
@@ -243,12 +255,8 @@ pub fn build_supermers_windowed_w<W: KmerWord>(
     scheme: &MinimizerScheme,
 ) -> Vec<SupermerW<W>> {
     let mut out = Vec::new();
-    let nkmers = codes.len().saturating_sub(k - 1);
-    let mut w = 0;
-    while w < nkmers {
-        supermers_of_window(codes, w, k, window, scheme, &mut out);
-        w += window;
-    }
+    let windows = 0..num_windows(codes.len(), k, window);
+    supermers_of_windows(codes, windows, k, window, scheme, |sm| out.push(sm));
     out
 }
 
@@ -540,20 +548,23 @@ mod tests {
         }
     }
 
-    /// Every window of `codes` through the rolling and the rescanning
-    /// builder at width `W`.
+    /// The window run `[a, b)` of `codes` (picks taken modulo the window
+    /// count) through the run builder and through the per-window
+    /// rescanning oracle at width `W`.
     fn both_builders<W: KmerWord>(
         codes: &[u8],
         k: usize,
         window: usize,
         scheme: &MinimizerScheme,
+        (a_pick, b_pick): (usize, usize),
     ) -> (Vec<SupermerW<W>>, Vec<SupermerW<W>>) {
+        let nwin = num_windows(codes.len(), k, window);
+        let a = a_pick % (nwin + 1);
+        let b = a + b_pick % (nwin - a + 1);
         let (mut rolled, mut rescanned) = (Vec::new(), Vec::new());
-        let mut w = 0;
-        while w < codes.len().saturating_sub(k - 1) {
-            supermers_of_window(codes, w, k, window, scheme, &mut rolled);
-            supermers_of_window_rescan(codes, w, k, window, scheme, &mut rescanned);
-            w += window;
+        supermers_of_windows(codes, a..b, k, window, scheme, |sm| rolled.push(sm));
+        for w in a..b {
+            supermers_of_window_rescan(codes, w * window, k, window, scheme, &mut rescanned);
         }
         (rolled, rescanned)
     }
@@ -561,9 +572,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// Rolling minimizers build the same supermers as rescanning
-        /// every k-mer, at both widths, encodings and orderings — poly-A
-        /// runs included, where ties and KMC 2 demotions are common.
+        /// The run builder, rolling minimizers across window boundaries,
+        /// builds the same supermers as rescanning every k-mer window by
+        /// window, for any run of a read's windows, at both widths,
+        /// encodings and orderings — poly-A runs included, where ties and
+        /// KMC 2 demotions are common.
         #[test]
         fn rolling_minimizers_match_the_rescan(
             bases in proptest::collection::vec(0u8..4, 0..120),
@@ -571,6 +584,7 @@ mod tests {
             k in 2usize..32,
             m_pick in 0usize..64,
             window_pick in 0usize..64,
+            run in (0usize..64, 0usize..64),
             encoding in proptest::prelude::any::<bool>(),
             kmc2 in proptest::prelude::any::<bool>(),
         ) {
@@ -582,13 +596,13 @@ mod tests {
             let m = 1 + m_pick % (k - 1).min(31);
             let scheme = scheme_of(encoding, kmc2, m);
             let window = 1 + window_pick % (33 - k);
-            let (rolled, rescanned) = both_builders::<u64>(&codes, k, window, &scheme);
+            let (rolled, rescanned) = both_builders::<u64>(&codes, k, window, &scheme, run);
             proptest::prop_assert_eq!(rolled, rescanned);
             let wide_k = k + 32;
             let m = 1 + m_pick % 31;
             let scheme = scheme_of(encoding, kmc2, m);
             let window = 1 + window_pick % (65 - wide_k);
-            let (rolled, rescanned) = both_builders::<u128>(&codes, wide_k, window, &scheme);
+            let (rolled, rescanned) = both_builders::<u128>(&codes, wide_k, window, &scheme, run);
             proptest::prop_assert_eq!(rolled, rescanned);
         }
     }
