@@ -12,24 +12,68 @@
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
 //! shared staged driver (`pipeline::driver`); this module only supplies
-//! the CPU-specific stages.
+//! the CPU-specific stages and the rank's counter, `CpuCounter`, which
+//! counts each delivery itself.
 
 use crate::config::RunConfig;
 use crate::partition::key_owner;
-use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx};
+use crate::pipeline::driver::{BucketOut, Counter, CounterOom, CounterStages, DriverCtx, Sink};
 use crate::pipeline::gpu_common::scaled_estimate;
 use crate::pipeline::gpu_kmer::{read_ends, route_kmers_in_range};
 use crate::pipeline::RankCountResult;
 use crate::table::HostCountTable;
 use crate::width::PackedKmer;
 use dedukt_net::cost::Network;
-use dedukt_sim::{MetricOp, SimTime};
+use dedukt_sim::{MetricOp, Rate, SimTime};
 use std::marker::PhantomData;
 
-/// Host counting state threaded through the exchange rounds.
+/// Host counting state threaded through the exchange rounds
+/// (Algorithm 1, COUNTKMER).
 pub(crate) struct CpuCounter<K: PackedKmer> {
     table: HostCountTable<K>,
     received: u64,
+    /// The calibrated per-core insert rate each delivery is charged at.
+    count_rate: Rate,
+}
+
+/// The host table grows transparently under load and has no device
+/// budget, so `pressure` keeps its all-zero default.
+impl<K: PackedKmer> Sink<K> for CpuCounter<K> {
+    type Held = RankCountResult<K>;
+
+    fn absorb(&mut self, buckets: Vec<Vec<K>>) -> Result<SimTime, CounterOom> {
+        let items: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+        self.received += items;
+        for &k in buckets.iter().flatten() {
+            self.table.insert(k);
+        }
+        Ok(self.count_rate.time_for(items as f64))
+    }
+
+    fn snapshot(&self) -> RankCountResult<K> {
+        RankCountResult {
+            entries: self.table.iter().collect(),
+            instances: self.received,
+        }
+    }
+}
+
+impl<K: PackedKmer> Counter<K, K> for CpuCounter<K> {
+    fn finish(self, ctx: &DriverCtx, rank: usize) -> RankCountResult<K> {
+        ctx.rank_metrics(rank, || {
+            let table = &self.table;
+            let load = table.distinct() as f64 / table.capacity() as f64;
+            [
+                ("kmers_counted_total", MetricOp::CounterAdd(self.received)),
+                (
+                    "count_probe_steps_total",
+                    MetricOp::CounterAdd(table.probe_steps()),
+                ),
+                ("count_table_load_factor", MetricOp::GaugeSet(load)),
+            ]
+        });
+        self.snapshot()
+    }
 }
 
 pub(crate) struct CpuStages<K: PackedKmer>(pub(crate) PhantomData<K>);
@@ -72,6 +116,7 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
     // default: one collective of packed k-mers per round.
 
     // ── Phase 3: count (Algorithm 1, COUNTKMER) ───────────────────────
+    // Each delivery is counted by the rank's `CpuCounter`.
     fn make_counter(
         &self,
         ctx: &DriverCtx,
@@ -83,7 +128,7 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
         // grows transparently under load, so an undersized estimate
         // never changes CPU results and never OOMs (no device budget) —
         // memory pressure on this engine only re-sizes the initial
-        // allocation. `pressure` keeps its all-zero default.
+        // allocation.
         Ok(CpuCounter {
             table: HostCountTable::with_expected(
                 scaled_estimate(ctx.rc, rank, expected_instances),
@@ -91,47 +136,8 @@ impl<K: PackedKmer> CounterStages for CpuStages<K> {
                 ctx.cfg.hash_seed ^ 0xC0C0,
             ),
             received: 0,
+            count_rate: ctx.rc.cpu_model.count_rate,
         })
-    }
-
-    fn count_round(
-        &self,
-        ctx: &DriverCtx,
-        counter: &mut CpuCounter<K>,
-        buckets: Vec<Vec<K>>,
-    ) -> Result<SimTime, CounterOom> {
-        let items: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-        counter.received += items;
-        for &k in buckets.iter().flatten() {
-            counter.table.insert(k);
-        }
-        Ok(ctx.rc.cpu_model.count_rate.time_for(items as f64))
-    }
-
-    fn snapshot_counts(&self, counter: &CpuCounter<K>) -> (Vec<(K, u32)>, u64) {
-        (counter.table.iter().collect(), counter.received)
-    }
-
-    fn finish(&self, ctx: &DriverCtx, rank: usize, counter: CpuCounter<K>) -> RankCountResult<K> {
-        ctx.rank_metrics(rank, || {
-            let table = &counter.table;
-            let load = table.distinct() as f64 / table.capacity() as f64;
-            [
-                (
-                    "kmers_counted_total",
-                    MetricOp::CounterAdd(counter.received),
-                ),
-                (
-                    "count_probe_steps_total",
-                    MetricOp::CounterAdd(table.probe_steps()),
-                ),
-                ("count_table_load_factor", MetricOp::GaugeSet(load)),
-            ]
-        });
-        RankCountResult {
-            entries: counter.table.iter().collect(),
-            instances: counter.received,
-        }
     }
 }
 

@@ -7,10 +7,13 @@
 //! world setup, the balanced-minimizer pre-pass, round slicing, the round
 //! loop with optional compute/exchange overlap, phase accounting, and
 //! report assembly — while a [`CounterStages`] implementation supplies the
-//! counter-specific hooks (what to bucket, how items move on the wire,
-//! how received items are counted). Under `--two-pass` the same rounds
-//! feed a spool instead of the counters, and the spooled bins are
-//! counted afterwards, each rank its own, rank-parallel ([`two_pass`]).
+//! counter-specific hooks (what to bucket, how items move on the wire)
+//! and opens each rank's counter ([`CounterStages::make_counter`]). A
+//! counter is its own [`Sink`]: it absorbs what arrives and finishes
+//! into the rank's counts ([`Counter`]). Under `--two-pass` the same
+//! rounds feed each rank's spool ([`two_pass::Spool`]) instead, and the
+//! spooled bins are counted afterwards, each rank its own, rank-parallel,
+//! by the same counters ([`two_pass`]).
 //!
 //! ## Rounds and overlap
 //!
@@ -220,7 +223,7 @@ pub(crate) trait CounterStages: Sync {
     /// because the receiver verifies each bucket's checksum frame.
     type Item: Send + Sync + Clone + Record + WireHash;
     /// Per-rank counting state threaded through the rounds.
-    type Counter: Send;
+    type Counter: Counter<Self::Key, Self::Item>;
 
     /// Serialized size of one item on the wire, in bytes. Used for the
     /// round cap; may differ from the item's in-memory size.
@@ -280,96 +283,42 @@ pub(crate) trait CounterStages: Sync {
         rank: usize,
         expected_instances: u64,
     ) -> Result<Self::Counter, CounterOom>;
+}
 
-    /// Count one delivery — `buckets` in arrival order, counted as their
+/// One rank's state that delivered items go into: its counter when
+/// counting in memory ([`Counter`]), or its per-bin spool in pass 1 of
+/// `--two-pass` ([`two_pass::Spool`]). The exchange rounds — retries,
+/// rank death, rescale, checkpoints — only ever open, feed, measure and
+/// snapshot sinks, so they run unchanged on either. Each call depends
+/// only on the sink it is made on, so every rank's sink runs its rounds
+/// back to back, rank-parallel, and reaches the states a round-order walk
+/// would.
+pub(crate) trait Sink<I>: Send {
+    /// A snapshot: what a checkpoint holds, and what a dead or departing
+    /// rank leaves to be merged at assembly.
+    type Held: Send;
+    /// Feeds one delivery — `buckets` in arrival order, taken as their
     /// concatenation; returns the simulated kernel time (charged either
     /// as hidden compute or in the count phase). Errs only when the rank
     /// exhausted both the device budget and its host spill budget.
-    fn count_round(
-        &self,
-        ctx: &DriverCtx,
-        counter: &mut Self::Counter,
-        buckets: Vec<Vec<Self::Item>>,
-    ) -> Result<SimTime, CounterOom>;
-
-    /// This counter's memory-pressure telemetry so far. The default is
-    /// the all-zero report, right for counters with no device budget
-    /// (the CPU pipeline).
-    fn pressure(&self, _counter: &Self::Counter) -> PressureStats {
-        PressureStats::default()
-    }
-
-    /// Non-consuming snapshot of the counter's current `(kmer, count)`
-    /// entries and counted instances — the checkpoint and rescale
-    /// salvage hook (DESIGN.md §11). Must reflect everything
-    /// [`CounterStages::finish`] would report at this point, spill
-    /// lists included.
-    fn snapshot_counts(&self, counter: &Self::Counter) -> (Vec<(Self::Key, u32)>, u64);
-
-    /// Drain the counter into the rank's result (and record its
-    /// counting telemetry).
-    fn finish(
-        &self,
-        ctx: &DriverCtx,
-        rank: usize,
-        counter: Self::Counter,
-    ) -> RankCountResult<Self::Key>;
-}
-
-/// Where a rank's delivered items go: its counter when counting in
-/// memory ([`Counting`]), or its per-bin spool in pass 1 of `--two-pass`
-/// ([`two_pass::Spooling`]). The exchange rounds — retries, rank death,
-/// rescale, checkpoints — only ever open, feed, measure and snapshot
-/// sinks, so they run unchanged on either. Each call depends only on the
-/// state it is given, so every rank's sink runs its rounds back to back,
-/// rank-parallel, and reaches the states a round-order walk would.
-pub(crate) trait Sink<I>: Sync {
-    /// One rank's live state.
-    type State: Send;
-    /// A snapshot of it: what a checkpoint holds, and what a dead or
-    /// departing rank leaves to be merged at assembly.
-    type Held: Send;
-    /// A fresh sink for `rank`, which expects `expected` k-mer inserts.
-    fn open(&self, rank: usize, expected: u64) -> Result<Self::State, CounterOom>;
-    /// Feeds one delivery, `buckets` in arrival order; returns the
-    /// simulated kernel time.
-    fn absorb(&self, state: &mut Self::State, buckets: Vec<Vec<I>>) -> Result<SimTime, CounterOom>;
+    fn absorb(&mut self, buckets: Vec<Vec<I>>) -> Result<SimTime, CounterOom>;
     /// Memory-pressure telemetry so far; all zero for a sink with no
-    /// device budget.
-    fn pressure(&self, _state: &Self::State) -> PressureStats {
+    /// device budget (a spool, the CPU pipeline's host table).
+    fn pressure(&self) -> PressureStats {
         PressureStats::default()
     }
     /// Non-consuming snapshot of everything absorbed so far.
-    fn snapshot(&self, state: &Self::State) -> Self::Held;
+    fn snapshot(&self) -> Self::Held;
 }
 
-/// The in-memory sink: every round is counted as it arrives.
-pub(crate) struct Counting<'a, S>(&'a S, &'a DriverCtx<'a>);
-
-impl<S: CounterStages> Sink<S::Item> for Counting<'_, S> {
-    type State = S::Counter;
-    type Held = RankCountResult<S::Key>;
-
-    fn open(&self, rank: usize, expected: u64) -> Result<S::Counter, CounterOom> {
-        self.0.make_counter(self.1, rank, expected)
-    }
-
-    fn absorb(
-        &self,
-        counter: &mut S::Counter,
-        buckets: Vec<Vec<S::Item>>,
-    ) -> Result<SimTime, CounterOom> {
-        self.0.count_round(self.1, counter, buckets)
-    }
-
-    fn pressure(&self, counter: &S::Counter) -> PressureStats {
-        self.0.pressure(counter)
-    }
-
-    fn snapshot(&self, counter: &S::Counter) -> RankCountResult<S::Key> {
-        let (entries, instances) = self.0.snapshot_counts(counter);
-        RankCountResult { entries, instances }
-    }
+/// A rank's counting state. Its snapshot holds the `(kmer, count)`
+/// entries and counted instances so far — the checkpoint and rescale
+/// salvage (DESIGN.md §11) — and equals what [`Counter::finish`] would
+/// report at that point, spill lists included.
+pub(crate) trait Counter<K: TableKey, I>: Sink<I, Held = RankCountResult<K>> {
+    /// Drains the counter into rank `rank`'s result (and records its
+    /// counting telemetry).
+    fn finish(self, ctx: &DriverCtx, rank: usize) -> RankCountResult<K>;
 }
 
 /// The parse phase's output: what the exchange rounds carry.
@@ -387,14 +336,15 @@ pub(crate) struct Bucketed<I> {
 }
 
 /// What the exchange rounds leave behind.
-pub(crate) struct Exchanged<St, H> {
+pub(crate) struct Exchanged<K, H> {
     /// Every rank's sink after the last round.
-    pub sinks: Vec<St>,
+    pub sinks: Vec<K>,
     /// `(slot, snapshot)` pairs salvaged from dead and departing ranks.
     pub salvaged: Vec<(usize, H)>,
     /// Per-rank absorb time left exposed to the count phase.
     pub count_exposed: Vec<SimTime>,
-    /// Exchange accounting; the byte fields are filled at assembly.
+    /// Exchange accounting; the byte and fault fields are filled at
+    /// assembly.
     pub summary: ExchangeSummary,
     /// Exchange phase: staging out, charged wire, recovery, staging in.
     pub exchange: SimTime,
@@ -489,23 +439,36 @@ pub(crate) fn run_staged<S: CounterStages>(
         finish: wall_rounds_start.elapsed().as_secs_f64() - counted.wall_rounds,
         total: wall_run.elapsed().as_secs_f64(),
     };
-    let summary = counted.summary;
+    // Every fault fate is drawn by `BspWorld::route`, so the world's
+    // tallies are the exchange's.
+    let stats = world.stats();
+    let exchange = ExchangeSummary {
+        bytes: stats.total_bytes,
+        off_node_bytes: stats.off_node_bytes,
+        intra_node_bytes: stats.intra_node_bytes,
+        intra_tier_bytes: stats.intra_tier_bytes,
+        coalesced_messages: stats.coalesced_messages,
+        retry_bytes: stats.retry_bytes,
+        retries: stats.failed_sends + stats.corrupt_buckets,
+        corrupt_buckets: stats.corrupt_buckets,
+        ..counted.summary
+    };
     ctx.record(|| {
         let mut events = Vec::new();
         // Fault-recovery series exist only when recovery happened, so a
         // zero-fault plan leaves the metrics schema untouched.
-        if summary.rank_deaths > 0 {
+        if exchange.rank_deaths > 0 {
             events.push(JournalEvent::metric(
                 "exchange_replay_bytes_total",
                 None,
-                MetricOp::CounterAdd(summary.replayed_bytes),
+                MetricOp::CounterAdd(exchange.replayed_bytes),
             ));
         }
-        if summary.retries > 0 || summary.rank_deaths > 0 {
+        if exchange.retries > 0 || exchange.rank_deaths > 0 {
             events.push(JournalEvent::metric(
                 "recovery_seconds_total",
                 None,
-                MetricOp::GaugeAdd(summary.recovery_time.as_secs()),
+                MetricOp::GaugeAdd(exchange.recovery_time.as_secs()),
             ));
         }
         // Phase totals from the same accumulators as the report, so the
@@ -538,7 +501,6 @@ pub(crate) fn run_staged<S: CounterStages>(
         });
         events
     });
-    let stats = world.stats();
     let (load, total, distinct, spectrum, tables) =
         assemble_counts(counted.results, rc.collect_spectrum, rc.collect_tables);
     Ok(RunReport {
@@ -547,15 +509,7 @@ pub(crate) fn run_staged<S: CounterStages>(
         nranks,
         phases,
         makespan,
-        exchange: ExchangeSummary {
-            bytes: stats.total_bytes,
-            off_node_bytes: stats.off_node_bytes,
-            intra_node_bytes: stats.intra_node_bytes,
-            intra_tier_bytes: stats.intra_tier_bytes,
-            coalesced_messages: stats.coalesced_messages,
-            retry_bytes: stats.retry_bytes,
-            ..summary
-        },
+        exchange,
         storage: counted.storage,
         load,
         total_kmers: total,
@@ -622,16 +576,18 @@ fn count_in_memory<S: CounterStages>(
     bucketed: Bucketed<S::Item>,
 ) -> Result<Counted<S::Key>, RunError> {
     let rounds_start = Instant::now();
-    let ex = exchange_rounds(stages, &Counting(stages, ctx), ctx, world, bucketed)?;
+    let ex = exchange_rounds(stages, ctx, world, bucketed, |rank, expected| {
+        stages.make_counter(ctx, rank, expected)
+    })?;
     let wall_rounds = rounds_start.elapsed().as_secs_f64();
 
     // ── Count phase drain ──────────────────────────────────────────────
     let (_, count_step) = world.compute_step_named("count", |rank| ((), ex.count_exposed[rank]));
-    journal_pressure(ctx, ex.sinks.iter().map(|c| stages.pressure(c)).enumerate());
+    journal_pressure(ctx, ex.sinks.iter().map(|c| c.pressure()).enumerate());
     let indexed: Vec<(usize, S::Counter)> = ex.sinks.into_iter().enumerate().collect();
     let finished: Vec<(RankCountResult<S::Key>, Vec<JournalEvent>)> = indexed
         .into_par_iter()
-        .map(|(rank, c)| ctx.rank_local(|ctx| stages.finish(ctx, rank, c)))
+        .map(|(rank, c)| ctx.rank_local(|ctx| c.finish(ctx, rank)))
         .collect();
     let mut results = Vec::with_capacity(finished.len());
     for (result, events) in finished {
@@ -689,17 +645,21 @@ pub(crate) fn journal_pressure(
 /// deliveries, recovering dead ranks from checkpoints and replayed
 /// history, and re-homing ranges across elastic rescales — and stage in.
 ///
+/// `open(rank, expected)` makes a fresh sink for `rank`, which expects
+/// `expected` k-mer inserts: every rank's first, and each restart
+/// ([`Op::Reopen`]).
+///
 /// Three passes ([module docs](self)): [`route_rounds`] walks the rounds
 /// and leaves each sink slot its list of ops; every slot runs its list
 /// back to back, rank-parallel ([`run_slot`]); [`fold_rounds`] then
 /// charges the clock, journals and picks the first error in round order.
 pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
     stages: &S,
-    sink: &K,
     ctx: &DriverCtx,
     world: &mut BspWorld,
     bucketed: Bucketed<S::Item>,
-) -> Result<Exchanged<K::State, K::Held>, RunError> {
+    open: impl Fn(usize, u64) -> Result<K, CounterOom> + Sync,
+) -> Result<Exchanged<K, K::Held>, RunError> {
     let rc = ctx.rc;
     let nranks = ctx.nranks;
     let expected = bucketed.expected;
@@ -707,14 +667,14 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
         world.compute_step_named("stage-out", |rank| ((), bucketed.stage_out[rank]));
     let rounds = split_rounds_weighted(bucketed.buckets, rc.round_limit_bytes, S::ITEM_WIRE_BYTES);
     let nrounds = rounds.len();
-    let made: Vec<Result<K::State, CounterOom>> = (0..nranks)
+    let made: Vec<Result<K, CounterOom>> = (0..nranks)
         .into_par_iter()
-        .map(|rank| sink.open(rank, expected[rank]))
+        .map(|rank| open(rank, expected[rank]))
         .collect();
     let opened: Vec<u64> = made
         .iter()
         .map(|r| match r {
-            Ok(state) => sink.pressure(state).high_water_bytes,
+            Ok(sink) => sink.pressure().high_water_bytes,
             Err(e) => e.high_water_bytes,
         })
         .collect();
@@ -726,18 +686,18 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
     let schedule = route_rounds(stages, ctx, world, rounds);
     let salvage = &schedule.salvage;
     let slots: Vec<_> = states.into_iter().zip(schedule.ops).enumerate().collect();
-    let ran: Vec<SlotRun<K::State, K::Held>> = slots
+    let ran: Vec<SlotRun<K, K::Held>> = slots
         .into_par_iter()
-        .map(|(slot, (state, ops))| run_slot(sink, slot, expected[slot], state, ops, salvage))
+        .map(|(slot, (sink, ops))| run_slot(&open, slot, expected[slot], sink, ops, salvage))
         .collect();
     let (ran, done): (Vec<_>, Vec<Vec<Done>>) =
-        ran.into_iter().map(|r| ((r.state, r.held), r.done)).unzip();
+        ran.into_iter().map(|r| ((r.sink, r.held), r.done)).unzip();
     let folded = fold_rounds(ctx, world, schedule.steps, done, opened)?;
 
     let mut sinks = Vec::with_capacity(nranks);
     let mut salvaged = Vec::with_capacity(schedule.salvage.len());
-    for (slot, (state, held)) in ran.into_iter().enumerate() {
-        sinks.push(state);
+    for (slot, (sink, held)) in ran.into_iter().enumerate() {
+        sinks.push(sink);
         salvaged.extend(held.into_iter().map(|(index, held)| (index, slot, held)));
     }
     // A run that succeeds ran every op, so it took every snapshot.
@@ -758,8 +718,6 @@ pub(crate) fn exchange_rounds<S: CounterStages, K: Sink<S::Item>>(
             units: bucketed.units,
             alltoallv_time: folded.wire,
             rounds: nrounds as u64,
-            retries: schedule.retries,
-            corrupt_buckets: schedule.corrupt,
             recovery_time: folded.recovery,
             rank_deaths: schedule.deaths,
             replayed_bytes: schedule.replayed_bytes,
@@ -819,10 +777,6 @@ struct Schedule<I> {
     steps: Vec<Step>,
     /// Items each rank received over all rounds.
     received_items: Vec<u64>,
-    /// Buckets re-offered after a fault.
-    retries: u64,
-    /// Of those, buckets that arrived corrupt.
-    corrupt: u64,
     /// Ranks that died.
     deaths: u64,
     /// Bytes replayed into the survivors of dead ranks.
@@ -848,8 +802,6 @@ fn route_rounds<S: CounterStages>(
         salvage: Vec::new(),
         steps: Vec::new(),
         received_items: vec![0; nranks],
-        retries: 0,
-        corrupt: 0,
         deaths: 0,
         replayed_bytes: 0,
     };
@@ -1067,8 +1019,6 @@ fn route_rounds<S: CounterStages>(
         let mut attempt: u32 = 1;
         while routed.failed_sends + routed.corrupt_buckets > 0 {
             let spec = fault_spec.expect("faults cannot fire without a plan");
-            sched.retries += routed.failed_sends + routed.corrupt_buckets;
-            sched.corrupt += routed.corrupt_buckets;
             if attempt > spec.max_retries {
                 sched.steps.push(Step::Fail(RunError::ExchangeFailed {
                     round: round_no,
@@ -1117,26 +1067,28 @@ fn route_rounds<S: CounterStages>(
     sched
 }
 
-/// What one slot's run left: its final state, each op's outcome, and the
+/// What one slot's run left: its final sink, each op's outcome, and the
 /// snapshots recovery salvages from it, by salvage index.
-struct SlotRun<St, H> {
-    state: St,
+struct SlotRun<K, H> {
+    sink: K,
     done: Vec<Done>,
     held: Vec<(usize, H)>,
 }
 
-/// Runs one slot's ops back to back, stopping at its first failure, and
-/// takes the slot's snapshots in `salvage` (see [`Schedule::salvage`]).
-/// Every absorb depends only on its own slot's earlier ops, so slots run
-/// in parallel and each sees exactly the states a round-order walk would.
+/// Runs one slot's ops back to back on `sink`, stopping at its first
+/// failure, and takes the slot's snapshots in `salvage` (see
+/// [`Schedule::salvage`]); a reopen replaces the sink with
+/// `open(slot, expected)`. Every absorb depends only on its own slot's
+/// earlier ops, so slots run in parallel and each sees exactly the states
+/// a round-order walk would.
 fn run_slot<I, K: Sink<I>>(
-    sink: &K,
+    open: &impl Fn(usize, u64) -> Result<K, CounterOom>,
     slot: usize,
     expected: u64,
-    mut state: K::State,
+    mut sink: K,
     ops: Vec<Op<I>>,
     salvage: &[(usize, usize)],
-) -> SlotRun<K::State, K::Held> {
+) -> SlotRun<K, K::Held> {
     // `(ops before, salvage index)` of this slot's snapshots.
     let mut wanted: Vec<(usize, usize)> = salvage
         .iter()
@@ -1150,28 +1102,28 @@ fn run_slot<I, K: Sink<I>>(
     let mut held = Vec::new();
     for (at, op) in ops.into_iter().enumerate() {
         while let Some((_, index)) = wanted.next_if(|&(w, _)| w == at) {
-            held.push((index, sink.snapshot(&state)));
+            held.push((index, sink.snapshot()));
         }
         let result = match op {
-            Op::Absorb(buckets) => sink.absorb(&mut state, buckets),
-            Op::Reopen => sink.open(slot, expected).map(|fresh| {
-                state = fresh;
+            Op::Absorb(buckets) => sink.absorb(buckets),
+            Op::Reopen => open(slot, expected).map(|fresh| {
+                sink = fresh;
                 SimTime::ZERO
             }),
         };
         let failed = result.is_err();
         done.push(Done {
             result,
-            pressure: sink.pressure(&state),
+            pressure: sink.pressure(),
         });
         if failed {
-            return SlotRun { state, done, held };
+            return SlotRun { sink, done, held };
         }
     }
     for (_, index) in wanted {
-        held.push((index, sink.snapshot(&state)));
+        held.push((index, sink.snapshot()));
     }
-    SlotRun { state, done, held }
+    SlotRun { sink, done, held }
 }
 
 /// What the fold charged.

@@ -1,7 +1,8 @@
 //! Shared machinery of the two GPU pipelines (§III-B / §IV-B).
 
-use crate::config::{CountingConfig, RunConfig};
-use crate::pipeline::driver::{CounterOom, DriverCtx, PressureStats};
+use crate::config::{GpuTuning, RunConfig};
+use crate::pipeline::driver::{Counter, CounterOom, DriverCtx, PressureStats, Sink};
+use crate::pipeline::RankCountResult;
 use crate::table::{table_capacity, DeviceCountTable, InsertOutcome};
 use crate::width::PackedKmer;
 use dedukt_gpu::mem_plan::{alloc_fails, estimate_factor};
@@ -122,7 +123,10 @@ pub(crate) fn scaled_estimate(rc: &RunConfig, rank: usize, expected: u64) -> usi
 /// paths preserve exact counts; only when even the spill budget is
 /// exhausted does counting fail, cleanly, with a [`CounterOom`].
 ///
-/// [`finish`]: DeviceRoundCounter::finish
+/// It counts whatever [`DeviceItem`] arrives: k-mers, or supermers whose
+/// k-mers the count kernel extracts itself.
+///
+/// [`finish`]: Counter::finish
 pub(crate) struct DeviceRoundCounter<K: PackedKmer = u64> {
     device: Device,
     table: DeviceCountTable<K>,
@@ -139,6 +143,10 @@ pub(crate) struct DeviceRoundCounter<K: PackedKmer = u64> {
     regrows: u64,
     oom_events: u64,
     grow_attempts: u64,
+    /// The run's k-mer length, for extracting k-mers from supermers.
+    pub(crate) k: usize,
+    /// The kernels' calibrated cycle costs.
+    pub(crate) tuning: GpuTuning,
 }
 
 impl<K: PackedKmer> DeviceRoundCounter<K> {
@@ -149,10 +157,10 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
     /// device budget.
     pub(crate) fn new(
         rc: &RunConfig,
-        cfg: &CountingConfig,
         rank: usize,
         expected_instances: u64,
     ) -> Result<Self, CounterOom> {
+        let cfg = &rc.counting;
         let device = dedukt_gpu::Device::new(rc.gpu_device.clone());
         let capacity = table_capacity(cfg, scaled_estimate(rc, rank, expected_instances));
         let hash_seed = cfg.hash_seed ^ 0xC0C0;
@@ -177,6 +185,8 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
             regrows: 0,
             oom_events: 0,
             grow_attempts: 0,
+            k: cfg.k,
+            tuning: rc.gpu_tuning,
         })
     }
 
@@ -346,21 +356,39 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         self.spill.extend(pending);
         Ok(())
     }
+}
 
-    /// A non-destructive `(entries, instances)` snapshot of the counts
-    /// accumulated so far — the device table merged with any host-spilled
-    /// k-mers, exactly the state [`DeviceRoundCounter::finish`] would
-    /// report if the run ended now. Powers the driver's
-    /// `--checkpoint-rounds` snapshots and graceful rescale departures.
-    pub(crate) fn snapshot(&self) -> (Vec<(K, u32)>, u64) {
-        let mut entries = self.table.to_host();
-        merge_spill(&mut entries, self.spill.clone());
-        (entries, self.instances)
+/// What a [`DeviceRoundCounter`] counts: the k-mer pipeline's k-mers,
+/// or the supermer pipeline's supermers.
+pub(crate) trait DeviceItem<K: PackedKmer>: Sized {
+    /// Counts one delivery, `buckets` in arrival order, into `counter`
+    /// ([`DeviceRoundCounter::count`]).
+    fn count(
+        counter: &mut DeviceRoundCounter<K>,
+        buckets: Vec<Vec<Self>>,
+    ) -> Result<SimTime, CounterOom>;
+}
+
+/// Received k-mers are read in place, at the count kernel's own cost.
+impl<K: PackedKmer> DeviceItem<K> for K {
+    fn count(
+        counter: &mut DeviceRoundCounter<K>,
+        buckets: Vec<Vec<K>>,
+    ) -> Result<SimTime, CounterOom> {
+        let cycles = counter.tuning.count_cycles_per_kmer;
+        counter.count(&buckets[..], cycles)
+    }
+}
+
+impl<K: PackedKmer, I: DeviceItem<K>> Sink<I> for DeviceRoundCounter<K> {
+    type Held = RankCountResult<K>;
+
+    fn absorb(&mut self, buckets: Vec<Vec<I>>) -> Result<SimTime, CounterOom> {
+        I::count(self, buckets)
     }
 
-    /// This counter's memory-pressure telemetry so far (all zero on an
-    /// unconstrained run).
-    pub(crate) fn pressure(&self) -> PressureStats {
+    /// All zero on an unconstrained run, apart from the high-water mark.
+    fn pressure(&self) -> PressureStats {
         PressureStats {
             spilled: self.spilled,
             regrows: self.regrows,
@@ -369,6 +397,20 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
         }
     }
 
+    /// The device table merged with any host-spilled k-mers. Powers the
+    /// driver's `--checkpoint-rounds` snapshots and graceful rescale
+    /// departures.
+    fn snapshot(&self) -> RankCountResult<K> {
+        let mut entries = self.table.to_host();
+        merge_spill(&mut entries, self.spill.clone());
+        RankCountResult {
+            entries,
+            instances: self.instances,
+        }
+    }
+}
+
+impl<K: PackedKmer, I: DeviceItem<K>> Counter<K, I> for DeviceRoundCounter<K> {
     /// Drains the table into the rank's result — merging any host-spilled
     /// k-mers back in by key, so pressured runs report exactly the counts
     /// an unconstrained run would — and records the counting telemetry
@@ -376,11 +418,7 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
     /// series, which exist only when pressure actually fired). The
     /// regrow and spill totals are not among them: the driver journals
     /// those facts once ([`crate::pipeline::driver::journal_pressure`]).
-    pub(crate) fn finish(
-        mut self,
-        ctx: &DriverCtx,
-        rank: usize,
-    ) -> crate::pipeline::RankCountResult<K> {
+    fn finish(mut self, ctx: &DriverCtx, rank: usize) -> RankCountResult<K> {
         let mut entries = self.table.to_host();
         // Device residency metrics reflect the table alone, before the
         // spill merge changes the entry list.
@@ -415,7 +453,7 @@ impl<K: PackedKmer> DeviceRoundCounter<K> {
             }
             observed
         });
-        crate::pipeline::RankCountResult {
+        RankCountResult {
             entries,
             instances: self.instances,
         }
@@ -522,10 +560,14 @@ pub fn split_rounds_weighted<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mode;
-    use crate::pipeline::gpu_supermer::{supermer_kmers, PackedSupermer};
+    use crate::config::{CountingConfig, Mode};
+    use crate::pipeline::cpu::CpuStages;
+    use crate::pipeline::driver::CounterStages;
+    use crate::pipeline::gpu_kmer::GpuKmerStages;
+    use crate::pipeline::gpu_supermer::{supermer_kmers, PackedSupermer, SupermerStages};
     use dedukt_dna::{Dataset, DatasetId, ScalePreset};
     use dedukt_gpu::mem_plan::MemSpec;
+    use std::marker::PhantomData;
 
     #[test]
     fn pieces_cover_exactly_the_requested_range() {
@@ -648,8 +690,8 @@ mod tests {
         fn oom<T>(e: CounterOom) -> T {
             panic!("{}", e.detail)
         }
-        let mut counter = DeviceRoundCounter::<K>::new(&rc, &rc.counting, 0, kmers.len() as u64)
-            .unwrap_or_else(oom);
+        let mut counter =
+            DeviceRoundCounter::<K>::new(&rc, 0, kmers.len() as u64).unwrap_or_else(oom);
         let dt = counter
             .count(&[kmers.to_vec()][..], 1000.0)
             .unwrap_or_else(oom);
@@ -782,7 +824,7 @@ mod tests {
         }));
         let cycles = rc.gpu_tuning.count_cycles_per_kmer + rc.gpu_tuning.extract_cycles_per_kmer;
         let fresh = || {
-            DeviceRoundCounter::<W>::new(rc, cfg, 0, instances)
+            DeviceRoundCounter::<W>::new(rc, 0, instances)
                 .unwrap_or_else(|e| panic!("{}", e.detail))
         };
         let (mut streamed, mut expanded) = (fresh(), fresh());
@@ -791,13 +833,14 @@ mod tests {
             let b = expanded.count(std::slice::from_ref(kmers), cycles);
             assert_eq!(a.map_err(|e| e.detail), b.map_err(|e| e.detail));
         }
-        let pressure = streamed.pressure();
-        assert_eq!(pressure, expanded.pressure());
+        let pressure = Sink::<W>::pressure(&streamed);
+        assert_eq!(pressure, Sink::<W>::pressure(&expanded));
         assert_eq!(streamed.probe_steps, expanded.probe_steps);
         assert_eq!(streamed.probe_hist, expanded.probe_hist);
         assert_eq!(streamed.probe_hist.count() + pressure.spilled, instances);
         let ctx = DriverCtx::new(rc, &reads, None);
-        let (a, b) = (streamed.finish(&ctx, 0), expanded.finish(&ctx, 0));
+        let finish = |c: DeviceRoundCounter<W>| Counter::<W, W>::finish(c, &ctx, 0);
+        let (a, b) = (finish(streamed), finish(expanded));
         assert_eq!(a.instances, instances);
         assert_eq!(a.instances, b.instances);
         assert_eq!(a.entries, b.entries);
@@ -832,6 +875,96 @@ mod tests {
             let pressure = check(&rc);
             assert!(pressure.regrows > 0, "k = {k}: no regrow");
             assert!(pressure.spilled > 0, "k = {k}: no spill");
+        }
+    }
+
+    /// Counts `rounds` on fresh counters from `stages`' factory, once per
+    /// prefix of them, and requires each counter's snapshot after the
+    /// prefix to equal what it then finishes with. Returns the pressure
+    /// after all of `rounds`.
+    fn assert_snapshots_match_finish<S: CounterStages>(
+        stages: &S,
+        ctx: &DriverCtx,
+        rounds: &[Vec<Vec<S::Item>>],
+    ) -> PressureStats {
+        let expected = rounds
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|item| stages.item_instances(ctx, item))
+            .sum();
+        let mut pressure = PressureStats::default();
+        for absorbed in 0..=rounds.len() {
+            let mut counter = stages
+                .make_counter(ctx, 0, expected)
+                .unwrap_or_else(|e| panic!("{}", e.detail));
+            for round in &rounds[..absorbed] {
+                if let Err(e) = counter.absorb(round.clone()) {
+                    panic!("{}", e.detail);
+                }
+            }
+            let snapshot = counter.snapshot();
+            pressure = counter.pressure();
+            let finished = counter.finish(ctx, 0);
+            assert_eq!(snapshot.instances, finished.instances, "{absorbed} absorbs");
+            assert!(snapshot.entries == finished.entries, "{absorbed} absorbs");
+        }
+        pressure
+    }
+
+    /// [`assert_snapshots_match_finish`] over two deliveries for every
+    /// counter: the CPU engine's and the device counter fed k-mers, each
+    /// on the supermers' k-mers, and the device counter fed the supermers.
+    /// Returns the two device counters' pressure.
+    fn check_snapshots<W: PackedKmer>(rc: &RunConfig) -> [PressureStats; 2] {
+        let reads = Dataset::new(DatasetId::ABaumannii30x, ScalePreset::Tiny).generate();
+        let ctx = DriverCtx::new(rc, &reads, None);
+        let k = rc.counting.k;
+        let smers = supermer_rounds::<W>(&reads, &rc.counting);
+        let kmers: Vec<Vec<Vec<W>>> = smers
+            .iter()
+            .map(|round| {
+                let bucket =
+                    |b: &Vec<PackedSupermer<W>>| b.iter().flat_map(|s| s.kmers(k)).collect();
+                round.iter().map(bucket).collect()
+            })
+            .collect();
+        let cpu = assert_snapshots_match_finish(&CpuStages::<W>(PhantomData), &ctx, &kmers);
+        assert_eq!(cpu, PressureStats::default());
+        [
+            assert_snapshots_match_finish(&GpuKmerStages::<W>(PhantomData), &ctx, &kmers),
+            assert_snapshots_match_finish(&SupermerStages::<W>::new(rc), &ctx, &smers),
+        ]
+    }
+
+    #[test]
+    fn snapshots_equal_what_the_counters_finish_with() {
+        for k in [17, 41] {
+            let mut rc = RunConfig::new(Mode::GpuSupermer, 1);
+            rc.counting.k = k;
+            if k > 32 {
+                rc.counting.m = 11;
+            }
+            let check = |rc: &RunConfig| {
+                if k > 32 {
+                    check_snapshots::<u128>(rc)
+                } else {
+                    check_snapshots::<u64>(rc)
+                }
+            };
+            for roomy in check(&rc) {
+                assert_eq!(roomy.regrows + roomy.spilled, 0);
+            }
+            // A 1% table with half its regrows denied: the snapshots
+            // must merge the spill list as `finish` does.
+            rc.table_safety = 0.01;
+            rc.mem = Some(MemPlan::new(
+                7,
+                MemSpec::parse("under=0,afail=0.5,spill=100000000").unwrap(),
+            ));
+            for pressured in check(&rc) {
+                assert!(pressured.spilled > 0, "k = {k}: no spill");
+            }
         }
     }
 }

@@ -17,7 +17,9 @@
 //!    kernel walks the reads' base codes in place.
 //! 2. **Exchange** — stage outgoing buffers to the host (unless
 //!    GPUDirect), `MPI_Alltoallv`, stage received k-mers back in.
-//! 3. **Count** — the device CAS/linear-probing table kernel (§III-B3).
+//! 3. **Count** — the device CAS/linear-probing table kernel (§III-B3):
+//!    the rank's `DeviceRoundCounter` reads each delivery's k-mers in
+//!    place.
 //!
 //! The phase skeleton (bucket → exchange rounds → count) lives in the
 //! shared staged driver (`pipeline::driver`); this module only supplies
@@ -25,9 +27,8 @@
 
 use crate::config::RunConfig;
 use crate::partition::key_owner;
-use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats};
+use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx};
 use crate::pipeline::gpu_common::{block_range, chunked_launch, staging, DeviceRoundCounter};
-use crate::pipeline::RankCountResult;
 use crate::width::PackedKmer;
 use dedukt_dna::kmer::{kmer_words_w, KmerWord};
 use dedukt_dna::{Encoding, Read};
@@ -201,33 +202,7 @@ impl<K: PackedKmer> CounterStages for GpuKmerStages<K> {
         rank: usize,
         expected_instances: u64,
     ) -> Result<DeviceRoundCounter<K>, CounterOom> {
-        DeviceRoundCounter::new(ctx.rc, &ctx.cfg, rank, expected_instances)
-    }
-
-    fn count_round(
-        &self,
-        ctx: &DriverCtx,
-        counter: &mut DeviceRoundCounter<K>,
-        buckets: Vec<Vec<K>>,
-    ) -> Result<SimTime, CounterOom> {
-        counter.count(&buckets[..], ctx.rc.gpu_tuning.count_cycles_per_kmer)
-    }
-
-    fn pressure(&self, counter: &DeviceRoundCounter<K>) -> PressureStats {
-        counter.pressure()
-    }
-
-    fn snapshot_counts(&self, counter: &DeviceRoundCounter<K>) -> (Vec<(K, u32)>, u64) {
-        counter.snapshot()
-    }
-
-    fn finish(
-        &self,
-        ctx: &DriverCtx,
-        rank: usize,
-        counter: DeviceRoundCounter<K>,
-    ) -> RankCountResult<K> {
-        counter.finish(ctx, rank)
+        DeviceRoundCounter::new(ctx.rc, rank, expected_instances)
     }
 }
 

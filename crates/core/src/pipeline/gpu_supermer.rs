@@ -11,8 +11,9 @@
 //! * **Exchange** — two `MPI_Alltoallv`s (Algorithm 2): the supermer
 //!   words and their lengths. 9 bytes per supermer instead of 8 bytes per
 //!   k-mer — the up-to-4× volume reduction of Table II.
-//! * **Count** — the same device table kernel as the k-mer pipeline,
-//!   reading each block's k-mers straight out of the received supermers
+//! * **Count** — the same device counter as the k-mer pipeline
+//!   (`DeviceRoundCounter`, fed supermers), its kernel reading each
+//!   block's k-mers straight out of the received supermers
 //!   (`SupermerKmers`): the re-parse happens inside the kernel (charged
 //!   as the paper's measured +23-27% counting overhead), so no rank ever
 //!   holds an expanded k-mer array.
@@ -24,11 +25,10 @@
 
 use crate::config::RunConfig;
 use crate::partition::{minimizer_owner, BalancedAssignment};
-use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx, PressureStats};
+use crate::pipeline::driver::{BucketOut, CounterOom, CounterStages, DriverCtx};
 use crate::pipeline::gpu_common::{
-    block_range, chunked_launch, staging, DeviceRoundCounter, KmerSource,
+    block_range, chunked_launch, staging, DeviceItem, DeviceRoundCounter, KmerSource,
 };
-use crate::pipeline::RankCountResult;
 use crate::supermer::{build_supermers_reference, num_windows, supermers_of_windows};
 use crate::width::PackedKmer;
 use dedukt_net::bsp::Traffic;
@@ -108,6 +108,22 @@ impl<K, I: Iterator<Item = K>> KmerSource<K> for SupermerKmers<K, I> {
         assert_eq!(self.buf.len(), hi - lo, "k-mer range past the round");
         self.next = hi;
         f(&self.buf);
+    }
+}
+
+/// The count kernel extracts each block's k-mers itself (§IV-C); the
+/// extraction's cost is the surcharge on the count kernel.
+impl<K: PackedKmer> DeviceItem<K> for PackedSupermer<K> {
+    fn count(
+        counter: &mut DeviceRoundCounter<K>,
+        buckets: Vec<Vec<Self>>,
+    ) -> Result<SimTime, CounterOom> {
+        let tuning = counter.tuning;
+        let kmers = supermer_kmers(buckets, counter.k);
+        counter.count(
+            kmers,
+            tuning.count_cycles_per_kmer + tuning.extract_cycles_per_kmer,
+        )
     }
 }
 
@@ -378,39 +394,7 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
         rank: usize,
         expected_instances: u64,
     ) -> Result<DeviceRoundCounter<K>, CounterOom> {
-        DeviceRoundCounter::new(ctx.rc, &ctx.cfg, rank, expected_instances)
-    }
-
-    fn count_round(
-        &self,
-        ctx: &DriverCtx,
-        counter: &mut DeviceRoundCounter<K>,
-        buckets: Vec<Vec<PackedSupermer<K>>>,
-    ) -> Result<SimTime, CounterOom> {
-        // The count kernel extracts each block's k-mers itself; the
-        // extraction's cost is the surcharge on the count kernel.
-        let tuning = ctx.rc.gpu_tuning;
-        counter.count(
-            supermer_kmers(buckets, ctx.cfg.k),
-            tuning.count_cycles_per_kmer + tuning.extract_cycles_per_kmer,
-        )
-    }
-
-    fn pressure(&self, counter: &DeviceRoundCounter<K>) -> PressureStats {
-        counter.pressure()
-    }
-
-    fn snapshot_counts(&self, counter: &DeviceRoundCounter<K>) -> (Vec<(K, u32)>, u64) {
-        counter.snapshot()
-    }
-
-    fn finish(
-        &self,
-        ctx: &DriverCtx,
-        rank: usize,
-        counter: DeviceRoundCounter<K>,
-    ) -> RankCountResult<K> {
-        counter.finish(ctx, rank)
+        DeviceRoundCounter::new(ctx.rc, rank, expected_instances)
     }
 }
 

@@ -22,8 +22,8 @@
 
 use crate::config::{ConfigError, RunConfig};
 use crate::pipeline::driver::{
-    exchange_rounds, journal_pressure, Bucketed, Counted, CounterOom, CounterStages, DriverCtx,
-    Sink,
+    exchange_rounds, journal_pressure, Bucketed, Counted, Counter, CounterOom, CounterStages,
+    DriverCtx, Sink,
 };
 use crate::pipeline::gpu_supermer::PackedSupermer;
 use crate::pipeline::{RankCountResult, RunError};
@@ -114,47 +114,50 @@ impl<K: PackedKmer> Record for PackedSupermer<K> {
     }
 }
 
-/// One rank's pass-1 spool: every record it received, serialized into
-/// its bin on arrival so the items themselves can be dropped.
-#[derive(Clone)]
-pub(crate) struct Spool {
+/// One rank's pass-1 sink: every record it received, serialized into
+/// its bin ([`CounterStages::bin_of`]) on arrival so the items themselves
+/// can be dropped. Spooling costs no simulated kernel time; the disk is
+/// priced when the bins are written.
+pub(crate) struct Spool<'a, S> {
+    stages: &'a S,
+    ctx: &'a DriverCtx<'a>,
     /// `bins[b]` — serialized records of bin `b`.
     bins: Vec<Vec<u8>>,
     /// `instances[b]` — k-mer instances those records expand to.
     instances: Vec<u64>,
 }
 
-/// The pass-1 sink: delivered items spool into `nbins` bins instead of
-/// being counted. Spooling costs no simulated kernel time; the disk is
-/// priced when the bins are written.
-pub(crate) struct Spooling<'a, S> {
-    stages: &'a S,
-    ctx: &'a DriverCtx<'a>,
-    nbins: usize,
+impl<'a, S> Spool<'a, S> {
+    /// An empty spool of `nbins` bins.
+    fn new(stages: &'a S, ctx: &'a DriverCtx<'a>, nbins: usize) -> Self {
+        Spool {
+            stages,
+            ctx,
+            bins: vec![Vec::new(); nbins],
+            instances: vec![0; nbins],
+        }
+    }
 }
 
-impl<S: CounterStages> Sink<S::Item> for Spooling<'_, S> {
-    type State = Spool;
-    type Held = Spool;
+impl<S: CounterStages> Sink<S::Item> for Spool<'_, S> {
+    type Held = Self;
 
-    fn open(&self, _: usize, _: u64) -> Result<Spool, CounterOom> {
-        Ok(Spool {
-            bins: vec![Vec::new(); self.nbins],
-            instances: vec![0; self.nbins],
-        })
-    }
-
-    fn absorb(&self, spool: &mut Spool, buckets: Vec<Vec<S::Item>>) -> Result<SimTime, CounterOom> {
+    fn absorb(&mut self, buckets: Vec<Vec<S::Item>>) -> Result<SimTime, CounterOom> {
+        let nbins = self.bins.len();
         for item in buckets.iter().flatten() {
-            let bin = self.stages.bin_of(self.ctx, item, self.nbins);
-            item.encode(&mut spool.bins[bin]);
-            spool.instances[bin] += self.stages.item_instances(self.ctx, item);
+            let bin = self.stages.bin_of(self.ctx, item, nbins);
+            item.encode(&mut self.bins[bin]);
+            self.instances[bin] += self.stages.item_instances(self.ctx, item);
         }
         Ok(SimTime::ZERO)
     }
 
-    fn snapshot(&self, spool: &Spool) -> Spool {
-        spool.clone()
+    fn snapshot(&self) -> Self {
+        Spool {
+            bins: self.bins.clone(),
+            instances: self.instances.clone(),
+            ..*self
+        }
     }
 }
 
@@ -205,7 +208,7 @@ fn store_failed(bin: u64, detail: String) -> RunError {
 
 /// The out-of-core counting path, dispatched by the staged driver when
 /// `rc.two_pass_dir` is set. Pass 1 runs the exchange rounds into
-/// [`Spooling`] sinks and lands the bins; `bucketed` is `None` under
+/// [`Spool`] sinks and lands the bins; `bucketed` is `None` under
 /// `--resume`, which skips straight to pass 2 from the manifest. Disk
 /// seconds are charged to the exchange phase, pass-2 kernels to the
 /// count phase.
@@ -242,8 +245,9 @@ pub(crate) fn count_out_of_core<S: CounterStages>(
                 rc.gpu_device.memory_bytes,
                 slot_bytes,
             );
-            let sink = Spooling { stages, ctx, nbins };
-            let ex = exchange_rounds(stages, &sink, ctx, world, bucketed)?;
+            let ex = exchange_rounds(stages, ctx, world, bucketed, |_, _| {
+                Ok(Spool::new(stages, ctx, nbins))
+            })?;
             // Salvaged spools rejoin their bins: a checkpoint or a
             // departure holds exactly the records its live successor
             // lacks, so every instance lands in one bin once.
@@ -492,13 +496,11 @@ impl<K: PackedKmer> RankBins<K> {
         let mut counter = stages
             .make_counter(ctx, owner, meta.instances.min(planned_load))
             .map_err(&mut oom)?;
-        self.count_secs += stages
-            .count_round(ctx, &mut counter, vec![items])
-            .map_err(&mut oom)?;
-        let pressure = stages.pressure(&counter);
+        self.count_secs += counter.absorb(vec![items]).map_err(&mut oom)?;
+        let pressure = counter.pressure();
         self.high_water = self.high_water.max(pressure.high_water_bytes);
         journal_pressure(ctx, [(owner, pressure)]);
-        let counted = stages.finish(ctx, owner, counter);
+        let counted = counter.finish(ctx, owner);
         debug_assert_eq!(counted.instances, meta.instances);
         // Gerbil-style pre-filter: counts below `--min-count` never leave
         // the bin; the dump and spectrum see only survivors.
@@ -581,10 +583,10 @@ impl Disk<'_> {
     /// per spool holding records of it — live spools in rank order, then
     /// salvaged ones — and its write is charged to the bin's owner. Spool
     /// bytes move out bin by bin, so memory drains as the store fills.
-    fn write_bins(
+    fn write_bins<S>(
         &self,
         nranks: usize,
-        mut spools: Vec<Spool>,
+        mut spools: Vec<Spool<S>>,
         fingerprint: String,
     ) -> Result<(Manifest, Vec<SimTime>), RunError> {
         let nbins = spools.first().map_or(nranks, |s| s.bins.len());

@@ -470,9 +470,6 @@ impl BspWorld {
                 }
             }
         }
-        if hidden.is_some() {
-            self.stats.overlapped_collectives += 1;
-        }
         if retry {
             // Retry traffic: charged to the wire like any collective, but
             // tracked separately from first-attempt volume.
@@ -840,7 +837,7 @@ mod tests {
         assert_eq!(w.elapsed(), plain.elapsed());
 
         // Payload routing and byte accounting are those of a blocking
-        // exchange; only the overlap counter differs.
+        // exchange.
         let routed = w.route(0, 0, send(p));
         for dst in 0..p {
             for src in 0..p {
@@ -848,8 +845,6 @@ mod tests {
             }
         }
         assert_eq!(w.stats().total_bytes, plain.stats().total_bytes);
-        assert_eq!(w.stats().overlapped_collectives, 1);
-        assert_eq!(plain.stats().overlapped_collectives, 0);
     }
 
     #[test]

@@ -6,9 +6,6 @@
 pub struct CommStats {
     /// Number of collective operations performed.
     pub collectives: u64,
-    /// How many of those collectives ran in overlapped (non-blocking)
-    /// mode, hiding compute behind the wire.
-    pub overlapped_collectives: u64,
     /// Total payload bytes moved (sum over all rank pairs, both on- and
     /// off-node).
     pub total_bytes: u64,
@@ -25,10 +22,9 @@ pub struct CommStats {
     pub intra_tier_bytes: u64,
     /// Coalesced inter-node frames sent by hierarchical routing (one per
     /// non-empty `(node, node)` pair per collective). Zero under direct
-    /// routing, where [`CommStats::messages`] counts rank-pair messages.
+    /// routing, where every non-empty rank-pair payload is its own
+    /// message.
     pub coalesced_messages: u64,
-    /// Total messages (non-empty rank→rank payloads).
-    pub messages: u64,
     /// Bytes of [`CommStats::total_bytes`] that were *re-sent* on retry
     /// attempts after a fault (zero on a fault-free fabric). First-attempt
     /// traffic is `total_bytes - retry_bytes`.
@@ -52,9 +48,6 @@ impl CommStats {
                     self.off_node_bytes += b;
                 } else {
                     self.intra_node_bytes += b;
-                }
-                if b > 0 {
-                    self.messages += 1;
                 }
             }
         }
@@ -86,6 +79,5 @@ mod tests {
         // Direct-route accounting leaves the hierarchical tiers at zero.
         assert_eq!(s.intra_tier_bytes, 0);
         assert_eq!(s.coalesced_messages, 0);
-        assert_eq!(s.messages, 8);
     }
 }

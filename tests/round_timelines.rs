@@ -245,6 +245,22 @@ fn pinned() -> Vec<(&'static str, Mode, Vec<&'static str>, bool, u64)> {
             false,
             0xe3d7_b33e_7980_6639,
         ),
+        ("cpu kill", Cpu, KILL.to_vec(), false, 0xe9d3_d3b6_66e5_20a7),
+        (
+            "supermer two-pass rescale",
+            Smer,
+            vec!["--rescale", "1:8,3:12"],
+            true,
+            0x1c6c_1aa3_645e_5b73,
+        ),
+        ("gpu two-pass", Gpu, vec![], true, 0xb466_b7f9_b30a_b524),
+        (
+            "cpu rescale",
+            Cpu,
+            vec!["--rescale", "1:8,3:12"],
+            false,
+            0xe20a_27ca_580e_8981,
+        ),
         (
             "gpu composed",
             Gpu,
