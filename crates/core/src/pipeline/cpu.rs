@@ -44,8 +44,8 @@ impl<K: PackedKmer> Sink<K> for CpuCounter<K> {
     fn absorb(&mut self, buckets: Vec<Vec<K>>) -> Result<SimTime, CounterOom> {
         let items: u64 = buckets.iter().map(|b| b.len() as u64).sum();
         self.received += items;
-        for &k in buckets.iter().flatten() {
-            self.table.insert(k);
+        for bucket in &buckets {
+            self.table.insert_all(bucket);
         }
         Ok(self.count_rate.time_for(items as f64))
     }

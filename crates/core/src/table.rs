@@ -123,10 +123,31 @@ impl<K: TableKey> HostCountTable<K> {
     /// Inserts one k-mer instance: increments its count, creating the
     /// entry if new (Algorithm 1, lines 11-15).
     pub fn insert(&mut self, kmer: K) {
+        let hash = self.image.hash(kmer);
+        self.insert_hashed(kmer, hash);
+    }
+
+    /// Inserts one instance of each of `kmers` in order — the same
+    /// counts, probe steps and growth as calling
+    /// [`HostCountTable::insert`] on each. Hashes a group at a time, like
+    /// [`DeviceCountTable::insert_all`].
+    pub fn insert_all(&mut self, kmers: &[K]) {
+        for group in kmers.chunks(GROUP) {
+            let hashes = self.image.hash_group(group);
+            for (&hash, &kmer) in hashes.iter().zip(group) {
+                self.insert_hashed(kmer, hash);
+            }
+        }
+    }
+
+    /// [`HostCountTable::insert`] of a k-mer already hashed. Doubles the
+    /// slot count first if a new key could take the table past
+    /// `max_load`.
+    #[inline]
+    fn insert_hashed(&mut self, kmer: K, hash: u64) {
         if (self.distinct() + 1) as f64 > self.capacity() as f64 * self.max_load {
             self.grow();
         }
-        let hash = self.image.hash(kmer);
         let InsertOutcome::Inserted(r) = self.image.insert(kmer, hash, 1) else {
             unreachable!("the load bound keeps a slot free");
         };
@@ -210,11 +231,12 @@ impl<K: TableKey> Entry<K> {
     };
 }
 
-/// How many k-mers [`DeviceCountTable::insert_all`] hashes and loads
-/// ahead of inserting them.
+/// How many k-mers `insert_all` hashes and loads ahead of inserting
+/// them.
 const GROUP: usize = 16;
 
-/// Entries a fresh host image starts with; it doubles past half full.
+/// Entries a fresh host image starts with; it doubles before an insert
+/// would take it past three-quarters full.
 const INITIAL_ENTRIES: usize = 64;
 
 /// Probe steps a linear walk from `home` takes to reach `slot`.
@@ -256,7 +278,7 @@ struct Image<K: TableKey> {
     /// [`free_slots`]).
     occupied: Vec<u64>,
     /// Open-addressing key index (linear probing, `K::EMPTY` marks a free
-    /// entry), kept at most half full.
+    /// entry), kept at most three-quarters full.
     entries: Vec<Entry<K>>,
     distinct: usize,
 }
@@ -277,12 +299,18 @@ impl<K: TableKey> Image<K> {
         kmer.hash_with(&self.hasher)
     }
 
-    /// Loads the entry a probe for `hash` starts at, so a group's cache
-    /// misses overlap.
+    /// Hashes a group of at most [`GROUP`] k-mers and loads the entry
+    /// each one's probe starts at, so the group's cache misses overlap
+    /// instead of waiting on one another.
     #[inline]
-    fn prefetch(&self, hash: u64) {
-        let i = entry_home(hash) & (self.entries.len() - 1);
-        std::hint::black_box(self.entries[i].key);
+    fn hash_group(&self, group: &[K]) -> [u64; GROUP] {
+        let mut hashes = [0u64; GROUP];
+        for (hash, &kmer) in hashes.iter_mut().zip(group) {
+            *hash = self.hash(kmer);
+            let i = entry_home(*hash) & (self.entries.len() - 1);
+            std::hint::black_box(self.entries[i].key);
+        }
+        hashes
     }
 
     /// The entry holding `kmer` (`Ok`), or the free entry its probe ends
@@ -320,7 +348,7 @@ impl<K: TableKey> Image<K> {
             },
             Err(mut i) => {
                 let slot = self.claim(home);
-                if 2 * (self.distinct + 1) > self.entries.len() {
+                if 4 * (self.distinct + 1) > 3 * self.entries.len() {
                     self.grow_index();
                     i = self.find(kmer, hash).unwrap_err();
                 }
@@ -399,6 +427,12 @@ impl<K: TableKey> Image<K> {
         self.occupied.capacity() * std::mem::size_of::<u64>()
             + self.entries.capacity() * std::mem::size_of::<Entry<K>>()
     }
+
+    /// Entries in the key index, free ones included.
+    #[cfg(test)]
+    fn index_len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// A fixed-capacity count table in device memory — the GPU counting
@@ -470,12 +504,8 @@ impl<K: PackedKmer> DeviceCountTable<K> {
     /// one another.
     pub fn insert_all(&self, kmers: &[K], mut on: impl FnMut(K, InsertOutcome)) {
         let mut image = self.image.borrow_mut();
-        let mut hashes = [0u64; GROUP];
         for group in kmers.chunks(GROUP) {
-            for (hash, &kmer) in hashes.iter_mut().zip(group) {
-                *hash = image.hash(kmer);
-                image.prefetch(*hash);
-            }
+            let hashes = image.hash_group(group);
             for (&hash, &kmer) in hashes.iter().zip(group) {
                 on(kmer, image.insert(kmer, hash, 1));
             }
@@ -806,6 +836,17 @@ mod tests {
         }
     }
 
+    /// The key index length `distinct` keys must leave: the smallest
+    /// power of two from [`INITIAL_ENTRIES`] that they fill at most
+    /// three-quarters.
+    fn index_bound(distinct: usize) -> usize {
+        let mut len = INITIAL_ENTRIES;
+        while 4 * distinct > 3 * len {
+            len *= 2;
+        }
+        len
+    }
+
     /// Streams `n` seeded draws from a pool of `pool` keys into a device
     /// table and a [`WalkTable`] of `capacity` slots, checking each insert
     /// and then every pool key's count against the walk; migrates both
@@ -827,6 +868,8 @@ mod tests {
             let outcome = walk.insert_counted(k, 1);
             assert_eq!(t.insert(k), outcome, "insert {i}");
             full += usize::from(matches!(outcome, InsertOutcome::Full { .. }));
+            let index = t.image.borrow().index_len();
+            assert_eq!(index, index_bound(t.distinct()), "insert {i}");
         }
         let check = |t: &DeviceCountTable<K>, walk: &WalkTable<K>| {
             for i in 0..pool {
@@ -866,6 +909,12 @@ mod tests {
             // the 16-slot table's occupancy word has padding bits).
             assert!(image_matches_walk(key, 256, 512, 5000) > 0);
             assert!(image_matches_walk(key, 16, 40, 500) > 0);
+            // Pools that leave the key index exactly three-quarters full
+            // at 64, 128 and 256 entries; the larger two cross the
+            // smaller ones' doublings on the way.
+            for pool in [48, 96, 192] {
+                assert_eq!(image_matches_walk(key, 512, pool, 40 * pool as usize), 0);
+            }
         }
         both(kmer17);
         both(kmer41);
@@ -1012,12 +1061,52 @@ mod tests {
                 assert!(t.iter().eq(reference.iter()), "insert {i}");
                 assert_eq!(t.capacity(), reference.keys.len());
                 assert_eq!(t.distinct(), reference.distinct);
+                assert_eq!(t.image.index_len(), index_bound(t.distinct()), "insert {i}");
                 let reference_total: u64 = reference.counts.iter().map(|&c| u64::from(c)).sum();
                 assert_eq!(t.total(), reference_total);
                 let reference_spectrum = Spectrum::from_counts(reference.iter().map(|(_, c)| c));
                 assert_eq!(t.spectrum(), reference_spectrum);
             }
             assert_eq!(t.capacity(), 1024);
+        }
+        both(kmer17);
+        both(kmer41);
+    }
+
+    #[test]
+    fn host_insert_all_matches_one_by_one_inserts_at_both_widths() {
+        fn both<K: PackedKmer>(key: fn(u64) -> K) {
+            // 600 distinct keys at load 0.7 take the table from 16 slots
+            // to 1024 (six doublings) and its key index from 64 entries
+            // to 1024 (four doublings).
+            let pool = 600;
+            let mut grouped = HostCountTable::<K>::with_expected(1, 0.7, 41);
+            let mut single = HostCountTable::<K>::with_expected(1, 0.7, 41);
+            assert_eq!(grouped.capacity(), 16);
+            let mut rng = dedukt_sim::rng::SplitMix64::new(pool);
+            let stream: Vec<K> = (0..5000).map(|_| key(rng.next_below(pool))).collect();
+            let mut rest = &stream[..];
+            while !rest.is_empty() {
+                // Chunks of 0 to 40 keys: empty, partial and several
+                // whole groups.
+                let len = (rng.next_below(41) as usize).min(rest.len());
+                let (chunk, tail) = rest.split_at(len);
+                rest = tail;
+                grouped.insert_all(chunk);
+                for &k in chunk {
+                    single.insert(k);
+                }
+                assert_eq!(grouped.probe_steps(), single.probe_steps());
+                assert!(grouped.iter().eq(single.iter()));
+                assert_eq!(grouped.capacity(), single.capacity());
+                assert_eq!(grouped.distinct(), single.distinct());
+                assert_eq!(grouped.image.index_len(), index_bound(grouped.distinct()));
+            }
+            for j in 0..pool + 20 {
+                assert_eq!(grouped.get(key(j)), single.get(key(j)), "key {j}");
+            }
+            assert_eq!(grouped.capacity(), 1024);
+            assert_eq!(grouped.image.index_len(), 1024);
         }
         both(kmer17);
         both(kmer41);

@@ -17,7 +17,7 @@ use common::{run_maybe_spooled, tiny_reads};
 use dedukt::core::pipeline::{RunError, RunReport};
 use dedukt::core::{Mode, PackedKmer, RunConfig};
 use dedukt::dna::ReadSet;
-use dedukt::sim::write_journal;
+use dedukt::sim::{write_journal, JournalEvent};
 
 /// The round-limited config of `mode` with `flags` applied.
 fn config(mode: Mode, flags: &[&str]) -> RunConfig {
@@ -80,8 +80,14 @@ fn digest<K: PackedKmer>(report: &RunReport<K>) -> u64 {
 }
 
 /// Panics unless the run took the recovery paths its flags ask for, so
-/// a pin cannot silently stop covering them.
-fn assert_exercised<K: PackedKmer>(name: &str, flags: &[&str], report: &RunReport<K>) {
+/// a pin cannot silently stop covering them. `rerun` runs the pin's
+/// config with other flags.
+fn assert_exercised<K: PackedKmer>(
+    name: &str,
+    flags: &[&str],
+    report: &RunReport<K>,
+    rerun: impl Fn(&[&str]) -> RunReport<K>,
+) {
     let journal = journal(report);
     for (flag, events) in [
         ("--fault-spec", &["retry"][..]),
@@ -96,6 +102,30 @@ fn assert_exercised<K: PackedKmer>(name: &str, flags: &[&str], report: &RunRepor
                     "{name}: no {ev} event"
                 );
             }
+        }
+    }
+    // A death after a checkpoint tick salvages the dead rank's snapshot
+    // and replays only the rounds since, so it replays less than the same
+    // run without checkpoints. Only the pins named for it may salvage.
+    if let Some(at) = flags.iter().position(|&f| f == "--checkpoint-rounds") {
+        let cadence: u64 = flags[at + 1].parse().expect("numeric cadence");
+        let events = report.events.as_deref().expect("journal on");
+        let salvages = events
+            .iter()
+            .any(|ev| matches!(ev, JournalEvent::RankDead { round, .. } if *round >= cadence));
+        assert_eq!(
+            salvages,
+            name.contains("salvage"),
+            "{name}: a death after a checkpoint tick"
+        );
+        if salvages {
+            let unchecked: Vec<&str> = [&flags[..at], &flags[at + 2..]].concat();
+            let replayed = rerun(&unchecked).exchange.replayed_bytes;
+            assert!(
+                report.exchange.replayed_bytes < replayed,
+                "{name}: no checkpoint salvaged: {} replayed bytes, {replayed} without checkpoints",
+                report.exchange.replayed_bytes
+            );
         }
     }
 }
@@ -116,6 +146,10 @@ const FAULTS: [&str; 4] = [
     "fail=0.2,corrupt=0.1,retries=8",
 ];
 const KILL: [&str; 4] = ["--rank-spec", "rate=0,kill=1:3", "--checkpoint-rounds", "2"];
+/// Rank 1 dies at the round-3 boundary, after the round-1 checkpoint
+/// tick, so recovery salvages its checkpoint snapshot; `KILL`'s death
+/// comes before any tick.
+const SALVAGE: [&str; 4] = ["--rank-spec", "rate=0,kill=3:1", "--checkpoint-rounds", "2"];
 const PRESSURE: [&str; 6] = [
     "--table-safety",
     "0.01",
@@ -268,6 +302,13 @@ fn pinned() -> Vec<(&'static str, Mode, Vec<&'static str>, bool, u64)> {
             false,
             0x58f8_4b18_d81c_6271,
         ),
+        (
+            "cpu kill salvage",
+            Cpu,
+            SALVAGE.to_vec(),
+            false,
+            0xf8db_9a65_04c8_dca6,
+        ),
     ]
 }
 
@@ -279,7 +320,9 @@ fn round_limited_timelines_match_their_pins() {
         let report = run::<u64>(&reads, mode, &flags, two_pass)
             .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
         assert!(report.exchange.rounds > 1, "{name}: not round-limited");
-        assert_exercised(name, &flags, &report);
+        assert_exercised(name, &flags, &report, |flags| {
+            run::<u64>(&reads, mode, flags, two_pass).expect("rerun")
+        });
         let got = digest(&report);
         if got != pin {
             mismatched.push(format!("{name}: {got:#018x}"));
